@@ -4,16 +4,18 @@ persistence and report emission.
 Configs are flat INI-style text (``key = value`` under ``[section]``
 headers), chosen over nested formats for diff-ability.  The exact grammar:
 
-    [run]        scenario, seed, out, threads (optional)
+    [run]        scenario, seed, out (optional), threads (optional)
     [grid]       n, L
     [evolve]     t_end, dt, snapshot_stride, dealias   (flow scenarios)
-    [potential]  width, amplitude_v, amplitude_a1..a3, center offsets, delta
+    [potential]  width, delta, amplitude_v, amplitude_a1..a3, center_offset
     [bootstrap]  eps0, amplification                   (nonlinear scenario)
-    [scenario]   scenario-specific keys
+    [scenario]   keys the scenario runners read (ACCEPTED_KEYS["scenario"])
 
-Values are plain tokens; floats use '.' decimals.  CSV outputs print
-floats with 17 significant digits and are byte-identical for identical
-configs and seeds, serial or parallel.
+Any other section or key is a ConfigError naming it.  Values are plain
+tokens; floats use '.' decimals.  CSV outputs print floats with 17
+significant digits and are byte-identical for identical configs and seeds,
+serial or parallel.  Each scenario is one entry of the registry SCENARIOS,
+which config validation, ``describe`` and ``run`` all read.
 """
 
 from __future__ import annotations
@@ -21,12 +23,15 @@ from __future__ import annotations
 import argparse
 import configparser
 import datetime
+import functools
 import hashlib
 import io
 import json
 import os
 import pathlib
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -47,69 +52,19 @@ from .estimates import (
 from .flows import BootstrapParams, EvolveConfig, evolve_linear, evolve_nonlinear, profile_of, save_trajectory
 from .norms import sobolev_norm, x_norm
 from .potentials import PotentialSet, certify, gaussian_potential, rescale_to_delta
-from .spectral import Field, free_propagate, l2_norm, make_grid
-from .sampling import sample_rng
+from .spectral import Field, free_propagate, identity_symbol, l2_norm, make_grid
+from .sampling import normalized, sample_rng
 
-SCENARIOS = (
-    "simulate-nonlinear",
-    "simulate-linear",
-    "born-series",
-    "wave-operator",
-    "certify",
-)
-
-HARNESS_IDS = (
-    "str1", "smo1", "smo2", "smo3", "ik-smostri", "dispersive", "bilin",
-    "direction", "summation", "doi",
-)
-
-_DESCRIPTIONS = {
-    "simulate-linear": (
-        "Strang-splitting run of the linear electromagnetic flow "
-        "i u_t + Lap u = a.grad u + V u from t = 1; emits snapshots and a "
-        "norms.csv with L2, H10 and profile X norms per snapshot.  "
-        "Exercises the global linear estimate and the profile bound."
-    ),
-    "simulate-nonlinear": (
-        "Strang-splitting run of the quadratic flow "
-        "i u_t + Lap u = a.grad u + V u + u^2 with the two-thirds dealiased "
-        "square, plus the bootstrap monitor: profile H10 and X norms are "
-        "checked against eps1 = A eps0 at every snapshot and any exit is "
-        "reported, never clipped."
-    ),
-    "born-series": (
-        "Iterated Duhamel formula expansion (Born series) of the linear flow: "
-        "per-order H10 and X norms, consecutive ratios and the fitted "
-        "geometric rate; also the regularized-denominator quadrature sweep "
-        "for 1/(a + i beta).  Exercises the series contraction (C^n delta^n) "
-        "and the resonance regularization identity."
-    ),
-    "wave-operator": (
-        "Scattering comparison of the interacting and free linear flows: "
-        "profiles g(tau) = e^{-i tau Lap} u(tau) on a dyadic ladder, Cauchy "
-        "increments, fitted polynomial decay exponent, and the wave-operator "
-        "norm quotient kappa."
-    ),
-    "certify": (
-        "Smallness certification of a potential set: the Y norms of each "
-        "component, of its <x> weighting and of its (1-Lap)^5 smoothing, "
-        "plus the squares of the magnetic components, all compared with "
-        "delta."
-    ),
-    "harness:str1": "Free-flow Strichartz bound over admissible pairs (2/p + 3/q = 3/2).",
-    "harness:smo1": (
-        "Homogeneous Kenig-Ponce-Vega local smoothing: half-derivative gain "
-        "for e^{it Lap} in L^inf along one axis, L^2 in time and the "
-        "transverse axes."
-    ),
-    "harness:smo2": "Dual Kenig-Ponce-Vega smoothing bound (time-integrated flow in L2).",
-    "harness:smo3": "Inhomogeneous Kenig-Ponce-Vega smoothing: full-derivative gain on the retarded integral.",
-    "harness:ik-smostri": "Ionescu-Kenig smoothing-Strichartz bound for the retarded integral.",
-    "harness:dispersive": "Band-limited L6 dispersive decay: flatness of t * ||e^{it Lap} f_k||_L6.",
-    "harness:bilin": "Bilinear multiplier bound with the L1 kernel quadrature on the right side.",
-    "harness:direction": "Dominant-direction partition of frequency space (chi_1 + chi_2 + chi_3 = 1).",
-    "harness:summation": "Band summation/interpolation bound with the H2 proxy for the bootstrap constant.",
-    "harness:doi": "Doi-type short-horizon well-posedness quotient for the quadratic flow.",
+ACCEPTED_KEYS = {
+    "run": ("scenario", "seed", "out", "threads"),
+    "grid": ("n", "L"),
+    "evolve": ("t_end", "dt", "snapshot_stride", "dealias"),
+    "potential": ("width", "delta", "amplitude_v", "amplitude_a1", "amplitude_a2",
+                  "amplitude_a3", "center_offset"),
+    "bootstrap": ("eps0", "amplification"),
+    "scenario": ("datum_width", "datum_amplitude", "datum_carrier", "datum_advance",
+                 "delta", "orders", "t", "dt", "T", "samples", "axis", "band", "p",
+                 "q", "k_lo", "k_hi", "c"),
 }
 
 
@@ -128,6 +83,15 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
     pathlib.Path(path).write_text(buf.getvalue())
 
 
+def _check_keys(section: str, keys) -> None:
+    valid = ACCEPTED_KEYS.get(section)
+    if valid is None:
+        raise ConfigError(f"unknown config section [{section}]; valid: {', '.join(ACCEPTED_KEYS)}")
+    for key in keys:
+        if key not in valid:
+            raise ConfigError(f"unknown config key {section}.{key}; valid: {', '.join(valid)}")
+
+
 class ExperimentConfig:
     """Validated flat config; round-trips losslessly through serialization."""
 
@@ -135,6 +99,8 @@ class ExperimentConfig:
 
     def __init__(self, sections: dict[str, dict[str, str]]):
         self.sections = {s: dict(kv) for s, kv in sections.items()}
+        for sec, kv in self.sections.items():
+            _check_keys(sec, kv)
         missing = []
         for sec, keys in self.REQUIRED.items():
             for key in keys:
@@ -142,13 +108,7 @@ class ExperimentConfig:
                     missing.append(f"{sec}.{key}")
         if missing:
             raise ConfigError("config is missing required keys: " + ", ".join(missing))
-        scenario = self.get("run", "scenario")
-        base = scenario.split(":")[0]
-        if not (scenario in SCENARIOS or (base == "harness" and scenario.split(":", 1)[1] in HARNESS_IDS)):
-            raise ConfigError(
-                f"unknown scenario {scenario!r}; valid: "
-                + ", ".join(list(SCENARIOS) + [f"harness:{h}" for h in HARNESS_IDS])
-            )
+        _lookup(self.scenario)
         if self.getfloat("potential", "delta", 1.0) <= 0:
             raise ConfigError("potential.delta must be positive")
         if self.getfloat("bootstrap", "eps0", 1.0) <= 0:
@@ -176,6 +136,7 @@ class ExperimentConfig:
         return default if val is None else int(val)
 
     def override(self, section, key, value):
+        _check_keys(section, [key])
         self.sections.setdefault(section, {})[key] = str(value)
 
     def canonical(self) -> str:
@@ -237,8 +198,7 @@ def build_datum(cfg: ExperimentConfig, grid, seed: int) -> Field:
     xi0 = carrier * direction
     env = np.exp(-(x1**2 + x2**2 + x3**2) / (2.0 * sigma**2))
     data = env * np.exp(1j * (xi0[0] * x1 + xi0[1] * x2 + xi0[2] * x3))
-    f = Field(grid, "physical", data.astype(np.complex128))
-    f = Field(grid, "physical", f.data / l2_norm(f))
+    f = normalized(Field(grid, "physical", data.astype(np.complex128)))
     if advance:
         f = free_propagate(f, advance)
     return Field(grid, "physical", amp * f.data)
@@ -416,90 +376,161 @@ def _run_wave(cfg, manifest, out):
     manifest.values["kappa"] = lhs / rhs
 
 
-def _run_harness(cfg, manifest, out):
-    grid = build_grid(cfg)
-    estimate_id = cfg.scenario.split(":", 1)[1]
-    seed = cfg.seed
-    threads = cfg.threads
-    samples = cfg.getint("scenario", "samples", 8)
-    axis = cfg.getint("scenario", "axis", 0)
-    band = cfg.getint("scenario", "band", 0)
-    if estimate_id == "str1":
-        pair = AdmissiblePair(cfg.getfloat("scenario", "p", 2.0),
-                              cfg.getfloat("scenario", "q", 6.0))
-        rep = check_strichartz(grid, pair, samples, seed=seed, threads=threads,
-                               k_lo=cfg.getint("scenario", "k_lo", -3),
-                               k_hi=cfg.getint("scenario", "k_hi", 3))
-    elif estimate_id in ("smo1", "smo2", "smo3"):
-        variant = {"smo1": "homogeneous", "smo2": "dual", "smo3": "inhomogeneous"}[estimate_id]
-        rep = check_smoothing(grid, variant, axis, samples, band=band,
-                              seed=seed, threads=threads)
-    elif estimate_id == "ik-smostri":
-        pair = AdmissiblePair(cfg.getfloat("scenario", "p", 2.0),
-                              cfg.getfloat("scenario", "q", 6.0))
-        rep = check_smoothing_strichartz(grid, pair, axis, samples, band=band,
-                                         seed=seed, threads=threads)
-    elif estimate_id == "dispersive":
-        rep = check_dispersive_decay(grid, band)
-    elif estimate_id == "bilin":
-        from .spectral import identity_symbol
+def _pair(cfg) -> AdmissiblePair:
+    return AdmissiblePair(cfg.getfloat("scenario", "p", 2.0), cfg.getfloat("scenario", "q", 6.0))
 
-        rep = check_bilinear(grid, identity_symbol(), identity_symbol(),
-                             2.0, 2.0, 1.0, samples, seed=seed, threads=threads)
-    elif estimate_id == "direction":
-        rep = check_direction_partition(grid)
-    elif estimate_id == "summation":
-        rep = check_summation_interpolation(
-            grid, band, 2.0, 6.0, cfg.getfloat("scenario", "c", 0.25),
-            samples, horizon=(1.0, 2.5), seed=seed, threads=threads)
-    elif estimate_id == "doi":
-        ps = build_potentials(cfg, grid)
-        u1 = build_datum(cfg, grid, seed)
-        rep = check_doi_local(u1, ps, cfg.getfloat("scenario", "T", 2.0),
-                              cfg.getfloat("scenario", "dt", 0.01))
-    else:
-        raise ConfigError(f"unknown estimate id {estimate_id!r}")
-    path = out / "report.json"
-    path.write_text(rep.to_json())
-    manifest.add_artifact(path)
-    path2 = out / "report.csv"
-    write_csv(path2, ["sample", "ratio"],
-              [[r["sample"], r["ratio"]] for r in rep.csv_rows()])
-    manifest.add_artifact(path2)
-    manifest.record("ratios_finite", bool(np.isfinite(rep.max_ratio)))
-    manifest.values["max_ratio"] = rep.max_ratio
-    manifest.values["median_ratio"] = rep.median_ratio
+
+def _sampled(cfg) -> dict:
+    # the sample count, seed and thread keywords of every sampled check
+    return {"samples": cfg.getint("scenario", "samples", 8), "seed": cfg.seed,
+            "threads": cfg.threads}
+
+
+def _smoothing(variant: str):
+    return lambda cfg, grid: check_smoothing(
+        grid, variant, cfg.getint("scenario", "axis", 0),
+        band=cfg.getint("scenario", "band", 0), **_sampled(cfg))
+
+
+def _harness(check):
+    """Runner of a harness:<id> scenario: emits the EstimateReport that
+    check(cfg, grid) returns as report.json and report.csv."""
+
+    def runner(cfg, manifest, out):
+        rep = check(cfg, build_grid(cfg))
+        path = out / "report.json"
+        path.write_text(rep.to_json())
+        manifest.add_artifact(path)
+        path2 = out / "report.csv"
+        write_csv(path2, ["sample", "ratio"],
+                  [[r["sample"], r["ratio"]] for r in rep.csv_rows()])
+        manifest.add_artifact(path2)
+        manifest.record("ratios_finite", bool(np.isfinite(rep.max_ratio)))
+        manifest.values["max_ratio"] = rep.max_ratio
+        manifest.values["median_ratio"] = rep.median_ratio
+
+    return runner
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Registry entry: the text ``describe`` prints and the runner
+    runner(cfg, manifest, out) that fills the manifest."""
+
+    description: str
+    runner: Callable[[ExperimentConfig, RunManifest, pathlib.Path], None]
+
+
+SCENARIOS: dict[str, Scenario] = {
+    "simulate-nonlinear": Scenario(
+        "Strang-splitting run of the quadratic flow "
+        "i u_t + Lap u = a.grad u + V u + u^2 with the two-thirds dealiased "
+        "square, plus the bootstrap monitor: profile H10 and X norms are "
+        "checked against eps1 = A eps0 at every snapshot and any exit is "
+        "reported, never clipped.",
+        functools.partial(_run_simulate, nonlinear=True),
+    ),
+    "simulate-linear": Scenario(
+        "Strang-splitting run of the linear electromagnetic flow "
+        "i u_t + Lap u = a.grad u + V u from t = 1; emits snapshots and a "
+        "norms.csv with L2, H10 and profile X norms per snapshot.  "
+        "Exercises the global linear estimate and the profile bound.",
+        functools.partial(_run_simulate, nonlinear=False),
+    ),
+    "born-series": Scenario(
+        "Iterated Duhamel formula expansion (Born series) of the linear flow: "
+        "per-order H10 and X norms, consecutive ratios and the fitted "
+        "geometric rate; also the regularized-denominator quadrature sweep "
+        "for 1/(a + i beta).  Exercises the series contraction (C^n delta^n) "
+        "and the resonance regularization identity.",
+        _run_born,
+    ),
+    "wave-operator": Scenario(
+        "Scattering comparison of the interacting and free linear flows: "
+        "profiles g(tau) = e^{-i tau Lap} u(tau) on a dyadic ladder, Cauchy "
+        "increments, fitted polynomial decay exponent, and the wave-operator "
+        "norm quotient kappa.",
+        _run_wave,
+    ),
+    "certify": Scenario(
+        "Smallness certification of a potential set: the Y norms of each "
+        "component, of its <x> weighting and of its (1-Lap)^5 smoothing, "
+        "plus the squares of the magnetic components, all compared with "
+        "delta.",
+        _run_certify,
+    ),
+    "harness:str1": Scenario(
+        "Free-flow Strichartz bound over admissible pairs (2/p + 3/q = 3/2).",
+        _harness(lambda cfg, grid: check_strichartz(
+            grid, _pair(cfg), k_lo=cfg.getint("scenario", "k_lo", -3),
+            k_hi=cfg.getint("scenario", "k_hi", 3), **_sampled(cfg))),
+    ),
+    "harness:smo1": Scenario(
+        "Homogeneous Kenig-Ponce-Vega local smoothing: half-derivative gain "
+        "for e^{it Lap} in L^inf along one axis, L^2 in time and the "
+        "transverse axes.",
+        _harness(_smoothing("homogeneous")),
+    ),
+    "harness:smo2": Scenario(
+        "Dual Kenig-Ponce-Vega smoothing bound (time-integrated flow in L2).",
+        _harness(_smoothing("dual")),
+    ),
+    "harness:smo3": Scenario(
+        "Inhomogeneous Kenig-Ponce-Vega smoothing: full-derivative gain on the retarded integral.",
+        _harness(_smoothing("inhomogeneous")),
+    ),
+    "harness:ik-smostri": Scenario(
+        "Ionescu-Kenig smoothing-Strichartz bound for the retarded integral.",
+        _harness(lambda cfg, grid: check_smoothing_strichartz(
+            grid, _pair(cfg), cfg.getint("scenario", "axis", 0),
+            band=cfg.getint("scenario", "band", 0), **_sampled(cfg))),
+    ),
+    "harness:dispersive": Scenario(
+        "Band-limited L6 dispersive decay: flatness of t * ||e^{it Lap} f_k||_L6.",
+        _harness(lambda cfg, grid: check_dispersive_decay(
+            grid, cfg.getint("scenario", "band", 0))),
+    ),
+    "harness:bilin": Scenario(
+        "Bilinear multiplier bound with the L1 kernel quadrature on the right side.",
+        _harness(lambda cfg, grid: check_bilinear(
+            grid, identity_symbol(), identity_symbol(), 2.0, 2.0, 1.0, **_sampled(cfg))),
+    ),
+    "harness:direction": Scenario(
+        "Dominant-direction partition of frequency space (chi_1 + chi_2 + chi_3 = 1).",
+        _harness(lambda cfg, grid: check_direction_partition(grid)),
+    ),
+    "harness:summation": Scenario(
+        "Band summation/interpolation bound with the H2 proxy for the bootstrap constant.",
+        _harness(lambda cfg, grid: check_summation_interpolation(
+            grid, cfg.getint("scenario", "band", 0), 2.0, 6.0,
+            cfg.getfloat("scenario", "c", 0.25), horizon=(1.0, 2.5), **_sampled(cfg))),
+    ),
+    "harness:doi": Scenario(
+        "Doi-type short-horizon well-posedness quotient for the quadratic flow.",
+        _harness(lambda cfg, grid: check_doi_local(
+            build_datum(cfg, grid, cfg.seed), build_potentials(cfg, grid),
+            cfg.getfloat("scenario", "T", 2.0), cfg.getfloat("scenario", "dt", 0.01))),
+    ),
+}
+
+
+def _lookup(scenario: str) -> Scenario:
+    if scenario not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {scenario!r}; valid: " + ", ".join(SCENARIOS))
+    return SCENARIOS[scenario]
 
 
 def run(cfg: ExperimentConfig, out_dir) -> RunManifest:
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(cfg, out)
-    scenario = cfg.scenario
-    if scenario == "certify":
-        _run_certify(cfg, manifest, out)
-    elif scenario == "simulate-linear":
-        _run_simulate(cfg, manifest, out, nonlinear=False)
-    elif scenario == "simulate-nonlinear":
-        _run_simulate(cfg, manifest, out, nonlinear=True)
-    elif scenario == "born-series":
-        _run_born(cfg, manifest, out)
-    elif scenario == "wave-operator":
-        _run_wave(cfg, manifest, out)
-    elif scenario.startswith("harness:"):
-        _run_harness(cfg, manifest, out)
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError(f"unknown scenario {scenario!r}")
+    _lookup(cfg.scenario).runner(cfg, manifest, out)
     manifest.write()
     return manifest
 
 
 def describe(scenario: str) -> str:
-    if scenario not in _DESCRIPTIONS:
-        raise ConfigError(
-            f"unknown scenario {scenario!r}; valid: " + ", ".join(sorted(_DESCRIPTIONS))
-        )
-    return f"{scenario}: {_DESCRIPTIONS[scenario]}"
+    return f"{scenario}: {_lookup(scenario).description}"
 
 
 def _manifest_ratio_rows(doc_a: dict, doc_b: dict) -> list[list]:

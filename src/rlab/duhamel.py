@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureError
-from .flows import EvolveConfig, _PotentialOperator, _linear_substep, _strang_loop, evolve_linear
+from .flows import (EvolveConfig, _PotentialOperator, _linear_substep, _require_certified,
+                    _strang_loop, evolve_linear)
 from .norms import sobolev_norm, x_norm
-from .potentials import PotentialSet, certify
-from .spectral import PHYSICAL, Field, as_physical, free_propagate
+from .potentials import PotentialSet
+from .spectral import PHYSICAL, Field, as_physical, free_phase, free_propagate
 
 SPACE_RESONANT = "space-resonant"
 TIME_RESONANT = "time-resonant"
@@ -114,7 +115,7 @@ def _born_ladder(u1: Field, ps: PotentialSet, order_max: int, t_end: float,
     if abs((t_end - 1.0) / dt - n_steps) > 1e-9 or n_steps < 0:
         raise ValueError("(t - 1) / dt must be a nonnegative integer")
     op = _PotentialOperator(grid, ps.v.data, [ai.data for ai in ps.a])
-    E = np.exp(-1j * dt * grid.xi_squared)
+    E = free_phase(grid, dt)
 
     def free_step(u):
         return np.fft.ifftn(E * np.fft.fftn(u))
@@ -305,10 +306,8 @@ def wave_operator(u1: Field, ps: PotentialSet, T: float, dt: float, *,
         if abs(s - round(s)) > 1e-9:
             raise ValueError("every dyadic time must sit on the dt ladder")
 
+    _require_certified(ps, skip_certification)
     op = _PotentialOperator(grid, ps.v.data, [ai.data for ai in ps.a])
-    if not skip_certification and not ps.is_zero:
-        if not certify(ps, ps.delta_target).passed:
-            raise ValueError("potential set fails its smallness certificate")
     if op.is_zero:
         # free flow: the profile e^{-i tau Lap} e^{i (tau-1) Lap} u1 is the
         # constant e^{-i Lap} u1; evaluate it once so the trace vanishes

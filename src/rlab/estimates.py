@@ -40,22 +40,9 @@ from .spectral import (
     apply_symbol,
     as_frequency,
     as_physical,
+    free_phase,
     inverse_transform,
     l2_norm,
-)
-
-
-ESTIMATE_IDS = (
-    "str1",
-    "smo1",
-    "smo2",
-    "smo3",
-    "ik-smostri",
-    "dispersive",
-    "bilin",
-    "direction",
-    "summation",
-    "doi",
 )
 
 
@@ -174,7 +161,7 @@ def _free_ladder(grid: Grid, fhat: np.ndarray, times: np.ndarray,
                  multiplier: np.ndarray | None = None) -> Trajectory:
     fields = []
     for t in times:
-        U = np.exp(-1j * t * grid.xi_squared) * fhat
+        U = free_phase(grid, t) * fhat
         if multiplier is not None:
             U = multiplier * U
         fields.append(inverse_transform(Field(grid, FREQUENCY, U)))
@@ -245,7 +232,7 @@ def _duhamel_ladder(grid: Grid, forcing: list[Field], times: np.ndarray,
     for i, t in enumerate(times):
         if i > 0:
             dt = times[i] - times[i - 1]
-            E = np.exp(-1j * dt * grid.xi_squared)
+            E = free_phase(grid, dt)
             cur = as_frequency(forcing[i]).data
             acc = E * acc + (dt / 2.0) * (E * prev_fhat + cur)
             prev_fhat = cur
@@ -290,8 +277,7 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
             forcing = _forcing_sample(grid, band, axis, rng, width, times)
             tr_f = Trajectory(times=times, fields=forcing)
             fhats = [as_frequency(F).data for F in forcing]
-            flows = [np.exp(-1j * t * grid.xi_squared) * fh
-                     for t, fh in zip(times, fhats)]
+            flows = [free_phase(grid, t) * fh for t, fh in zip(times, fhats)]
             acc = np.trapezoid(np.stack(flows), times, axis=0)
             if mult is not None:
                 acc = mult * acc
@@ -397,9 +383,7 @@ def check_dispersive_decay(grid: Grid, k: int,
     times = np.linspace(horizon[0], horizon[1], n_points)
     products = []
     for t in times:
-        u = inverse_transform(
-            Field(grid, FREQUENCY, np.exp(-1j * t * grid.xi_squared) * fhat)
-        )
+        u = inverse_transform(Field(grid, FREQUENCY, free_phase(grid, t) * fhat))
         products.append(float(t * lebesgue_norm(u, 6)))
     products = np.asarray(products)
     flatness = float(products.max() / products.min())
@@ -474,8 +458,7 @@ def direction_partition(grid: Grid, threshold: float = 0.9):
     weights = []
     for j in range(3):
         ratio = np.where(biggest > 0, comps[j] / safe, 1.0)
-        s = np.clip((ratio - threshold) / (1.0 - threshold), 0.0, 1.0)
-        weights.append(s * s * s * (10.0 + s * (6.0 * s - 15.0)))
+        weights.append(bands._smoothstep((ratio - threshold) / (1.0 - threshold)))
     total = weights[0] + weights[1] + weights[2]
     return [w / total for w in weights]
 

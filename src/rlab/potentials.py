@@ -21,10 +21,11 @@ from .spectral import (
     PHYSICAL,
     Field,
     Grid,
+    apply_symbol,
     as_frequency,
     as_physical,
+    bessel_symbol,
     boundary_mass_fraction,
-    inverse_transform,
     zero_field,
 )
 
@@ -113,14 +114,6 @@ class SmallnessCertificate:
         )
 
 
-def _smooth_weight(f: Field) -> Field:
-    """(1 - Delta)^5 f via the multiplier (1 + |xi|^2)^5."""
-    g = f.grid
-    fhat = as_frequency(f)
-    out = Field(g, "frequency", (1.0 + g.xi_squared) ** 5 * fhat.data)
-    return inverse_transform(out)
-
-
 def _x_weight(f: Field) -> Field:
     g = f.grid
     w = np.sqrt(1.0 + g.radius_squared)
@@ -131,7 +124,7 @@ def _triple(w: Field) -> dict:
     return {
         "y": float(y_norm(w)),
         "y_weighted": float(y_norm(_x_weight(w))),
-        "y_smooth": float(y_norm(_smooth_weight(w))),
+        "y_smooth": float(y_norm(apply_symbol(w, bessel_symbol(10)))),  # (1-Delta)^5 w
     }
 
 

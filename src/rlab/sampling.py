@@ -18,12 +18,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import bands
-from .spectral import FREQUENCY, PHYSICAL, Field, Grid, inverse_transform, l2_norm
+from .spectral import FREQUENCY, PHYSICAL, Field, Grid, free_phase, inverse_transform, l2_norm
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
     """Deterministic per-sample stream, independent of evaluation order."""
     return np.random.default_rng([int(seed), int(index)])
+
+
+def normalized(f: Field) -> Field:
+    """f / ||f||_L2 in f's own representation; a zero field comes back as is."""
+    nrm = l2_norm(f)
+    return Field(f.grid, f.rep, f.data / nrm) if nrm > 0 else f
 
 
 def band_mask(grid: Grid, k_lo: int, k_hi: int) -> np.ndarray:
@@ -35,18 +41,11 @@ def band_mask(grid: Grid, k_lo: int, k_hi: int) -> np.ndarray:
     )
 
 
-def band_flat_field(
-    grid: Grid, k_lo: int, k_hi: int, rng: np.random.Generator, normalize: bool = True
-) -> Field:
-    """Complex Gaussian coefficients on the bands k_lo..k_hi, flat per band."""
+def band_flat_field(grid: Grid, k_lo: int, k_hi: int, rng: np.random.Generator) -> Field:
+    """Unit-L2 complex Gaussian coefficients on the bands k_lo..k_hi, flat per band."""
     mask = band_mask(grid, k_lo, k_hi)
     z = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    f = Field(grid, FREQUENCY, mask * z)
-    if normalize:
-        nrm = l2_norm(f)
-        if nrm > 0:
-            f = Field(grid, FREQUENCY, f.data / nrm)
-    return inverse_transform(f)
+    return inverse_transform(normalized(Field(grid, FREQUENCY, mask * z)))
 
 
 def localized_packet(
@@ -55,11 +54,10 @@ def localized_packet(
     rng: np.random.Generator,
     width: float,
     carriers: int = 2,
-    normalize: bool = True,
     axis_bias: int | None = None,
     bias_spread: float = 0.35,
 ) -> Field:
-    """Band-k wave packet: Gaussian envelope at the origin times random
+    """Unit-L2 band-k wave packet: Gaussian envelope at the origin times random
     in-band carriers, re-projected onto band k.
 
     With axis_bias set, carrier directions are drawn in a cone around that
@@ -82,28 +80,11 @@ def localized_packet(
         xi0 = radius * direction
         amp = rng.standard_normal() + 1j * rng.standard_normal()
         data += amp * env * np.exp(1j * (x1 * xi0[0] + x2 * xi0[1] + x3 * xi0[2]))
-    f = bands.project_band(Field(grid, PHYSICAL, data), k)
-    if normalize:
-        nrm = l2_norm(f)
-        if nrm > 0:
-            f = Field(grid, PHYSICAL, f.data / nrm)
-    return f
+    return normalized(bands.project_band(Field(grid, PHYSICAL, data), k))
 
 
-def band_kernel_field(grid: Grid, k: int, normalize: bool = True) -> Field:
-    """The band kernel itself: fhat = P_k, a canonical localized band-k datum."""
-    mult = bands.band_multiplier(grid, k)
-    f = Field(grid, FREQUENCY, mult.astype(np.complex128))
-    if normalize:
-        nrm = l2_norm(f)
-        if nrm > 0:
-            f = Field(grid, FREQUENCY, f.data / nrm)
-    return inverse_transform(f)
-
-
-def directed_band_kernel(grid: Grid, k: int, axis: int, cap_width: float = 0.35,
-                         normalize: bool = True) -> Field:
-    """Deterministic band-k datum beamed along one axis.
+def directed_band_kernel(grid: Grid, k: int, axis: int, cap_width: float = 0.35) -> Field:
+    """Deterministic unit-L2 band-k datum beamed along one axis.
 
     fhat = P_k(xi) * exp(-(1 - cos theta)^2 / (2 cap_width^2)) with theta
     the angle to the axis; its group velocity points down the axis, so it
@@ -119,12 +100,7 @@ def directed_band_kernel(grid: Grid, k: int, axis: int, cap_width: float = 0.35,
         )
     cap = np.exp(-((1.0 - cosq) ** 2) / (2.0 * cap_width**2))
     data = (bands.band_multiplier(grid, k) * cap).astype(np.complex128)
-    f = Field(grid, FREQUENCY, data)
-    if normalize:
-        nrm = l2_norm(f)
-        if nrm > 0:
-            f = Field(grid, FREQUENCY, f.data / nrm)
-    return inverse_transform(f)
+    return inverse_transform(normalized(Field(grid, FREQUENCY, data)))
 
 
 def dispersive_datum(grid: Grid, k: int, advance: float = 8.0) -> Field:
@@ -135,10 +111,5 @@ def dispersive_datum(grid: Grid, k: int, advance: float = 8.0) -> Field:
     finite observation window; the band kernel at its focus spends most of
     such a window crossing into the far field.
     """
-    mult = bands.band_multiplier(grid, k)
-    data = mult * np.exp(-1j * advance * np.broadcast_to(grid.xi_squared, grid.shape))
-    f = Field(grid, FREQUENCY, data.astype(np.complex128))
-    nrm = l2_norm(f)
-    if nrm > 0:
-        f = Field(grid, FREQUENCY, f.data / nrm)
-    return inverse_transform(f)
+    data = bands.band_multiplier(grid, k) * free_phase(grid, advance)
+    return inverse_transform(normalized(Field(grid, FREQUENCY, data)))

@@ -17,6 +17,7 @@ operation here is safe to call concurrently on distinct fields.
 
 from __future__ import annotations
 
+import pathlib
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -266,7 +267,7 @@ def half_derivative_symbol(axis: int) -> Symbol:
 def bessel_symbol(s: float) -> Symbol:
     """(1 + |xi|^2)^(s/2), the Sobolev weight of order s."""
     return Symbol(
-        lambda a, b, c: (1.0 + a * a + b * b + c * c) ** (s / 2.0),
+        lambda a, b, c: (1.0 + (a * a + b * b + c * c)) ** (s / 2.0),
         f"(1+|xi|^2)^{s / 2:g}",
     )
 
@@ -297,11 +298,16 @@ def apply_symbol(f: Field, s: Symbol) -> Field:
     return out if f.rep == FREQUENCY else inverse_transform(out)
 
 
+def free_phase(grid: Grid, t: float) -> np.ndarray:
+    """The multiplier e^{-i t |xi|^2} of the free flow e^{i t Laplacian}."""
+    return np.exp(-1j * t * grid.xi_squared)
+
+
 def free_propagate(f: Field, t: float) -> Field:
     """Exact free Schroedinger flow e^{i t Laplacian}: multiplier e^{-i t |xi|^2}."""
     g = f.grid
     fhat = as_frequency(f)
-    out = Field(g, FREQUENCY, np.exp(-1j * t * g.xi_squared) * fhat.data)
+    out = Field(g, FREQUENCY, free_phase(g, t) * fhat.data)
     return out if f.rep == FREQUENCY else inverse_transform(out)
 
 
@@ -346,14 +352,24 @@ def write_snapshot(path, f: Field) -> None:
 
 
 def read_snapshot(path) -> Field:
-    with open(path, "rb") as fh:
-        header = fh.read(_SNAPSHOT_HEADER.size)
-        magic, version, n, length, rep_code = _SNAPSHOT_HEADER.unpack(header)
-        if magic != _SNAPSHOT_MAGIC:
-            raise ValueError(f"bad snapshot magic {magic!r}")
-        if version != _SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
-        raw = fh.read(n * n * n * 8)
-    data = np.frombuffer(raw, dtype="<c8").reshape((n, n, n))
-    grid = make_grid(n, length)
-    return Field(grid, _REP_FROM_CODE[int(rep_code)], data.astype(np.complex128))
+    """Inverse of write_snapshot; a malformed file raises ValueError naming it."""
+    blob = pathlib.Path(path).read_bytes()
+    size = _SNAPSHOT_HEADER.size
+    if len(blob) < size:
+        raise ValueError(f"{path}: snapshot header has {len(blob)} bytes, need {size}")
+    magic, version, n, length, rep_code = _SNAPSHOT_HEADER.unpack_from(blob)
+    if magic != _SNAPSHOT_MAGIC:
+        raise ValueError(f"{path}: bad snapshot magic {magic!r}")
+    if version != _SNAPSHOT_VERSION:
+        raise ValueError(f"{path}: unsupported snapshot version {version}")
+    if rep_code not in _REP_FROM_CODE:
+        raise ValueError(f"{path}: unknown representation code {rep_code}")
+    try:
+        grid = make_grid(n, length)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    payload = len(blob) - size
+    if payload != n**3 * 8:
+        raise ValueError(f"{path}: payload has {payload} bytes, need {n**3 * 8} for n={n}")
+    data = np.frombuffer(blob, dtype="<c8", offset=size).reshape(grid.shape)
+    return Field(grid, _REP_FROM_CODE[rep_code], data.astype(np.complex128))

@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from rlab.cli import (
+    SCENARIOS,
     ExperimentConfig,
     compare,
     describe,
@@ -15,6 +16,8 @@ from rlab.errors import ConfigError
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
+SHIPPED = sorted(CONFIGS.glob("*.ini")) + [REPO / "perfbench" / "harness-64.ini"]
+MINIMAL = "[run]\nscenario = {}\nseed = 1\n[grid]\nn = 8\nL = 8.0\n"
 
 
 def small_born_config(tmp_path, seed=11, scale_key=None):
@@ -62,6 +65,31 @@ class TestConfig:
             ExperimentConfig.from_file(p)
         assert "certify" in str(err.value)
 
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_every_registry_id_accepted(self, tmp_path, scenario):
+        p = tmp_path / "ok.ini"
+        p.write_text(MINIMAL.format(scenario))
+        assert ExperimentConfig.from_file(p).scenario == scenario
+
+    def test_unknown_section_rejected(self, tmp_path):
+        p = tmp_path / "typo.ini"
+        p.write_text(MINIMAL.format("certify") + "[potentail]\nwidth = 4.0\n")
+        with pytest.raises(ConfigError, match=r"\[potentail\]"):
+            ExperimentConfig.from_file(p)
+
+    def test_unknown_key_rejected(self, tmp_path):
+        p = tmp_path / "typo.ini"
+        p.write_text(MINIMAL.format("born-series") + "[scenario]\noders = 4\n")
+        with pytest.raises(ConfigError, match=r"scenario\.oders"):
+            ExperimentConfig.from_file(p)
+        cfg = ExperimentConfig.from_file(small_born_config(tmp_path))
+        with pytest.raises(ConfigError, match=r"evolve\.t_ned"):
+            cfg.override("evolve", "t_ned", 3.0)
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+    def test_shipped_configs_load(self, path):
+        ExperimentConfig.from_file(path)
+
     def test_hash_stable_under_reserialization(self, tmp_path):
         p = small_born_config(tmp_path)
         cfg1 = ExperimentConfig.from_file(p)
@@ -90,6 +118,11 @@ class TestDescribe:
     def test_smoothing_names_the_inequality(self):
         text = describe("harness:smo1")
         assert "smoothing" in text and "Kenig" in text
+
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_every_registry_id_described(self, scenario):
+        assert SCENARIOS[scenario].description
+        assert describe(scenario) == f"{scenario}: {SCENARIOS[scenario].description}"
 
     def test_unknown_errors_with_valid_list(self):
         with pytest.raises(ConfigError) as err:

@@ -8,6 +8,7 @@ from rlab import sampling
 from rlab.errors import BlowupError
 from rlab.flows import (
     BootstrapParams,
+    _strang_loop,
     EvolveConfig,
     evolve_hamiltonian,
     evolve_linear,
@@ -141,6 +142,18 @@ class TestEvolveLinear:
         cfg = EvolveConfig(t_end=3.0, dt=0.5)
         with pytest.raises(BlowupError):
             evolve_linear(datum, violent, cfg, skip_certification=True)
+
+    def test_nan_substep_trips_guard_at_its_step(self, grid, datum):
+        calls = []
+
+        def substep(u, dt):
+            calls.append(dt)
+            return u * np.nan if len(calls) == 2 else u
+
+        with pytest.raises(BlowupError) as err:
+            _strang_loop(grid, datum.data.copy(), 0.1, 10, substep, {10})
+        assert err.value.step == 2
+        assert len(calls) == 2
 
 
 class TestEvolveNonlinear:

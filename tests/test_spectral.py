@@ -219,6 +219,37 @@ class TestSnapshots:
         with pytest.raises(ValueError):
             read_snapshot(p)
 
+    def test_rejects_short_header(self, tmp_path):
+        p = tmp_path / "short.rlab"
+        p.write_bytes(b"RLAB\1\0\0\0")
+        with pytest.raises(ValueError, match=r"short\.rlab.*8 bytes, need 32"):
+            read_snapshot(p)
+
+    def test_rejects_unknown_representation(self, tmp_path, grid16):
+        p = tmp_path / "rep.rlab"
+        write_snapshot(p, zero_field(grid16))
+        blob = bytearray(p.read_bytes())
+        blob[20] = 7  # the representation byte follows magic, version, n and L
+        p.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"rep\.rlab.*representation code 7"):
+            read_snapshot(p)
+
+    def test_rejects_truncated_payload(self, tmp_path, grid16):
+        p = tmp_path / "cut.rlab"
+        write_snapshot(p, zero_field(grid16))
+        p.write_bytes(p.read_bytes()[:-8])
+        with pytest.raises(ValueError, match=r"cut\.rlab.*32760 bytes, need 32768"):
+            read_snapshot(p)
+
+    def test_rejects_invalid_grid(self, tmp_path, grid16):
+        p = tmp_path / "odd.rlab"
+        write_snapshot(p, zero_field(grid16))
+        blob = bytearray(p.read_bytes())
+        blob[8] = 15  # n = 15 is not a power of two
+        p.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"odd\.rlab.*n=15"):
+            read_snapshot(p)
+
 
 def test_fields_are_immutable(grid16):
     f = random_field(grid16, 10)
