@@ -34,9 +34,6 @@ def _smoothstep(s: np.ndarray) -> np.ndarray:
 class BandProfile:
     """Radial bump phi and cumulative lowpass chi for base-1.1 bands."""
 
-    base: float
-    inner: float
-    outer: float
     chi: Callable[[np.ndarray], np.ndarray]
     phi: Callable[[np.ndarray], np.ndarray]
 
@@ -52,35 +49,35 @@ def build_band_profile() -> BandProfile:
         r = np.asarray(r, dtype=np.float64)
         return chi(r / BASE) - chi(r)
 
-    return BandProfile(base=BASE, inner=INNER_EDGE, outer=OUTER_EDGE, chi=chi, phi=phi)
+    return BandProfile(chi=chi, phi=phi)
 
 
 _PROFILE = build_band_profile()
 
 
-def band_multiplier(grid: Grid, k: int, profile: BandProfile = _PROFILE) -> np.ndarray:
+def band_multiplier(grid: Grid, k: int) -> np.ndarray:
     """P_k(xi) = phi(1.1^{-k} |xi|) sampled on the grid's modes."""
     r = np.sqrt(grid.xi_squared)
-    return profile.phi(r * profile.base ** (-k))
+    return _PROFILE.phi(r * BASE ** (-k))
 
 
-def lowpass_multiplier(grid: Grid, k: int, profile: BandProfile = _PROFILE) -> np.ndarray:
+def lowpass_multiplier(grid: Grid, k: int) -> np.ndarray:
     """Cumulative lowpass sum_{j<=k} P_j(xi) = chi(1.1^{-(k+1)} |xi|).
 
     The extra 1/1.1 inside chi is forced by the telescoping identity
     P_{<=k} - P_{<=k-1} = P_k.
     """
     r = np.sqrt(grid.xi_squared)
-    return profile.chi(r * profile.base ** (-(k + 1)))
+    return _PROFILE.chi(r * BASE ** (-(k + 1)))
 
 
-def project_band(f: Field, k: int, profile: BandProfile = _PROFILE) -> Field:
+def project_band(f: Field, k: int) -> Field:
     """Band projection f_k with fhat_k = P_k fhat, in the caller's representation.
 
     A band whose annulus misses every grid mode returns a zero field
     flagged with note="inert-band" rather than a silent zero.
     """
-    mult = band_multiplier(f.grid, k, profile)
+    mult = band_multiplier(f.grid, k)
     fhat = as_frequency(f)
     out = Field(f.grid, FREQUENCY, mult * fhat.data)
     if not np.any(mult > 0.0):
@@ -91,9 +88,9 @@ def project_band(f: Field, k: int, profile: BandProfile = _PROFILE) -> Field:
     return Field(f.grid, phys.rep, phys.data, note=out.note)
 
 
-def project_leq(f: Field, k: int, profile: BandProfile = _PROFILE) -> Field:
+def project_leq(f: Field, k: int) -> Field:
     """Projection onto frequencies up to band k (cumulative lowpass)."""
-    mult = lowpass_multiplier(f.grid, k, profile)
+    mult = lowpass_multiplier(f.grid, k)
     fhat = as_frequency(f)
     out = Field(f.grid, FREQUENCY, mult * fhat.data)
     return out if f.rep == FREQUENCY else inverse_transform(out)

@@ -49,7 +49,8 @@ from .estimates import (
     check_strichartz,
     check_summation_interpolation,
 )
-from .flows import BootstrapParams, EvolveConfig, evolve_linear, evolve_nonlinear, profile_of, save_trajectory
+from .flows import (BootstrapParams, EvolveConfig, evolve_linear, evolve_nonlinear, profile_norms,
+                    save_trajectory)
 from .norms import sobolev_norm, x_norm
 from .potentials import PotentialSet, certify, gaussian_potential, rescale_to_delta
 from .spectral import Field, free_propagate, identity_symbol, l2_norm, make_grid
@@ -271,12 +272,10 @@ def _run_certify(cfg, manifest, out):
 
 
 def _norm_rows(tr):
-    prof = profile_of(tr)
-    rows = []
-    for t, u, f in zip(tr.times, tr.fields, prof.fields):
-        rows.append([t, l2_norm(u), float(sobolev_norm(u, 10)),
-                     float(sobolev_norm(f, 10)), float(x_norm(f))])
-    return rows
+    # a nonlinear run's bootstrap monitor has already measured the profile norms
+    prof = tr.meta["bootstrap"]["rows"] if "bootstrap" in tr.meta else profile_norms(tr)
+    return [[t, l2_norm(u), float(sobolev_norm(u, 10)), p["h10"], p["x"]]
+            for t, u, p in zip(tr.times, tr.fields, prof)]
 
 
 def _run_simulate(cfg, manifest, out, nonlinear: bool):

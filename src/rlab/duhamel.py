@@ -123,10 +123,6 @@ def _born_ladder(u1: Field, ps: PotentialSet, order_max: int, t_end: float,
     terms = [as_physical(u1).data.copy()]
     zero = np.zeros(grid.shape, dtype=np.complex128)
     terms += [zero.copy() for _ in range(order_max)]
-    if op.is_zero:
-        for _ in range(n_steps):
-            terms[0] = free_step(terms[0])
-        return terms
     for _ in range(n_steps):
         new_terms = [free_step(terms[0])]
         for n in range(1, order_max + 1):
@@ -221,8 +217,7 @@ def _fit_rate(norms: list[float]) -> float:
 
 
 def series_decay_report(u1: Field, ps: PotentialSet, order_max: int, t: float,
-                        dt: float, *, compare_with_flow: bool = False,
-                        skip_certification: bool = True) -> BornSeriesReport:
+                        dt: float, *, compare_with_flow: bool = False) -> BornSeriesReport:
     """Tabulate ||term_n||_{H10} and x_norm(term_n), ratios, fitted rate.
 
     With compare_with_flow=True, also the H^10 distances between the
@@ -243,7 +238,7 @@ def series_decay_report(u1: Field, ps: PotentialSet, order_max: int, t: float,
     errors = None
     if compare_with_flow:
         cfg = EvolveConfig(t_end=t, dt=dt, snapshot_stride=max(1, int(round((t - 1) / dt))))
-        ref = evolve_linear(u1, ps, cfg, skip_certification=skip_certification)
+        ref = evolve_linear(u1, ps, cfg, skip_certification=True)
         target = ref.fields[-1].data
         errors = []
         partial = np.zeros(u1.grid.shape, dtype=np.complex128)

@@ -41,9 +41,13 @@ from .spectral import (
     as_frequency,
     as_physical,
     free_phase,
+    half_derivative_symbol,
     inverse_transform,
     l2_norm,
 )
+
+PACKET_WIDTH = 3.0  # envelope width of the localized packets the checks sample
+DIRECTION_THRESHOLD = 0.9  # |xi_j| >= 0.9 max_k |xi_k| on the support of chi_j
 
 
 @dataclass(frozen=True)
@@ -201,19 +205,11 @@ def check_strichartz(grid: Grid, pair, samples: int, *, k_lo: int = -3,
 
 # ----------------------------------------------------------------- smoothing
 
-def _half_derivative_multiplier(grid: Grid, axis: int) -> np.ndarray:
-    return np.sqrt(np.abs(np.broadcast_to(grid.freq_mesh[axis], grid.shape)))
-
-
-def _derivative_multiplier(grid: Grid, axis: int) -> np.ndarray:
-    return np.abs(np.broadcast_to(grid.freq_mesh[axis], grid.shape))
-
-
-def _forcing_sample(grid: Grid, k: int, axis: int, rng, width: float,
+def _forcing_sample(grid: Grid, k: int, axis: int, rng,
                     times: np.ndarray) -> list[Field]:
     """Smooth-in-time localized forcing: two packets with oscillating weights."""
-    f1 = sampling.localized_packet(grid, k, rng, width=width, axis_bias=axis)
-    f2 = sampling.localized_packet(grid, k, rng, width=width, axis_bias=axis)
+    f1 = sampling.localized_packet(grid, k, rng, width=PACKET_WIDTH, axis_bias=axis)
+    f2 = sampling.localized_packet(grid, k, rng, width=PACKET_WIDTH, axis_bias=axis)
     w1, w2 = 0.5 + rng.random(2)
     om1, om2 = 2.0 * rng.random(2)
     out = []
@@ -243,8 +239,8 @@ def _duhamel_ladder(grid: Grid, forcing: list[Field], times: np.ndarray,
 
 def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
                     band: int = 0, horizon: tuple[float, float] = (1.0, 3.5),
-                    nt: int = 32, width: float = 3.0, seed: int = 0,
-                    threads: int = 1, half_derivative: bool = True) -> EstimateReport:
+                    nt: int = 32, seed: int = 0, threads: int = 1,
+                    half_derivative: bool = True) -> EstimateReport:
     """Local-smoothing ratios.
 
     homogeneous: ||D_j^(1/2) e^{it Lap} f||_{Linf_xj L2_{t,trans}} / ||f||_L2.
@@ -260,21 +256,23 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
     xi_max = 1.04 * bands.BASE ** (band + 1)
     _check_horizon(grid, horizon, xi_max)
     times = np.linspace(horizon[0], horizon[1], nt)
+    if not half_derivative:
+        mult = None
+    elif variant == "inhomogeneous":
+        mult = np.abs(grid.freq_mesh[axis])
+    else:
+        mult = half_derivative_symbol(axis)(*grid.freq_mesh)
     if variant == "homogeneous":
-        mult = _half_derivative_multiplier(grid, axis) if half_derivative else None
-
         def one(i):
             f = sampling.localized_packet(grid, band, sampling.sample_rng(seed, i),
-                                          width=width, axis_bias=axis)
+                                          width=PACKET_WIDTH, axis_bias=axis)
             tr = _free_ladder(grid, as_frequency(f).data, times, mult)
             return float(mixed_spacetime_norm(tr, axis, np.inf, 2)) / l2_norm(f)
 
     elif variant == "dual":
-        mult = _half_derivative_multiplier(grid, axis) if half_derivative else None
-
         def one(i):
             rng = sampling.sample_rng(seed, i)
-            forcing = _forcing_sample(grid, band, axis, rng, width, times)
+            forcing = _forcing_sample(grid, band, axis, rng, times)
             tr_f = Trajectory(times=times, fields=forcing)
             fhats = [as_frequency(F).data for F in forcing]
             flows = [free_phase(grid, t) * fh for t, fh in zip(times, fhats)]
@@ -286,11 +284,9 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
             return num / den
 
     else:  # inhomogeneous
-        mult = _derivative_multiplier(grid, axis) if half_derivative else None
-
         def one(i):
             rng = sampling.sample_rng(seed, i)
-            forcing = _forcing_sample(grid, band, axis, rng, width, times)
+            forcing = _forcing_sample(grid, band, axis, rng, times)
             tr_f = Trajectory(times=times, fields=forcing)
             tr_d = _duhamel_ladder(grid, forcing, times, mult)
             num = float(mixed_spacetime_norm(tr_d, axis, np.inf, 2))
@@ -309,7 +305,7 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
 
 def smoothing_band_signature(grid: Grid, axis: int, ks, *,
                              horizon: tuple[float, float] = (1.0, 6.5),
-                             nt: int = 32, cap_width: float = 0.35) -> list[dict]:
+                             nt: int = 32) -> list[dict]:
     """Deterministic per-band homogeneous-smoothing ratios with and without
     the half-derivative multiplier (directed band kernels).
 
@@ -321,10 +317,10 @@ def smoothing_band_signature(grid: Grid, axis: int, ks, *,
     xi_max = 1.04 * bands.BASE ** (max(ks) + 1)
     _check_horizon(grid, horizon, xi_max)
     times = np.linspace(horizon[0], horizon[1], nt)
-    mult = _half_derivative_multiplier(grid, axis)
+    mult = half_derivative_symbol(axis)(*grid.freq_mesh)
     rows = []
     for k in ks:
-        f = sampling.directed_band_kernel(grid, k, axis, cap_width=cap_width)
+        f = sampling.directed_band_kernel(grid, k, axis)
         fhat = as_frequency(f).data
         tr_w = _free_ladder(grid, fhat, times, mult)
         tr_wo = _free_ladder(grid, fhat, times, None)
@@ -338,7 +334,7 @@ def smoothing_band_signature(grid: Grid, axis: int, ks, *,
 def check_smoothing_strichartz(grid: Grid, pair, axis: int, samples: int, *,
                                band: int = 0,
                                horizon: tuple[float, float] = (1.0, 3.5),
-                               nt: int = 32, width: float = 3.0, seed: int = 0,
+                               nt: int = 32, seed: int = 0,
                                threads: int = 1) -> EstimateReport:
     """||D_j^(1/2) int_{s<=t} e^{i(t-s)Lap} F ds||_{Linf_xj L2} over
     ||F||_{L^{p'}_t L^{q'}_x} for an admissible pair (p, q)."""
@@ -346,12 +342,12 @@ def check_smoothing_strichartz(grid: Grid, pair, axis: int, samples: int, *,
     xi_max = 1.04 * bands.BASE ** (band + 1)
     _check_horizon(grid, horizon, xi_max)
     times = np.linspace(horizon[0], horizon[1], nt)
-    mult = _half_derivative_multiplier(grid, axis)
+    mult = half_derivative_symbol(axis)(*grid.freq_mesh)
     pp, qq = conjugate_exponent(pair.p), conjugate_exponent(pair.q)
 
     def one(i):
         rng = sampling.sample_rng(seed, i)
-        forcing = _forcing_sample(grid, band, axis, rng, width, times)
+        forcing = _forcing_sample(grid, band, axis, rng, times)
         tr_f = Trajectory(times=times, fields=forcing)
         tr_d = _duhamel_ladder(grid, forcing, times, mult)
         num = float(mixed_spacetime_norm(tr_d, axis, np.inf, 2))
@@ -419,8 +415,8 @@ def kernel_l1_norm(grid: Grid, s: Symbol) -> float:
 
 
 def check_bilinear(grid: Grid, m1: Symbol, m2: Symbol, p: float, q: float,
-                   r: float, samples: int, *, k_lo: int = -3, k_hi: int = 3,
-                   seed: int = 0, threads: int = 1) -> EstimateReport:
+                   r: float, samples: int, *, seed: int = 0,
+                   threads: int = 1) -> EstimateReport:
     """||B(f, g)||_{L^r} against ||F^-1 m||_{L^1} ||f||_{L^p} ||g||_{L^q},
     for separable symbols; requires the Hoelder relation 1/r = 1/p + 1/q."""
     ir = 0.0 if r == np.inf else 1.0 / r
@@ -432,8 +428,8 @@ def check_bilinear(grid: Grid, m1: Symbol, m2: Symbol, p: float, q: float,
 
     def one(i):
         rng = sampling.sample_rng(seed, i)
-        f = sampling.band_flat_field(grid, k_lo, k_hi, rng)
-        g = sampling.band_flat_field(grid, k_lo, k_hi, rng)
+        f = sampling.band_flat_field(grid, -3, 3, rng)
+        g = sampling.band_flat_field(grid, -3, 3, rng)
         B = bilinear_apply(f, g, m1, m2)
         num = float(lebesgue_norm(B, r))
         den = kernel * float(lebesgue_norm(f, p)) * float(lebesgue_norm(g, q))
@@ -441,7 +437,7 @@ def check_bilinear(grid: Grid, m1: Symbol, m2: Symbol, p: float, q: float,
 
     ratios = _map_samples(one, samples, threads)
     return _make_report(
-        "bilin", ratios, f"band-flat k in [{k_lo},{k_hi}]", grid, None, seed,
+        "bilin", ratios, "band-flat k in [-3,3]", grid, None, seed,
         extras={"p": p, "q": q, "r": r, "kernel_l1": kernel,
                 "m1": m1.label, "m2": m2.label},
     )
@@ -449,23 +445,24 @@ def check_bilinear(grid: Grid, m1: Symbol, m2: Symbol, p: float, q: float,
 
 # ---------------------------------------------------------------- direction
 
-def direction_partition(grid: Grid, threshold: float = 0.9):
+def direction_partition(grid: Grid):
     """Smooth angular partition chi_1 + chi_2 + chi_3 = 1 with
-    |xi_j| >= threshold * max_k |xi_k| on supp chi_j."""
+    |xi_j| >= DIRECTION_THRESHOLD * max_k |xi_k| on supp chi_j."""
     comps = [np.abs(np.broadcast_to(grid.freq_mesh[j], grid.shape)) for j in range(3)]
     biggest = np.maximum(np.maximum(comps[0], comps[1]), comps[2])
     safe = np.where(biggest > 0, biggest, 1.0)
     weights = []
     for j in range(3):
         ratio = np.where(biggest > 0, comps[j] / safe, 1.0)
-        weights.append(bands._smoothstep((ratio - threshold) / (1.0 - threshold)))
+        weights.append(bands._smoothstep((ratio - DIRECTION_THRESHOLD)
+                                         / (1.0 - DIRECTION_THRESHOLD)))
     total = weights[0] + weights[1] + weights[2]
     return [w / total for w in weights]
 
 
-def check_direction_partition(grid: Grid, threshold: float = 0.9) -> EstimateReport:
+def check_direction_partition(grid: Grid) -> EstimateReport:
     """Exhaustive grid scan of the partition and support conditions."""
-    chis = direction_partition(grid, threshold)
+    chis = direction_partition(grid)
     total = chis[0] + chis[1] + chis[2]
     sum_err = float(np.max(np.abs(total - 1.0)))
     comps = [np.abs(np.broadcast_to(grid.freq_mesh[j], grid.shape)) for j in range(3)]
@@ -473,11 +470,11 @@ def check_direction_partition(grid: Grid, threshold: float = 0.9) -> EstimateRep
     violations = 0
     for j in range(3):
         on_supp = chis[j] > 0
-        violations += int(np.sum(on_supp & (comps[j] < threshold * biggest)))
+        violations += int(np.sum(on_supp & (comps[j] < DIRECTION_THRESHOLD * biggest)))
     ratios = [sum_err]
     return _make_report(
         "direction", ratios, "all grid frequencies", grid, None, seed=0,
-        extras={"support_violations": violations, "threshold": threshold,
+        extras={"support_violations": violations, "threshold": DIRECTION_THRESHOLD,
                 "partition_error": sum_err},
     )
 
@@ -487,7 +484,6 @@ def check_direction_partition(grid: Grid, threshold: float = 0.9) -> EstimateRep
 def check_summation_interpolation(grid: Grid, k: int, p: float, q: float,
                                   c: float, samples: int, *,
                                   horizon: tuple[float, float] = (1.0, 3.0),
-                                  nt: int = 24, width: float = 3.0,
                                   seed: int = 0, threads: int = 1) -> EstimateReport:
     """kappa in ||e^{itLap} f_k||_{L^p_t L^q} <= kappa
     ||e^{itLap} f_k||^{1-c}_{L^{p(1-c)}_t L^q} * 1.1^{-8ck} * proxy^c.
@@ -500,11 +496,11 @@ def check_summation_interpolation(grid: Grid, k: int, p: float, q: float,
         raise ValueError("need 0 < c < 1")
     xi_max = 1.04 * bands.BASE ** (k + 1)
     _check_horizon(grid, horizon, xi_max)
-    times = np.linspace(horizon[0], horizon[1], nt)
+    times = np.linspace(horizon[0], horizon[1], 24)
 
     def one(i):
         f = sampling.localized_packet(grid, k, sampling.sample_rng(seed, i),
-                                      width=width)
+                                      width=PACKET_WIDTH)
         tr = _free_ladder(grid, as_frequency(f).data, times)
         lhs = float(spacetime_norm(tr, p, q))
         base = float(spacetime_norm(tr, p * (1.0 - c), q))
@@ -522,17 +518,14 @@ def check_summation_interpolation(grid: Grid, k: int, p: float, q: float,
 
 # --------------------------------------------------------------------- Doi
 
-def check_doi_local(u1: Field, ps: PotentialSet, T: float, dt: float, *,
-                    snapshot_stride: int = 5,
-                    skip_certification: bool = True) -> EstimateReport:
+def check_doi_local(u1: Field, ps: PotentialSet, T: float, dt: float) -> EstimateReport:
     """Short-horizon bound: max_t ||f||_{H10} against
     ||f(1)||_{H10} + (T-1) (max_t ||f||_{H10})^2, f the profile of the
     quadratic flow."""
     if T - 1.0 > 1.0 + 1e-12:
         raise ValueError("Doi check is a short-horizon bound: need T - 1 <= 1")
-    cfg = EvolveConfig(t_end=T, dt=dt, snapshot_stride=snapshot_stride)
-    tr = profile_of(evolve_nonlinear(u1, ps, cfg,
-                                     skip_certification=skip_certification))
+    cfg = EvolveConfig(t_end=T, dt=dt, snapshot_stride=5)
+    tr = profile_of(evolve_nonlinear(u1, ps, cfg, skip_certification=True))
     h10s = [float(sobolev_norm(f, 10)) for f in tr.fields]
     lhs = max(h10s)
     rhs = h10s[0] + (T - 1.0) * lhs**2

@@ -177,14 +177,11 @@ def _free_trajectory(u1: Field, cfg: EvolveConfig) -> Trajectory:
     return Trajectory(times=times, fields=fields, meta={"stride": cfg.snapshot_stride})
 
 
-def _wrap_trajectory(grid: Grid, cfg: EvolveConfig, records: dict[int, np.ndarray],
-                     meta: dict | None = None) -> Trajectory:
+def _wrap_trajectory(grid: Grid, cfg: EvolveConfig, records: dict[int, np.ndarray]) -> Trajectory:
     steps = sorted(records)
     times = cfg.t_start + cfg.dt * np.asarray(steps, dtype=np.float64)
     fields = [Field(grid, PHYSICAL, records[m]) for m in steps]
-    out = dict(meta or {})
-    out.setdefault("stride", cfg.snapshot_stride)
-    return Trajectory(times=times, fields=fields, meta=out)
+    return Trajectory(times=times, fields=fields, meta={"stride": cfg.snapshot_stride})
 
 
 def _require_certified(ps: PotentialSet, skip: bool):
@@ -282,16 +279,18 @@ def evolve_nonlinear(u1: Field, ps: PotentialSet, cfg: EvolveConfig, *,
     return tr
 
 
-def _monitor_bootstrap(tr: Trajectory, bp: BootstrapParams) -> dict:
+def profile_norms(tr: Trajectory) -> list[dict]:
+    """H^10 and X norms of the profile e^{-i t Laplacian} u(t) at every snapshot."""
     rows = []
-    exited_at = None
     for t, u in zip(tr.times, tr.fields):
         f = free_propagate(u, -t)
-        h10 = float(sobolev_norm(f, 10))
-        xn = float(x_norm(f))
-        rows.append({"t": float(t), "h10": h10, "x": xn})
-        if exited_at is None and max(h10, xn) > bp.eps1:
-            exited_at = float(t)
+        rows.append({"t": float(t), "h10": float(sobolev_norm(f, 10)), "x": float(x_norm(f))})
+    return rows
+
+
+def _monitor_bootstrap(tr: Trajectory, bp: BootstrapParams) -> dict:
+    rows = profile_norms(tr)
+    exited_at = next((r["t"] for r in rows if max(r["h10"], r["x"]) > bp.eps1), None)
     if exited_at is not None:
         logger.warning(
             "bootstrap exit: profile norms crossed eps1 = %.3e at t = %.4g",

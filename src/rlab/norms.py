@@ -214,7 +214,7 @@ def _wrap_note(f: Field) -> str:
     return ""
 
 
-def x_norm(f: Field, profile: bands.BandProfile = bands._PROFILE) -> NormValue:
+def x_norm(f: Field) -> NormValue:
     """sup_k || grad_xi (P_k fhat) ||_L2.
 
     Per band, grad_xi of P_k fhat is the forward transform of -i x times
@@ -228,7 +228,7 @@ def x_norm(f: Field, profile: bands.BandProfile = bands._PROFILE) -> NormValue:
     r2 = g.radius_squared
     best = 0.0
     for k in bands.covering_band_range(g):
-        mult = bands.band_multiplier(g, k, profile)
+        mult = bands.band_multiplier(g, k)
         if not np.any(mult > 0.0):
             continue
         gk = inverse_transform(Field(g, FREQUENCY, mult * fhat.data))
@@ -237,7 +237,7 @@ def x_norm(f: Field, profile: bands.BandProfile = bands._PROFILE) -> NormValue:
     return NormValue(best, "X", note)
 
 
-def x_prime_norm(f: Field, profile: bands.BandProfile = bands._PROFILE) -> NormValue:
+def x_prime_norm(f: Field) -> NormValue:
     """sup_k || (grad_xi fhat) P_k ||_L2: the cutoff sits outside the gradient."""
     note = _wrap_note(f)
     g = f.grid
@@ -250,7 +250,7 @@ def x_prime_norm(f: Field, profile: bands.BandProfile = bands._PROFILE) -> NormV
         parts.append(dj.data)
     best = 0.0
     for k in bands.covering_band_range(g):
-        mult = bands.band_multiplier(g, k, profile)
+        mult = bands.band_multiplier(g, k)
         if not np.any(mult > 0.0):
             continue
         grad_sq = sum(np.abs(mult * d) ** 2 for d in parts)

@@ -69,9 +69,9 @@ class PotentialSet:
         )
 
 
-def zero_potential_set(grid: Grid, delta: float = 1.0) -> PotentialSet:
+def zero_potential_set(grid: Grid) -> PotentialSet:
     z = zero_field(grid)
-    return PotentialSet(v=z, a=(z, z, z), delta_target=delta)
+    return PotentialSet(v=z, a=(z, z, z), delta_target=1.0)
 
 
 def gaussian_potential(grid: Grid, center, width: float, amplitude: float) -> Field:
@@ -175,7 +175,7 @@ class RescaleResult:
     certificate: SmallnessCertificate
 
 
-def rescale_to_delta(ps: PotentialSet, delta: float, iterations: int = 40) -> RescaleResult:
+def rescale_to_delta(ps: PotentialSet, delta: float) -> RescaleResult:
     """Largest lambda in (0, 1] making certify pass, found by bisection.
 
     The Y norm mixes linear, square-root and quadratic homogeneities, so a
@@ -194,7 +194,7 @@ def rescale_to_delta(ps: PotentialSet, delta: float, iterations: int = 40) -> Re
             "potential set cannot be certified even at lambda = 1e-12"
         )
     hi = 1.0
-    for _ in range(iterations):
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
         if certify(ps.scaled(mid), delta).passed:
             lo = mid

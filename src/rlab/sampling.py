@@ -4,7 +4,7 @@ Two classes:
 
 * band-flat fields: iid complex Gaussians per mode, masked to a union of
   frequency bands (flat spectrum inside each band, delocalized in space);
-* localized packets: a Gaussian envelope at the origin carrying a few
+* localized packets: a Gaussian envelope at the origin carrying two
   random in-band carriers, then re-projected onto the band, for
   measurements that need spatial localization (dispersive decay,
   smoothing transits, X norms).
@@ -53,15 +53,13 @@ def localized_packet(
     k: int,
     rng: np.random.Generator,
     width: float,
-    carriers: int = 2,
     axis_bias: int | None = None,
-    bias_spread: float = 0.35,
 ) -> Field:
     """Unit-L2 band-k wave packet: Gaussian envelope at the origin times random
     in-band carriers, re-projected onto band k.
 
     With axis_bias set, carrier directions are drawn in a cone around that
-    coordinate axis (spread bias_spread), giving packets whose group
+    coordinate axis (spread 0.35), giving packets whose group
     velocity points down the axis; the smoothing-transit measurements need
     this, since transverse packets never clear their slab within a finite
     horizon.
@@ -70,12 +68,12 @@ def localized_packet(
     env = np.exp(-(x1 * x1 + x2 * x2 + x3 * x3) / (2.0 * width**2))
     radius = bands.BASE**k
     data = np.zeros(grid.shape, dtype=np.complex128)
-    for _ in range(carriers):
+    for _ in range(2):
         direction = rng.standard_normal(3)
         if axis_bias is not None:
             axial = np.zeros(3)
             axial[axis_bias] = 1.0
-            direction = axial + bias_spread * direction
+            direction = axial + 0.35 * direction
         direction /= np.linalg.norm(direction)
         xi0 = radius * direction
         amp = rng.standard_normal() + 1j * rng.standard_normal()
@@ -83,10 +81,10 @@ def localized_packet(
     return normalized(bands.project_band(Field(grid, PHYSICAL, data), k))
 
 
-def directed_band_kernel(grid: Grid, k: int, axis: int, cap_width: float = 0.35) -> Field:
+def directed_band_kernel(grid: Grid, k: int, axis: int) -> Field:
     """Deterministic unit-L2 band-k datum beamed along one axis.
 
-    fhat = P_k(xi) * exp(-(1 - cos theta)^2 / (2 cap_width^2)) with theta
+    fhat = P_k(xi) * exp(-(1 - cos theta)^2 / (2 * 0.35^2)) with theta
     the angle to the axis; its group velocity points down the axis, so it
     crosses transverse slabs in a finite, k-predictable time.  Used by the
     smoothing-gain signature.
@@ -98,7 +96,7 @@ def directed_band_kernel(grid: Grid, k: int, axis: int, cap_width: float = 0.35)
             np.broadcast_to(grid.freq_mesh[axis], grid.shape) / np.where(r > 0, r, 1.0),
             0.0,
         )
-    cap = np.exp(-((1.0 - cosq) ** 2) / (2.0 * cap_width**2))
+    cap = np.exp(-((1.0 - cosq) ** 2) / (2.0 * 0.35**2))
     data = (bands.band_multiplier(grid, k) * cap).astype(np.complex128)
     return inverse_transform(normalized(Field(grid, FREQUENCY, data)))
 

@@ -157,9 +157,6 @@ class Field:
             object.__setattr__(self, "data", self.data.astype(np.complex128))
         self.data.flags.writeable = False
 
-    def with_data(self, data: np.ndarray, rep: str | None = None) -> "Field":
-        return Field(self.grid, self.rep if rep is None else rep, data)
-
 
 def field_from_function(grid: Grid, fn: Callable) -> Field:
     """Sample fn(x1, x2, x3) on the physical lattice."""
@@ -314,14 +311,6 @@ def free_propagate(f: Field, t: float) -> Field:
 def half_derivative(f: Field, axis: int) -> Field:
     """The multiplier |xi_j|^(1/2) along one axis (0-based)."""
     return apply_symbol(f, half_derivative_symbol(axis))
-
-
-def derivative(f: Field, axis: int) -> Field:
-    """Spectral partial derivative, multiplier i xi_j (0-based axis)."""
-    g = f.grid
-    fhat = as_frequency(f)
-    out = Field(g, FREQUENCY, 1j * g.freq_mesh[axis] * fhat.data)
-    return out if f.rep == FREQUENCY else inverse_transform(out)
 
 
 def boundary_mass_fraction(f: Field) -> float:

@@ -160,6 +160,26 @@ class TestRun:
             tmp_path / "b" / "series.csv"
         ).read_bytes()
 
+    def test_profile_x_norm_once_per_snapshot(self, tmp_path, monkeypatch):
+        # norms.csv reuses the bootstrap monitor's profile norms
+        from rlab import cli, flows, norms
+
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return norms.x_norm(f)
+
+        monkeypatch.setattr(flows, "x_norm", counting)
+        monkeypatch.setattr(cli, "x_norm", counting)
+        cfg = ExperimentConfig.from_file(CONFIGS / "simulate-nonlinear.ini")
+        cfg.override("evolve", "t_end", "1.1")
+        cfg.override("evolve", "snapshot_stride", "2")
+        run(cfg, tmp_path / "out")
+        rows = (tmp_path / "out" / "norms.csv").read_text().splitlines()[1:]
+        assert len(rows) == 6
+        assert len(calls) == len(rows)
+
 
 class TestGuardTrip:
     def test_blowup_records_failure_and_nonzero_exit(self, tmp_path):

@@ -91,6 +91,11 @@ class TestBornTerm:
         with pytest.raises(ValueError):
             DuhamelTerm(order=-1, tags=(), field=None, h10=0.0, x=0.0)
 
+    def test_rejects_time_off_the_dt_ladder(self, datum, potentials):
+        # (2 - 1) / 0.3 is not an integer step count
+        with pytest.raises(ValueError, match="integer"):
+            born_terms(datum, potentials, 1, 2.0, 0.3)
+
 
 class TestSeriesDecay:
     def test_zero_potentials_give_zero_ratios(self, grid, datum):
@@ -123,6 +128,11 @@ class TestWaveOperator:
     def test_rejects_non_dyadic_horizon(self, grid, datum):
         with pytest.raises(ValueError):
             wave_operator(datum, zero_potential_set(grid), 9.0, 0.05)
+
+    def test_rejects_dyadic_time_off_the_dt_ladder(self, datum, potentials):
+        # T = 4 is 10 steps of 0.3, but tau = 2 falls at step 3.33
+        with pytest.raises(ValueError, match="dyadic time"):
+            wave_operator(datum, potentials, 4.0, 0.3, skip_certification=True)
 
     def test_interacting_flow_contracts(self):
         # wide box so the packet's transit is over before it wraps

@@ -202,14 +202,15 @@ class TestSmoothingStrichartz:
 
     def test_ratio_invariant_under_forcing_scaling(self, grid32):
         # doubling the forcing doubles numerator and denominator alike
-        from rlab.estimates import _duhamel_ladder, _half_derivative_multiplier
+        from rlab.estimates import _duhamel_ladder
         from rlab.norms import spacetime_norm
+        from rlab.spectral import half_derivative_symbol
 
         g = grid32
         times = np.linspace(1.0, 2.5, 10)
         rng = sampling.sample_rng(8, 0)
         base = sampling.localized_packet(g, 1, rng, width=3.0)
-        mult = _half_derivative_multiplier(g, 0)
+        mult = half_derivative_symbol(0)(*g.freq_mesh)
 
         def ratio(scale):
             forcing = [Field(g, PHYSICAL, scale * np.cos(1.1 * t) * base.data)

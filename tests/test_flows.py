@@ -133,6 +133,11 @@ class TestEvolveLinear:
                                 skip_certification=True)
         assert np.max(np.abs(back.data - datum.data)) < 1e-8
 
+    def test_linear_to_rejects_non_integer_step_count(self, datum, potentials):
+        # (1.25 - 1) / 0.1 = 2.5 steps
+        with pytest.raises(ValueError, match="integer"):
+            evolve_linear_to(datum, potentials, 1.0, 1.25, 0.1, skip_certification=True)
+
     def test_blowup_guard_trips(self, grid, datum):
         violent = PotentialSet(
             v=zero_field(grid),
