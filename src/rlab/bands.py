@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import FREQUENCY, Field, Grid, as_frequency, inverse_transform
+from .spectral import Field, Grid, apply_multiplier
 
 BASE = 1.1
 INNER_EDGE = 1.0 / 1.04
@@ -78,22 +78,15 @@ def project_band(f: Field, k: int) -> Field:
     flagged with note="inert-band" rather than a silent zero.
     """
     mult = band_multiplier(f.grid, k)
-    fhat = as_frequency(f)
-    out = Field(f.grid, FREQUENCY, mult * fhat.data)
-    if not np.any(mult > 0.0):
-        out = Field(f.grid, FREQUENCY, out.data, note="inert-band")
-    if f.rep == FREQUENCY:
+    out = apply_multiplier(f, mult)
+    if np.any(mult > 0.0):
         return out
-    phys = inverse_transform(Field(f.grid, FREQUENCY, out.data))
-    return Field(f.grid, phys.rep, phys.data, note=out.note)
+    return Field(out.grid, out.rep, out.data, note="inert-band")
 
 
 def project_leq(f: Field, k: int) -> Field:
     """Projection onto frequencies up to band k (cumulative lowpass)."""
-    mult = lowpass_multiplier(f.grid, k)
-    fhat = as_frequency(f)
-    out = Field(f.grid, FREQUENCY, mult * fhat.data)
-    return out if f.rep == FREQUENCY else inverse_transform(out)
+    return apply_multiplier(f, lowpass_multiplier(f.grid, k))
 
 
 def band_indices(grid: Grid) -> range:

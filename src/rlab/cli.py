@@ -76,11 +76,12 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def write_csv(path, header: list[str], rows: list[list]) -> None:
+def write_csv(path, header: list[str], rows: list[dict]) -> None:
+    """One line per row (a dict of numbers keyed by header), in header order."""
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
     for row in rows:
-        buf.write(",".join(fmt(v) if isinstance(v, (int, float, np.floating, np.integer)) else str(v) for v in row) + "\n")
+        buf.write(",".join(fmt(row[key]) for key in header) + "\n")
     pathlib.Path(path).write_text(buf.getvalue())
 
 
@@ -119,10 +120,14 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         parser = configparser.ConfigParser()
         parser.optionxform = str
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+            sections = {s: dict(parser[s]) for s in parser.sections()}
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"cannot read config file {path}")
-        return cls({s: dict(parser[s]) for s in parser.sections()})
+        return cls(sections)
 
     def get(self, section, key, default=None):
         val = self.sections.get(section, {}).get(key)
@@ -219,6 +224,12 @@ class RunManifest:
         digest = hashlib.sha256(p.read_bytes()).hexdigest()
         self.artifacts[str(p.relative_to(self.out_dir))] = digest
 
+    def add_csv(self, name: str, header: list[str], rows: list[dict]) -> None:
+        """Write rows, dicts keyed by header, to out_dir/name as an artifact."""
+        path = self.out_dir / name
+        write_csv(path, header, rows)
+        self.add_artifact(path)
+
     def record(self, name: str, ok: bool) -> None:
         self.assertions[name] = bool(ok)
 
@@ -274,7 +285,8 @@ def _run_certify(cfg, manifest, out):
 def _norm_rows(tr):
     # a nonlinear run's bootstrap monitor has already measured the profile norms
     prof = tr.meta["bootstrap"]["rows"] if "bootstrap" in tr.meta else profile_norms(tr)
-    return [[t, l2_norm(u), float(sobolev_norm(u, 10)), p["h10"], p["x"]]
+    return [{"t": t, "l2": l2_norm(u), "h10": float(sobolev_norm(u, 10)),
+             "profile_h10": p["h10"], "profile_x": p["x"]}
             for t, u, p in zip(tr.times, tr.fields, prof)]
 
 
@@ -307,10 +319,7 @@ def _run_simulate(cfg, manifest, out, nonlinear: bool):
         manifest.record("guard_clean", False)
         manifest.values["blowup"] = str(exc)
         return
-    rows = _norm_rows(tr)
-    path = out / "norms.csv"
-    write_csv(path, ["t", "l2", "h10", "profile_h10", "profile_x"], rows)
-    manifest.add_artifact(path)
+    manifest.add_csv("norms.csv", ["t", "l2", "h10", "profile_h10", "profile_x"], _norm_rows(tr))
     snap_dir = out / "snapshots"
     for p in save_trajectory(tr, snap_dir, cfg.config_hash()):
         manifest.add_artifact(p)
@@ -330,16 +339,10 @@ def _run_born(cfg, manifest, out):
         cfg.getfloat("scenario", "dt", 0.01),
         compare_with_flow=True,
     )
-    path = out / "series.csv"
-    write_csv(path, ["n", "h10_norm", "x_norm", "ratio"],
-              [[r["n"], r["h10_norm"], r["x_norm"], r["ratio"]] for r in rep.rows()])
-    manifest.add_artifact(path)
-    sweep = denominator_sweep()
-    path2 = out / "denominator_sweep.csv"
-    write_csv(path2, ["a", "beta", "tau_max", "dtau", "value_re", "value_im", "residual"],
-              [[r["a"], r["beta"], r["tau_max"], r["dtau"], r["value_re"],
-                r["value_im"], r["residual"]] for r in sweep])
-    manifest.add_artifact(path2)
+    manifest.add_csv("series.csv", ["n", "h10_norm", "x_norm", "ratio"], rep.rows())
+    manifest.add_csv("denominator_sweep.csv",
+                     ["a", "beta", "tau_max", "dtau", "value_re", "value_im", "residual"],
+                     denominator_sweep())
     # ratios among the potential-dressed terms (order >= 1); the 0 -> 1
     # ratio mixes in the datum's overlap geometry and is reported but not
     # part of the band assertion
@@ -361,10 +364,7 @@ def _run_wave(cfg, manifest, out):
         cfg.getfloat("scenario", "dt", 0.05),
         skip_certification=True,
     )
-    path = out / "trace.csv"
-    write_csv(path, ["tau", "cauchy_distance"],
-              [[r["tau"], r["cauchy_distance"]] for r in res.rows()])
-    manifest.add_artifact(path)
+    manifest.add_csv("trace.csv", ["tau", "cauchy_distance"], res.rows())
     tail = res.distances[1:]
     manifest.record("monotone_trace", all(b < a for a, b in zip(tail, tail[1:])))
     manifest.record("positive_exponent", res.exponent > 0)
@@ -400,10 +400,7 @@ def _harness(check):
         path = out / "report.json"
         path.write_text(rep.to_json())
         manifest.add_artifact(path)
-        path2 = out / "report.csv"
-        write_csv(path2, ["sample", "ratio"],
-                  [[r["sample"], r["ratio"]] for r in rep.csv_rows()])
-        manifest.add_artifact(path2)
+        manifest.add_csv("report.csv", ["sample", "ratio"], rep.csv_rows())
         manifest.record("ratios_finite", bool(np.isfinite(rep.max_ratio)))
         manifest.values["max_ratio"] = rep.max_ratio
         manifest.values["median_ratio"] = rep.median_ratio
@@ -532,22 +529,15 @@ def describe(scenario: str) -> str:
     return f"{scenario}: {_lookup(scenario).description}"
 
 
-def _manifest_ratio_rows(doc_a: dict, doc_b: dict) -> list[list]:
-    rows = []
-    va, vb = doc_a.get("values", {}), doc_b.get("values", {})
-    for key in sorted(set(va) & set(vb)):
-        a, b = va[key], vb[key]
-        if isinstance(a, (int, float)) and isinstance(b, (int, float)) and a != 0:
-            rows.append([key, a, b, b / a])
-    return rows
-
-
 def compare(manifest_a, manifest_b) -> list[list]:
     """Ratio-by-ratio diff of two manifests of the same scenario.
 
-    Returns only rows that actually differ; identical runs give an empty
-    diff.  Scalar manifest values are compared as b/a ratios (the tool
-    behind the delta-halving and dt-halving runs).
+    Returns one [key, a, b, ratio] row per difference; identical runs give
+    an empty diff.  Scalar manifest values that differ are compared as b/a
+    ratios (the tool behind the delta-halving and dt-halving runs), NaN
+    when a is 0.  An assertion that differs, or an artifact whose digest
+    differs, gives an "assertion:" or "artifact:" row with ratio NaN; a
+    side that lacks it shows "-".
     """
     doc_a = json.loads(pathlib.Path(manifest_a).read_text())
     doc_b = json.loads(pathlib.Path(manifest_b).read_text())
@@ -556,15 +546,18 @@ def compare(manifest_a, manifest_b) -> list[list]:
             f"cannot compare scenarios {doc_a['scenario']!r} and {doc_b['scenario']!r}"
         )
     rows = []
-    for key, a, b, ratio in _manifest_ratio_rows(doc_a, doc_b):
-        if a != b:
-            rows.append([key, a, b, ratio])
-    if doc_a["artifacts"] != doc_b["artifacts"]:
-        same = doc_a["artifacts"].keys() & doc_b["artifacts"].keys()
-        for rel in sorted(same):
-            if doc_a["artifacts"][rel] != doc_b["artifacts"][rel]:
-                rows.append([f"artifact:{rel}", doc_a["artifacts"][rel][:12],
-                             doc_b["artifacts"][rel][:12], float("nan")])
+    for section in ("values", "assertions", "artifacts"):
+        sec_a, sec_b = doc_a.get(section, {}), doc_b.get(section, {})
+        for key in sorted(sec_a.keys() | sec_b.keys()):
+            a, b = sec_a.get(key), sec_b.get(key)
+            if a == b:
+                continue
+            if section != "values":
+                # artifact digests show their first 12 characters
+                rows.append([f"{section[:-1]}:{key}", "-" if a is None else str(a)[:12],
+                             "-" if b is None else str(b)[:12], float("nan")])
+            elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
+                rows.append([key, a, b, b / a if a != 0 else float("nan")])
     return rows
 
 

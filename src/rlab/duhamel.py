@@ -310,7 +310,7 @@ def wave_operator(u1: Field, ps: PotentialSet, T: float, dt: float, *,
         constant = free_propagate(as_physical(u1), -1.0)
         profiles = {tau: constant for tau in taus}
     else:
-        records = _strang_loop(grid, as_physical(u1).data.copy(), dt, n_steps,
+        records = _strang_loop(grid, as_physical(u1).data, dt, n_steps,
                                _linear_substep(op), ladder_steps)
         profiles = {}
         for tau in taus:

@@ -151,14 +151,20 @@ def wraparound_horizon(grid: Grid, xi_max: float, start_radius: float = 0.0) -> 
     return 1.0 + max(0.0, 0.45 * grid.length - start_radius) / (2.0 * xi_max)
 
 
-def _check_horizon(grid: Grid, horizon: tuple[float, float], xi_max: float,
-                   start_radius: float = 0.0):
-    t_wrap = wraparound_horizon(grid, xi_max, start_radius)
-    if horizon[1] > t_wrap:
+def _time_ladder(grid: Grid, k: int, horizon: tuple[float, float] | None, nt: int,
+                 advance: float = 0.0) -> np.ndarray:
+    """nt equally spaced times across horizon for data up to band k that starts
+    `advance` time units into its spreading; horizon None runs from t = 1 to
+    the wrap-around time, and a horizon ending past it is a ValueError."""
+    xi_max = 1.04 * bands.BASE ** (k + 1)
+    t_wrap = wraparound_horizon(grid, xi_max, 2.0 * xi_max * advance)
+    start, end = horizon or (1.0, t_wrap)
+    if end > t_wrap:
         raise ValueError(
-            f"horizon end {horizon[1]:.3g} exceeds the wrap-around time "
+            f"horizon end {end:.3g} exceeds the wrap-around time "
             f"{t_wrap:.3g} for modes up to |xi| = {xi_max:.3g}"
         )
+    return np.linspace(start, end, nt)
 
 
 def _free_ladder(grid: Grid, fhat: np.ndarray, times: np.ndarray,
@@ -186,11 +192,8 @@ def check_strichartz(grid: Grid, pair, samples: int, *, k_lo: int = -3,
                      nt: int = 33, seed: int = 0, threads: int = 1) -> EstimateReport:
     """Free-flow Strichartz ratios over band-flat complex Gaussian data."""
     pair = pair if isinstance(pair, AdmissiblePair) else AdmissiblePair(*pair)
-    xi_max = 1.04 * bands.BASE ** (k_hi + 1)
-    if horizon is None:
-        horizon = (1.0, wraparound_horizon(grid, xi_max))
-    _check_horizon(grid, horizon, xi_max)
-    times = np.linspace(horizon[0], horizon[1], nt)
+    times = _time_ladder(grid, k_hi, horizon, nt)
+    horizon = horizon or (1.0, float(times[-1]))
 
     def one(i):
         f = sampling.band_flat_field(grid, k_lo, k_hi, sampling.sample_rng(seed, i))
@@ -253,9 +256,7 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
     """
     if variant not in ("homogeneous", "dual", "inhomogeneous"):
         raise ValueError(f"unknown smoothing variant {variant!r}")
-    xi_max = 1.04 * bands.BASE ** (band + 1)
-    _check_horizon(grid, horizon, xi_max)
-    times = np.linspace(horizon[0], horizon[1], nt)
+    times = _time_ladder(grid, band, horizon, nt)
     if not half_derivative:
         mult = None
     elif variant == "inhomogeneous":
@@ -314,9 +315,7 @@ def smoothing_band_signature(grid: Grid, axis: int, ks, *,
     band growth.
     """
     ks = list(ks)
-    xi_max = 1.04 * bands.BASE ** (max(ks) + 1)
-    _check_horizon(grid, horizon, xi_max)
-    times = np.linspace(horizon[0], horizon[1], nt)
+    times = _time_ladder(grid, max(ks), horizon, nt)
     mult = half_derivative_symbol(axis)(*grid.freq_mesh)
     rows = []
     for k in ks:
@@ -339,9 +338,7 @@ def check_smoothing_strichartz(grid: Grid, pair, axis: int, samples: int, *,
     """||D_j^(1/2) int_{s<=t} e^{i(t-s)Lap} F ds||_{Linf_xj L2} over
     ||F||_{L^{p'}_t L^{q'}_x} for an admissible pair (p, q)."""
     pair = pair if isinstance(pair, AdmissiblePair) else AdmissiblePair(*pair)
-    xi_max = 1.04 * bands.BASE ** (band + 1)
-    _check_horizon(grid, horizon, xi_max)
-    times = np.linspace(horizon[0], horizon[1], nt)
+    times = _time_ladder(grid, band, horizon, nt)
     mult = half_derivative_symbol(axis)(*grid.freq_mesh)
     pp, qq = conjugate_exponent(pair.p), conjugate_exponent(pair.q)
 
@@ -372,16 +369,10 @@ def check_dispersive_decay(grid: Grid, k: int,
     datum is the band kernel already `advance` units into its spreading,
     which keeps the whole window inside the dispersive regime.
     """
-    xi_max = 1.04 * bands.BASE ** (k + 1)
-    _check_horizon(grid, horizon, xi_max, start_radius=2.0 * xi_max * advance)
+    times = _time_ladder(grid, k, horizon, n_points, advance)
     f = sampling.dispersive_datum(grid, k, advance=advance)
-    fhat = as_frequency(f).data
-    times = np.linspace(horizon[0], horizon[1], n_points)
-    products = []
-    for t in times:
-        u = inverse_transform(Field(grid, FREQUENCY, free_phase(grid, t) * fhat))
-        products.append(float(t * lebesgue_norm(u, 6)))
-    products = np.asarray(products)
+    tr = _free_ladder(grid, as_frequency(f).data, times)
+    products = np.asarray([float(t * lebesgue_norm(u, 6)) for t, u in zip(times, tr.fields)])
     flatness = float(products.max() / products.min())
     xn = x_norm(f)
     return _make_report(
@@ -494,9 +485,7 @@ def check_summation_interpolation(grid: Grid, k: int, p: float, q: float,
     """
     if not (0 < c < 1):
         raise ValueError("need 0 < c < 1")
-    xi_max = 1.04 * bands.BASE ** (k + 1)
-    _check_horizon(grid, horizon, xi_max)
-    times = np.linspace(horizon[0], horizon[1], 24)
+    times = _time_ladder(grid, k, horizon, 24)
 
     def one(i):
         f = sampling.localized_packet(grid, k, sampling.sample_rng(seed, i),

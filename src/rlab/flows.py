@@ -168,19 +168,21 @@ def _free_trajectory(u1: Field, cfg: EvolveConfig) -> Trajectory:
     f = as_physical(u1)
     last = 0
     for m in steps:
-        if m > last:
-            for _ in range(m - last):
-                f = free_propagate(f, cfg.dt)
-            last = m
+        for _ in range(m - last):
+            f = free_propagate(f, cfg.dt)
+        last = m
         fields.append(f)
     times = cfg.t_start + cfg.dt * np.asarray(steps, dtype=np.float64)
     return Trajectory(times=times, fields=fields, meta={"stride": cfg.snapshot_stride})
 
 
-def _wrap_trajectory(grid: Grid, cfg: EvolveConfig, records: dict[int, np.ndarray]) -> Trajectory:
-    steps = sorted(records)
+def _evolve(u1: Field, cfg: EvolveConfig, substep) -> Trajectory:
+    """Strang loop from u1 over cfg's time ladder, recorded at cfg's snapshot steps."""
+    steps = _record_steps(cfg)
+    records = _strang_loop(u1.grid, as_physical(u1).data, cfg.dt, cfg.n_steps, substep,
+                           set(steps), t_start=cfg.t_start)
     times = cfg.t_start + cfg.dt * np.asarray(steps, dtype=np.float64)
-    fields = [Field(grid, PHYSICAL, records[m]) for m in steps]
+    fields = [Field(u1.grid, PHYSICAL, records[m]) for m in steps]
     return Trajectory(times=times, fields=fields, meta={"stride": cfg.snapshot_stride})
 
 
@@ -223,14 +225,10 @@ def evolve_linear(u1: Field, ps: PotentialSet, cfg: EvolveConfig, *,
                   skip_certification: bool = False) -> Trajectory:
     """Solve i du/dt + Laplacian u = a . grad u + V u from u(t_start) = u1."""
     _require_certified(ps, skip_certification)
-    grid = u1.grid
-    op = _PotentialOperator(grid, ps.v.data, [ai.data for ai in ps.a])
+    op = _PotentialOperator(u1.grid, ps.v.data, [ai.data for ai in ps.a])
     if op.is_zero:
         return _free_trajectory(u1, cfg)
-    records = _strang_loop(grid, as_physical(u1).data.copy(), cfg.dt, cfg.n_steps,
-                           _linear_substep(op), set(_record_steps(cfg)),
-                           t_start=cfg.t_start)
-    return _wrap_trajectory(grid, cfg, records)
+    return _evolve(u1, cfg, _linear_substep(op))
 
 
 def evolve_linear_to(u1: Field, ps: PotentialSet, t_start: float, t_end: float,
@@ -244,7 +242,7 @@ def evolve_linear_to(u1: Field, ps: PotentialSet, t_start: float, t_end: float,
     op = _PotentialOperator(grid, ps.v.data, [ai.data for ai in ps.a])
     if op.is_zero:
         return free_propagate(as_physical(u1), t_end - t_start)
-    records = _strang_loop(grid, as_physical(u1).data.copy(), dt, n_steps,
+    records = _strang_loop(grid, as_physical(u1).data, dt, n_steps,
                            _linear_substep(op), {n_steps}, t_start=t_start)
     return Field(grid, PHYSICAL, records[n_steps])
 
@@ -271,9 +269,7 @@ def evolve_nonlinear(u1: Field, ps: PotentialSet, cfg: EvolveConfig, *,
             u2 = np.fft.ifftn(mask * np.fft.fftn(u2))
         return -1j * (op(u) + u2)
 
-    records = _strang_loop(grid, as_physical(u1).data.copy(), cfg.dt, cfg.n_steps,
-                           _rk2_substep(rhs), set(_record_steps(cfg)), t_start=cfg.t_start)
-    tr = _wrap_trajectory(grid, cfg, records)
+    tr = _evolve(u1, cfg, _rk2_substep(rhs))
     if bootstrap is not None:
         tr.meta["bootstrap"] = _monitor_bootstrap(tr, bootstrap)
     return tr
@@ -335,9 +331,7 @@ def evolve_hamiltonian(u1: Field, a: tuple[Field, Field, Field], v: Field,
                 acc += 2j * a_data[j] * np.fft.ifftn(ixi[j] * uhat)
         return -1j * acc
 
-    records = _strang_loop(grid, as_physical(u1).data.copy(), cfg.dt, cfg.n_steps,
-                           _rk2_substep(rhs), set(_record_steps(cfg)), t_start=cfg.t_start)
-    tr = _wrap_trajectory(grid, cfg, records)
+    tr = _evolve(u1, cfg, _rk2_substep(rhs))
     masses, energies = [], []
     for f in tr.fields:
         masses.append(l2_norm(f))

@@ -132,7 +132,7 @@ def _nyquist_tail_note(f: Field, name: str) -> str | None:
     # (1-Delta)^5 is under-resolved when the weighted spectrum leans on Nyquist
     g = f.grid
     fhat = as_frequency(f)
-    weighted = (1.0 + g.xi_squared) ** 5 * np.abs(fhat.data) ** 2
+    weighted = bessel_symbol(10)(*g.freq_mesh) * np.abs(fhat.data) ** 2
     m = np.abs(g.axis_freqs)
     hi = m >= 0.8 * g.nyquist
     shell = hi[:, None, None] | hi[None, :, None] | hi[None, None, :]

@@ -97,17 +97,20 @@ class Grid:
         return c1 * c1 + c2 * c2 + c3 * c3
 
     @cached_property
+    def modes(self) -> np.ndarray:
+        """Integer mode numbers m along one axis in FFT order (xi = 2 pi m / L)."""
+        return np.rint(np.fft.fftfreq(self.n) * self.n).astype(np.int64)
+
+    @cached_property
     def centering_phase(self) -> np.ndarray:
         """(-1)^(m1+m2+m3): the e^{-i x0.xi} phase for x0 = -L/2."""
-        m = np.rint(np.fft.fftfreq(self.n) * self.n).astype(np.int64)
-        sign = np.where(m % 2 == 0, 1.0, -1.0)
+        sign = np.where(self.modes % 2 == 0, 1.0, -1.0)
         return sign[:, None, None] * sign[None, :, None] * sign[None, None, :]
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Two-thirds rule mask: keep per-axis integer modes |m| <= n/3."""
-        m = np.abs(np.rint(np.fft.fftfreq(self.n) * self.n).astype(np.int64))
-        keep = m <= self.n // 3
+        keep = np.abs(self.modes) <= self.n // 3
         return (
             keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
         )
@@ -115,8 +118,7 @@ class Grid:
     def mode_index(self, flat_index: int) -> tuple[int, ...]:
         """Integer mode numbers (m1, m2, m3) of a flattened frequency index."""
         idx = np.unravel_index(flat_index, self.shape)
-        m = np.rint(np.fft.fftfreq(self.n) * self.n).astype(np.int64)
-        return tuple(int(m[i]) for i in idx)
+        return tuple(int(self.modes[i]) for i in idx)
 
 
 def make_grid(n: int, length: float) -> Grid:
@@ -269,30 +271,34 @@ def bessel_symbol(s: float) -> Symbol:
     )
 
 
-def apply_symbol(f: Field, s: Symbol) -> Field:
-    """Pointwise frequency multiplication fhat -> s.fhat.
+def apply_multiplier(f: Field, m: np.ndarray) -> Field:
+    """Pointwise frequency multiplication fhat -> m fhat by an array m on the
+    grid's modes (broadcastable to the grid); returns the caller's representation."""
+    out = Field(f.grid, FREQUENCY, m * as_frequency(f).data)
+    return out if f.rep == FREQUENCY else inverse_transform(out)
 
-    Returns a field in the caller's representation.  A non-finite symbol
-    value at a mode carrying a nonzero coefficient raises
-    SingularSymbolError; non-finite values at inactive modes contribute
-    zero.
+
+def apply_symbol(f: Field, s: Symbol) -> Field:
+    """apply_multiplier with the symbol's values on the grid's modes.
+
+    A non-finite symbol value at a mode carrying a nonzero coefficient
+    raises SingularSymbolError; non-finite values at inactive modes
+    contribute zero.
     """
     g = f.grid
-    fhat = as_frequency(f)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vals = np.asarray(s(*g.freq_mesh))
     vals = np.broadcast_to(vals, g.shape)
     bad = ~np.isfinite(vals)
     if bad.any():
-        offenders = bad & (fhat.data != 0)
+        offenders = bad & (as_frequency(f).data != 0)
         if offenders.any():
             flat = int(np.flatnonzero(offenders.ravel())[0])
             idx = np.unravel_index(flat, g.shape)
             xi = tuple(float(g.axis_freqs[i]) for i in idx)
             raise SingularSymbolError(s.label, g.mode_index(flat), xi)
         vals = np.where(bad, 0.0, vals)
-    out = Field(g, FREQUENCY, vals * fhat.data)
-    return out if f.rep == FREQUENCY else inverse_transform(out)
+    return apply_multiplier(f, vals)
 
 
 def free_phase(grid: Grid, t: float) -> np.ndarray:
@@ -302,10 +308,7 @@ def free_phase(grid: Grid, t: float) -> np.ndarray:
 
 def free_propagate(f: Field, t: float) -> Field:
     """Exact free Schroedinger flow e^{i t Laplacian}: multiplier e^{-i t |xi|^2}."""
-    g = f.grid
-    fhat = as_frequency(f)
-    out = Field(g, FREQUENCY, free_phase(g, t) * fhat.data)
-    return out if f.rep == FREQUENCY else inverse_transform(out)
+    return apply_multiplier(f, free_phase(f.grid, t))
 
 
 def half_derivative(f: Field, axis: int) -> Field:

@@ -17,11 +17,13 @@ from rlab.bands import (
 )
 from rlab.spectral import (
     FREQUENCY,
+    PHYSICAL,
     Field,
     apply_symbol,
     Symbol,
     as_frequency,
     inner_product,
+    inverse_transform,
     l2_norm,
     make_grid,
 )
@@ -95,6 +97,20 @@ class TestProjectBand:
         for k in covering_band_range(g):
             total += project_band(f, k).data
         assert np.max(np.abs(total - f.data)) <= 1e-10 * np.max(np.abs(f.data))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([8, 16]), length=st.sampled_from([8.0, 16.0, 48.0]),
+           rep=st.sampled_from([FREQUENCY, PHYSICAL]), seed=st.integers(0, 2**32 - 1))
+    def test_bands_telescope_on_random_fields(self, n, length, rep, seed):
+        g = make_grid(n, length)
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        data[0, 0, 0] = 0.0  # no band reaches xi = 0
+        f = Field(g, FREQUENCY, data)
+        if rep == PHYSICAL:
+            f = inverse_transform(f)
+        total = sum(project_band(f, k).data for k in covering_band_range(g))
+        assert np.max(np.abs(total - f.data)) <= 1e-12 * np.max(np.abs(f.data))
 
     def test_inert_band_is_flagged(self, grid16):
         f = random_field(grid16, 1)

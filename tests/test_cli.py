@@ -1,6 +1,7 @@
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from rlab.cli import (
@@ -18,6 +19,16 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
 SHIPPED = sorted(CONFIGS.glob("*.ini")) + [REPO / "perfbench" / "harness-64.ini"]
 MINIMAL = "[run]\nscenario = {}\nseed = 1\n[grid]\nn = 8\nL = 8.0\n"
+SHIPPED_POTENTIAL = """
+[potential]
+width = 4.0
+delta = 1000.0
+amplitude_v = 0.15
+amplitude_a1 = 0.12
+amplitude_a2 = -0.10
+amplitude_a3 = 0.11
+center_offset = 1.0
+"""
 
 
 def small_born_config(tmp_path, seed=11, scale_key=None):
@@ -85,6 +96,32 @@ class TestConfig:
         cfg = ExperimentConfig.from_file(small_born_config(tmp_path))
         with pytest.raises(ConfigError, match=r"evolve\.t_ned"):
             cfg.override("evolve", "t_ned", 3.0)
+
+    @pytest.mark.parametrize("extra, message", [
+        ("[potential]\ndelta = 0\n", "potential.delta must be positive"),
+        ("[bootstrap]\neps0 = -1\n", "bootstrap.eps0 must be positive"),
+    ])
+    def test_nonpositive_dial_rejected(self, tmp_path, extra, message):
+        p = tmp_path / "dial.ini"
+        p.write_text(MINIMAL.format("certify") + extra)
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_file(p)
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            ExperimentConfig.from_file(tmp_path / "absent.ini")
+
+    def test_malformed_ini_exits_2_naming_the_file(self, tmp_path, capsys):
+        no_header = tmp_path / "no_header.ini"
+        no_header.write_text("seed = 1\n" + MINIMAL.format("certify"))
+        duplicate = tmp_path / "duplicate.ini"
+        duplicate.write_text(MINIMAL.format("certify") + "n = 16\n")
+        for p in (no_header, duplicate):
+            with pytest.raises(ConfigError, match=p.name):
+                ExperimentConfig.from_file(p)
+            assert main(["run", "--config", str(p)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: malformed config file") and p.name in err
 
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
     def test_shipped_configs_load(self, path):
@@ -181,6 +218,24 @@ class TestRun:
         assert len(calls) == len(rows)
 
 
+class TestWaveRun:
+    def test_trace_values_seed_and_hash(self, tmp_path):
+        p = tmp_path / "wave.ini"
+        p.write_text(MINIMAL.format("wave-operator").replace("n = 8\nL = 8.0", "n = 16\nL = 32.0")
+                     + SHIPPED_POTENTIAL + "[scenario]\nT = 4.0\ndt = 0.25\n")
+        docs = []
+        for name, extra in (("threaded", ["--threads", "2"]), ("serial", [])):
+            main(["run", "--config", str(p), "--out", str(tmp_path / name), "--seed", "3"]
+                 + extra)
+            docs.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+        lines = (tmp_path / "threaded" / "trace.csv").read_text().splitlines()
+        assert lines[0] == "tau,cauchy_distance"
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [1.0, 2.0]
+        assert {"exponent", "kappa"} <= docs[0]["values"].keys()
+        assert docs[0]["seed"] == 3
+        assert docs[0]["config_hash"] == docs[1]["config_hash"]
+
+
 class TestGuardTrip:
     def test_blowup_records_failure_and_nonzero_exit(self, tmp_path):
         p = tmp_path / "violent.ini"
@@ -232,6 +287,33 @@ class TestCompare:
         run(cfg2, tmp_path / "c")
         with pytest.raises(ConfigError):
             compare(tmp_path / "a" / "manifest.json", tmp_path / "c" / "manifest.json")
+
+    def test_failed_run_differs_from_passing_run(self, tmp_path):
+        # the guard-trip config, and a calm copy with the magnetic amplitudes at 0
+        for name, amp in (("calm", 0.0), ("violent", 40.0)):
+            p = tmp_path / f"{name}.ini"
+            p.write_text(MINIMAL.format("simulate-linear").replace("n = 8\nL = 8.0", "n = 16\nL = 32.0")
+                         + "[potential]\ndelta = 1000.0\n"
+                         + "".join(f"amplitude_a{i} = {amp}\n" for i in (1, 2, 3))
+                         + "[evolve]\nt_end = 3.0\ndt = 0.5\nsnapshot_stride = 1\n"
+                         + "[scenario]\ndatum_amplitude = 0.05\n")
+            main(["run", "--config", str(p), "--out", str(tmp_path / name)])
+        rows = compare(tmp_path / "calm" / "manifest.json", tmp_path / "violent" / "manifest.json")
+        assert ["assertion:guard_clean", "True", "False"] in [r[:3] for r in rows]
+        artifacts = [r for r in rows if r[0].startswith("artifact:")]
+        assert len(artifacts) == 7 and all(r[2] == "-" for r in artifacts)
+        assert all(np.isnan(r[3]) for r in rows)
+
+    def test_value_leaving_zero_reported(self, tmp_path):
+        zero = tmp_path / "zero.ini"
+        zero.write_text(MINIMAL.format("certify").replace("n = 8", "n = 16")
+                        + "[potential]\namplitude_v = 0.0\n")
+        run(ExperimentConfig.from_file(zero), tmp_path / "zero")
+        run(ExperimentConfig.from_file(CONFIGS / "certify.ini"), tmp_path / "shipped")
+        rows = compare(tmp_path / "zero" / "manifest.json", tmp_path / "shipped" / "manifest.json")
+        entry = [r for r in rows if r[0] == "max_entry"]
+        assert len(entry) == 1 and entry[0][1] == 0.0 and entry[0][2] > 0
+        assert np.isnan(entry[0][3])
 
     def test_delta_halving_shows_rate_ratio_near_half(self, tmp_path):
         p = small_born_config(tmp_path)

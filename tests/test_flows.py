@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from rlab import sampling
@@ -91,6 +92,21 @@ class TestEvolveLinear:
         tr = evolve_linear(datum, zero_potential_set(grid), cfg)
         ref = free_propagate(datum, 0.05)
         assert np.array_equal(tr.fields[-1].data, ref.data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.integers(1, 12), stride=st.integers(1, 5),
+           dt=st.sampled_from([0.01, 0.05, 0.1]))
+    def test_free_snapshots_bit_identical_to_repeated_free_propagate(self, grid, datum,
+                                                                     steps, stride, dt):
+        cfg = EvolveConfig(t_end=1.0 + steps * dt, dt=dt, snapshot_stride=stride)
+        tr = evolve_linear(datum, zero_potential_set(grid), cfg)
+        ref = [datum]
+        for _ in range(steps):
+            ref.append(free_propagate(ref[-1], dt))
+        recorded = sorted(set(range(0, steps + 1, stride)) | {steps})
+        assert len(tr.fields) == len(recorded)
+        for m, f in zip(recorded, tr.fields):
+            assert np.array_equal(f.data, ref[m].data)
 
     def test_constant_potential_is_global_phase(self, grid, datum):
         c = 0.037
