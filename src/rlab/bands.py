@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -57,8 +57,7 @@ _PROFILE = build_band_profile()
 
 def band_multiplier(grid: Grid, k: int) -> np.ndarray:
     """P_k(xi) = phi(1.1^{-k} |xi|) sampled on the grid's modes."""
-    r = np.sqrt(grid.xi_squared)
-    return _PROFILE.phi(r * BASE ** (-k))
+    return _PROFILE.phi(grid.xi_norm * BASE ** (-k))
 
 
 def lowpass_multiplier(grid: Grid, k: int) -> np.ndarray:
@@ -67,8 +66,7 @@ def lowpass_multiplier(grid: Grid, k: int) -> np.ndarray:
     The extra 1/1.1 inside chi is forced by the telescoping identity
     P_{<=k} - P_{<=k-1} = P_k.
     """
-    r = np.sqrt(grid.xi_squared)
-    return _PROFILE.chi(r * BASE ** (-(k + 1)))
+    return _PROFILE.chi(grid.xi_norm * BASE ** (-(k + 1)))
 
 
 def project_band(f: Field, k: int) -> Field:
@@ -119,3 +117,12 @@ def covering_band_range(grid: Grid) -> range:
     k_min = math.floor(math.log(grid.dxi / OUTER_EDGE) / log)
     k_max = math.ceil(math.log(1.04 * math.sqrt(3.0) * grid.nyquist) / log)
     return range(k_min, k_max + 1)
+
+
+def active_bands(grid: Grid) -> Iterator[tuple[int, np.ndarray]]:
+    """(k, P_k) for every band of covering_band_range that touches a grid
+    mode, built one band at a time."""
+    for k in covering_band_range(grid):
+        mult = band_multiplier(grid, k)
+        if np.any(mult > 0.0):
+            yield k, mult

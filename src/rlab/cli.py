@@ -2,16 +2,9 @@
 persistence and report emission.
 
 Configs are flat INI-style text (``key = value`` under ``[section]``
-headers), chosen over nested formats for diff-ability.  The exact grammar:
-
-    [run]        scenario, seed, out (optional), threads (optional)
-    [grid]       n, L
-    [evolve]     t_end, dt, snapshot_stride, dealias   (flow scenarios)
-    [potential]  width, delta, amplitude_v, amplitude_a1..a3, center_offset
-    [bootstrap]  eps0, amplification                   (nonlinear scenario)
-    [scenario]   keys the scenario runners read (ACCEPTED_KEYS["scenario"])
-
-Any other section or key is a ConfigError naming it.  Values are plain
+headers), chosen over nested formats for diff-ability.  The table
+ACCEPTED_KEYS is the grammar: any other section or key is a ConfigError
+naming it, as is a value getint/getfloat cannot read.  Values are plain
 tokens; floats use '.' decimals.  CSV outputs print floats with 17
 significant digits and are byte-identical for identical configs and seeds,
 serial or parallel.  Each scenario is one entry of the registry SCENARIOS,
@@ -22,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import datetime
 import functools
 import hashlib
@@ -53,7 +47,7 @@ from .flows import (BootstrapParams, EvolveConfig, evolve_linear, evolve_nonline
                     save_trajectory)
 from .norms import sobolev_norm, x_norm
 from .potentials import PotentialSet, certify, gaussian_potential, rescale_to_delta
-from .spectral import Field, free_propagate, identity_symbol, l2_norm, make_grid
+from .spectral import Field, Grid, free_propagate, identity_symbol, l2_norm, make_grid
 from .sampling import normalized, sample_rng
 
 ACCEPTED_KEYS = {
@@ -134,12 +128,17 @@ class ExperimentConfig:
         return default if val is None else val
 
     def getfloat(self, section, key, default=None):
-        val = self.get(section, key)
-        return default if val is None else float(val)
+        return self._typed(section, key, default, float, "a number")
 
     def getint(self, section, key, default=None):
+        return self._typed(section, key, default, int, "an integer")
+
+    def _typed(self, section, key, default, kind, noun):
         val = self.get(section, key)
-        return default if val is None else int(val)
+        try:
+            return default if val is None else kind(val)
+        except ValueError:
+            raise ConfigError(f"{section}.{key} = {val!r} is not {noun}") from None
 
     def override(self, section, key, value):
         _check_keys(section, [key])
@@ -165,15 +164,15 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.get("run", "seed"))
+        return self.getint("run", "seed")
 
     @property
     def threads(self) -> int:
-        env = os.environ.get("RLAB_THREADS")
-        return int(self.get("run", "threads", env if env else 1))
+        threads = self.getint("run", "threads")
+        return int(os.environ.get("RLAB_THREADS") or 1) if threads is None else threads
 
 
-def build_grid(cfg: ExperimentConfig):
+def build_grid(cfg: ExperimentConfig) -> Grid:
     return make_grid(cfg.getint("grid", "n"), cfg.getfloat("grid", "L"))
 
 
@@ -269,8 +268,7 @@ def verify_manifest(manifest_path) -> bool:
     return True
 
 
-def _run_certify(cfg, manifest, out):
-    grid = build_grid(cfg)
+def _run_certify(cfg, grid, manifest, out):
     ps = build_potentials(cfg, grid)
     cert = certify(ps, ps.delta_target)
     path = out / "certificate.json"
@@ -290,8 +288,7 @@ def _norm_rows(tr):
             for t, u, p in zip(tr.times, tr.fields, prof)]
 
 
-def _run_simulate(cfg, manifest, out, nonlinear: bool):
-    grid = build_grid(cfg)
+def _run_simulate(cfg, grid, manifest, out, nonlinear: bool):
     ps = build_potentials(cfg, grid)
     u1 = build_datum(cfg, grid, cfg.seed)
     evolve_cfg = EvolveConfig(
@@ -325,8 +322,7 @@ def _run_simulate(cfg, manifest, out, nonlinear: bool):
         manifest.add_artifact(p)
 
 
-def _run_born(cfg, manifest, out):
-    grid = build_grid(cfg)
+def _run_born(cfg, grid, manifest, out):
     ps = build_potentials(cfg, grid)
     delta = cfg.getfloat("scenario", "delta", None)
     if delta is not None:
@@ -354,8 +350,7 @@ def _run_born(cfg, manifest, out):
     manifest.values["partial_sum_errors"] = rep.partial_sum_errors
 
 
-def _run_wave(cfg, manifest, out):
-    grid = build_grid(cfg)
+def _run_wave(cfg, grid, manifest, out):
     ps = build_potentials(cfg, grid)
     u1 = build_datum(cfg, grid, cfg.seed)
     res = wave_operator(
@@ -395,8 +390,8 @@ def _harness(check):
     """Runner of a harness:<id> scenario: emits the EstimateReport that
     check(cfg, grid) returns as report.json and report.csv."""
 
-    def runner(cfg, manifest, out):
-        rep = check(cfg, build_grid(cfg))
+    def runner(cfg, grid, manifest, out):
+        rep = check(cfg, grid)
         path = out / "report.json"
         path.write_text(rep.to_json())
         manifest.add_artifact(path)
@@ -411,10 +406,10 @@ def _harness(check):
 @dataclass(frozen=True)
 class Scenario:
     """Registry entry: the text ``describe`` prints and the runner
-    runner(cfg, manifest, out) that fills the manifest."""
+    runner(cfg, grid, manifest, out) that fills the manifest."""
 
     description: str
-    runner: Callable[[ExperimentConfig, RunManifest, pathlib.Path], None]
+    runner: Callable[[ExperimentConfig, Grid, RunManifest, pathlib.Path], None]
 
 
 SCENARIOS: dict[str, Scenario] = {
@@ -517,10 +512,11 @@ def _lookup(scenario: str) -> Scenario:
 
 
 def run(cfg: ExperimentConfig, out_dir) -> RunManifest:
+    grid = build_grid(cfg)  # a bad grid fails before the run directory exists
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(cfg, out)
-    _lookup(cfg.scenario).runner(cfg, manifest, out)
+    _lookup(cfg.scenario).runner(cfg, grid, manifest, out)
     manifest.write()
     return manifest
 
@@ -529,15 +525,32 @@ def describe(scenario: str) -> str:
     return f"{scenario}: {_lookup(scenario).description}"
 
 
+def _flatten(value, key: str, out: dict) -> dict:
+    """The leaves of nested dicts and lists under dotted keys such as
+    ``bootstrap.eps1`` and ``partial_sum_errors.2``."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for sub, leaf in items:
+            _flatten(leaf, f"{key}.{sub}" if key else str(sub), out)
+    else:
+        out[key] = value
+    return out
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def compare(manifest_a, manifest_b) -> list[list]:
     """Ratio-by-ratio diff of two manifests of the same scenario.
 
     Returns one [key, a, b, ratio] row per difference; identical runs give
-    an empty diff.  Scalar manifest values that differ are compared as b/a
-    ratios (the tool behind the delta-halving and dt-halving runs), NaN
-    when a is 0.  An assertion that differs, or an artifact whose digest
-    differs, gives an "assertion:" or "artifact:" row with ratio NaN; a
-    side that lacks it shows "-".
+    an empty diff.  Values are compared leaf by leaf, nested dicts and lists
+    under dotted keys.  Numbers give their b/a ratio (the tool behind the
+    delta-halving and dt-halving runs), NaN when a is 0.  Any other leaf
+    that differs (a string, bool or None) or that one side lacks, and any
+    assertion or artifact digest that differs or is one-sided, gives a row
+    with ratio NaN ("assertion:"/"artifact:" prefixed); a missing side shows "-".
     """
     doc_a = json.loads(pathlib.Path(manifest_a).read_text())
     doc_b = json.loads(pathlib.Path(manifest_b).read_text())
@@ -547,17 +560,18 @@ def compare(manifest_a, manifest_b) -> list[list]:
         )
     rows = []
     for section in ("values", "assertions", "artifacts"):
-        sec_a, sec_b = doc_a.get(section, {}), doc_b.get(section, {})
+        sec_a, sec_b = (_flatten(doc.get(section, {}), "", {}) for doc in (doc_a, doc_b))
         for key in sorted(sec_a.keys() | sec_b.keys()):
-            a, b = sec_a.get(key), sec_b.get(key)
+            a, b = sec_a.get(key, "-"), sec_b.get(key, "-")  # "-" marks a missing leaf
             if a == b:
                 continue
-            if section != "values":
-                # artifact digests show their first 12 characters
-                rows.append([f"{section[:-1]}:{key}", "-" if a is None else str(a)[:12],
-                             "-" if b is None else str(b)[:12], float("nan")])
-            elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
+            if section == "values" and _is_number(a) and _is_number(b):
                 rows.append([key, a, b, b / a if a != 0 else float("nan")])
+            else:
+                name = key if section == "values" else f"{section[:-1]}:{key}"
+                width = 12 if section == "artifacts" else None  # digests show 12 characters
+                shown = [v if _is_number(v) else str(v)[:width] for v in (a, b)]
+                rows.append([name, *shown, float("nan")])
     return rows
 
 
@@ -591,9 +605,11 @@ def main(argv=None) -> int:
             if not rows:
                 print("no differences")
             else:
-                print("key,a,b,ratio")
+                # csv quotes a text value that holds a comma (a blow-up message)
+                out = csv.writer(sys.stdout, lineterminator="\n")
+                out.writerow(["key", "a", "b", "ratio"])
                 for row in rows:
-                    print(",".join(fmt(v) if isinstance(v, (int, float)) else str(v) for v in row))
+                    out.writerow([fmt(v) if isinstance(v, (int, float)) else v for v in row])
             return 0
         cfg = ExperimentConfig.from_file(args.config)
         if args.seed is not None:

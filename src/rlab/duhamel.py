@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureError
-from .flows import (EvolveConfig, _PotentialOperator, _linear_substep, _require_certified,
-                    _strang_loop, evolve_linear)
+from .flows import (EvolveConfig, _linear_operator, _linear_substep, _step_count, _strang_loop,
+                    evolve_linear)
 from .norms import sobolev_norm, x_norm
 from .potentials import PotentialSet
 from .spectral import PHYSICAL, Field, as_physical, free_phase, free_propagate
@@ -111,10 +111,8 @@ def _born_ladder(u1: Field, ps: PotentialSet, order_max: int, t_end: float,
                  dt: float) -> list[np.ndarray]:
     """Physical-space arrays of terms 0..order_max at time t_end."""
     grid = u1.grid
-    n_steps = int(round((t_end - 1.0) / dt))
-    if abs((t_end - 1.0) / dt - n_steps) > 1e-9 or n_steps < 0:
-        raise ValueError("(t - 1) / dt must be a nonnegative integer")
-    op = _PotentialOperator(grid, ps.v.data, [ai.data for ai in ps.a])
+    n_steps = _step_count(1.0, t_end, dt, "t")
+    op = _linear_operator(ps, skip_certification=True)
     E = free_phase(grid, dt)
 
     def free_step(u):
@@ -291,18 +289,8 @@ def wave_operator(u1: Field, ps: PotentialSet, T: float, dt: float, *,
         raise ValueError("T must be a power of two, at least 2")
     taus = [2.0**j for j in range(m + 1)]  # 1, 2, ..., T
     grid = u1.grid
-
-    n_steps = int(round((T - 1.0) / dt))
-    if abs((T - 1.0) / dt - n_steps) > 1e-9:
-        raise ValueError("(T - 1) / dt must be an integer")
-    ladder_steps = {int(round((tau - 1.0) / dt)) for tau in taus}
-    for tau in taus:
-        s = (tau - 1.0) / dt
-        if abs(s - round(s)) > 1e-9:
-            raise ValueError("every dyadic time must sit on the dt ladder")
-
-    _require_certified(ps, skip_certification)
-    op = _PotentialOperator(grid, ps.v.data, [ai.data for ai in ps.a])
+    steps = {tau: _step_count(1.0, tau, dt, "dyadic time") for tau in taus}
+    op = _linear_operator(ps, skip_certification)
     if op.is_zero:
         # free flow: the profile e^{-i tau Lap} e^{i (tau-1) Lap} u1 is the
         # constant e^{-i Lap} u1; evaluate it once so the trace vanishes
@@ -310,12 +298,10 @@ def wave_operator(u1: Field, ps: PotentialSet, T: float, dt: float, *,
         constant = free_propagate(as_physical(u1), -1.0)
         profiles = {tau: constant for tau in taus}
     else:
-        records = _strang_loop(grid, as_physical(u1).data, dt, n_steps,
-                               _linear_substep(op), ladder_steps)
-        profiles = {}
-        for tau in taus:
-            u_tau = Field(grid, PHYSICAL, records[int(round((tau - 1.0) / dt))])
-            profiles[tau] = free_propagate(u_tau, -tau)
+        records = _strang_loop(grid, as_physical(u1).data, dt, steps[taus[-1]],
+                               _linear_substep(op), set(steps.values()))
+        profiles = {tau: free_propagate(Field(grid, PHYSICAL, records[steps[tau]]), -tau)
+                    for tau in taus}
     distances = []
     for tau in taus[:-1]:
         diff = Field(grid, PHYSICAL,

@@ -209,7 +209,7 @@ def check_strichartz(grid: Grid, pair, samples: int, *, k_lo: int = -3,
 # ----------------------------------------------------------------- smoothing
 
 def _forcing_sample(grid: Grid, k: int, axis: int, rng,
-                    times: np.ndarray) -> list[Field]:
+                    times: np.ndarray) -> Trajectory:
     """Smooth-in-time localized forcing: two packets with oscillating weights."""
     f1 = sampling.localized_packet(grid, k, rng, width=PACKET_WIDTH, axis_bias=axis)
     f2 = sampling.localized_packet(grid, k, rng, width=PACKET_WIDTH, axis_bias=axis)
@@ -219,11 +219,11 @@ def _forcing_sample(grid: Grid, k: int, axis: int, rng,
     for t in times:
         data = w1 * np.cos(om1 * t) * f1.data + w2 * np.sin(om2 * t) * f2.data
         out.append(Field(grid, "physical", data))
-    return out
+    return Trajectory(times=times, fields=out)
 
 
 def _duhamel_ladder(grid: Grid, forcing: list[Field], times: np.ndarray,
-                    multiplier: np.ndarray | None = None) -> Trajectory:
+                    multiplier: np.ndarray | None) -> Trajectory:
     """Cumulative trapezoid Duhamel integral int_{s<=t} e^{i(t-s)Lap} F(s) ds."""
     out_fields = []
     acc = np.zeros(grid.shape, dtype=np.complex128)
@@ -272,10 +272,8 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
 
     elif variant == "dual":
         def one(i):
-            rng = sampling.sample_rng(seed, i)
-            forcing = _forcing_sample(grid, band, axis, rng, times)
-            tr_f = Trajectory(times=times, fields=forcing)
-            fhats = [as_frequency(F).data for F in forcing]
+            tr_f = _forcing_sample(grid, band, axis, sampling.sample_rng(seed, i), times)
+            fhats = [as_frequency(F).data for F in tr_f.fields]
             flows = [free_phase(grid, t) * fh for t, fh in zip(times, fhats)]
             acc = np.trapezoid(np.stack(flows), times, axis=0)
             if mult is not None:
@@ -286,10 +284,8 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
 
     else:  # inhomogeneous
         def one(i):
-            rng = sampling.sample_rng(seed, i)
-            forcing = _forcing_sample(grid, band, axis, rng, times)
-            tr_f = Trajectory(times=times, fields=forcing)
-            tr_d = _duhamel_ladder(grid, forcing, times, mult)
+            tr_f = _forcing_sample(grid, band, axis, sampling.sample_rng(seed, i), times)
+            tr_d = _duhamel_ladder(grid, tr_f.fields, times, mult)
             num = float(mixed_spacetime_norm(tr_d, axis, np.inf, 2))
             den = float(mixed_spacetime_norm(tr_f, axis, 1, 2))
             return num / den
@@ -343,10 +339,8 @@ def check_smoothing_strichartz(grid: Grid, pair, axis: int, samples: int, *,
     pp, qq = conjugate_exponent(pair.p), conjugate_exponent(pair.q)
 
     def one(i):
-        rng = sampling.sample_rng(seed, i)
-        forcing = _forcing_sample(grid, band, axis, rng, times)
-        tr_f = Trajectory(times=times, fields=forcing)
-        tr_d = _duhamel_ladder(grid, forcing, times, mult)
+        tr_f = _forcing_sample(grid, band, axis, sampling.sample_rng(seed, i), times)
+        tr_d = _duhamel_ladder(grid, tr_f.fields, times, mult)
         num = float(mixed_spacetime_norm(tr_d, axis, np.inf, 2))
         den = float(spacetime_norm(tr_f, pp, qq))
         return num / den

@@ -61,19 +61,15 @@ class EvolveConfig:
     def __post_init__(self):
         if self.dealias not in ("two-thirds", "off"):
             raise ValueError(f"unknown dealias mode {self.dealias!r}")
-        if min(self.t_start, self.t_end) < 1.0:
-            raise ValueError("evolution times must stay at or above t = 1")
         if self.dt == 0 or (self.t_end - self.t_start) * self.dt <= 0:
             raise ValueError("dt must be nonzero and point from t_start to t_end")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be at least 1")
-        steps = (self.t_end - self.t_start) / self.dt
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("(t_end - t_start) / dt must be an integer")
+        _step_count(self.t_start, self.t_end, self.dt, "t_end")
 
     @property
     def n_steps(self) -> int:
-        return int(round((self.t_end - self.t_start) / self.dt))
+        return _step_count(self.t_start, self.t_end, self.dt, "t_end")
 
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.n_steps + 1)
@@ -98,6 +94,21 @@ class BootstrapParams:
     @property
     def eps1(self) -> float:
         return self.amplification * self.eps0
+
+
+def _step_count(t_start: float, t_end: float, dt: float, what: str) -> int:
+    """Steps of dt from t_start to t_end: the one check that both times sit at
+    or after t = 1 on one dt ladder, (t_end - t_start) / dt a nonnegative
+    integer to within 1e-9.  ``what`` names t_end in the error."""
+    if min(t_start, t_end) < 1.0:
+        raise ValueError("evolution times must stay at or above t = 1 "
+                         f"(t_start {t_start:g}, {what} {t_end:g})")
+    steps = (t_end - t_start) / dt
+    n = int(round(steps))
+    if abs(steps - n) > 1e-9 or n < 0:
+        raise ValueError(f"{what} {t_end:g} is off the dt ladder: (t_end - t_start) / dt = "
+                         f"{steps:.6g} must be a nonnegative integer")
+    return n
 
 
 class _PotentialOperator:
@@ -186,15 +197,13 @@ def _evolve(u1: Field, cfg: EvolveConfig, substep) -> Trajectory:
     return Trajectory(times=times, fields=fields, meta={"stride": cfg.snapshot_stride})
 
 
-def _require_certified(ps: PotentialSet, skip: bool):
-    if skip or ps.is_zero:
-        return
-    cert = certify(ps, ps.delta_target)
-    if not cert.passed:
-        raise ValueError(
-            "potential set fails its smallness certificate at delta = "
-            f"{ps.delta_target}; pass skip_certification=True to override"
-        )
+def _linear_operator(ps: PotentialSet, skip_certification: bool) -> _PotentialOperator:
+    """L = a . grad + V of ps, built once ps passes its smallness certificate
+    (a zero set needs none; skip_certification=True skips the check)."""
+    if not (skip_certification or ps.is_zero or certify(ps, ps.delta_target).passed):
+        raise ValueError("potential set fails its smallness certificate at delta = "
+                         f"{ps.delta_target}; pass skip_certification=True to override")
+    return _PotentialOperator(ps.grid, ps.v.data, [ai.data for ai in ps.a])
 
 
 def _linear_substep(op: _PotentialOperator):
@@ -224,8 +233,7 @@ def _rk2_substep(rhs):
 def evolve_linear(u1: Field, ps: PotentialSet, cfg: EvolveConfig, *,
                   skip_certification: bool = False) -> Trajectory:
     """Solve i du/dt + Laplacian u = a . grad u + V u from u(t_start) = u1."""
-    _require_certified(ps, skip_certification)
-    op = _PotentialOperator(u1.grid, ps.v.data, [ai.data for ai in ps.a])
+    op = _linear_operator(ps, skip_certification)
     if op.is_zero:
         return _free_trajectory(u1, cfg)
     return _evolve(u1, cfg, _linear_substep(op))
@@ -234,12 +242,9 @@ def evolve_linear(u1: Field, ps: PotentialSet, cfg: EvolveConfig, *,
 def evolve_linear_to(u1: Field, ps: PotentialSet, t_start: float, t_end: float,
                      dt: float, *, skip_certification: bool = False) -> Field:
     """Terminal field only; accepts either time direction (dt signed)."""
-    _require_certified(ps, skip_certification)
     grid = u1.grid
-    n_steps = int(round((t_end - t_start) / dt))
-    if abs((t_end - t_start) / dt - n_steps) > 1e-9:
-        raise ValueError("(t_end - t_start) / dt must be an integer")
-    op = _PotentialOperator(grid, ps.v.data, [ai.data for ai in ps.a])
+    n_steps = _step_count(t_start, t_end, dt, "t_end")
+    op = _linear_operator(ps, skip_certification)
     if op.is_zero:
         return free_propagate(as_physical(u1), t_end - t_start)
     records = _strang_loop(grid, as_physical(u1).data, dt, n_steps,
@@ -258,9 +263,8 @@ def evolve_nonlinear(u1: Field, ps: PotentialSet, cfg: EvolveConfig, *,
     every snapshot and an excursion above eps1 is reported in the
     trajectory metadata (and logged), never clipped.
     """
-    _require_certified(ps, skip_certification)
     grid = u1.grid
-    op = _PotentialOperator(grid, ps.v.data, [ai.data for ai in ps.a])
+    op = _linear_operator(ps, skip_certification)
     mask = grid.dealias_mask if cfg.dealias == "two-thirds" else None
 
     def rhs(u):

@@ -36,7 +36,6 @@ from .spectral import (
 )
 
 BOUNDARY_MASS_TOL = 1e-6
-WRAP_NOTE = "wrap-around warning: boundary mass fraction {frac:.3e} exceeds 1e-06"
 
 
 class NormValue(float):
@@ -211,7 +210,8 @@ def sobolev_norm(f: Field, s: float) -> NormValue:
 def _wrap_note(f: Field) -> str:
     frac = boundary_mass_fraction(f)
     if frac > BOUNDARY_MASS_TOL:
-        return WRAP_NOTE.format(frac=frac)
+        return (f"wrap-around warning: boundary mass fraction {frac:.3e} "
+                f"exceeds {BOUNDARY_MASS_TOL:g}")
     return ""
 
 
@@ -228,10 +228,7 @@ def x_norm(f: Field) -> NormValue:
     fhat = as_frequency(f)
     r2 = g.radius_squared
     best = 0.0
-    for k in bands.covering_band_range(g):
-        mult = bands.band_multiplier(g, k)
-        if not np.any(mult > 0.0):
-            continue
+    for _, mult in bands.active_bands(g):
         gk = inverse_transform(Field(g, FREQUENCY, mult * fhat.data))
         val = float(np.sqrt(np.sum(r2 * np.abs(gk.data) ** 2) * g.dx**3))
         best = max(best, val)
@@ -250,10 +247,7 @@ def x_prime_norm(f: Field) -> NormValue:
         dj = as_frequency(Field(g, PHYSICAL, -1j * xj * p.data))
         parts.append(dj.data)
     best = 0.0
-    for k in bands.covering_band_range(g):
-        mult = bands.band_multiplier(g, k)
-        if not np.any(mult > 0.0):
-            continue
+    for _, mult in bands.active_bands(g):
         grad_sq = sum(np.abs(mult * d) ** 2 for d in parts)
         best = max(best, float(np.sqrt(np.sum(grad_sq) * w)))
     return NormValue(best, "Xprime", note)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import y_norm
+from .norms import _wrap_note, y_norm
 from .spectral import (
     PHYSICAL,
     Field,
@@ -25,7 +25,6 @@ from .spectral import (
     as_frequency,
     as_physical,
     bessel_symbol,
-    boundary_mass_fraction,
     zero_field,
 )
 
@@ -84,13 +83,8 @@ def gaussian_potential(grid: Grid, center, width: float, amplitude: float) -> Fi
         raise ValueError("center must be a 3-vector")
     x1, x2, x3 = grid.coord_mesh
     r2 = (x1 - c[0]) ** 2 + (x2 - c[1]) ** 2 + (x3 - c[2]) ** 2
-    data = amplitude * np.exp(-r2 / (2.0 * width**2)) + 0j
-    f = Field(grid, PHYSICAL, data)
-    frac = boundary_mass_fraction(f)
-    note = None
-    if frac > 1e-6:
-        note = f"wrap-around warning: boundary mass fraction {frac:.3e}"
-    return Field(grid, PHYSICAL, data, note=note)
+    f = Field(grid, PHYSICAL, amplitude * np.exp(-r2 / (2.0 * width**2)) + 0j)
+    return Field(grid, PHYSICAL, f.data, note=_wrap_note(f) or None)
 
 
 @dataclass(frozen=True)

@@ -89,13 +89,8 @@ def directed_band_kernel(grid: Grid, k: int, axis: int) -> Field:
     crosses transverse slabs in a finite, k-predictable time.  Used by the
     smoothing-gain signature.
     """
-    r = np.sqrt(np.broadcast_to(grid.xi_squared, grid.shape))
-    with np.errstate(invalid="ignore"):
-        cosq = np.where(
-            r > 0,
-            np.broadcast_to(grid.freq_mesh[axis], grid.shape) / np.where(r > 0, r, 1.0),
-            0.0,
-        )
+    r = grid.xi_norm
+    cosq = np.where(r > 0, grid.freq_mesh[axis] / np.where(r > 0, r, 1.0), 0.0)
     cap = np.exp(-((1.0 - cosq) ** 2) / (2.0 * 0.35**2))
     data = (bands.band_multiplier(grid, k) * cap).astype(np.complex128)
     return inverse_transform(normalized(Field(grid, FREQUENCY, data)))

@@ -91,6 +91,11 @@ class Grid:
         return x1 * x1 + x2 * x2 + x3 * x3
 
     @cached_property
+    def xi_norm(self) -> np.ndarray:
+        """|xi| on the grid's modes, the radius the band profiles read."""
+        return np.sqrt(self.xi_squared)
+
+    @cached_property
     def radius_squared(self) -> np.ndarray:
         """|x|^2 on the physical lattice."""
         c1, c2, c3 = self.coord_mesh

@@ -8,6 +8,7 @@ from rlab.bands import (
     BASE,
     INNER_EDGE,
     OUTER_EDGE,
+    active_bands,
     band_indices,
     band_multiplier,
     build_band_profile,
@@ -204,3 +205,22 @@ class TestBandIndices:
         r = np.sqrt(np.broadcast_to(g.xi_squared, g.shape))
         sel = (r >= g.dxi) & (r <= 0.9 * g.nyquist)
         assert np.max(np.abs(total[sel] - 1.0)) <= 1e-12
+
+
+class TestActiveBands:
+    def test_xi_norm_is_the_radius_of_every_mode(self, grid16):
+        g = grid16
+        assert np.array_equal(g.xi_norm, np.sqrt(g.xi_squared))
+        assert g.xi_norm is g.xi_norm  # cached on the grid
+
+    @pytest.mark.parametrize("n, length", [(8, 8.0), (16, 32.0), (32, 48.0)])
+    def test_yields_exactly_the_covering_bands_with_support(self, n, length):
+        g = make_grid(n, length)
+        expected = [k for k in covering_band_range(g) if np.any(band_multiplier(g, k) > 0.0)]
+        got = list(active_bands(g))
+        assert [k for k, _ in got] == expected
+        for k, mult in got:
+            assert np.array_equal(mult, band_multiplier(g, k))
+        # every covering band that is skipped misses every grid mode
+        for k in set(covering_band_range(g)) - set(expected):
+            assert not np.any(band_multiplier(g, k))

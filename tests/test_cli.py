@@ -123,6 +123,25 @@ class TestConfig:
             err = capsys.readouterr().err
             assert err.startswith("error: malformed config file") and p.name in err
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("scenario", "orders", "6.5", "scenario.orders = '6.5' is not an integer"),
+        ("grid", "n", "sixteen", "grid.n = 'sixteen' is not an integer"),
+        ("scenario", "t", "fourteen", "scenario.t = 'fourteen' is not a number"),
+    ])
+    def test_value_of_the_wrong_type_names_its_key(self, tmp_path, capsys, section, key,
+                                                   value, message):
+        text = (CONFIGS / "born-series.ini").read_text()
+        cfg = ExperimentConfig.from_file(CONFIGS / "born-series.ini")
+        old = f"{key} = {cfg.get(section, key)}\n"
+        assert old in text
+        p = tmp_path / "typed.ini"
+        p.write_text(text.replace(old, f"{key} = {value}\n"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        if section == "grid":  # the grid is read before the run directory is made
+            assert not out.exists()
+
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
     def test_shipped_configs_load(self, path):
         ExperimentConfig.from_file(path)
@@ -328,6 +347,40 @@ class TestCompare:
         rate_rows = [r for r in rows if r[0] == "fitted_rate"]
         assert len(rate_rows) == 1
         assert 0.35 <= rate_rows[0][3] <= 0.65
+
+
+    def test_nested_values_compared_leaf_by_leaf(self, tmp_path):
+        # a contained and an exited bootstrap: eps1 = 4 eps0 and the exit
+        # flags live in the nested bootstrap dict of the manifest
+        for name, eps0 in (("wide", "0.06"), ("tight", "0.001")):
+            cfg = ExperimentConfig.from_file(CONFIGS / "simulate-nonlinear.ini")
+            cfg.override("evolve", "t_end", "1.2")
+            cfg.override("evolve", "snapshot_stride", "10")
+            cfg.override("bootstrap", "eps0", eps0)
+            run(cfg, tmp_path / name)
+        rows = compare(tmp_path / "wide" / "manifest.json", tmp_path / "tight" / "manifest.json")
+        by_key = {r[0]: r for r in rows}
+        key, a, b, ratio = by_key["bootstrap.eps1"]
+        assert (a, b) == (0.24, 0.004) and ratio == pytest.approx(0.004 / 0.24)
+        assert by_key["bootstrap.exited"][1:3] == ["False", "True"]
+        assert by_key["bootstrap.exit_time"][1:3] == ["None", 1.0]
+        assert np.isnan(by_key["bootstrap.exited"][3])
+        assert np.isnan(by_key["bootstrap.exit_time"][3])
+        assert "bootstrap.rows.0.t" not in by_key  # equal leaves give no row
+
+    def test_one_sided_text_value_reported(self, tmp_path, capsys):
+        message = "L2 mass moved 1.0e-01 -> 3.0e+00 in one step (step 1, t = 1.5); aborting"
+        for name, values in (("calm", {}), ("violent", {"blowup": message})):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "manifest.json").write_text(json.dumps(
+                {"scenario": "simulate-linear", "values": values, "assertions": {},
+                 "artifacts": {}}))
+        paths = [str(tmp_path / name / "manifest.json") for name in ("calm", "violent")]
+        rows = compare(*paths)
+        assert [r[:3] for r in rows] == [["blowup", "-", message]]
+        assert main(["compare", *paths]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["key,a,b,ratio", f'blowup,-,"{message}",nan']
 
 
 class TestThreadsEnv:

@@ -9,6 +9,7 @@ from rlab import sampling
 from rlab.errors import BlowupError
 from rlab.flows import (
     BootstrapParams,
+    _step_count,
     _strang_loop,
     EvolveConfig,
     evolve_hamiltonian,
@@ -21,7 +22,7 @@ from rlab.flows import (
 )
 from rlab.norms import sobolev_norm
 from rlab.potentials import PotentialSet, gaussian_potential, zero_potential_set
-from rlab.spectral import PHYSICAL, Field, free_propagate, make_grid, zero_field
+from rlab.spectral import PHYSICAL, Field, free_propagate, l2_norm, make_grid, zero_field
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,22 @@ class TestEvolveConfig:
         assert_allclose(cfg.times(), 1.0 + 0.1 * np.arange(6))
 
 
+class TestStepCount:
+    def test_counts_steps_in_either_direction(self):
+        assert _step_count(1.0, 2.0, 0.1, "t_end") == 10
+        assert _step_count(2.0, 1.0, -0.1, "t_end") == 10
+        assert _step_count(1.0, 1.0, 0.1, "t_end") == 0
+
+    def test_rejects_times_before_one(self):
+        with pytest.raises(ValueError, match="t = 1"):
+            _step_count(1.0, 0.5, -0.1, "t_end")
+
+    @pytest.mark.parametrize("t_end, dt", [(2.0, 0.3), (2.0, -0.1)])
+    def test_rejects_off_ladder_or_backward_counts(self, t_end, dt):
+        with pytest.raises(ValueError, match="t_end 2 is off the dt ladder"):
+            _step_count(1.0, t_end, dt, "t_end")
+
+
 class TestBootstrapParams:
     def test_eps1(self):
         bp = BootstrapParams(eps0=0.01, amplification=10.0, delta=0.1)
@@ -107,6 +124,24 @@ class TestEvolveLinear:
         assert len(tr.fields) == len(recorded)
         for m, f in zip(recorded, tr.fields):
             assert np.array_equal(f.data, ref[m].data)
+
+    @settings(max_examples=30, deadline=None)
+    @given(amplitude=st.floats(0.05, 5.0), dt=st.sampled_from([0.01, 0.05, 0.1]),
+           steps=st.integers(1, 20))
+    def test_mass_conserved_for_real_electric_potential(self, grid, datum, amplitude, dt,
+                                                       steps):
+        # with a = 0 the substep multiplies by T4(-i dt V(x)), the 4-term Taylor
+        # polynomial of e^{-i dt V}, and |T4(iy)|^2 = 1 - y^6/72 + y^8/576; the
+        # free half steps are unitary, so each step moves the mass by at most
+        # (dt max|V|)^6 / 72
+        v = gaussian_potential(grid, (0, 0, 0), 4.0, amplitude)
+        ps = PotentialSet(v=v, a=(zero_field(grid),) * 3, delta_target=1.0)
+        cfg = EvolveConfig(t_end=1.0 + steps * dt, dt=dt)
+        tr = evolve_linear(datum, ps, cfg, skip_certification=True)
+        per_step = (dt * np.max(np.abs(v.data))) ** 6 / 72
+        m0 = l2_norm(tr.fields[0]) ** 2
+        for n, f in enumerate(tr.fields):
+            assert abs(l2_norm(f) ** 2 / m0 - 1.0) <= n * per_step + 1e-13
 
     def test_constant_potential_is_global_phase(self, grid, datum):
         c = 0.037

@@ -1,0 +1,66 @@
+"""Size of the package: its line count and its count of settable values.
+
+Usage::
+
+    python tools/size.py [SRC_DIR]
+
+SRC_DIR (absolute, or relative to the checkout root) defaults to
+``src/rlab``.  The line count is that of every ``*.py`` file in SRC_DIR
+(``cat src/rlab/*.py | wc -l``).  A settable value is a parameter with a
+default value (positional or keyword-only, in any function or method) or a
+field of a ``@dataclass``: each is a value a caller can set.  The script
+scans the source with ``ast`` and prints both counts, so a change can quote
+them before and after.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import sys
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def settable_values(tree: ast.AST) -> tuple[int, int]:
+    """(defaulted parameters, dataclass fields) in one parsed module."""
+    defaults = fields = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defaults += len(node.args.defaults)
+            defaults += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            fields += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+    return defaults, fields
+
+
+def main(argv) -> int:
+    arg = argv[1] if len(argv) > 1 else "src/rlab"
+    src = REPO / arg  # an absolute SRC_DIR replaces REPO
+    files = sorted(src.glob("*.py"))
+    if not files:
+        print(f"no Python files in {src}", file=sys.stderr)
+        return 2
+    lines = defaults = fields = 0
+    for path in files:
+        text = path.read_text()
+        lines += len(text.splitlines())
+        d, f = settable_values(ast.parse(text))
+        defaults += d
+        fields += f
+    print(f"{arg}: {lines} lines in {len(files)} files")
+    print(f"settable values: {defaults} defaulted parameters + {fields} dataclass fields"
+          f" = {defaults + fields}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
