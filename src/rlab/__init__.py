@@ -10,63 +10,3 @@ inequalities the scattering argument runs on.
 """
 
 __version__ = "0.1.0"
-
-from .spectral import (  # noqa: F401
-    FREQUENCY,
-    PHYSICAL,
-    Field,
-    Grid,
-    Symbol,
-    apply_symbol,
-    as_frequency,
-    as_physical,
-    field_from_function,
-    forward_transform,
-    free_propagate,
-    half_derivative,
-    inner_product,
-    inverse_transform,
-    l2_norm,
-    make_grid,
-    read_snapshot,
-    write_snapshot,
-    zero_field,
-)
-from .bands import band_indices, build_band_profile, project_band, project_leq  # noqa: F401
-from .norms import (  # noqa: F401
-    NormValue,
-    Trajectory,
-    lebesgue_norm,
-    mixed_norm,
-    mixed_spacetime_norm,
-    sobolev_norm,
-    spacetime_norm,
-    x_norm,
-    x_prime_norm,
-    y_norm,
-)
-from .potentials import (  # noqa: F401
-    PotentialSet,
-    SmallnessCertificate,
-    certify,
-    gaussian_potential,
-    rescale_to_delta,
-    zero_potential_set,
-)
-from .flows import (  # noqa: F401
-    BootstrapParams,
-    EvolveConfig,
-    evolve_hamiltonian,
-    evolve_linear,
-    evolve_nonlinear,
-    profile_of,
-)
-from .duhamel import (  # noqa: F401
-    born_term,
-    born_terms,
-    regularized_denominator_check,
-    resonance_classify,
-    series_decay_report,
-    wave_operator,
-)
-from .estimates import AdmissiblePair, EstimateReport, admissible  # noqa: F401

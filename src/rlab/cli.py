@@ -3,12 +3,13 @@ persistence and report emission.
 
 Configs are flat INI-style text (``key = value`` under ``[section]``
 headers), chosen over nested formats for diff-ability.  The table
-ACCEPTED_KEYS is the grammar: any other section or key is a ConfigError
-naming it, as is a value getint/getfloat cannot read.  Values are plain
-tokens; floats use '.' decimals.  CSV outputs print floats with 17
-significant digits and are byte-identical for identical configs and seeds,
-serial or parallel.  Each scenario is one entry of the registry SCENARIOS,
-which config validation, ``describe`` and ``run`` all read.
+ACCEPTED_KEYS is the grammar, each key with its type: any other section or
+key is a ConfigError naming it, as is a value its type cannot read, when
+the config is built or overridden.  Values are plain tokens; floats use '.'
+decimals.  CSV outputs print floats with 17 significant digits and are
+byte-identical for identical configs and seeds, serial or parallel.  Each
+scenario is one entry of the registry SCENARIOS, which config validation,
+``describe`` and ``run`` all read.
 """
 
 from __future__ import annotations
@@ -51,15 +52,16 @@ from .spectral import Field, Grid, free_propagate, identity_symbol, l2_norm, mak
 from .sampling import normalized, sample_rng
 
 ACCEPTED_KEYS = {
-    "run": ("scenario", "seed", "out", "threads"),
-    "grid": ("n", "L"),
-    "evolve": ("t_end", "dt", "snapshot_stride", "dealias"),
-    "potential": ("width", "delta", "amplitude_v", "amplitude_a1", "amplitude_a2",
-                  "amplitude_a3", "center_offset"),
-    "bootstrap": ("eps0", "amplification"),
-    "scenario": ("datum_width", "datum_amplitude", "datum_carrier", "datum_advance",
-                 "delta", "orders", "t", "dt", "T", "samples", "axis", "band", "p",
-                 "q", "k_lo", "k_hi", "c"),
+    "run": {"scenario": str, "seed": int, "out": str, "threads": int},
+    "grid": {"n": int, "L": float},
+    "evolve": {"t_end": float, "dt": float, "snapshot_stride": int, "dealias": str},
+    "potential": {"width": float, "delta": float, "amplitude_v": float, "amplitude_a1": float,
+                  "amplitude_a2": float, "amplitude_a3": float, "center_offset": float},
+    "bootstrap": {"eps0": float, "amplification": float},
+    "scenario": {"datum_width": float, "datum_amplitude": float, "datum_carrier": float,
+                 "datum_advance": float, "delta": float, "orders": int, "t": float,
+                 "dt": float, "T": float, "samples": int, "axis": int, "band": int,
+                 "p": float, "q": float, "k_lo": int, "k_hi": int, "c": float},
 }
 
 
@@ -79,13 +81,22 @@ def write_csv(path, header: list[str], rows: list[dict]) -> None:
     pathlib.Path(path).write_text(buf.getvalue())
 
 
-def _check_keys(section: str, keys) -> None:
+def _parse(name: str, value: str, kind):
+    """kind(value), or a ConfigError naming the key or variable and the value."""
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} = {value!r} is not {noun}") from None
+
+
+def _check_value(section: str, key: str, value: str) -> None:
     valid = ACCEPTED_KEYS.get(section)
     if valid is None:
         raise ConfigError(f"unknown config section [{section}]; valid: {', '.join(ACCEPTED_KEYS)}")
-    for key in keys:
-        if key not in valid:
-            raise ConfigError(f"unknown config key {section}.{key}; valid: {', '.join(valid)}")
+    if key not in valid:
+        raise ConfigError(f"unknown config key {section}.{key}; valid: {', '.join(valid)}")
+    _parse(f"{section}.{key}", value, valid[key])
 
 
 class ExperimentConfig:
@@ -96,7 +107,8 @@ class ExperimentConfig:
     def __init__(self, sections: dict[str, dict[str, str]]):
         self.sections = {s: dict(kv) for s, kv in sections.items()}
         for sec, kv in self.sections.items():
-            _check_keys(sec, kv)
+            for key, value in kv.items():
+                _check_value(sec, key, value)
         missing = []
         for sec, keys in self.REQUIRED.items():
             for key in keys:
@@ -128,20 +140,15 @@ class ExperimentConfig:
         return default if val is None else val
 
     def getfloat(self, section, key, default=None):
-        return self._typed(section, key, default, float, "a number")
+        val = self.get(section, key)
+        return default if val is None else float(val)
 
     def getint(self, section, key, default=None):
-        return self._typed(section, key, default, int, "an integer")
-
-    def _typed(self, section, key, default, kind, noun):
         val = self.get(section, key)
-        try:
-            return default if val is None else kind(val)
-        except ValueError:
-            raise ConfigError(f"{section}.{key} = {val!r} is not {noun}") from None
+        return default if val is None else int(val)
 
     def override(self, section, key, value):
-        _check_keys(section, [key])
+        _check_value(section, key, str(value))
         self.sections.setdefault(section, {})[key] = str(value)
 
     def canonical(self) -> str:
@@ -169,7 +176,9 @@ class ExperimentConfig:
     @property
     def threads(self) -> int:
         threads = self.getint("run", "threads")
-        return int(os.environ.get("RLAB_THREADS") or 1) if threads is None else threads
+        if threads is None:
+            threads = _parse("RLAB_THREADS", os.environ.get("RLAB_THREADS") or "1", int)
+        return threads
 
 
 def build_grid(cfg: ExperimentConfig) -> Grid:
@@ -252,20 +261,6 @@ class RunManifest:
         path = self.out_dir / "manifest.json"
         path.write_text(json.dumps(doc, sort_keys=True, indent=1))
         return path
-
-
-def verify_manifest(manifest_path) -> bool:
-    """True iff every artifact listed in the manifest exists with its digest."""
-    manifest_path = pathlib.Path(manifest_path)
-    doc = json.loads(manifest_path.read_text())
-    base = manifest_path.parent
-    for rel, digest in doc["artifacts"].items():
-        p = base / rel
-        if not p.exists():
-            return False
-        if hashlib.sha256(p.read_bytes()).hexdigest() != digest:
-            return False
-    return True
 
 
 def _run_certify(cfg, grid, manifest, out):
@@ -512,7 +507,9 @@ def _lookup(scenario: str) -> Scenario:
 
 
 def run(cfg: ExperimentConfig, out_dir) -> RunManifest:
-    grid = build_grid(cfg)  # a bad grid fails before the run directory exists
+    # a bad grid or RLAB_THREADS fails here, before the run directory exists
+    grid = build_grid(cfg)
+    cfg.threads
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(cfg, out)

@@ -1,5 +1,4 @@
-"""Born/Duhamel series for the linear flow, the scattering wave operator,
-and resonance diagnostics.
+"""Born/Duhamel series for the linear flow and the scattering wave operator.
 
 The linear equation i du/dt + Laplacian u = L u with L = a . grad + V has
 the iterated Duhamel representation
@@ -16,41 +15,33 @@ with E = e^{i dt Laplacian}; the cost is O(order * steps), not
 O(steps^order).  The numerical series keeps the plain Duhamel integral:
 the measurable content of the frequency-differentiated expansion is the
 geometric decay of the terms in both the H^10 and X norms, reported by
-series_decay_report, plus standalone diagnostics for the two singular
-multipliers eta/|eta|^2 and 1/(|xi|^2 - |eta|^2 + i beta).
+series_decay_report, plus the quadrature check of the regularized
+denominator 1/(|xi|^2 - |eta|^2 + i beta) by regularized_denominator_check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError
 from .flows import (EvolveConfig, _linear_operator, _linear_substep, _step_count, _strang_loop,
                     evolve_linear)
 from .norms import sobolev_norm, x_norm
 from .potentials import PotentialSet
 from .spectral import PHYSICAL, Field, as_physical, free_phase, free_propagate
 
-SPACE_RESONANT = "space-resonant"
-TIME_RESONANT = "time-resonant"
-SPACE_TIME_RESONANT = "space-time-resonant"
-NONRESONANT = "nonresonant"
-
 
 @dataclass(frozen=True)
 class DuhamelTerm:
     """One term of the Born series at a fixed time, with its controlling norms.
 
-    The numerical recursion applies the full operator a . grad + V at every
-    order, so each application carries the aggregate tag rather than one
-    potential name per branch.
+    Term ``order`` carries that many applications of the full operator
+    a . grad + V.
     """
 
     order: int
-    tags: tuple[str, ...]
     field: Field
     h10: float
     x: float
@@ -58,53 +49,6 @@ class DuhamelTerm:
     def __post_init__(self):
         if self.order < 0:
             raise ValueError("order must be nonnegative")
-        if len(self.tags) != self.order:
-            raise ValueError("need one operator tag per order")
-
-
-@dataclass(frozen=True)
-class ResonanceSample:
-    """Phase and multiplier bookkeeping at one frequency pair (xi, eta)."""
-
-    xi: tuple[float, float, float]
-    eta: tuple[float, float, float]
-    beta: float
-    phase_pot: float = field(init=False)
-    phase_bilin: float = field(init=False)
-    space_multiplier: tuple[float, float, float] = field(init=False)
-
-    def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
-        xi = np.asarray(self.xi, dtype=np.float64)
-        eta = np.asarray(self.eta, dtype=np.float64)
-        phase_pot = float(xi @ xi - eta @ eta)
-        phase_bilin = float(xi @ xi - eta @ eta - (xi - eta) @ (xi - eta))
-        # expansion identity: |xi|^2 - |eta|^2 - |xi-eta|^2 = 2 eta . (xi - eta)
-        scale = max(1.0, float(xi @ xi + eta @ eta))
-        if abs(phase_bilin - 2.0 * float(eta @ (xi - eta))) > 1e-12 * scale:
-            raise ValueError("bilinear phase identity violated")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mult = eta / float(eta @ eta) if eta @ eta > 0 else np.full(3, np.inf)
-        object.__setattr__(self, "phase_pot", phase_pot)
-        object.__setattr__(self, "phase_bilin", phase_bilin)
-        object.__setattr__(self, "space_multiplier", tuple(float(v) for v in mult))
-
-
-def resonance_classify(xi, eta, tol_space: float, tol_time: float) -> str:
-    """Space-resonant iff |eta| <= tol_space; time-resonant iff
-    ||xi|^2 - |eta|^2| <= tol_time; both at once only near the origin."""
-    xi = np.asarray(xi, dtype=np.float64)
-    eta = np.asarray(eta, dtype=np.float64)
-    space = float(np.sqrt(eta @ eta)) <= tol_space
-    time = abs(float(xi @ xi - eta @ eta)) <= tol_time
-    if space and time:
-        return SPACE_TIME_RESONANT
-    if space:
-        return SPACE_RESONANT
-    if time:
-        return TIME_RESONANT
-    return NONRESONANT
 
 
 def _born_ladder(u1: Field, ps: PotentialSet, order_max: int, t_end: float,
@@ -143,34 +87,12 @@ def born_terms(u1: Field, ps: PotentialSet, order_max: int, t: float,
         out.append(
             DuhamelTerm(
                 order=n,
-                tags=("a.grad+V",) * n,
                 field=f,
                 h10=float(sobolev_norm(f, 10)),
                 x=float(x_norm(f)),
             )
         )
     return out
-
-
-def born_term(u1: Field, ps: PotentialSet, n: int, t: float, dt: float, *,
-              check_refinement: bool = False) -> DuhamelTerm:
-    """Term n of the Born series at time t.
-
-    With check_refinement=True the term is recomputed at dt/2 and a change
-    of the H^10 size above 10% raises a quadrature-refinement error
-    carrying both values.
-    """
-    term = born_terms(u1, ps, n, t, dt)[n]
-    if check_refinement and n >= 1:
-        fine = born_terms(u1, ps, n, t, dt / 2.0)[n]
-        coarse_h10, fine_h10 = term.h10, fine.h10
-        scale = max(fine_h10, 1e-300)
-        if abs(coarse_h10 - fine_h10) / scale > 0.10:
-            raise QuadratureError(
-                f"Born term {n} changes by more than 10% under dt halving",
-                coarse_h10, fine_h10,
-            )
-    return term
 
 
 @dataclass(frozen=True)

@@ -32,14 +32,5 @@ class BlowupError(RlabError):
         )
 
 
-class QuadratureError(RlabError):
-    """A time quadrature failed its refinement check."""
-
-    def __init__(self, message, coarse, fine):
-        self.coarse = coarse
-        self.fine = fine
-        super().__init__(f"{message} (coarse {coarse:.6e}, refined {fine:.6e})")
-
-
 class ConfigError(RlabError):
     """An experiment configuration is missing keys or has invalid values."""

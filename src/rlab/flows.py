@@ -40,7 +40,6 @@ from .spectral import (
     free_propagate,
     l2_norm,
     write_snapshot,
-    read_snapshot,
 )
 
 logger = logging.getLogger(__name__)
@@ -70,9 +69,6 @@ class EvolveConfig:
     @property
     def n_steps(self) -> int:
         return _step_count(self.t_start, self.t_end, self.dt, "t_end")
-
-    def times(self) -> np.ndarray:
-        return self.t_start + self.dt * np.arange(self.n_steps + 1)
 
 
 @dataclass(frozen=True)
@@ -383,10 +379,3 @@ def save_trajectory(tr: Trajectory, directory, config_hash: str = "") -> list[st
     index_path.write_text(json.dumps(index, sort_keys=True, indent=1))
     return paths + [str(index_path)]
 
-
-def load_trajectory(directory) -> Trajectory:
-    directory = pathlib.Path(directory)
-    index = json.loads((directory / "index.json").read_text())
-    fields = [read_snapshot(directory / name) for name in index["snapshots"]]
-    return Trajectory(times=np.asarray(index["times"]), fields=fields,
-                      meta={"config_hash": index.get("config_hash", "")})

@@ -1,5 +1,5 @@
-"""Norms: Lebesgue, mixed-axis, space-time, Sobolev, the profile norms X
-and X', and the potential norm Y.
+"""Norms: Lebesgue, space-time (also mixed-axis), Sobolev, the profile
+norms X and X', and the potential norm Y.
 
 Conventions.  Physical integrals are Riemann sums with weight dx^3; the
 frequency-side L2 norm carries the Parseval weight dxi^3/(2 pi)^3 so both
@@ -92,15 +92,6 @@ class Trajectory:
     def grid(self) -> Grid:
         return self.fields[0].grid
 
-    @property
-    def uniform_dt(self) -> float | None:
-        if len(self.times) < 2:
-            return None
-        steps = np.diff(self.times)
-        if np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            return float(steps[0])
-        return None
-
 
 def _check_exponent(p, name="p"):
     if p != np.inf and p < 1:
@@ -120,26 +111,6 @@ def lebesgue_norm(f: Field, p: float) -> NormValue:
     a = np.abs(as_physical(f).data)
     val = float(np.sum(a**p) * f.grid.dx**3) ** (1.0 / p)
     return NormValue(val, f"L{p:g}", "")
-
-
-def mixed_norm(f: Field, axis: int, p_outer: float, q_inner: float) -> NormValue:
-    """|| ||f||_{L^q over the two transverse axes} ||_{L^p over x_axis}."""
-    if axis not in (0, 1, 2):
-        raise ValueError(f"axis must be 0, 1 or 2 (got {axis})")
-    _check_exponent(p_outer, "p_outer")
-    _check_exponent(q_inner, "q_inner")
-    a = np.abs(as_physical(f).data)
-    dx = f.grid.dx
-    transverse = tuple(i for i in range(3) if i != axis)
-    if q_inner == np.inf:
-        inner = np.max(a, axis=transverse)
-    else:
-        inner = (np.sum(a**q_inner, axis=transverse) * dx**2) ** (1.0 / q_inner)
-    if p_outer == np.inf:
-        val = float(np.max(inner))
-    else:
-        val = float(np.sum(inner**p_outer) * dx) ** (1.0 / p_outer)
-    return NormValue(val, f"L{p_outer:g}_x{axis + 1}_L{q_inner:g}_trans", "")
 
 
 def spacetime_norm(tr: Trajectory, p_t: float, q_x: float) -> NormValue:

@@ -242,22 +242,9 @@ class Symbol:
     def __call__(self, x1, x2, x3):
         return self.fn(x1, x2, x3)
 
-    def __mul__(self, other: "Symbol") -> "Symbol":
-        return Symbol(
-            lambda a, b, c: self.fn(a, b, c) * other.fn(a, b, c),
-            f"({self.label})*({other.label})",
-        )
-
 
 def identity_symbol() -> Symbol:
     return Symbol(lambda a, b, c: np.ones(np.broadcast_shapes(a.shape, b.shape, c.shape)), "1")
-
-
-def coordinate_symbol(axis: int) -> Symbol:
-    """The multiplier xi_j (axis is 0-based)."""
-    if axis not in (0, 1, 2):
-        raise ValueError(f"axis must be 0, 1 or 2 (got {axis})")
-    return Symbol(lambda a, b, c: (a, b, c)[axis] + 0.0, f"xi_{axis + 1}")
 
 
 def half_derivative_symbol(axis: int) -> Symbol:
@@ -314,11 +301,6 @@ def free_phase(grid: Grid, t: float) -> np.ndarray:
 def free_propagate(f: Field, t: float) -> Field:
     """Exact free Schroedinger flow e^{i t Laplacian}: multiplier e^{-i t |xi|^2}."""
     return apply_multiplier(f, free_phase(f.grid, t))
-
-
-def half_derivative(f: Field, axis: int) -> Field:
-    """The multiplier |xi_j|^(1/2) along one axis (0-based)."""
-    return apply_symbol(f, half_derivative_symbol(axis))
 
 
 def boundary_mass_fraction(f: Field) -> float:

@@ -11,7 +11,6 @@ from rlab.cli import (
     describe,
     main,
     run,
-    verify_manifest,
 )
 from rlab.errors import ConfigError
 
@@ -139,8 +138,10 @@ class TestConfig:
         out = tmp_path / "o"
         assert main(["run", "--config", str(p), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        if section == "grid":  # the grid is read before the run directory is made
-            assert not out.exists()
+        assert not out.exists()
+        with pytest.raises(ConfigError) as err:
+            cfg.override(section, key, value)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
     def test_shipped_configs_load(self, path):
@@ -191,13 +192,6 @@ class TestRun:
         cfg = ExperimentConfig.from_file(CONFIGS / "certify.ini")
         manifest = run(cfg, tmp_path / "out")
         assert manifest.passed
-        assert verify_manifest(tmp_path / "out" / "manifest.json")
-
-    def test_manifest_invalidated_by_deleting_artifact(self, tmp_path):
-        cfg = ExperimentConfig.from_file(CONFIGS / "certify.ini")
-        run(cfg, tmp_path / "out")
-        (tmp_path / "out" / "certificate.json").unlink()
-        assert not verify_manifest(tmp_path / "out" / "manifest.json")
 
     def test_usage_error_on_empty_config(self, tmp_path, capsys):
         p = tmp_path / "empty.ini"
@@ -391,6 +385,16 @@ class TestThreadsEnv:
         assert cfg.threads == 3
         cfg.override("run", "threads", 2)  # explicit key wins over the env
         assert cfg.threads == 2
+
+    def test_rlab_threads_not_an_integer_names_the_variable(self, tmp_path, monkeypatch,
+                                                          capsys):
+        monkeypatch.setenv("RLAB_THREADS", "two")
+        out = tmp_path / "o"
+        rc = main(["run", "--config", str(CONFIGS / "harness-strichartz.ini"),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: RLAB_THREADS = 'two' is not an integer\n"
+        assert not out.exists()
 
 
 class TestCliEntry:

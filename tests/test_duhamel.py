@@ -2,22 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
 
 from rlab import sampling
 from rlab.duhamel import (
     DuhamelTerm,
-    ResonanceSample,
-    born_term,
     born_terms,
     denominator_sweep,
     regularized_denominator_check,
-    resonance_classify,
     series_decay_report,
     wave_operator,
 )
-from rlab.errors import QuadratureError
 from rlab.potentials import PotentialSet, gaussian_potential, zero_potential_set
 from rlab.spectral import PHYSICAL, Field, free_propagate, l2_norm, make_grid
 
@@ -47,7 +41,7 @@ def potentials(grid):
 
 class TestBornTerm:
     def test_order_zero_is_free_flow(self, grid, datum, potentials):
-        term = born_term(datum, potentials, 0, 2.0, 0.05)
+        term = born_terms(datum, potentials, 0, 2.0, 0.05)[0]
         ref = free_propagate(datum, 1.0)
         assert np.max(np.abs(term.field.data - ref.data)) < 1e-12
 
@@ -60,14 +54,10 @@ class TestBornTerm:
         # the free term's profile e^{-i t Lap} term_0(t) is constant in t
         profiles = []
         for t in (1.5, 2.0, 3.0):
-            term = born_term(datum, potentials, 0, t, 0.05)
+            term = born_terms(datum, potentials, 0, t, 0.05)[0]
             profiles.append(free_propagate(term.field, -t).data)
         for p in profiles[1:]:
             assert np.max(np.abs(p - profiles[0])) < 1e-12
-
-    def test_tags_length_matches_order(self, grid, datum, potentials):
-        term = born_term(datum, potentials, 2, 1.5, 0.05)
-        assert term.order == 2 and len(term.tags) == 2
 
     def test_partial_sums_approach_the_flow(self, grid, datum, potentials):
         rep = series_decay_report(datum, potentials, 4, 2.0, 0.01,
@@ -75,21 +65,9 @@ class TestBornTerm:
         errs = rep.partial_sum_errors
         assert all(b < a for a, b in zip(errs[:4], errs[1:4]))
 
-    def test_refinement_check_raises_on_coarse_dt(self, grid, potentials):
-        # a fast band-2 datum over a long window with two quadrature panels
-        rng = np.random.default_rng(1)
-        fast = Field(grid, PHYSICAL,
-                     0.01 * sampling.localized_packet(grid, 2, rng, width=3.0).data)
-        with pytest.raises(QuadratureError):
-            born_term(fast, potentials, 1, 9.0, 4.0, check_refinement=True)
-
-    def test_refinement_check_passes_on_fine_dt(self, grid, datum, potentials):
-        term = born_term(datum, potentials, 1, 1.5, 0.01, check_refinement=True)
-        assert term.h10 > 0
-
     def test_rejects_invalid_order(self):
         with pytest.raises(ValueError):
-            DuhamelTerm(order=-1, tags=(), field=None, h10=0.0, x=0.0)
+            DuhamelTerm(order=-1, field=None, h10=0.0, x=0.0)
 
     def test_rejects_time_off_the_dt_ladder(self, datum, potentials):
         # (2 - 1) / 0.3 is not an integer step count
@@ -194,44 +172,3 @@ class TestRegularizedDenominator:
                                  tau_max_factor=8.0, dtau=5e-3)
         assert len(rows) == 4
         assert all(r["residual"] < 0.05 for r in rows)
-
-
-class TestResonanceClassify:
-    def test_origin_is_space_time_resonant(self):
-        assert resonance_classify((0, 0, 0), (0, 0, 0), 0.1, 0.1) == "space-time-resonant"
-
-    def test_equal_moduli_is_time_resonant(self):
-        out = resonance_classify((1, 0, 0), (0, 1, 0), 0.1, 0.1)
-        assert out == "time-resonant"
-
-    def test_generic_pair_is_nonresonant(self):
-        assert resonance_classify((2, 0, 0), (1, 0, 0), 0.1, 0.1) == "nonresonant"
-
-    def test_small_eta_is_space_resonant(self):
-        assert resonance_classify((2, 0, 0), (0.05, 0, 0), 0.1, 0.1) == "space-resonant"
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.floats(min_value=0.1, max_value=10.0))
-    def test_scale_consistency(self, lam):
-        xi = np.array([1.3, -0.4, 0.2])
-        eta = np.array([0.5, 0.1, -0.7])
-        base = resonance_classify(xi, eta, 0.6, 0.9)
-        scaled = resonance_classify(lam * xi, lam * eta, lam * 0.6, lam**2 * 0.9)
-        assert base == scaled
-
-
-class TestResonanceSample:
-    def test_phase_identity_holds(self):
-        s = ResonanceSample(xi=(1.0, 2.0, -0.5), eta=(0.3, -0.2, 1.1), beta=0.01)
-        xi = np.array(s.xi)
-        eta = np.array(s.eta)
-        assert abs(s.phase_bilin - 2 * float(eta @ (xi - eta))) < 1e-12
-        assert abs(s.phase_pot - (xi @ xi - eta @ eta)) < 1e-12
-
-    def test_space_multiplier(self):
-        s = ResonanceSample(xi=(0, 0, 0), eta=(2.0, 0, 0), beta=0.0)
-        assert_allclose(s.space_multiplier, (0.5, 0.0, 0.0))
-
-    def test_rejects_negative_beta(self):
-        with pytest.raises(ValueError):
-            ResonanceSample(xi=(1, 0, 0), eta=(0, 1, 0), beta=-0.1)

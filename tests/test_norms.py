@@ -10,7 +10,6 @@ from rlab.norms import (
     NormValue,
     Trajectory,
     lebesgue_norm,
-    mixed_norm,
     sobolev_norm,
     spacetime_norm,
     x_norm,
@@ -78,45 +77,6 @@ class TestLebesgue:
     def test_infinity_is_grid_max(self, grid16):
         f = random_field(grid16, 2)
         assert lebesgue_norm(f, np.inf) == np.max(np.abs(f.data))
-
-
-class TestMixedNorm:
-    def test_separable_factorization(self):
-        g = make_grid(16, 8.0)
-        f = field_from_function(
-            g, lambda a, b, c: np.exp(-(a**2)) * np.exp(-(b**2 + c**2) / 2)
-        )
-        got = mixed_norm(f, 0, 3.0, 2.0)
-        # 1d/2d factors computed on the same lattice
-        xs = g.axis_coords
-        g1 = np.exp(-(xs**2))
-        outer = (np.sum(np.abs(g1) ** 3) * g.dx) ** (1 / 3)
-        b, c = np.meshgrid(xs, xs, indexing="ij")
-        h = np.exp(-(b**2 + c**2) / 2)
-        inner = (np.sum(np.abs(h) ** 2) * g.dx**2) ** 0.5
-        assert_allclose(got, outer * inner, rtol=1e-10)
-
-    def test_equal_exponents_reduce_to_lebesgue(self, grid16):
-        f = random_field(grid16, 3)
-        assert_allclose(mixed_norm(f, 1, 4.0, 4.0), lebesgue_norm(f, 4), rtol=1e-12)
-
-    def test_against_nested_loop_oracle(self):
-        g = make_grid(8, 4.0)
-        f = random_field(g, 4)
-        got = mixed_norm(f, 2, 1.0, 2.0)
-        # brute force: inner L2 over (x1, x2), outer L1 over x3
-        acc = 0.0
-        for i3 in range(g.n):
-            inner = 0.0
-            for i1 in range(g.n):
-                for i2 in range(g.n):
-                    inner += abs(f.data[i1, i2, i3]) ** 2 * g.dx**2
-            acc += math.sqrt(inner) * g.dx
-        assert_allclose(got, acc, rtol=1e-12)
-
-    def test_rejects_bad_axis(self, grid16):
-        with pytest.raises(ValueError):
-            mixed_norm(random_field(grid16, 5), 3, 2.0, 2.0)
 
 
 class TestSpacetime:
@@ -269,7 +229,6 @@ class TestSharedProperties:
         lambda f: lebesgue_norm(f, 2),
         lambda f: lebesgue_norm(f, 6),
         lambda f: lebesgue_norm(f, np.inf),
-        lambda f: mixed_norm(f, 0, 1.0, 2.0),
         lambda f: sobolev_norm(f, 10),
         lambda f: x_norm(f),
         lambda f: x_prime_norm(f),
@@ -331,10 +290,3 @@ class TestTrajectoryType:
         f = random_field(grid16, 2)
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.5, 2.0]), fields=[f, f])
-
-    def test_uniform_dt_detection(self, grid16):
-        f = random_field(grid16, 3)
-        tr = Trajectory(times=np.array([1.0, 1.5, 2.0]), fields=[f, f, f])
-        assert tr.uniform_dt == 0.5
-        tr2 = Trajectory(times=np.array([1.0, 1.5, 2.7]), fields=[f, f, f])
-        assert tr2.uniform_dt is None

@@ -10,11 +10,9 @@ from rlab.spectral import (
     Symbol,
     apply_symbol,
     as_frequency,
-    coordinate_symbol,
     field_from_function,
     forward_transform,
     free_propagate,
-    half_derivative,
     half_derivative_symbol,
     inverse_transform,
     l2_norm,
@@ -108,16 +106,6 @@ class TestApplySymbol:
         out = apply_symbol(f, Symbol(lambda a, b, c: np.ones(()), "1"))
         assert_allclose(out.data, f.data, atol=1e-13 * np.max(np.abs(f.data)))
 
-    def test_coordinate_symbol_on_pure_mode(self):
-        g = make_grid(8, 2 * np.pi)
-        xi0 = (2.0, -1.0, 3.0)
-        f = field_from_function(
-            g, lambda x1, x2, x3: np.exp(1j * (xi0[0] * x1 + xi0[1] * x2 + xi0[2] * x3))
-        )
-        for axis in range(3):
-            out = apply_symbol(f, coordinate_symbol(axis))
-            assert_allclose(out.data, xi0[axis] * f.data, atol=1e-11)
-
     def test_singular_symbol_with_active_zero_mode(self, grid16):
         f = field_from_function(grid16, lambda a, b, c: np.ones_like(a + b + c))
         s = Symbol(lambda a, b, c: 1.0 / (a * a + b * b + c * c), "1/|xi|^2")
@@ -140,7 +128,7 @@ class TestApplySymbol:
         s1 = Symbol(lambda a, b, c: np.cos(a) + 2.0, "cos+2")
         s2 = Symbol(lambda a, b, c: b * b + 1.0, "xi2^2+1")
         seq = apply_symbol(apply_symbol(f, s1), s2)
-        fused = apply_symbol(f, s1 * s2)
+        fused = apply_symbol(f, Symbol(lambda a, b, c: s1(a, b, c) * s2(a, b, c), "product"))
         swapped = apply_symbol(apply_symbol(f, s2), s1)
         scale = np.max(np.abs(seq.data))
         assert np.max(np.abs(seq.data - fused.data)) < 1e-12 * scale
@@ -172,25 +160,26 @@ class TestHalfDerivative:
         f = field_from_function(
             g, lambda x1, x2, x3: np.exp(1j * (xi0[0] * x1 + xi0[1] * x2 + xi0[2] * x3))
         )
-        out = half_derivative(f, 0)
+        out = apply_symbol(f, half_derivative_symbol(0))
         assert_allclose(out.data, np.sqrt(3.0) * f.data, atol=1e-11)
 
     def test_vanishes_on_transverse_spectrum(self):
         g = make_grid(8, 2 * np.pi)
         f = field_from_function(g, lambda x1, x2, x3: np.exp(1j * (2 * x2 - x3)))
-        out = half_derivative(f, 0)  # spectrum sits at xi_1 = 0
+        out = apply_symbol(f, half_derivative_symbol(0))  # spectrum sits at xi_1 = 0
         assert np.max(np.abs(out.data)) < 1e-12
 
     def test_twice_equals_full_modulus(self, grid16):
         f = random_field(grid16, 7)
-        twice = half_derivative(half_derivative(f, 1), 1)
+        twice = apply_symbol(apply_symbol(f, half_derivative_symbol(1)), half_derivative_symbol(1))
         direct = apply_symbol(f, Symbol(lambda a, b, c: np.abs(b), "|xi_2|"))
         assert np.max(np.abs(twice.data - direct.data)) < 1e-12 * np.max(np.abs(f.data))
 
     def test_squares_to_symbol_product(self, grid16):
         s = half_derivative_symbol(2)
         f = random_field(grid16, 8)
-        assert np.max(np.abs(apply_symbol(f, s * s).data
+        square = Symbol(lambda a, b, c: s(a, b, c) * s(a, b, c), "|xi_3|^(1/2)^2")
+        assert np.max(np.abs(apply_symbol(f, square).data
                              - apply_symbol(f, Symbol(lambda a, b, c: np.abs(c), "|xi_3|")).data)) \
             < 1e-12 * np.max(np.abs(f.data))
 

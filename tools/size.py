@@ -1,4 +1,5 @@
-"""Size of the package: its line count and its count of settable values.
+"""Size of the package: its line count, its count of settable values and
+the top-level names nothing in it reads.
 
 Usage::
 
@@ -8,9 +9,12 @@ SRC_DIR (absolute, or relative to the checkout root) defaults to
 ``src/rlab``.  The line count is that of every ``*.py`` file in SRC_DIR
 (``cat src/rlab/*.py | wc -l``).  A settable value is a parameter with a
 default value (positional or keyword-only, in any function or method) or a
-field of a ``@dataclass``: each is a value a caller can set.  The script
-scans the source with ``ast`` and prints both counts, so a change can quote
-them before and after.
+field of a ``@dataclass``: each is a value a caller can set.  An unread
+name is a module-level function, class or assignment whose name no module
+of the package loads, imports or reads as an attribute (its own definition
+aside): only tests or outside callers can reach it.  The script scans the
+source with ``ast`` and prints the counts and the unread names, so a change
+can quote them before and after.
 """
 
 from __future__ import annotations
@@ -42,6 +46,26 @@ def settable_values(tree: ast.AST) -> tuple[int, int]:
     return defaults, fields
 
 
+def unread_names(trees: dict[str, ast.AST]) -> list[str]:
+    """``module.name`` of each top-level definition no module reads."""
+    defined, read = [], set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
 def main(argv) -> int:
     arg = argv[1] if len(argv) > 1 else "src/rlab"
     src = REPO / arg  # an absolute SRC_DIR replaces REPO
@@ -50,15 +74,21 @@ def main(argv) -> int:
         print(f"no Python files in {src}", file=sys.stderr)
         return 2
     lines = defaults = fields = 0
+    trees = {}
     for path in files:
         text = path.read_text()
         lines += len(text.splitlines())
-        d, f = settable_values(ast.parse(text))
+        trees[path.stem] = ast.parse(text)
+        d, f = settable_values(trees[path.stem])
         defaults += d
         fields += f
     print(f"{arg}: {lines} lines in {len(files)} files")
     print(f"settable values: {defaults} defaulted parameters + {fields} dataclass fields"
           f" = {defaults + fields}")
+    unread = unread_names(trees)
+    print(f"unread top-level names: {len(unread)}")
+    for name in unread:
+        print(f"  {name}")
     return 0
 
 
