@@ -507,9 +507,13 @@ def _lookup(scenario: str) -> Scenario:
 
 
 def run(cfg: ExperimentConfig, out_dir) -> RunManifest:
-    # a bad grid or RLAB_THREADS fails here, before the run directory exists
+    # a bad grid, RLAB_THREADS or count fails here, before the run directory exists
     grid = build_grid(cfg)
     cfg.threads
+    for key, least in (("samples", 1), ("orders", 2)):
+        value = cfg.getint("scenario", key)
+        if value is not None and value < least:
+            raise ConfigError(f"scenario.{key} = {value} must be at least {least}")
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(cfg, out)

@@ -169,12 +169,10 @@ def _time_ladder(grid: Grid, k: int, horizon: tuple[float, float] | None, nt: in
 
 def _free_ladder(grid: Grid, fhat: np.ndarray, times: np.ndarray,
                  multiplier: np.ndarray | None = None) -> Trajectory:
-    fields = []
-    for t in times:
-        U = free_phase(grid, t) * fhat
-        if multiplier is not None:
-            U = multiplier * U
-        fields.append(inverse_transform(Field(grid, FREQUENCY, U)))
+    if multiplier is not None:
+        fhat = multiplier * fhat
+    fields = [inverse_transform(Field(grid, FREQUENCY, free_phase(grid, t) * fhat))
+              for t in times]
     return Trajectory(times=times, fields=fields)
 
 

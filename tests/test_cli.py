@@ -143,6 +143,23 @@ class TestConfig:
             cfg.override(section, key, value)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("config, old, new, message", [
+        ("harness-strichartz.ini", "samples = 8", "samples = 0",
+         "scenario.samples = 0 must be at least 1"),
+        ("born-series.ini", "orders = 6", "orders = 1",
+         "scenario.orders = 1 must be at least 2"),
+    ])
+    def test_count_below_its_least_value_names_its_key(self, tmp_path, capsys, config,
+                                                       old, new, message):
+        text = (CONFIGS / config).read_text()
+        assert old in text
+        p = tmp_path / "counted.ini"
+        p.write_text(text.replace(old, new))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
     def test_shipped_configs_load(self, path):
         ExperimentConfig.from_file(path)

@@ -12,6 +12,7 @@ from rlab.spectral import (
     as_frequency,
     field_from_function,
     forward_transform,
+    free_phase,
     free_propagate,
     half_derivative_symbol,
     inverse_transform,
@@ -133,6 +134,25 @@ class TestApplySymbol:
         scale = np.max(np.abs(seq.data))
         assert np.max(np.abs(seq.data - fused.data)) < 1e-12 * scale
         assert np.max(np.abs(seq.data - swapped.data)) < 1e-12 * scale
+
+
+PHASE_GRIDS = [(16, 16.0), (32, 32.0), (64, 64.0), (64, 201.06)]
+
+
+class TestFreePhase:
+    @pytest.mark.parametrize("n,L", PHASE_GRIDS)
+    def test_matches_full_grid_exponential(self, n, L):
+        g = make_grid(n, L)
+        for t in np.linspace(-16.0, 16.0, 33):
+            p = free_phase(g, t)
+            assert np.max(np.abs(p - np.exp(-1j * t * g.xi_squared))) <= 2e-13
+            assert np.max(np.abs(np.abs(p) - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("n,L", PHASE_GRIDS)
+    def test_t_zero_is_exactly_one(self, n, L):
+        p = free_phase(make_grid(n, L), 0.0)
+        assert p.shape == (n, n, n)
+        assert np.all(p == 1.0)
 
 
 class TestFreePropagate:

@@ -12,6 +12,19 @@ every manifest value and assertion, and the digest of every artifact.  Run
 it once against the parent's ``src`` and once against a change's; an empty
 ``diff`` of the two outputs shows that the change left every output byte as
 it was.
+
+A change that moves outputs by roundoff only (a reordered product, a
+factored kernel) cannot pass that ``diff``.  Compare the two sweeps run by
+run instead::
+
+    python -m rlab.cli compare OLD/NAME/manifest.json NEW/NAME/manifest.json
+
+for each NAME.  ``compare`` lists every manifest value that moved with its
+b/a ratio, every assertion that flipped, and each artifact whose digest
+changed.  Record the largest |b/a - 1| per config.  No ``assertion:`` row
+may appear.  A ratio far above roundoff (say 1e-9) is acceptable only for a
+value that is itself a roundoff-level quantity, such as a difference of
+nearly equal numbers.
 """
 
 from __future__ import annotations
