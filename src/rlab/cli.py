@@ -48,7 +48,7 @@ from .flows import (BootstrapParams, EvolveConfig, evolve_linear, evolve_nonline
                     save_trajectory)
 from .norms import sobolev_norm, x_norm
 from .potentials import PotentialSet, certify, gaussian_potential, rescale_to_delta
-from .spectral import Field, Grid, free_propagate, identity_symbol, l2_norm, make_grid
+from .spectral import Field, Grid, free_propagate, l2_norm, make_grid
 from .sampling import normalized, sample_rng
 
 ACCEPTED_KEYS = {
@@ -479,7 +479,8 @@ SCENARIOS: dict[str, Scenario] = {
     "harness:bilin": Scenario(
         "Bilinear multiplier bound with the L1 kernel quadrature on the right side.",
         _harness(lambda cfg, grid: check_bilinear(
-            grid, identity_symbol(), identity_symbol(), 2.0, 2.0, 1.0, **_sampled(cfg))),
+            grid, np.ones(grid.shape), np.ones(grid.shape), 2.0, 2.0, 1.0,
+            **_sampled(cfg))),
     ),
     "harness:direction": Scenario(
         "Dominant-direction partition of frequency space (chi_1 + chi_2 + chi_3 = 1).",
@@ -515,9 +516,16 @@ def run(cfg: ExperimentConfig, out_dir) -> RunManifest:
         if value is not None and value < least:
             raise ConfigError(f"scenario.{key} = {value} must be at least {least}")
     out = pathlib.Path(out_dir)
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(cfg, out)
-    _lookup(cfg.scenario).runner(cfg, grid, manifest, out)
+    try:
+        _lookup(cfg.scenario).runner(cfg, grid, manifest, out)
+    except Exception:
+        # a runner that fails on a config value leaves no empty run directory
+        if created and not any(out.iterdir()):
+            out.rmdir()
+        raise
     manifest.write()
     return manifest
 

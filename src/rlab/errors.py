@@ -5,19 +5,6 @@ class RlabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class SingularSymbolError(RlabError):
-    """A Fourier multiplier is non-finite at a mode the field actually uses."""
-
-    def __init__(self, label, mode, xi):
-        self.label = label
-        self.mode = tuple(int(m) for m in mode)
-        self.xi = tuple(float(v) for v in xi)
-        super().__init__(
-            f"symbol {label!r} is non-finite at active mode {self.mode} "
-            f"(xi = {self.xi})"
-        )
-
-
 class BlowupError(RlabError):
     """The time stepper detected an unphysical jump of the L2 mass."""
 

@@ -36,12 +36,11 @@ from .spectral import (
     FREQUENCY,
     Field,
     Grid,
-    Symbol,
-    apply_symbol,
+    apply_multiplier,
     as_frequency,
     as_physical,
     free_phase,
-    half_derivative_symbol,
+    half_derivative_weight,
     inverse_transform,
     l2_norm,
 )
@@ -260,7 +259,7 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
     elif variant == "inhomogeneous":
         mult = np.abs(grid.freq_mesh[axis])
     else:
-        mult = half_derivative_symbol(axis)(*grid.freq_mesh)
+        mult = half_derivative_weight(grid, axis)
     if variant == "homogeneous":
         def one(i):
             f = sampling.localized_packet(grid, band, sampling.sample_rng(seed, i),
@@ -310,7 +309,7 @@ def smoothing_band_signature(grid: Grid, axis: int, ks, *,
     """
     ks = list(ks)
     times = _time_ladder(grid, max(ks), horizon, nt)
-    mult = half_derivative_symbol(axis)(*grid.freq_mesh)
+    mult = half_derivative_weight(grid, axis)
     rows = []
     for k in ks:
         f = sampling.directed_band_kernel(grid, k, axis)
@@ -333,7 +332,7 @@ def check_smoothing_strichartz(grid: Grid, pair, axis: int, samples: int, *,
     ||F||_{L^{p'}_t L^{q'}_x} for an admissible pair (p, q)."""
     pair = pair if isinstance(pair, AdmissiblePair) else AdmissiblePair(*pair)
     times = _time_ladder(grid, band, horizon, nt)
-    mult = half_derivative_symbol(axis)(*grid.freq_mesh)
+    mult = half_derivative_weight(grid, axis)
     pp, qq = conjugate_exponent(pair.p), conjugate_exponent(pair.q)
 
     def one(i):
@@ -382,22 +381,23 @@ def check_dispersive_decay(grid: Grid, k: int,
 
 # ---------------------------------------------------------------- bilinear
 
-def bilinear_apply(f: Field, g: Field, m1: Symbol, m2: Symbol) -> Field:
+def bilinear_apply(f: Field, g: Field, m1: np.ndarray, m2: np.ndarray) -> Field:
     """(2 pi)^-3-normalized bilinear operator with separable symbol
-    m(xi, eta) = m1(xi - eta) m2(eta): reduces to (m1(D) f) * (m2(D) g)."""
-    a = as_physical(apply_symbol(as_physical(f), m1))
-    b = as_physical(apply_symbol(as_physical(g), m2))
+    m(xi, eta) = m1(xi - eta) m2(eta): reduces to (m1(D) f) * (m2(D) g),
+    m1 and m2 multiplier arrays on the grid's modes."""
+    a = apply_multiplier(as_physical(f), m1)
+    b = apply_multiplier(as_physical(g), m2)
     return Field(f.grid, "physical", a.data * b.data)
 
 
-def kernel_l1_norm(grid: Grid, s: Symbol) -> float:
-    """L1 norm of the physical kernel of a multiplier, by direct quadrature."""
-    vals = np.broadcast_to(np.asarray(s(*grid.freq_mesh)), grid.shape)
+def kernel_l1_norm(grid: Grid, m: np.ndarray) -> float:
+    """L1 norm of the physical kernel of a multiplier array, by direct quadrature."""
+    vals = np.broadcast_to(m, grid.shape)
     kern = inverse_transform(Field(grid, FREQUENCY, vals.astype(np.complex128)))
     return float(np.sum(np.abs(kern.data)) * grid.dx**3)
 
 
-def check_bilinear(grid: Grid, m1: Symbol, m2: Symbol, p: float, q: float,
+def check_bilinear(grid: Grid, m1: np.ndarray, m2: np.ndarray, p: float, q: float,
                    r: float, samples: int, *, seed: int = 0,
                    threads: int = 1) -> EstimateReport:
     """||B(f, g)||_{L^r} against ||F^-1 m||_{L^1} ||f||_{L^p} ||g||_{L^q},
@@ -421,8 +421,7 @@ def check_bilinear(grid: Grid, m1: Symbol, m2: Symbol, p: float, q: float,
     ratios = _map_samples(one, samples, threads)
     return _make_report(
         "bilin", ratios, "band-flat k in [-3,3]", grid, None, seed,
-        extras={"p": p, "q": q, "r": r, "kernel_l1": kernel,
-                "m1": m1.label, "m2": m2.label},
+        extras={"p": p, "q": q, "r": r, "kernel_l1": kernel},
     )
 
 

@@ -108,14 +108,16 @@ def _step_count(t_start: float, t_end: float, dt: float, what: str) -> int:
 
 
 class _PotentialOperator:
-    """L u = a . grad u + V u, pseudo-spectral, on raw physical arrays."""
+    """L u = c u + sum_j b_j d_j u, pseudo-spectral, on raw physical arrays.
+
+    The coefficients c = v_data and b_j = a_data[j] are stored as given,
+    real or complex; an identically zero one is skipped.
+    """
 
     def __init__(self, grid: Grid, v_data: np.ndarray, a_data: list[np.ndarray]):
         self.grid = grid
-        self.v = v_data.real if np.any(v_data) else None
-        self.a = [
-            (j, a_data[j].real) for j in range(3) if np.any(a_data[j])
-        ]
+        self.v = v_data if np.any(v_data) else None
+        self.a = [(j, a_data[j]) for j in range(3) if np.any(a_data[j])]
         self._ixi = [1j * grid.freq_mesh[j] for j in range(3)]
 
     @property
@@ -199,7 +201,7 @@ def _linear_operator(ps: PotentialSet, skip_certification: bool) -> _PotentialOp
     if not (skip_certification or ps.is_zero or certify(ps, ps.delta_target).passed):
         raise ValueError("potential set fails its smallness certificate at delta = "
                          f"{ps.delta_target}; pass skip_certification=True to override")
-    return _PotentialOperator(ps.grid, ps.v.data, [ai.data for ai in ps.a])
+    return _PotentialOperator(ps.grid, ps.v.data.real, [ai.data.real for ai in ps.a])
 
 
 def _linear_substep(op: _PotentialOperator):
@@ -321,17 +323,9 @@ def evolve_hamiltonian(u1: Field, a: tuple[Field, Field, Field], v: Field,
     for j in range(3):
         div_a += np.fft.ifftn(ixi[j] * np.fft.fftn(a_data[j])).real
     a_sq = sum(aj * aj for aj in a_data)
-    c0 = 1j * div_a + a_sq + v_data
-
-    def rhs(u):
-        uhat = np.fft.fftn(u)
-        acc = c0 * u
-        for j in range(3):
-            if np.any(a_data[j]):
-                acc += 2j * a_data[j] * np.fft.ifftn(ixi[j] * uhat)
-        return -1j * acc
-
-    tr = _evolve(u1, cfg, _rk2_substep(rhs))
+    # H_A - (-Laplacian) = (i div A + |A|^2 + V) + sum_j 2i A_j d_j
+    op = _PotentialOperator(grid, 1j * div_a + a_sq + v_data, [2j * aj for aj in a_data])
+    tr = _evolve(u1, cfg, _rk2_substep(lambda u: -1j * op(u)))
     masses, energies = [], []
     for f in tr.fields:
         masses.append(l2_norm(f))

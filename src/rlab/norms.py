@@ -30,7 +30,7 @@ from .spectral import (
     Grid,
     as_frequency,
     as_physical,
-    bessel_symbol,
+    bessel_weight,
     boundary_mass_fraction,
     inverse_transform,
 )
@@ -173,7 +173,7 @@ def sobolev_norm(f: Field, s: float) -> NormValue:
     g = f.grid
     w = g.dxi**3 / (2.0 * np.pi) ** 3
     val = float(
-        np.sqrt(np.sum(bessel_symbol(2 * s)(*g.freq_mesh) * np.abs(fhat.data) ** 2) * w)
+        np.sqrt(np.sum(bessel_weight(g, 2 * s) * np.abs(fhat.data) ** 2) * w)
     )
     return NormValue(val, f"H{s:g}", "")
 

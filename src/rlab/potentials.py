@@ -21,10 +21,10 @@ from .spectral import (
     PHYSICAL,
     Field,
     Grid,
-    apply_symbol,
+    apply_multiplier,
     as_frequency,
     as_physical,
-    bessel_symbol,
+    bessel_weight,
     zero_field,
 )
 
@@ -118,7 +118,7 @@ def _triple(w: Field) -> dict:
     return {
         "y": float(y_norm(w)),
         "y_weighted": float(y_norm(_x_weight(w))),
-        "y_smooth": float(y_norm(apply_symbol(w, bessel_symbol(10)))),  # (1-Delta)^5 w
+        "y_smooth": float(y_norm(apply_multiplier(w, bessel_weight(w.grid, 10)))),  # (1-Delta)^5 w
     }
 
 
@@ -126,7 +126,7 @@ def _nyquist_tail_note(f: Field, name: str) -> str | None:
     # (1-Delta)^5 is under-resolved when the weighted spectrum leans on Nyquist
     g = f.grid
     fhat = as_frequency(f)
-    weighted = bessel_symbol(10)(*g.freq_mesh) * np.abs(fhat.data) ** 2
+    weighted = bessel_weight(g, 10) * np.abs(fhat.data) ** 2
     m = np.abs(g.axis_freqs)
     hi = m >= 0.8 * g.nyquist
     shell = hi[:, None, None] | hi[None, :, None] | hi[None, None, :]

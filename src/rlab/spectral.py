@@ -25,8 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SingularSymbolError
-
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
 
@@ -119,11 +117,6 @@ class Grid:
         return (
             keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
         )
-
-    def mode_index(self, flat_index: int) -> tuple[int, ...]:
-        """Integer mode numbers (m1, m2, m3) of a flattened frequency index."""
-        idx = np.unravel_index(flat_index, self.shape)
-        return tuple(int(self.modes[i]) for i in idx)
 
 
 def make_grid(n: int, length: float) -> Grid:
@@ -228,39 +221,17 @@ def inner_product(f: Field, g: Field) -> complex:
     return complex(np.sum(f.data * np.conj(g.data)) * w)
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """Pure Fourier multiplier xi -> s(xi).
-
-    ``fn`` takes the three broadcastable frequency meshes and returns the
-    multiplier values; evaluation must be deterministic.
-    """
-
-    fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    label: str
-
-    def __call__(self, x1, x2, x3):
-        return self.fn(x1, x2, x3)
-
-
-def identity_symbol() -> Symbol:
-    return Symbol(lambda a, b, c: np.ones(np.broadcast_shapes(a.shape, b.shape, c.shape)), "1")
-
-
-def half_derivative_symbol(axis: int) -> Symbol:
+def half_derivative_weight(grid: Grid, axis: int) -> np.ndarray:
+    """|xi_j|^(1/2) along axis j, broadcastable to the grid."""
     if axis not in (0, 1, 2):
         raise ValueError(f"axis must be 0, 1 or 2 (got {axis})")
-    return Symbol(
-        lambda a, b, c: np.sqrt(np.abs((a, b, c)[axis])), f"|xi_{axis + 1}|^(1/2)"
-    )
+    return np.sqrt(np.abs(grid.freq_mesh[axis]))
 
 
-def bessel_symbol(s: float) -> Symbol:
-    """(1 + |xi|^2)^(s/2), the Sobolev weight of order s."""
-    return Symbol(
-        lambda a, b, c: (1.0 + (a * a + b * b + c * c)) ** (s / 2.0),
-        f"(1+|xi|^2)^{s / 2:g}",
-    )
+def bessel_weight(grid: Grid, s: float) -> np.ndarray:
+    """(1 + |xi|^2)^(s/2), the Sobolev weight of order s, on the grid's modes."""
+    a, b, c = grid.freq_mesh
+    return (1.0 + (a * a + b * b + c * c)) ** (s / 2.0)
 
 
 def apply_multiplier(f: Field, m: np.ndarray) -> Field:
@@ -268,29 +239,6 @@ def apply_multiplier(f: Field, m: np.ndarray) -> Field:
     grid's modes (broadcastable to the grid); returns the caller's representation."""
     out = Field(f.grid, FREQUENCY, m * as_frequency(f).data)
     return out if f.rep == FREQUENCY else inverse_transform(out)
-
-
-def apply_symbol(f: Field, s: Symbol) -> Field:
-    """apply_multiplier with the symbol's values on the grid's modes.
-
-    A non-finite symbol value at a mode carrying a nonzero coefficient
-    raises SingularSymbolError; non-finite values at inactive modes
-    contribute zero.
-    """
-    g = f.grid
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = np.asarray(s(*g.freq_mesh))
-    vals = np.broadcast_to(vals, g.shape)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        offenders = bad & (as_frequency(f).data != 0)
-        if offenders.any():
-            flat = int(np.flatnonzero(offenders.ravel())[0])
-            idx = np.unravel_index(flat, g.shape)
-            xi = tuple(float(g.axis_freqs[i]) for i in idx)
-            raise SingularSymbolError(s.label, g.mode_index(flat), xi)
-        vals = np.where(bad, 0.0, vals)
-    return apply_multiplier(f, vals)
 
 
 def free_phase(grid: Grid, t: float) -> np.ndarray:

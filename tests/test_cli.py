@@ -18,6 +18,9 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
 SHIPPED = sorted(CONFIGS.glob("*.ini")) + [REPO / "perfbench" / "harness-64.ini"]
 MINIMAL = "[run]\nscenario = {}\nseed = 1\n[grid]\nn = 8\nL = 8.0\n"
+# the grid is wide enough that the smoothing horizon stays before wrap-around
+BAD_AXIS = ("[run]\nscenario = harness:smo1\nseed = 1\n[grid]\nn = 16\nL = 32.0\n"
+            "[scenario]\naxis = 3\n")
 SHIPPED_POTENTIAL = """
 [potential]
 width = 4.0
@@ -159,6 +162,30 @@ class TestConfig:
         assert main(["run", "--config", str(p), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (BAD_AXIS, "axis must be 0, 1 or 2 (got 3)"),
+        (MINIMAL.format("harness:ik-smostri") + "[scenario]\np = 3\nq = 3\n",
+         "(3.0, 3.0) is not Strichartz admissible"),
+        ((CONFIGS / "simulate-nonlinear.ini").read_text().replace(
+            "dealias = two-thirds", "dealias = bogus"), "unknown dealias mode 'bogus'"),
+    ], ids=["axis", "pair", "dealias"])
+    def test_runner_error_leaves_no_run_directory(self, tmp_path, capsys, text, message):
+        p = tmp_path / "bad.ini"
+        p.write_text(text)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_runner_error_keeps_an_existing_empty_directory(self, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text(BAD_AXIS)
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert "axis must be 0, 1 or 2" in capsys.readouterr().err
+        assert out.is_dir() and not any(out.iterdir())
 
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
     def test_shipped_configs_load(self, path):

@@ -26,9 +26,7 @@ from rlab.spectral import (
     FREQUENCY,
     PHYSICAL,
     Field,
-    Symbol,
     as_frequency,
-    identity_symbol,
     inverse_transform,
     l2_norm,
     make_grid,
@@ -204,13 +202,13 @@ class TestSmoothingStrichartz:
         # doubling the forcing doubles numerator and denominator alike
         from rlab.estimates import _duhamel_ladder
         from rlab.norms import spacetime_norm
-        from rlab.spectral import half_derivative_symbol
+        from rlab.spectral import half_derivative_weight
 
         g = grid32
         times = np.linspace(1.0, 2.5, 10)
         rng = sampling.sample_rng(8, 0)
         base = sampling.localized_packet(g, 1, rng, width=3.0)
-        mult = half_derivative_symbol(0)(*g.freq_mesh)
+        mult = half_derivative_weight(g, 0)
 
         def ratio(scale):
             forcing = [Field(g, PHYSICAL, scale * np.cos(1.1 * t) * base.data)
@@ -257,18 +255,14 @@ class TestDispersive:
 
 class TestBilinear:
     def test_identity_symbol_reduces_to_hoelder(self, grid):
-        rep = check_bilinear(grid, identity_symbol(), identity_symbol(),
-                             2.0, 2.0, 1.0, 6, seed=1)
+        one = np.ones(grid.shape)
+        rep = check_bilinear(grid, one, one, 2.0, 2.0, 1.0, 6, seed=1)
         assert rep.extras["kernel_l1"] == pytest.approx(1.0, abs=1e-10)
         assert rep.max_ratio <= 1.0 + 1e-10
 
     def test_band_symbol_bounded_by_kernel_quadrature(self, grid):
-        prof = bands.build_band_profile()
-        Pk = Symbol(
-            lambda a, b, c: prof.phi(np.sqrt(a * a + b * b + c * c) * bands.BASE ** (-2)),
-            "band-2",
-        )
-        rep = check_bilinear(grid, identity_symbol(), Pk, 2.0, 2.0, 1.0, 6, seed=1)
+        Pk = bands.band_multiplier(grid, 2)
+        rep = check_bilinear(grid, np.ones(grid.shape), Pk, 2.0, 2.0, 1.0, 6, seed=1)
         # normalized ratio stays below the kernel bound (10% numerical slack)
         assert rep.max_ratio <= 1.1
 
@@ -277,12 +271,13 @@ class TestBilinear:
 
         z = zero_field(grid)
         f = sampling.band_flat_field(grid, -2, 2, sampling.sample_rng(0, 0))
-        out = bilinear_apply(f, z, identity_symbol(), identity_symbol())
+        one = np.ones(grid.shape)
+        out = bilinear_apply(f, z, one, one)
         assert np.all(out.data == 0)
 
     def test_rejects_non_hoelder_exponents(self, grid):
         with pytest.raises(ValueError):
-            check_bilinear(grid, identity_symbol(), identity_symbol(),
+            check_bilinear(grid, np.ones(grid.shape), np.ones(grid.shape),
                            2.0, 2.0, 2.0, 2)
 
     def test_ratio_invariant_under_scaling(self, grid):
@@ -291,11 +286,12 @@ class TestBilinear:
 
         f = sampling.band_flat_field(grid, -2, 2, sampling.sample_rng(2, 0))
         g_ = sampling.band_flat_field(grid, -2, 2, sampling.sample_rng(2, 1))
-        B1 = bilinear_apply(f, g_, identity_symbol(), identity_symbol())
+        one = np.ones(grid.shape)
+        B1 = bilinear_apply(f, g_, one, one)
         r1 = lebesgue_norm(B1, 1) / (lebesgue_norm(f, 2) * lebesgue_norm(g_, 2))
         f2 = Field(grid, PHYSICAL, 2.0 * f.data)
         g2 = Field(grid, PHYSICAL, 2.0 * g_.data)
-        B2 = bilinear_apply(f2, g2, identity_symbol(), identity_symbol())
+        B2 = bilinear_apply(f2, g2, one, one)
         r2 = lebesgue_norm(B2, 1) / (lebesgue_norm(f2, 2) * lebesgue_norm(g2, 2))
         assert abs(r1 - r2) <= 1e-10 * r1
 

@@ -10,6 +10,8 @@ from rlab import sampling
 from rlab.errors import BlowupError
 from rlab.flows import (
     BootstrapParams,
+    _linear_operator,
+    _PotentialOperator,
     _step_count,
     _strang_loop,
     EvolveConfig,
@@ -91,6 +93,25 @@ class TestBootstrapParams:
     def test_rejects_amplification_below_one(self):
         with pytest.raises(ValueError):
             BootstrapParams(eps0=0.01, amplification=0.5, delta=0.1)
+
+
+class TestPotentialOperator:
+    def test_complex_coefficients_on_a_grid_mode(self, grid):
+        # on u = e^{ik.x} the operator is multiplication by c + i sum_j b_j k_j
+        rng = np.random.default_rng(3)
+        c, b1, b2, b3 = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+                         for _ in range(4))
+        k = grid.dxi * np.array([2.0, -3.0, 1.0])
+        x1, x2, x3 = grid.coord_mesh
+        u = np.exp(1j * (k[0] * x1 + k[1] * x2 + k[2] * x3))
+        out = _PotentialOperator(grid, c, [b1, b2, b3])(u)
+        expected = (c + 1j * (b1 * k[0] + b2 * k[1] + b3 * k[2])) * u
+        assert np.max(np.abs(out - expected)) <= 1e-12
+
+    def test_linear_operator_stores_real_coefficients(self, potentials):
+        op = _linear_operator(potentials, skip_certification=True)
+        assert op.v.dtype == np.float64
+        assert len(op.a) == 3 and all(aj.dtype == np.float64 for _, aj in op.a)
 
 
 class TestEvolveLinear:

@@ -20,8 +20,8 @@ from rlab.spectral import (
     FREQUENCY,
     PHYSICAL,
     Field,
-    apply_symbol,
-    bessel_symbol,
+    apply_multiplier,
+    bessel_weight,
     field_from_function,
     forward_transform,
     free_propagate,
@@ -123,7 +123,7 @@ class TestSobolev:
 
     def test_matches_multiplier_oracle(self, grid16):
         f = random_field(grid16, 10)
-        direct = l2_norm(apply_symbol(f, bessel_symbol(10)))
+        direct = l2_norm(apply_multiplier(f, bessel_weight(grid16, 10)))
         assert_allclose(sobolev_norm(f, 10), direct, rtol=1e-12)
 
 

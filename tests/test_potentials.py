@@ -13,8 +13,8 @@ from rlab.potentials import (
 from rlab.spectral import (
     PHYSICAL,
     Field,
-    apply_symbol,
-    bessel_symbol,
+    apply_multiplier,
+    bessel_weight,
     field_from_function,
     make_grid,
     zero_field,
@@ -96,7 +96,7 @@ class TestCertify:
         w = np.sqrt(1.0 + np.broadcast_to(grid.radius_squared, grid.shape))
         weighted = Field(grid, PHYSICAL, w * v.data)
         assert_allclose(cert.entries["V"]["y_weighted"], float(y_norm(weighted)), rtol=1e-12)
-        smooth = apply_symbol(v, bessel_symbol(10))  # (1+|xi|^2)^5
+        smooth = apply_multiplier(v, bessel_weight(grid, 10))  # (1+|xi|^2)^5
         assert_allclose(cert.entries["V"]["y_smooth"], float(y_norm(smooth)), rtol=1e-12)
         for name in ("a1", "a2", "a3", "a1^2", "a2^2", "a3^2"):
             assert cert.entries[name]["y"] == 0.0

@@ -2,19 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rlab.errors import SingularSymbolError
 from rlab.spectral import (
     FREQUENCY,
     PHYSICAL,
     Field,
-    Symbol,
-    apply_symbol,
-    as_frequency,
+    apply_multiplier,
     field_from_function,
     forward_transform,
     free_phase,
     free_propagate,
-    half_derivative_symbol,
+    half_derivative_weight,
     inverse_transform,
     l2_norm,
     make_grid,
@@ -104,33 +101,17 @@ class TestTransforms:
 class TestApplySymbol:
     def test_identity_symbol(self, grid16):
         f = random_field(grid16, 1)
-        out = apply_symbol(f, Symbol(lambda a, b, c: np.ones(()), "1"))
+        out = apply_multiplier(f, np.ones(()))
         assert_allclose(out.data, f.data, atol=1e-13 * np.max(np.abs(f.data)))
-
-    def test_singular_symbol_with_active_zero_mode(self, grid16):
-        f = field_from_function(grid16, lambda a, b, c: np.ones_like(a + b + c))
-        s = Symbol(lambda a, b, c: 1.0 / (a * a + b * b + c * c), "1/|xi|^2")
-        with pytest.raises(SingularSymbolError) as err:
-            apply_symbol(f, s)
-        assert err.value.mode == (0, 0, 0)
-
-    def test_singular_symbol_with_inactive_zero_mode(self, grid16):
-        # zero out the singular mode first: no error, singular value ignored
-        f = as_frequency(random_field(grid16, 2))
-        data = np.array(f.data)
-        data[0, 0, 0] = 0.0
-        f = Field(grid16, FREQUENCY, data)
-        s = Symbol(lambda a, b, c: 1.0 / (a * a + b * b + c * c), "1/|xi|^2")
-        out = apply_symbol(f, s)
-        assert np.isfinite(out.data).all()
 
     def test_multipliers_commute_and_compose(self, grid16):
         f = random_field(grid16, 3)
-        s1 = Symbol(lambda a, b, c: np.cos(a) + 2.0, "cos+2")
-        s2 = Symbol(lambda a, b, c: b * b + 1.0, "xi2^2+1")
-        seq = apply_symbol(apply_symbol(f, s1), s2)
-        fused = apply_symbol(f, Symbol(lambda a, b, c: s1(a, b, c) * s2(a, b, c), "product"))
-        swapped = apply_symbol(apply_symbol(f, s2), s1)
+        x1, x2, _ = grid16.freq_mesh
+        m1 = np.cos(x1) + 2.0
+        m2 = x2 * x2 + 1.0
+        seq = apply_multiplier(apply_multiplier(f, m1), m2)
+        fused = apply_multiplier(f, m1 * m2)
+        swapped = apply_multiplier(apply_multiplier(f, m2), m1)
         scale = np.max(np.abs(seq.data))
         assert np.max(np.abs(seq.data - fused.data)) < 1e-12 * scale
         assert np.max(np.abs(seq.data - swapped.data)) < 1e-12 * scale
@@ -180,27 +161,27 @@ class TestHalfDerivative:
         f = field_from_function(
             g, lambda x1, x2, x3: np.exp(1j * (xi0[0] * x1 + xi0[1] * x2 + xi0[2] * x3))
         )
-        out = apply_symbol(f, half_derivative_symbol(0))
+        out = apply_multiplier(f, half_derivative_weight(g, 0))
         assert_allclose(out.data, np.sqrt(3.0) * f.data, atol=1e-11)
 
     def test_vanishes_on_transverse_spectrum(self):
         g = make_grid(8, 2 * np.pi)
         f = field_from_function(g, lambda x1, x2, x3: np.exp(1j * (2 * x2 - x3)))
-        out = apply_symbol(f, half_derivative_symbol(0))  # spectrum sits at xi_1 = 0
+        out = apply_multiplier(f, half_derivative_weight(g, 0))  # spectrum sits at xi_1 = 0
         assert np.max(np.abs(out.data)) < 1e-12
 
     def test_twice_equals_full_modulus(self, grid16):
         f = random_field(grid16, 7)
-        twice = apply_symbol(apply_symbol(f, half_derivative_symbol(1)), half_derivative_symbol(1))
-        direct = apply_symbol(f, Symbol(lambda a, b, c: np.abs(b), "|xi_2|"))
+        half = half_derivative_weight(grid16, 1)
+        twice = apply_multiplier(apply_multiplier(f, half), half)
+        direct = apply_multiplier(f, np.abs(grid16.freq_mesh[1]))
         assert np.max(np.abs(twice.data - direct.data)) < 1e-12 * np.max(np.abs(f.data))
 
     def test_squares_to_symbol_product(self, grid16):
-        s = half_derivative_symbol(2)
+        half = half_derivative_weight(grid16, 2)
         f = random_field(grid16, 8)
-        square = Symbol(lambda a, b, c: s(a, b, c) * s(a, b, c), "|xi_3|^(1/2)^2")
-        assert np.max(np.abs(apply_symbol(f, square).data
-                             - apply_symbol(f, Symbol(lambda a, b, c: np.abs(c), "|xi_3|")).data)) \
+        assert np.max(np.abs(apply_multiplier(f, half * half).data
+                             - apply_multiplier(f, np.abs(grid16.freq_mesh[2])).data)) \
             < 1e-12 * np.max(np.abs(f.data))
 
 

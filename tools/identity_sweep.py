@@ -3,6 +3,7 @@
 Usage, from the root of a checkout::
 
     PYTHONPATH=src python tools/identity_sweep.py OUT > sweep.txt
+    PYTHONPATH=src python tools/identity_sweep.py --compare OLD NEW
 
 Each config runs through ``python -m rlab.cli run`` with whichever ``rlab``
 is on ``PYTHONPATH``, writing its run directory under ``OUT``.  For each run
@@ -14,17 +15,16 @@ it once against the parent's ``src`` and once against a change's; an empty
 it was.
 
 A change that moves outputs by roundoff only (a reordered product, a
-factored kernel) cannot pass that ``diff``.  Compare the two sweeps run by
-run instead::
-
-    python -m rlab.cli compare OLD/NAME/manifest.json NEW/NAME/manifest.json
-
-for each NAME.  ``compare`` lists every manifest value that moved with its
-b/a ratio, every assertion that flipped, and each artifact whose digest
-changed.  Record the largest |b/a - 1| per config.  No ``assertion:`` row
-may appear.  A ratio far above roundoff (say 1e-9) is acceptable only for a
-value that is itself a roundoff-level quantity, such as a difference of
-nearly equal numbers.
+factored kernel) cannot pass that ``diff``.  ``--compare OLD NEW`` reads two
+such sweep directories and runs ``rlab.cli.compare`` on each run name
+present in both.  It prints ``name rows max|b/a-1|``: the number of rows
+``compare`` gives (every manifest value that moved, every assertion that
+flipped, every artifact whose digest changed) and the largest |b/a - 1|
+over the rows with a ratio ("-" if none has one).  Below each name it lists
+the keys of the rows without a ratio: assertions, artifacts, text values
+and values leaving zero.  No ``assertion:`` row may appear.  A ratio far
+above roundoff (say 1e-9) is acceptable only for a value that is itself a
+roundoff-level quantity, such as a difference of nearly equal numbers.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -100,7 +101,24 @@ def digest(manifest_path: pathlib.Path) -> tuple[str, bool]:
     return hashlib.sha256(blob).hexdigest(), all(doc["assertions"].values())
 
 
+def compare_sweeps(old: pathlib.Path, new: pathlib.Path) -> None:
+    from rlab.cli import compare
+
+    names = sorted(p.parent.name for p in old.glob("*/manifest.json")
+                   if (new / p.parent.name / "manifest.json").exists())
+    for name in names:
+        rows = compare(old / name / "manifest.json", new / name / "manifest.json")
+        devs = [abs(row[3] - 1.0) for row in rows if not math.isnan(row[3])]
+        print(name, len(rows), f"{max(devs):.3g}" if devs else "-", flush=True)
+        for row in rows:
+            if math.isnan(row[3]):
+                print(f"  {row[0]}")
+
+
 def main(argv) -> int:
+    if len(argv) == 4 and argv[1] == "--compare":
+        compare_sweeps(pathlib.Path(argv[2]), pathlib.Path(argv[3]))
+        return 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
