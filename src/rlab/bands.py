@@ -6,14 +6,14 @@ phi(r) = chi(r/1.1) - chi(r) where chi is a C^2 quintic-smoothstep
 lowpass (1 below 1/1.04, 0 above 1.04).  The telescoping identity
 sum_j phi(1.1^{-j} r) = 1 then holds exactly for every r > 0, and
 bands two or more apart have exactly disjoint supports
-(1.04^2 < 1.1).
+(1.04^2 < 1.1).  Sums and suprema over bands read band_table, which keeps
+each band's support and values, built once per grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator
 
 import numpy as np
 
@@ -30,34 +30,21 @@ def _smoothstep(s: np.ndarray) -> np.ndarray:
     return s * s * s * (10.0 + s * (6.0 * s - 15.0))
 
 
-@dataclass(frozen=True)
-class BandProfile:
-    """Radial bump phi and cumulative lowpass chi for base-1.1 bands."""
-
-    chi: Callable[[np.ndarray], np.ndarray]
-    phi: Callable[[np.ndarray], np.ndarray]
+def chi(r) -> np.ndarray:
+    """Cumulative C^2 lowpass: 1 below 1/1.04, 0 above 1.04."""
+    r = np.asarray(r, dtype=np.float64)
+    return 1.0 - _smoothstep((r - INNER_EDGE) / (1.04 - INNER_EDGE))
 
 
-def build_band_profile() -> BandProfile:
-    """Construct the closed-form C^2 profile; reproducible bit for bit."""
-
-    def chi(r):
-        r = np.asarray(r, dtype=np.float64)
-        return 1.0 - _smoothstep((r - INNER_EDGE) / (1.04 - INNER_EDGE))
-
-    def phi(r):
-        r = np.asarray(r, dtype=np.float64)
-        return chi(r / BASE) - chi(r)
-
-    return BandProfile(chi=chi, phi=phi)
-
-
-_PROFILE = build_band_profile()
+def phi(r) -> np.ndarray:
+    """Radial bump chi(r/1.1) - chi(r) of band 0."""
+    r = np.asarray(r, dtype=np.float64)
+    return chi(r / BASE) - chi(r)
 
 
 def band_multiplier(grid: Grid, k: int) -> np.ndarray:
     """P_k(xi) = phi(1.1^{-k} |xi|) sampled on the grid's modes."""
-    return _PROFILE.phi(grid.xi_norm * BASE ** (-k))
+    return phi(grid.xi_norm * BASE ** (-k))
 
 
 def lowpass_multiplier(grid: Grid, k: int) -> np.ndarray:
@@ -66,7 +53,7 @@ def lowpass_multiplier(grid: Grid, k: int) -> np.ndarray:
     The extra 1/1.1 inside chi is forced by the telescoping identity
     P_{<=k} - P_{<=k-1} = P_k.
     """
-    return _PROFILE.chi(grid.xi_norm * BASE ** (-(k + 1)))
+    return chi(grid.xi_norm * BASE ** (-(k + 1)))
 
 
 def project_band(f: Field, k: int) -> Field:
@@ -119,10 +106,18 @@ def covering_band_range(grid: Grid) -> range:
     return range(k_min, k_max + 1)
 
 
-def active_bands(grid: Grid) -> Iterator[tuple[int, np.ndarray]]:
-    """(k, P_k) for every band of covering_band_range that touches a grid
-    mode, built one band at a time."""
+@functools.lru_cache(maxsize=4)
+def band_table(grid: Grid) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """(k, support, values) for each band of covering_band_range that touches
+    a grid mode, built once per grid: the flat indices where P_k is nonzero
+    and P_k there times the centering sign (-1)^(m1+m2+m3), read-only."""
+    sign = grid.centering_phase.reshape(-1)
+    table = []
     for k in covering_band_range(grid):
-        mult = band_multiplier(grid, k)
+        mult = band_multiplier(grid, k).reshape(-1)
         if np.any(mult > 0.0):
-            yield k, mult
+            support = np.flatnonzero(mult)
+            values = mult[support] * sign[support]
+            support.flags.writeable = values.flags.writeable = False
+            table.append((k, support, values))
+    return tuple(table)

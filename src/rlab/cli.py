@@ -516,15 +516,18 @@ def run(cfg: ExperimentConfig, out_dir) -> RunManifest:
         if value is not None and value < least:
             raise ConfigError(f"scenario.{key} = {value} must be at least {least}")
     out = pathlib.Path(out_dir)
-    created = not out.exists()
+    made = [d for d in (out, *out.parents) if not d.exists()]  # innermost first
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(cfg, out)
     try:
         _lookup(cfg.scenario).runner(cfg, grid, manifest, out)
     except Exception:
-        # a runner that fails on a config value leaves no empty run directory
-        if created and not any(out.iterdir()):
-            out.rmdir()
+        # a runner that fails on a config value leaves none of the empty
+        # directories this run made
+        for d in made:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
         raise
     manifest.write()
     return manifest

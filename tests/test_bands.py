@@ -8,11 +8,11 @@ from rlab.bands import (
     BASE,
     INNER_EDGE,
     OUTER_EDGE,
-    active_bands,
     band_indices,
     band_multiplier,
-    build_band_profile,
+    band_table,
     covering_band_range,
+    phi,
     project_band,
     project_leq,
 )
@@ -30,20 +30,18 @@ from rlab.spectral import (
 
 from conftest import random_field
 
-PROFILE = build_band_profile()
-
 
 class TestProfile:
     def test_vanishes_below_annulus(self):
-        assert PROFILE.phi(np.array(0.5)) == 0.0
-        assert PROFILE.phi(np.array(INNER_EDGE - 1e-9)) == 0.0
+        assert phi(np.array(0.5)) == 0.0
+        assert phi(np.array(INNER_EDGE - 1e-9)) == 0.0
 
     def test_vanishes_above_annulus(self):
-        assert PROFILE.phi(np.array(OUTER_EDGE + 1e-9)) == 0.0
+        assert phi(np.array(OUTER_EDGE + 1e-9)) == 0.0
 
     def test_range_within_unit_interval(self):
         r = np.linspace(0.01, 2.0, 5000)
-        v = PROFILE.phi(r)
+        v = phi(r)
         assert np.all(v >= 0.0) and np.all(v <= 1.0)
 
     def test_telescoping_on_log_spaced_radii(self):
@@ -51,7 +49,7 @@ class TestProfile:
         r = np.logspace(-3, 3, 10**4)
         total = np.zeros_like(r)
         for j in range(-160, 160):
-            total += PROFILE.phi(r * BASE ** (-j))
+            total += phi(r * BASE ** (-j))
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
     @settings(max_examples=200, deadline=None)
@@ -59,13 +57,13 @@ class TestProfile:
     def test_telescoping_property(self, r):
         lo = math.floor(math.log(r / OUTER_EDGE) / math.log(BASE)) - 1
         hi = math.ceil(math.log(r * 1.04) / math.log(BASE)) + 1
-        total = sum(float(PROFILE.phi(np.array(r * BASE ** (-j)))) for j in range(lo, hi + 1))
+        total = sum(float(phi(np.array(r * BASE ** (-j)))) for j in range(lo, hi + 1))
         assert abs(total - 1.0) <= 1e-12
 
     def test_separated_bands_have_disjoint_support(self):
         r = np.logspace(-2, 2, 20000)
         for dj in (2, 3):
-            prod = PROFILE.phi(r) * PROFILE.phi(r * BASE ** (-dj))
+            prod = phi(r) * phi(r * BASE ** (-dj))
             assert np.all(prod == 0.0)
 
 
@@ -216,10 +214,34 @@ class TestActiveBands:
     def test_yields_exactly_the_covering_bands_with_support(self, n, length):
         g = make_grid(n, length)
         expected = [k for k in covering_band_range(g) if np.any(band_multiplier(g, k) > 0.0)]
-        got = list(active_bands(g))
-        assert [k for k, _ in got] == expected
-        for k, mult in got:
-            assert np.array_equal(mult, band_multiplier(g, k))
+        table = band_table(g)
+        assert [k for k, _, _ in table] == expected
+        sign = g.centering_phase.reshape(-1)
+        for k, support, values in table:
+            mult = band_multiplier(g, k).reshape(-1)
+            assert np.array_equal(support, np.flatnonzero(mult))
+            # the stored values are P_k with the exact centering sign folded in
+            assert np.array_equal(values * sign[support], mult[support])
         # every covering band that is skipped misses every grid mode
         for k in set(covering_band_range(g)) - set(expected):
             assert not np.any(band_multiplier(g, k))
+
+    @pytest.mark.parametrize("n, length", [(8, 8.0), (16, 32.0), (32, 48.0)])
+    def test_scattered_table_telescopes_on_every_nonzero_mode(self, n, length):
+        g = make_grid(n, length)
+        total = np.zeros(g.n**3)
+        for _, support, values in band_table(g):
+            total[support] += values
+        total *= g.centering_phase.reshape(-1)
+        r = g.xi_norm.reshape(-1)
+        assert np.max(np.abs(total[r > 0] - 1.0)) <= 1e-12
+        assert total[r == 0] == 0.0
+
+    def test_table_is_built_once_per_grid_and_read_only(self, grid16):
+        table = band_table(grid16)
+        assert band_table(make_grid(grid16.n, grid16.length)) is table
+        _, support, values = table[0]
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+        with pytest.raises(ValueError):
+            support[0] = 0

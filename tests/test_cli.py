@@ -178,6 +178,16 @@ class TestConfig:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_runner_error_removes_the_parents_it_made(self, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text(BAD_AXIS)
+        keep = tmp_path / "keep"
+        keep.mkdir()
+        out = keep / "nest" / "a" / "b"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert "axis must be 0, 1 or 2" in capsys.readouterr().err
+        assert keep.is_dir() and not any(keep.iterdir())
+
     def test_runner_error_keeps_an_existing_empty_directory(self, tmp_path, capsys):
         p = tmp_path / "bad.ini"
         p.write_text(BAD_AXIS)

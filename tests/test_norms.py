@@ -1,11 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from rlab import sampling
+from rlab import bands, sampling
 from rlab.norms import (
     NormValue,
     Trajectory,
@@ -21,10 +22,13 @@ from rlab.spectral import (
     PHYSICAL,
     Field,
     apply_multiplier,
+    as_frequency,
+    as_physical,
     bessel_weight,
     field_from_function,
     forward_transform,
     free_propagate,
+    inverse_transform,
     l2_norm,
     make_grid,
     zero_field,
@@ -187,6 +191,68 @@ class TestXPrime:
             k = int(rng.integers(-6, 3))
             f = sampling.localized_packet(g, k, rng, width=3.0 + 2 * rng.random())
             assert float(x_prime_norm(f)) <= 3.0 * float(x_norm(f)) + 1e-12
+
+
+def _dense_band_loop_norms(f):
+    """X and X' through the dense per-band loop: one full-grid P_k per band,
+    rebuilt on every call, and the centered inverse transform."""
+    g = f.grid
+    fhat = as_frequency(f).data
+    p = as_physical(f).data
+    parts = [as_frequency(Field(g, PHYSICAL, -1j * xj * p)).data for xj in g.coord_mesh]
+    w = g.dxi**3 / (2.0 * np.pi) ** 3
+    x = xp = 0.0
+    for k in bands.covering_band_range(g):
+        mult = bands.band_multiplier(g, k)
+        if not np.any(mult > 0.0):
+            continue
+        gk = inverse_transform(Field(g, FREQUENCY, mult * fhat))
+        x = max(x, float(np.sqrt(np.sum(g.radius_squared * np.abs(gk.data) ** 2) * g.dx**3)))
+        grad_sq = sum(np.abs(mult * d) ** 2 for d in parts)
+        xp = max(xp, float(np.sqrt(np.sum(grad_sq) * w)))
+    return x, xp
+
+
+class TestBandTable:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([8, 16, 32]), length=st.floats(4.0, 96.0),
+           width=st.floats(0.02, 1.0), kind=st.sampled_from(["windowed", "zero"]),
+           rep=st.sampled_from([PHYSICAL, FREQUENCY]), seed=st.integers(0, 2**32 - 1))
+    @example(n=16, length=16.0, width=1.0, kind="windowed", rep=PHYSICAL, seed=1)  # boundary shell
+    @example(n=8, length=8.0, width=0.1, kind="zero", rep=PHYSICAL, seed=0)
+    def test_equals_the_dense_band_loop_bit_for_bit(self, n, length, width, kind, rep, seed):
+        g = make_grid(n, length)
+        rng = np.random.default_rng(seed)
+        window = np.exp(-g.radius_squared / (width * length) ** 2)
+        data = window * (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        f = Field(g, PHYSICAL, data if kind == "windowed" else 0.0 * data)
+        if rep == FREQUENCY:
+            f = forward_transform(f)
+        x, xp = _dense_band_loop_norms(f)
+        assert float(x_norm(f)) == x
+        assert float(x_prime_norm(f)) == xp
+        if width == 1.0 and kind == "windowed":
+            assert "wrap-around" in x_norm(f).quadrature_note
+
+    def test_repeat_call_costs_one_inverse_fft_per_band(self, monkeypatch):
+        g = make_grid(16, 24.0)
+        f = random_field(g, 11)
+        first = x_norm(f)
+        n_bands = len(bands.band_table(g))
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "ifftn", counted("ifftn", np.fft.ifftn))
+        monkeypatch.setattr(np.fft, "fftn", counted("fftn", np.fft.fftn))
+        monkeypatch.setattr(bands, "band_multiplier",
+                            counted("band_multiplier", bands.band_multiplier))
+        assert x_norm(f) == first
+        assert counts == {"ifftn": n_bands, "fftn": 1}
 
 
 class TestYNorm:
