@@ -175,9 +175,12 @@ class ExperimentConfig:
 
     @property
     def threads(self) -> int:
-        threads = self.getint("run", "threads")
+        name, threads = "run.threads", self.getint("run", "threads")
         if threads is None:
-            threads = _parse("RLAB_THREADS", os.environ.get("RLAB_THREADS") or "1", int)
+            name = "RLAB_THREADS"
+            threads = _parse(name, os.environ.get(name) or "1", int)
+        if threads < 1:
+            raise ConfigError(f"{name} = {threads} must be at least 1")
         return threads
 
 
@@ -508,7 +511,7 @@ def _lookup(scenario: str) -> Scenario:
 
 
 def run(cfg: ExperimentConfig, out_dir) -> RunManifest:
-    # a bad grid, RLAB_THREADS or count fails here, before the run directory exists
+    # a bad grid, thread count or scenario count fails here, before the run directory exists
     grid = build_grid(cfg)
     cfg.threads
     for key, least in (("samples", 1), ("orders", 2)):

@@ -95,32 +95,9 @@ def born_terms(u1: Field, ps: PotentialSet, order_max: int, t: float,
     return out
 
 
-@dataclass(frozen=True)
-class BornSeriesReport:
-    """Per-order norms of the Born series, consecutive ratios, fitted rate."""
-
-    orders: list[int]
-    h10_norms: list[float]
-    x_norms: list[float]
-    ratios_h10: list[float]
-    ratios_x: list[float]
-    rate: float
-    t: float
-    dt: float
-    partial_sum_errors: list[float] | None = None
-
-    def rows(self) -> list[dict]:
-        out = []
-        for i, n in enumerate(self.orders):
-            out.append(
-                {
-                    "n": n,
-                    "h10_norm": self.h10_norms[i],
-                    "x_norm": self.x_norms[i],
-                    "ratio": self.ratios_h10[i - 1] if i >= 1 else float("nan"),
-                }
-            )
-        return out
+def _ratios(vals: list[float]) -> list[float]:
+    """Consecutive ratios vals[n+1] / vals[n], 0 where vals[n] is 0."""
+    return [b / a if a > 0 else 0.0 for a, b in zip(vals, vals[1:])]
 
 
 def _fit_rate(norms: list[float]) -> float:
@@ -136,6 +113,37 @@ def _fit_rate(norms: list[float]) -> float:
     return float(np.exp(slope))
 
 
+@dataclass(frozen=True)
+class BornSeriesReport:
+    """Per-order norms of the Born series; the consecutive ratios and the
+    fitted rate are properties of them."""
+
+    h10_norms: list[float]
+    x_norms: list[float]
+    partial_sum_errors: list[float] | None = None
+
+    @property
+    def orders(self) -> list[int]:
+        return list(range(len(self.h10_norms)))
+
+    @property
+    def ratios_h10(self) -> list[float]:
+        return _ratios(self.h10_norms)
+
+    @property
+    def ratios_x(self) -> list[float]:
+        return _ratios(self.x_norms)
+
+    @property
+    def rate(self) -> float:
+        return _fit_rate(self.h10_norms)
+
+    def rows(self) -> list[dict]:
+        ratios = [float("nan"), *self.ratios_h10]  # order 0 has no ratio
+        return [{"n": n, "h10_norm": h, "x_norm": x, "ratio": r}
+                for n, h, x, r in zip(self.orders, self.h10_norms, self.x_norms, ratios)]
+
+
 def series_decay_report(u1: Field, ps: PotentialSet, order_max: int, t: float,
                         dt: float, *, compare_with_flow: bool = False) -> BornSeriesReport:
     """Tabulate ||term_n||_{H10} and x_norm(term_n), ratios, fitted rate.
@@ -146,15 +154,6 @@ def series_decay_report(u1: Field, ps: PotentialSet, order_max: int, t: float,
     if order_max < 2:
         raise ValueError("need order_max >= 2 for a decay report")
     terms = born_terms(u1, ps, order_max, t, dt)
-    h10 = [tm.h10 for tm in terms]
-    xs = [tm.x for tm in terms]
-
-    def ratios(vals):
-        out = []
-        for a, b in zip(vals, vals[1:]):
-            out.append(b / a if a > 0 else 0.0)
-        return out
-
     errors = None
     if compare_with_flow:
         cfg = EvolveConfig(t_end=t, dt=dt, snapshot_stride=max(1, int(round((t - 1) / dt))))
@@ -167,27 +166,37 @@ def series_decay_report(u1: Field, ps: PotentialSet, order_max: int, t: float,
             diff = Field(u1.grid, PHYSICAL, partial - target)
             errors.append(float(sobolev_norm(diff, 10)))
     return BornSeriesReport(
-        orders=[tm.order for tm in terms],
-        h10_norms=h10,
-        x_norms=xs,
-        ratios_h10=ratios(h10),
-        ratios_x=ratios(xs),
-        rate=_fit_rate(h10),
-        t=t,
-        dt=dt,
+        h10_norms=[tm.h10 for tm in terms],
+        x_norms=[tm.x for tm in terms],
         partial_sum_errors=errors,
     )
 
 
 @dataclass(frozen=True)
 class WaveOperatorResult:
-    """Profile limit g(T) = e^{-i T Laplacian} u(T) plus its dyadic Cauchy trace."""
+    """Profile limit g(T) = e^{-i T Laplacian} u(T) plus its dyadic Cauchy
+    trace; the convergence flag and the decay exponent are properties of it."""
 
     field: Field
     taus: list[float]
     distances: list[float]
-    exponent: float
-    converged: bool
+
+    @property
+    def converged(self) -> bool:
+        d = self.distances
+        return all(x == 0.0 for x in d) or all(b < a for a, b in zip(d, d[1:]))
+
+    @property
+    def exponent(self) -> float:
+        """Fitted polynomial decay exponent of the trace; inf when it vanishes."""
+        if all(d == 0.0 for d in self.distances):
+            return math.inf
+        pos = [(tau, d) for tau, d in zip(self.taus, self.distances) if d > 0]
+        if len(pos) < 2:
+            return 0.0
+        lt = np.log([p[0] for p in pos])
+        ld = np.log([p[1] for p in pos])
+        return float(-np.polyfit(lt, ld, 1)[0])
 
     def rows(self) -> list[dict]:
         return [
@@ -229,24 +238,10 @@ def wave_operator(u1: Field, ps: PotentialSet, T: float, dt: float, *,
         diff = Field(grid, PHYSICAL,
                      as_physical(profiles[2 * tau]).data - as_physical(profiles[tau]).data)
         distances.append(float(sobolev_norm(diff, 10)))
-    if all(d == 0.0 for d in distances):
-        converged = True
-        exponent = math.inf
-    else:
-        converged = all(b < a for a, b in zip(distances, distances[1:]))
-        pos = [(tau, d) for tau, d in zip(taus[:-1], distances) if d > 0]
-        if len(pos) >= 2:
-            lt = np.log([p[0] for p in pos])
-            ld = np.log([p[1] for p in pos])
-            exponent = float(-np.polyfit(lt, ld, 1)[0])
-        else:
-            exponent = 0.0
     return WaveOperatorResult(
         field=as_physical(profiles[taus[-1]]),
         taus=[float(t) for t in taus[:-1]],
         distances=distances,
-        exponent=exponent,
-        converged=converged,
     )
 
 
@@ -256,8 +251,11 @@ class DenominatorCheck:
 
     value: complex
     reference: complex
-    residual: float
     note: str = ""
+
+    @property
+    def residual(self) -> float:
+        return abs(self.value - self.reference)
 
 
 def regularized_denominator_check(a: float, beta: float, tau_max: float,
@@ -282,7 +280,6 @@ def regularized_denominator_check(a: float, beta: float, tau_max: float,
     return DenominatorCheck(
         value=value,
         reference=reference,
-        residual=abs(value - reference),
         note=note,
     )
 

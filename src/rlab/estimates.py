@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,23 +79,33 @@ def conjugate_exponent(p: float) -> float:
 
 @dataclass
 class EstimateReport:
-    """Empirical max/median ratio for one inequality over randomized samples."""
+    """Ratios of one inequality over randomized samples; the sample count,
+    maximum and median are properties of them."""
 
     estimate_id: str
-    sample_count: int
-    max_ratio: float
-    median_ratio: float
+    ratios: list[float]
     sample_class: str
-    grid_n: int
-    grid_length: float
+    grid: Grid
     horizon: tuple | None
     seed: int
-    ratios: list[float] = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    extras: dict
 
     def __post_init__(self):
+        # NaN anywhere fails both comparisons; an inf ratio passes them
         if not (self.max_ratio >= self.median_ratio >= 0):
-            raise ValueError("need max_ratio >= median_ratio >= 0")
+            raise ValueError(f"{self.estimate_id}: need max_ratio >= median_ratio >= 0")
+
+    @property
+    def sample_count(self) -> int:
+        return len(self.ratios)
+
+    @property
+    def max_ratio(self) -> float:
+        return float(np.max(self.ratios))
+
+    @property
+    def median_ratio(self) -> float:
+        return float(np.median(self.ratios))
 
     def to_json(self) -> str:
         d = {
@@ -104,7 +114,7 @@ class EstimateReport:
             "max_ratio": self.max_ratio,
             "median_ratio": self.median_ratio,
             "sample_class": self.sample_class,
-            "grid": {"n": self.grid_n, "L": self.grid_length},
+            "grid": {"n": self.grid.n, "L": self.grid.length},
             "horizon": list(self.horizon) if self.horizon else None,
             "seed": self.seed,
             "extras": self.extras,
@@ -115,23 +125,6 @@ class EstimateReport:
         return [
             {"sample": i, "ratio": r} for i, r in enumerate(self.ratios)
         ]
-
-
-def _make_report(estimate_id, ratios, sample_class, grid, horizon, seed, extras=None):
-    arr = np.asarray(ratios, dtype=np.float64)
-    return EstimateReport(
-        estimate_id=estimate_id,
-        sample_count=len(ratios),
-        max_ratio=float(arr.max()),
-        median_ratio=float(np.median(arr)),
-        sample_class=sample_class,
-        grid_n=grid.n,
-        grid_length=grid.length,
-        horizon=horizon,
-        seed=seed,
-        ratios=[float(r) for r in arr],
-        extras=extras or {},
-    )
 
 
 def _map_samples(fn, count: int, threads: int = 1) -> list:
@@ -197,7 +190,7 @@ def check_strichartz(grid: Grid, pair, samples: int, *, k_lo: int = -3,
         return strichartz_ratio(grid, pair, f, times)
 
     ratios = _map_samples(one, samples, threads)
-    return _make_report(
+    return EstimateReport(
         "str1", ratios, f"band-flat k in [{k_lo},{k_hi}]", grid,
         horizon, seed, extras={"p": pair.p, "q": pair.q, "nt": nt},
     )
@@ -289,7 +282,7 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
 
     ratios = _map_samples(one, samples, threads)
     ids = {"homogeneous": "smo1", "dual": "smo2", "inhomogeneous": "smo3"}
-    return _make_report(
+    return EstimateReport(
         ids[variant], ratios, f"localized packets band {band}, axis-directed",
         grid, horizon, seed,
         extras={"axis": axis, "band": band, "half_derivative": half_derivative,
@@ -343,7 +336,7 @@ def check_smoothing_strichartz(grid: Grid, pair, axis: int, samples: int, *,
         return num / den
 
     ratios = _map_samples(one, samples, threads)
-    return _make_report(
+    return EstimateReport(
         "ik-smostri", ratios, f"localized forcings band {band}", grid, horizon,
         seed, extras={"p": pair.p, "q": pair.q, "axis": axis, "nt": nt},
     )
@@ -366,8 +359,8 @@ def check_dispersive_decay(grid: Grid, k: int,
     products = np.asarray([float(t * lebesgue_norm(u, 6)) for t, u in zip(times, tr.fields)])
     flatness = float(products.max() / products.min())
     xn = x_norm(f)
-    return _make_report(
-        "dispersive", list(products), f"band kernel k={k} advanced {advance:g}",
+    return EstimateReport(
+        "dispersive", products.tolist(), f"band kernel k={k} advanced {advance:g}",
         grid, horizon, seed=0,
         extras={
             "k": k,
@@ -419,7 +412,7 @@ def check_bilinear(grid: Grid, m1: np.ndarray, m2: np.ndarray, p: float, q: floa
         return num / den if den > 0 else 0.0
 
     ratios = _map_samples(one, samples, threads)
-    return _make_report(
+    return EstimateReport(
         "bilin", ratios, "band-flat k in [-3,3]", grid, None, seed,
         extras={"p": p, "q": q, "r": r, "kernel_l1": kernel},
     )
@@ -454,7 +447,7 @@ def check_direction_partition(grid: Grid) -> EstimateReport:
         on_supp = chis[j] > 0
         violations += int(np.sum(on_supp & (comps[j] < DIRECTION_THRESHOLD * biggest)))
     ratios = [sum_err]
-    return _make_report(
+    return EstimateReport(
         "direction", ratios, "all grid frequencies", grid, None, seed=0,
         extras={"support_violations": violations, "threshold": DIRECTION_THRESHOLD,
                 "partition_error": sum_err},
@@ -489,7 +482,7 @@ def check_summation_interpolation(grid: Grid, k: int, p: float, q: float,
         return lhs / rhs if rhs > 0 else 0.0
 
     ratios = _map_samples(one, samples, threads)
-    return _make_report(
+    return EstimateReport(
         "summation", ratios, f"localized packets band {k}", grid, horizon, seed,
         extras={"p": p, "q": q, "c": c, "k": k,
                 "note": "bootstrap constant replaced by the H2 norm of the sample"},
@@ -510,7 +503,7 @@ def check_doi_local(u1: Field, ps: PotentialSet, T: float, dt: float) -> Estimat
     lhs = max(h10s)
     rhs = h10s[0] + (T - 1.0) * lhs**2
     kappa = lhs / rhs if rhs > 0 else 0.0
-    return _make_report(
+    return EstimateReport(
         "doi", [kappa], "quadratic flow profile", u1.grid, (1.0, T), seed=0,
         extras={"lhs": lhs, "rhs": rhs, "initial_h10": h10s[0], "dt": dt},
     )

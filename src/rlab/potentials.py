@@ -89,12 +89,16 @@ def gaussian_potential(grid: Grid, center, width: float, amplitude: float) -> Fi
 
 @dataclass(frozen=True)
 class SmallnessCertificate:
-    """Measured Y-norm triples per potential (and per magnetic square)."""
+    """Measured Y-norm triples per potential (and per magnetic square); it
+    passes iff every measured value is at most delta."""
 
     delta: float
     entries: dict  # name -> {"y": float, "y_weighted": float, "y_smooth": float}
-    passed: bool
     notes: tuple[str, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return all(v <= self.delta for triple in self.entries.values() for v in triple.values())
 
     def to_json(self) -> str:
         return json.dumps(
@@ -114,19 +118,18 @@ def _x_weight(f: Field) -> Field:
     return Field(g, PHYSICAL, w * as_physical(f).data)
 
 
-def _triple(w: Field) -> dict:
+def _triple(w: Field, fhat: Field, weight: np.ndarray) -> dict:
     return {
         "y": float(y_norm(w)),
         "y_weighted": float(y_norm(_x_weight(w))),
-        "y_smooth": float(y_norm(apply_multiplier(w, bessel_weight(w.grid, 10)))),  # (1-Delta)^5 w
+        "y_smooth": float(y_norm(apply_multiplier(fhat, weight))),  # (1-Delta)^5 w
     }
 
 
-def _nyquist_tail_note(f: Field, name: str) -> str | None:
+def _nyquist_tail_note(fhat: Field, weight: np.ndarray, name: str) -> str | None:
     # (1-Delta)^5 is under-resolved when the weighted spectrum leans on Nyquist
-    g = f.grid
-    fhat = as_frequency(f)
-    weighted = bessel_weight(g, 10) * np.abs(fhat.data) ** 2
+    g = fhat.grid
+    weighted = weight * np.abs(fhat.data) ** 2
     m = np.abs(g.axis_freqs)
     hi = m >= 0.8 * g.nyquist
     shell = hi[:, None, None] | hi[None, :, None] | hi[None, None, :]
@@ -149,24 +152,22 @@ def certify(ps: PotentialSet, delta: float) -> SmallnessCertificate:
         (f"a{i + 1}^2", Field(ps.grid, PHYSICAL, ai.data * ai.data))
         for i, ai in enumerate(ps.a)
     ]
+    weight = bessel_weight(ps.grid, 10)
     entries = {}
     notes = []
     for name, w in named + squares:
-        entries[name] = _triple(w)
-        note = _nyquist_tail_note(w, name)
+        fhat = as_frequency(w)
+        entries[name] = _triple(w, fhat, weight)
+        note = _nyquist_tail_note(fhat, weight, name)
         if note:
             notes.append(note)
-    passed = all(v <= delta for triple in entries.values() for v in triple.values())
-    return SmallnessCertificate(
-        delta=float(delta), entries=entries, passed=passed, notes=tuple(notes)
-    )
+    return SmallnessCertificate(delta=float(delta), entries=entries, notes=tuple(notes))
 
 
 @dataclass(frozen=True)
 class RescaleResult:
     potentials: PotentialSet
     lam: float
-    certificate: SmallnessCertificate
 
 
 def rescale_to_delta(ps: PotentialSet, delta: float) -> RescaleResult:
@@ -178,12 +179,10 @@ def rescale_to_delta(ps: PotentialSet, delta: float) -> RescaleResult:
     """
     if ps.is_zero:
         raise ValueError("cannot rescale an identically zero potential set")
-    cert = certify(ps, delta)
-    if cert.passed:
-        return RescaleResult(ps, 1.0, cert)
+    if certify(ps, delta).passed:
+        return RescaleResult(ps, 1.0)
     lo = 1e-12
-    cert_lo = certify(ps.scaled(lo), delta)
-    if not cert_lo.passed:
+    if not certify(ps.scaled(lo), delta).passed:
         raise ValueError(
             "potential set cannot be certified even at lambda = 1e-12"
         )
@@ -194,5 +193,4 @@ def rescale_to_delta(ps: PotentialSet, delta: float) -> RescaleResult:
             lo = mid
         else:
             hi = mid
-    scaled = ps.scaled(lo)
-    return RescaleResult(scaled, lo, certify(scaled, delta))
+    return RescaleResult(ps.scaled(lo), lo)

@@ -7,12 +7,16 @@ import pytest
 from rlab.cli import (
     SCENARIOS,
     ExperimentConfig,
+    RunManifest,
+    _harness,
+    build_grid,
     compare,
     describe,
     main,
     run,
 )
 from rlab.errors import ConfigError
+from rlab.estimates import EstimateReport
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -303,6 +307,29 @@ class TestWaveRun:
         assert docs[0]["config_hash"] == docs[1]["config_hash"]
 
 
+class TestHarnessReport:
+    @staticmethod
+    def run_harness(tmp_path, ratios):
+        cfg = ExperimentConfig.from_file(CONFIGS / "harness-strichartz.ini")
+        manifest = RunManifest(cfg, tmp_path)
+        runner = _harness(lambda cfg, grid: EstimateReport(
+            "fake", ratios, "fixed ratios", grid, None, cfg.seed, {}))
+        runner(cfg, build_grid(cfg), manifest, tmp_path)
+        return manifest
+
+    def test_inf_ratio_is_recorded_not_finite(self, tmp_path):
+        manifest = self.run_harness(tmp_path, [1.0, float("inf")])
+        assert manifest.assertions["ratios_finite"] is False
+        doc = json.loads(manifest.write().read_text())
+        assert doc["values"]["max_ratio"] == float("inf")
+        assert doc["values"]["median_ratio"] == float("inf")
+        assert (tmp_path / "report.csv").read_text() == "sample,ratio\n0,1\n1,inf\n"
+
+    def test_nan_ratio_raises_naming_the_estimate(self, tmp_path):
+        with pytest.raises(ValueError, match="^fake: "):
+            self.run_harness(tmp_path, [1.0, float("nan")])
+
+
 class TestGuardTrip:
     def test_blowup_records_failure_and_nonzero_exit(self, tmp_path):
         p = tmp_path / "violent.ini"
@@ -448,6 +475,23 @@ class TestThreadsEnv:
                    "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == "error: RLAB_THREADS = 'two' is not an integer\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, env, message", [
+        (["--threads", "0"], None, "run.threads = 0 must be at least 1"),
+        (["--threads", "-4"], None, "run.threads = -4 must be at least 1"),
+        ([], "-2", "RLAB_THREADS = -2 must be at least 1"),
+        ([], "0", "RLAB_THREADS = 0 must be at least 1"),
+    ], ids=["flag-zero", "flag-negative", "env-negative", "env-zero"])
+    def test_thread_count_below_one_names_its_source(self, tmp_path, monkeypatch, capsys,
+                                                     flag, env, message):
+        if env is not None:
+            monkeypatch.setenv("RLAB_THREADS", env)
+        out = tmp_path / "o"
+        rc = main(["run", "--config", str(CONFIGS / "harness-strichartz.ini"),
+                   "--out", str(out), *flag])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

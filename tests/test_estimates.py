@@ -362,8 +362,8 @@ class TestReportType:
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
             EstimateReport(
-                estimate_id="x", sample_count=1, max_ratio=1.0, median_ratio=2.0,
-                sample_class="", grid_n=8, grid_length=1.0, horizon=None, seed=0,
+                estimate_id="x", ratios=[1.0, float("nan")], sample_class="",
+                grid=make_grid(8, 1.0), horizon=None, seed=0, extras={},
             )
 
     def test_json_carries_seed_and_class(self, grid):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -122,6 +124,22 @@ class TestCertify:
         cert = certify(ps, 1.0)
         assert any("resolution warning" in n for n in cert.notes)
 
+    def test_transforms_each_component_once(self, monkeypatch, sample_set):
+        first = certify(sample_set, 1000.0)
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fftn", counted("fftn", np.fft.fftn))
+        monkeypatch.setattr(np.fft, "ifftn", counted("ifftn", np.fft.ifftn))
+        assert certify(sample_set, 1000.0) == first
+        # V, a1, a2, a3 and the three magnetic squares
+        assert counts == {"fftn": 7, "ifftn": 7}
+
     def test_serializes_every_norm(self, grid, sample_set):
         import json
 
@@ -153,4 +171,4 @@ class TestRescale:
         res = rescale_to_delta(sample_set, 120.0)
         again = rescale_to_delta(res.potentials, 120.0)
         assert again.lam == 1.0
-        assert again.certificate.passed
+        assert certify(again.potentials, 120.0).passed

@@ -1,5 +1,6 @@
-"""Size of the package: its line count, its count of settable values and
-the top-level names nothing in it reads.
+"""Size of the package: its line count, its count of settable values, the
+top-level names nothing in it reads and the dataclass fields nothing in it
+reads.
 
 Usage::
 
@@ -12,9 +13,13 @@ default value (positional or keyword-only, in any function or method) or a
 field of a ``@dataclass``: each is a value a caller can set.  An unread
 name is a module-level function, class or assignment whose name no module
 of the package loads, imports or reads as an attribute (its own definition
-aside): only tests or outside callers can reach it.  The script scans the
-source with ``ast`` and prints the counts and the unread names, so a change
-can quote them before and after.
+aside): only tests or outside callers can reach it.  An unread field is a
+dataclass field that no module of the package loads as an attribute outside
+its own class's ``__post_init__``: it is stored but never used.  Names are
+matched as strings, not resolved to types, so a field counts as read when
+any object's attribute of the same name is loaded.  The script scans the
+source with ``ast`` and prints the counts and the unread names and fields,
+so a change can quote them before and after.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import ast
 import pathlib
 import sys
+from collections import Counter
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -66,6 +72,26 @@ def unread_names(trees: dict[str, ast.AST]) -> list[str]:
     return [f"{module}.{name}" for module, name in defined if name not in read]
 
 
+def _loaded(tree: ast.AST) -> Counter:
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def unread_fields(trees: dict[str, ast.AST]) -> list[str]:
+    """``module.Class.field`` of each dataclass field no module loads as an
+    attribute outside its class's ``__post_init__``."""
+    total, fields = Counter(), []
+    for module, tree in trees.items():
+        total += _loaded(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                checks = [_loaded(stmt) for stmt in node.body
+                          if isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__"]
+                fields += [(f"{module}.{node.name}", stmt.target.id, sum(checks, Counter()))
+                           for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+    return [f"{cls}.{name}" for cls, name, own in fields if total[name] == own[name]]
+
+
 def main(argv) -> int:
     arg = argv[1] if len(argv) > 1 else "src/rlab"
     src = REPO / arg  # an absolute SRC_DIR replaces REPO
@@ -88,6 +114,10 @@ def main(argv) -> int:
     unread = unread_names(trees)
     print(f"unread top-level names: {len(unread)}")
     for name in unread:
+        print(f"  {name}")
+    fields = unread_fields(trees)
+    print(f"unread dataclass fields: {len(fields)}")
+    for name in fields:
         print(f"  {name}")
     return 0
 
