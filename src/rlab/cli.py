@@ -324,7 +324,9 @@ def _run_born(cfg, grid, manifest, out):
     ps = build_potentials(cfg, grid)
     delta = cfg.getfloat("scenario", "delta", None)
     if delta is not None:
-        ps = rescale_to_delta(ps, delta).potentials
+        rescaled = rescale_to_delta(ps, delta)
+        ps = rescaled.potentials
+        manifest.values["rescale_lambda"] = rescaled.lam
     u1 = build_datum(cfg, grid, cfg.seed)
     rep = series_decay_report(
         u1, ps,

@@ -12,6 +12,7 @@ and passes iff every measured value is at most the smallness dial delta.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,27 +171,56 @@ class RescaleResult:
     lam: float
 
 
-def rescale_to_delta(ps: PotentialSet, delta: float) -> RescaleResult:
-    """Largest lambda in (0, 1] making certify pass, found by bisection.
+def _entry_root(f1: float, f4: float, r: float, delta: float) -> float:
+    """Positive root mu of alpha mu^2 + beta mu = delta, with alpha and beta
+    fitted to the values f1 at mu = 1 and f4 at mu = r; NaN if there is none."""
+    alpha = (r * f1 - f4) / (r - r * r)
+    beta = f1 - alpha
+    disc = beta * beta + 4.0 * alpha * delta
+    denom = beta + math.sqrt(disc) if disc >= 0 else 0.0
+    return 2.0 * delta / denom if denom > 0 else math.nan
 
-    The Y norm mixes linear, square-root and quadratic homogeneities, so a
-    closed-form scaling is not available; every certificate entry is
-    monotone in lambda, which makes bisection exact.
+
+def rescale_to_delta(ps: PotentialSet, delta: float) -> RescaleResult:
+    """Largest lambda in (0, 1] making certify pass, in closed form.
+
+    Every certificate entry of lambda * w has the form
+    alpha lambda + beta sqrt(lambda): the L1 and Linf parts of the Y norm
+    are homogeneous of degree 1 and its mixed |w|^(1/2) part of degree 1/2,
+    while the weight <x> and (1-Delta)^5 are linear.  A magnetic square
+    (lambda a_j)^2 gives alpha lambda^2 + beta lambda.  Either way the
+    entry is a quadratic in mu = sqrt(lambda) or mu = lambda, so the
+    certificates at lambda = 1 and lambda = 1/4 fix alpha and beta, and
+    each failing entry reaches delta at the cancellation-free root
+    mu = 2 delta / (beta + sqrt(beta^2 + 4 alpha delta)).
+
+    The smallest root, less a relative margin of 2^-48 against the
+    roundoff of the certificate, is checked by a third certify; should it
+    fail, the margin doubles, at most 16 times.  A ValueError names an
+    entry without a positive root, or reports that the margins ran out.
     """
     if ps.is_zero:
         raise ValueError("cannot rescale an identically zero potential set")
-    if certify(ps, delta).passed:
+    at_one = certify(ps, delta)
+    if at_one.passed:
         return RescaleResult(ps, 1.0)
-    lo = 1e-12
-    if not certify(ps.scaled(lo), delta).passed:
-        raise ValueError(
-            "potential set cannot be certified even at lambda = 1e-12"
-        )
-    hi = 1.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if certify(ps.scaled(mid), delta).passed:
-            lo = mid
-        else:
-            hi = mid
-    return RescaleResult(ps.scaled(lo), lo)
+    at_quarter = certify(ps.scaled(0.25), delta)
+    root = 1.0
+    for name, triple in at_one.entries.items():
+        square = name.endswith("^2")
+        for key, f1 in triple.items():
+            if f1 <= delta:
+                continue
+            mu = _entry_root(f1, at_quarter.entries[name][key], 0.25 if square else 0.5, delta)
+            entry_root = mu if square else mu * mu
+            if not (math.isfinite(entry_root) and entry_root > 0):
+                raise ValueError(f"certificate entry {name}.{key} has no positive root "
+                                 f"at delta = {delta} (got {entry_root})")
+            root = min(root, entry_root)
+    for margin in range(48, 32, -1):
+        lam = root * (1.0 - 2.0**-margin)
+        scaled = ps.scaled(lam)
+        if certify(scaled, delta).passed:
+            return RescaleResult(scaled, lam)
+    raise ValueError(f"certify fails even 2^-33 below the closed-form lambda = {root!r} "
+                     f"at delta = {delta}")

@@ -10,6 +10,7 @@ from rlab.cli import (
     RunManifest,
     _harness,
     build_grid,
+    build_potentials,
     compare,
     describe,
     main,
@@ -17,6 +18,7 @@ from rlab.cli import (
 )
 from rlab.errors import ConfigError
 from rlab.estimates import EstimateReport
+from rlab.potentials import rescale_to_delta
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -267,6 +269,16 @@ class TestRun:
         assert (tmp_path / "a" / "series.csv").read_bytes() == (
             tmp_path / "b" / "series.csv"
         ).read_bytes()
+
+    def test_delta_run_records_the_rescale_lambda(self, tmp_path):
+        cfg = ExperimentConfig.from_file(small_born_config(tmp_path))
+        plain = run(cfg, tmp_path / "plain")
+        assert "rescale_lambda" not in plain.values
+        cfg.override("scenario", "delta", 60.0)
+        lam = run(cfg, tmp_path / "dial").values["rescale_lambda"]
+        ps = build_potentials(cfg, build_grid(cfg))
+        assert lam == rescale_to_delta(ps, 60.0).lam
+        assert 0.0 < lam < 1.0
 
     def test_profile_x_norm_once_per_snapshot(self, tmp_path, monkeypatch):
         # norms.csv reuses the bootstrap monitor's profile norms

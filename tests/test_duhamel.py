@@ -172,3 +172,16 @@ class TestRegularizedDenominator:
                                  tau_max_factor=8.0, dtau=5e-3)
         assert len(rows) == 4
         assert all(r["residual"] < 0.05 for r in rows)
+
+
+class TestClosedFormTrapezoid:
+    @pytest.mark.parametrize("a", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("beta", [0.5, 0.1, 0.01])
+    @pytest.mark.parametrize("tau_max,dtau", [(10.0, 1e-3), (7.3, 3e-3), (60.0, 0.07)])
+    def test_equals_summed_trapezoid_rule(self, a, beta, tau_max, dtau):
+        # n = 10000, 2434 (7.3 / 3e-3 is not an integer) and 858 intervals
+        n = math.ceil(tau_max / dtau)
+        taus = np.linspace(0.0, tau_max, n + 1)
+        summed = -1j * np.trapezoid(np.exp(1j * taus * (a + 1j * beta)), taus)
+        value = regularized_denominator_check(a, beta, tau_max, dtau).value
+        assert abs(value - summed) <= 1e-13 * abs(summed)

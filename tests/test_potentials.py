@@ -2,8 +2,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from rlab import potentials
 from rlab.norms import lebesgue_norm, y_norm
 from rlab.potentials import (
     PotentialSet,
@@ -172,3 +174,52 @@ class TestRescale:
         again = rescale_to_delta(res.potentials, 120.0)
         assert again.lam == 1.0
         assert certify(again.potentials, 120.0).passed
+
+
+class TestClosedFormRescale:
+    @staticmethod
+    def assert_largest_certified(ps, delta):
+        lam = rescale_to_delta(ps, delta).lam
+        assert certify(ps.scaled(lam), delta).passed
+        if lam < 1.0:
+            assert not certify(ps.scaled(lam * (1 + 1e-9)), delta).passed
+        return lam
+
+    @settings(max_examples=8, deadline=None)
+    @given(factor=st.floats(0.25, 8.0), delta=st.sampled_from([40.0, 400.0]))
+    def test_certifies_at_and_only_at_lambda(self, sample_set, factor, delta):
+        self.assert_largest_certified(sample_set.scaled(factor), delta)
+
+    def test_at_most_three_certificates(self, monkeypatch, sample_set):
+        calls = []
+
+        def counted(ps, delta):
+            calls.append(delta)
+            return certify(ps, delta)
+
+        monkeypatch.setattr(potentials, "certify", counted)
+        for delta in (40.0, 120.0, 400.0, 900.0):
+            calls.clear()
+            assert rescale_to_delta(sample_set, delta).lam < 1.0
+            assert len(calls) <= 3
+
+    def test_without_magnetic_components(self, grid, sample_set):
+        ps = PotentialSet(v=sample_set.v, a=(zero_field(grid),) * 3, delta_target=1.0)
+        lam = self.assert_largest_certified(ps, 50.0)
+        assert 0.0 < lam < 1.0
+
+    def test_magnetic_square_binds(self, grid):
+        # a tall a1 reaches delta first through its square (lambda a1)^2, so
+        # the root comes from the branch quadratic in lambda
+        a1 = gaussian_potential(grid, (1.0, 0.5, 0.0), 4.0, 30.0)
+        ps = PotentialSet(v=zero_field(grid), a=(a1, zero_field(grid), zero_field(grid)),
+                          delta_target=1.0)
+        delta = 1e5
+        lam = self.assert_largest_certified(ps, delta)
+        entries = certify(ps.scaled(lam), delta).entries
+        assert entries["a1^2"]["y_weighted"] == pytest.approx(delta, rel=1e-12)
+        assert entries["a1"]["y_weighted"] < 0.9 * delta
+
+    def test_nonpositive_delta_names_the_entry(self, sample_set):
+        with pytest.raises(ValueError, match=r"V\.y "):
+            rescale_to_delta(sample_set, 0.0)

@@ -1,4 +1,4 @@
-"""Byte-identity sweep: run 16 scenario configs and print one digest per run.
+"""Byte-identity sweep: run 17 scenario configs and print one digest per run.
 
 Usage, from the root of a checkout::
 
@@ -69,11 +69,14 @@ def configs() -> dict[str, dict]:
     shipped = {p.stem: _load(p) for p in sorted(CONFIGS.glob("*.ini"))}
     doi = _harness("doi", 5, 16, 48.0, T=2.0, dt=0.01)
     doi["potential"] = shipped["born-series"]["potential"]
+    born_16 = _with(shipped["born-series"], **{"scenario.dt": 0.1, "scenario.delta": 495})
     return {
         **shipped,
         "simulate-linear": _with(shipped["simulate-nonlinear"],
                                  **{"run.scenario": "simulate-linear"}),
-        "born-16": _with(shipped["born-series"], **{"scenario.dt": 0.1, "scenario.delta": 495}),
+        "born-16": born_16,
+        # electric only: the delta rescale meets zero certificate entries
+        "born-electric": _with(born_16, **{f"potential.amplitude_a{j}": 0 for j in (1, 2, 3)}),
         "harness-64": _load(REPO / "perfbench" / "harness-64.ini"),
         "smo2": _harness("smo2", 1, 32, 32.0, band=2, samples=2),
         "smo3": _harness("smo3", 1, 32, 32.0, band=2, samples=2),
