@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bands, sampling
+from .duhamel import duhamel_trapezoid
 from .flows import EvolveConfig, evolve_nonlinear, profile_of
 from .norms import (
     Trajectory,
@@ -223,7 +224,7 @@ def _duhamel_ladder(grid: Grid, forcing: list[Field], times: np.ndarray,
             dt = times[i] - times[i - 1]
             E = free_phase(grid, dt)
             cur = as_frequency(forcing[i]).data
-            acc = E * acc + (dt / 2.0) * (E * prev_fhat + cur)
+            acc = duhamel_trapezoid(acc, E, dt / 2.0, prev_fhat, cur)
             prev_fhat = cur
         U = acc if multiplier is None else multiplier * acc
         out_fields.append(inverse_transform(Field(grid, FREQUENCY, U.copy())))

@@ -127,10 +127,18 @@ class _PotentialOperator:
     def __call__(self, u: np.ndarray) -> np.ndarray:
         out = self.v * u if self.v is not None else np.zeros_like(u)
         if self.a:
-            uhat = np.fft.fftn(u)
-            for j, aj in self.a:
-                out += aj * np.fft.ifftn(self._ixi[j] * uhat)
+            self._add_magnetic(out, np.fft.fftn(u))
         return out
+
+    def spectral(self, U: np.ndarray) -> np.ndarray:
+        """fftn(L ifftn(U)): L on a spectrum, in (V ? 1 : 0) + #a + 1 FFTs."""
+        out = self.v * np.fft.ifftn(U) if self.v is not None else np.zeros_like(U)
+        self._add_magnetic(out, U)
+        return np.fft.fftn(out)
+
+    def _add_magnetic(self, out: np.ndarray, uhat: np.ndarray) -> None:
+        for j, aj in self.a:
+            out += aj * np.fft.ifftn(self._ixi[j] * uhat)
 
 
 def _mass_of_modes(U: np.ndarray) -> float:

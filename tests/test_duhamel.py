@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,14 +7,16 @@ import pytest
 from rlab import sampling
 from rlab.duhamel import (
     DuhamelTerm,
+    _born_ladder,
     born_terms,
     denominator_sweep,
     regularized_denominator_check,
     series_decay_report,
     wave_operator,
 )
+from rlab.flows import _linear_operator
 from rlab.potentials import PotentialSet, gaussian_potential, zero_potential_set
-from rlab.spectral import PHYSICAL, Field, free_propagate, l2_norm, make_grid
+from rlab.spectral import PHYSICAL, Field, free_phase, free_propagate, l2_norm, make_grid
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +76,69 @@ class TestBornTerm:
         # (2 - 1) / 0.3 is not an integer step count
         with pytest.raises(ValueError, match="integer"):
             born_terms(datum, potentials, 1, 2.0, 0.3)
+
+
+def _part(ps: PotentialSet, which: str) -> PotentialSet:
+    """The full set, its electric part (V only) or its magnetic part (a only)."""
+    z = zero_potential_set(ps.grid).v
+    v = z if which == "magnetic" else ps.v
+    a = (z, z, z) if which == "electric" else ps.a
+    return PotentialSet(v=v, a=a, delta_target=ps.delta_target)
+
+
+def _physical_ladder(u1: Field, ps: PotentialSet, order_max: int, n_steps: int,
+                     dt: float) -> list[np.ndarray]:
+    """Oracle: the same trapezoid recursion run in physical space, with every
+    term and every L u sent through the free step (74 FFTs a step at 6 orders)."""
+    op = _linear_operator(ps, skip_certification=True)
+    E = free_phase(u1.grid, dt)
+
+    def free_step(u):
+        return np.fft.ifftn(E * np.fft.fftn(u))
+
+    terms = [u1.data.copy()] + [np.zeros_like(u1.data) for _ in range(order_max)]
+    for _ in range(n_steps):
+        new = [free_step(terms[0])]
+        for n in range(1, order_max + 1):
+            incr = (-1j * dt / 2.0) * (free_step(op(terms[n - 1])) + op(new[n - 1]))
+            new.append(free_step(terms[n]) + incr)
+        terms = new
+    return terms
+
+
+class TestBornLadder:
+    @pytest.mark.parametrize("which", ["full", "electric", "magnetic"])
+    def test_matches_the_physical_space_recursion(self, datum, potentials, which):
+        ps = _part(potentials, which)
+        terms = _born_ladder(datum, ps, 6, 2.0, 0.05)
+        oracle = _physical_ladder(datum, ps, 6, 20, 0.05)
+        for n, (got, ref) in enumerate(zip(terms, oracle, strict=True)):
+            scale = np.max(np.abs(ref))
+            assert scale > 0, n
+            assert np.max(np.abs(got - ref)) <= 1e-12 * scale, n
+
+    @pytest.mark.parametrize("which,order_max,per_step", [
+        ("full", 6, 30), ("electric", 6, 12), ("magnetic", 6, 24), ("full", 0, 0)])
+    def test_ffts_per_step(self, monkeypatch, datum, potentials, which, order_max,
+                           per_step):
+        # (V ? 1 : 0) + #a + 1 FFTs per order below the top one
+        ps = _part(potentials, which)
+        counts = Counter()
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                counts["fft"] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "ifftn", counted(np.fft.ifftn))
+        monkeypatch.setattr(np.fft, "fftn", counted(np.fft.fftn))
+        totals = []
+        for steps in (1, 2):
+            counts.clear()
+            _born_ladder(datum, ps, order_max, 1.0 + 0.25 * steps, 0.25)
+            totals.append(counts["fft"])
+        assert totals[1] - totals[0] == per_step
 
 
 class TestSeriesDecay:

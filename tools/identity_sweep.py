@@ -1,4 +1,4 @@
-"""Byte-identity sweep: run 17 scenario configs and print one digest per run.
+"""Byte-identity sweep: run 18 scenario configs and print one digest per run.
 
 Usage, from the root of a checkout::
 
@@ -77,6 +77,8 @@ def configs() -> dict[str, dict]:
         "born-16": born_16,
         # electric only: the delta rescale meets zero certificate entries
         "born-electric": _with(born_16, **{f"potential.amplitude_a{j}": 0 for j in (1, 2, 3)}),
+        # magnetic only: the Born ladder applies L without the V multiplication
+        "born-magnetic": _with(born_16, **{"potential.amplitude_v": 0}),
         "harness-64": _load(REPO / "perfbench" / "harness-64.ini"),
         "smo2": _harness("smo2", 1, 32, 32.0, band=2, samples=2),
         "smo3": _harness("smo3", 1, 32, 32.0, band=2, samples=2),
