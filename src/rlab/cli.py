@@ -44,8 +44,8 @@ from .estimates import (
     check_strichartz,
     check_summation_interpolation,
 )
-from .flows import (BootstrapParams, EvolveConfig, evolve_linear, evolve_nonlinear, profile_norms,
-                    save_trajectory)
+from .flows import (BootstrapParams, EvolveConfig, bootstrap_monitor, evolve_linear,
+                    evolve_nonlinear, profile_norms, save_trajectory)
 from .norms import sobolev_norm, x_norm
 from .potentials import PotentialSet, certify, gaussian_potential, rescale_to_delta
 from .spectral import Field, Grid, free_propagate, l2_norm, make_grid
@@ -278,10 +278,9 @@ def _run_certify(cfg, grid, manifest, out):
     )
 
 
-def _norm_rows(tr):
-    # a nonlinear run's bootstrap monitor has already measured the profile norms
-    prof = tr.meta["bootstrap"]["rows"] if "bootstrap" in tr.meta else profile_norms(tr)
-    return [{"t": t, "l2": l2_norm(u), "h10": float(sobolev_norm(u, 10)),
+def _norm_rows(tr, prof):
+    """norms.csv rows: L2 and H10 of each snapshot beside its profile_norms row prof."""
+    return [{"t": t, "l2": l2_norm(u), "h10": sobolev_norm(u, 10),
              "profile_h10": p["h10"], "profile_x": p["x"]}
             for t, u, p in zip(tr.times, tr.fields, prof)]
 
@@ -295,28 +294,27 @@ def _run_simulate(cfg, grid, manifest, out, nonlinear: bool):
         snapshot_stride=cfg.getint("evolve", "snapshot_stride", 50),
         dealias=cfg.get("evolve", "dealias", "two-thirds"),
     )
+    evolve = evolve_linear
+    if nonlinear:  # a bad bootstrap key fails before any step is taken
+        bp = BootstrapParams(eps0=cfg.getfloat("bootstrap", "eps0", 0.05),
+                             amplification=cfg.getfloat("bootstrap", "amplification", 4.0))
+        evolve = evolve_nonlinear
     try:
-        if nonlinear:
-            bp = BootstrapParams(
-                eps0=cfg.getfloat("bootstrap", "eps0", 0.05),
-                amplification=cfg.getfloat("bootstrap", "amplification", 4.0),
-                delta=ps.delta_target,
-            )
-            tr = evolve_nonlinear(u1, ps, evolve_cfg, bootstrap=bp,
-                                  skip_certification=True)
-            mon = tr.meta["bootstrap"]
-            manifest.record("bootstrap_contained", not mon["exited"])
-            manifest.values["bootstrap"] = mon
-        else:
-            tr = evolve_linear(u1, ps, evolve_cfg, skip_certification=True)
-        manifest.record("guard_clean", True)
+        tr = evolve(u1, ps, evolve_cfg, skip_certification=True)
     except BlowupError as exc:
         manifest.record("guard_clean", False)
         manifest.values["blowup"] = str(exc)
         return
-    manifest.add_csv("norms.csv", ["t", "l2", "h10", "profile_h10", "profile_x"], _norm_rows(tr))
+    prof = profile_norms(tr)
+    if nonlinear:
+        mon = bootstrap_monitor(prof, bp)
+        manifest.record("bootstrap_contained", not mon["exited"])
+        manifest.values["bootstrap"] = mon
+    manifest.record("guard_clean", True)
+    manifest.add_csv("norms.csv", ["t", "l2", "h10", "profile_h10", "profile_x"],
+                     _norm_rows(tr, prof))
     snap_dir = out / "snapshots"
-    for p in save_trajectory(tr, snap_dir, cfg.config_hash()):
+    for p in save_trajectory(tr, snap_dir, evolve_cfg.snapshot_stride, cfg.config_hash()):
         manifest.add_artifact(p)
 
 
@@ -365,8 +363,8 @@ def _run_wave(cfg, grid, manifest, out):
     manifest.record("positive_exponent", res.exponent > 0)
     manifest.values["exponent"] = res.exponent
     prof1 = free_propagate(u1, -1.0)
-    rhs = float(sobolev_norm(prof1, 10)) + float(x_norm(prof1))
-    lhs = float(sobolev_norm(res.field, 10)) + float(x_norm(res.field))
+    rhs = sobolev_norm(prof1, 10) + x_norm(prof1)
+    lhs = sobolev_norm(res.field, 10) + x_norm(res.field)
     manifest.values["kappa"] = lhs / rhs
 
 

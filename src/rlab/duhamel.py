@@ -48,18 +48,13 @@ from .spectral import PHYSICAL, Field, as_physical, free_phase, free_propagate
 class DuhamelTerm:
     """One term of the Born series at a fixed time, with its controlling norms.
 
-    Term ``order`` carries that many applications of the full operator
-    a . grad + V.
+    The term at index n of born_terms' list carries n applications of the
+    full operator a . grad + V.
     """
 
-    order: int
     field: Field
     h10: float
     x: float
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be nonnegative")
 
 
 def duhamel_trapezoid(acc: np.ndarray, E: np.ndarray, c: complex, f_prev: np.ndarray,
@@ -94,19 +89,10 @@ def _born_ladder(u1: Field, ps: PotentialSet, order_max: int, t_end: float,
 def born_terms(u1: Field, ps: PotentialSet, order_max: int, t: float,
                dt: float) -> list[DuhamelTerm]:
     """All Duhamel terms of order 0..order_max at time t, with norms."""
-    arrays = _born_ladder(u1, ps, order_max, t, dt)
-    grid = u1.grid
     out = []
-    for n, data in enumerate(arrays):
-        f = Field(grid, PHYSICAL, data)
-        out.append(
-            DuhamelTerm(
-                order=n,
-                field=f,
-                h10=float(sobolev_norm(f, 10)),
-                x=float(x_norm(f)),
-            )
-        )
+    for data in _born_ladder(u1, ps, order_max, t, dt):
+        f = Field(u1.grid, PHYSICAL, data)
+        out.append(DuhamelTerm(field=f, h10=sobolev_norm(f, 10), x=x_norm(f)))
     return out
 
 
@@ -179,7 +165,7 @@ def series_decay_report(u1: Field, ps: PotentialSet, order_max: int, t: float,
         for tm in terms:
             partial = partial + tm.field.data
             diff = Field(u1.grid, PHYSICAL, partial - target)
-            errors.append(float(sobolev_norm(diff, 10)))
+            errors.append(sobolev_norm(diff, 10))
     return BornSeriesReport(
         h10_norms=[tm.h10 for tm in terms],
         x_norms=[tm.x for tm in terms],
@@ -252,7 +238,7 @@ def wave_operator(u1: Field, ps: PotentialSet, T: float, dt: float, *,
     for tau in taus[:-1]:
         diff = Field(grid, PHYSICAL,
                      as_physical(profiles[2 * tau]).data - as_physical(profiles[tau]).data)
-        distances.append(float(sobolev_norm(diff, 10)))
+        distances.append(sobolev_norm(diff, 10))
     return WaveOperatorResult(
         field=as_physical(profiles[taus[-1]]),
         taus=[float(t) for t in taus[:-1]],

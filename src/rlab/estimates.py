@@ -26,6 +26,7 @@ from .duhamel import duhamel_trapezoid
 from .flows import EvolveConfig, evolve_nonlinear, profile_of
 from .norms import (
     Trajectory,
+    _wrap_note,
     lebesgue_norm,
     mixed_spacetime_norm,
     sobolev_norm,
@@ -175,7 +176,7 @@ def strichartz_ratio(grid: Grid, pair: AdmissiblePair, f: Field,
                      times: np.ndarray) -> float:
     """||e^{it Lap} f||_{L^p_t L^q_x} / ||f||_{L^2} on the given ladder."""
     tr = _free_ladder(grid, as_frequency(f).data, times)
-    return float(spacetime_norm(tr, pair.p, pair.q)) / l2_norm(f)
+    return spacetime_norm(tr, pair.p, pair.q) / l2_norm(f)
 
 
 def check_strichartz(grid: Grid, pair, samples: int, *, k_lo: int = -3,
@@ -259,7 +260,7 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
             f = sampling.localized_packet(grid, band, sampling.sample_rng(seed, i),
                                           width=PACKET_WIDTH, axis_bias=axis)
             tr = _free_ladder(grid, as_frequency(f).data, times, mult)
-            return float(mixed_spacetime_norm(tr, axis, np.inf, 2)) / l2_norm(f)
+            return mixed_spacetime_norm(tr, axis, np.inf, 2) / l2_norm(f)
 
     elif variant == "dual":
         def one(i):
@@ -270,15 +271,15 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
             if mult is not None:
                 acc = mult * acc
             num = l2_norm(Field(grid, FREQUENCY, acc))
-            den = float(mixed_spacetime_norm(tr_f, axis, 1, 2))
+            den = mixed_spacetime_norm(tr_f, axis, 1, 2)
             return num / den
 
     else:  # inhomogeneous
         def one(i):
             tr_f = _forcing_sample(grid, band, axis, sampling.sample_rng(seed, i), times)
             tr_d = _duhamel_ladder(grid, tr_f.fields, times, mult)
-            num = float(mixed_spacetime_norm(tr_d, axis, np.inf, 2))
-            den = float(mixed_spacetime_norm(tr_f, axis, 1, 2))
+            num = mixed_spacetime_norm(tr_d, axis, np.inf, 2)
+            den = mixed_spacetime_norm(tr_f, axis, 1, 2)
             return num / den
 
     ratios = _map_samples(one, samples, threads)
@@ -311,8 +312,8 @@ def smoothing_band_signature(grid: Grid, axis: int, ks, *,
         tr_w = _free_ladder(grid, fhat, times, mult)
         tr_wo = _free_ladder(grid, fhat, times, None)
         l2 = l2_norm(f)
-        w = float(mixed_spacetime_norm(tr_w, axis, np.inf, 2)) / l2
-        wo = float(mixed_spacetime_norm(tr_wo, axis, np.inf, 2)) / l2
+        w = mixed_spacetime_norm(tr_w, axis, np.inf, 2) / l2
+        wo = mixed_spacetime_norm(tr_wo, axis, np.inf, 2) / l2
         rows.append({"k": k, "with": w, "without": wo, "gap": w / wo})
     return rows
 
@@ -332,8 +333,8 @@ def check_smoothing_strichartz(grid: Grid, pair, axis: int, samples: int, *,
     def one(i):
         tr_f = _forcing_sample(grid, band, axis, sampling.sample_rng(seed, i), times)
         tr_d = _duhamel_ladder(grid, tr_f.fields, times, mult)
-        num = float(mixed_spacetime_norm(tr_d, axis, np.inf, 2))
-        den = float(spacetime_norm(tr_f, pp, qq))
+        num = mixed_spacetime_norm(tr_d, axis, np.inf, 2)
+        den = spacetime_norm(tr_f, pp, qq)
         return num / den
 
     ratios = _map_samples(one, samples, threads)
@@ -359,7 +360,6 @@ def check_dispersive_decay(grid: Grid, k: int,
     tr = _free_ladder(grid, as_frequency(f).data, times)
     products = np.asarray([float(t * lebesgue_norm(u, 6)) for t, u in zip(times, tr.fields)])
     flatness = float(products.max() / products.min())
-    xn = x_norm(f)
     return EstimateReport(
         "dispersive", products.tolist(), f"band kernel k={k} advanced {advance:g}",
         grid, horizon, seed=0,
@@ -367,8 +367,8 @@ def check_dispersive_decay(grid: Grid, k: int,
             "k": k,
             "flatness": flatness,
             "times": [float(t) for t in times],
-            "datum_x_norm": float(xn),
-            "datum_x_note": xn.quadrature_note,
+            "datum_x_norm": x_norm(f),
+            "datum_x_note": _wrap_note(f),
         },
     )
 
@@ -408,8 +408,8 @@ def check_bilinear(grid: Grid, m1: np.ndarray, m2: np.ndarray, p: float, q: floa
         f = sampling.band_flat_field(grid, -3, 3, rng)
         g = sampling.band_flat_field(grid, -3, 3, rng)
         B = bilinear_apply(f, g, m1, m2)
-        num = float(lebesgue_norm(B, r))
-        den = kernel * float(lebesgue_norm(f, p)) * float(lebesgue_norm(g, q))
+        num = lebesgue_norm(B, r)
+        den = kernel * lebesgue_norm(f, p) * lebesgue_norm(g, q)
         return num / den if den > 0 else 0.0
 
     ratios = _map_samples(one, samples, threads)
@@ -476,9 +476,9 @@ def check_summation_interpolation(grid: Grid, k: int, p: float, q: float,
         f = sampling.localized_packet(grid, k, sampling.sample_rng(seed, i),
                                       width=PACKET_WIDTH)
         tr = _free_ladder(grid, as_frequency(f).data, times)
-        lhs = float(spacetime_norm(tr, p, q))
-        base = float(spacetime_norm(tr, p * (1.0 - c), q))
-        proxy = float(sobolev_norm(f, 2))
+        lhs = spacetime_norm(tr, p, q)
+        base = spacetime_norm(tr, p * (1.0 - c), q)
+        proxy = sobolev_norm(f, 2)
         rhs = base ** (1.0 - c) * bands.BASE ** (-8.0 * c * k) * proxy**c
         return lhs / rhs if rhs > 0 else 0.0
 
@@ -500,7 +500,7 @@ def check_doi_local(u1: Field, ps: PotentialSet, T: float, dt: float) -> Estimat
         raise ValueError("Doi check is a short-horizon bound: need T - 1 <= 1")
     cfg = EvolveConfig(t_end=T, dt=dt, snapshot_stride=5)
     tr = profile_of(evolve_nonlinear(u1, ps, cfg, skip_certification=True))
-    h10s = [float(sobolev_norm(f, 10)) for f in tr.fields]
+    h10s = [sobolev_norm(f, 10) for f in tr.fields]
     lhs = max(h10s)
     rhs = h10s[0] + (T - 1.0) * lhs**2
     kappa = lhs / rhs if rhs > 0 else 0.0

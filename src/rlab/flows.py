@@ -12,11 +12,18 @@ The non-Laplacian substep is advanced
   dealiased by the two-thirds rule;
 * for the Hamiltonian flow i du/dt = H_A u with
   H_A = -Laplacian + 2i A.grad + (i div A + |A|^2) + V, by RK2, whose
-  order-2 non-unitarity keeps the measured mass and energy drifts on the
-  same O(dt^2) footing as the splitting error.
+  order-2 non-unitarity keeps the drifts of the mass (l2_norm) and of the
+  energy (hamiltonian_energy) on the same O(dt^2) footing as the splitting
+  error.
 
 Every step passes an L2-mass guard: a jump above 5% in one step, or a
 non-finite mass, aborts with diagnostics.  Initial time is t = 1 throughout.
+
+A flow returns a Trajectory, its times and fields and nothing else.  What
+is measured on it is a plain function of it, computed by the caller that
+needs it: profile_norms gives the H^10 and X norms of the profile at every
+snapshot, bootstrap_monitor reads those rows against eps1 = A eps0, and
+hamiltonian_energy gives the energy of one snapshot.
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ from .spectral import (
     as_physical,
     free_phase,
     free_propagate,
-    l2_norm,
     write_snapshot,
 )
 
@@ -73,19 +79,16 @@ class EvolveConfig:
 
 @dataclass(frozen=True)
 class BootstrapParams:
-    """Initial-data size eps0, amplification A (eps1 = A eps0), potential delta."""
+    """Initial-data size eps0 and amplification A (eps1 = A eps0)."""
 
     eps0: float
     amplification: float
-    delta: float
 
     def __post_init__(self):
         if not self.eps0 > 0:
             raise ValueError("eps0 must be positive")
         if self.amplification < 1:
             raise ValueError("amplification must be at least 1 (eps1 >= eps0)")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
 
     @property
     def eps1(self) -> float:
@@ -190,7 +193,7 @@ def _free_trajectory(u1: Field, cfg: EvolveConfig) -> Trajectory:
         last = m
         fields.append(f)
     times = cfg.t_start + cfg.dt * np.asarray(steps, dtype=np.float64)
-    return Trajectory(times=times, fields=fields, meta={"stride": cfg.snapshot_stride})
+    return Trajectory(times=times, fields=fields)
 
 
 def _evolve(u1: Field, cfg: EvolveConfig, substep) -> Trajectory:
@@ -200,7 +203,7 @@ def _evolve(u1: Field, cfg: EvolveConfig, substep) -> Trajectory:
                            set(steps), t_start=cfg.t_start)
     times = cfg.t_start + cfg.dt * np.asarray(steps, dtype=np.float64)
     fields = [Field(u1.grid, PHYSICAL, records[m]) for m in steps]
-    return Trajectory(times=times, fields=fields, meta={"stride": cfg.snapshot_stride})
+    return Trajectory(times=times, fields=fields)
 
 
 def _linear_operator(ps: PotentialSet, skip_certification: bool) -> _PotentialOperator:
@@ -259,15 +262,11 @@ def evolve_linear_to(u1: Field, ps: PotentialSet, t_start: float, t_end: float,
 
 
 def evolve_nonlinear(u1: Field, ps: PotentialSet, cfg: EvolveConfig, *,
-                     bootstrap: BootstrapParams | None = None,
                      skip_certification: bool = False) -> Trajectory:
     """Solve i du/dt + Laplacian u = a . grad u + V u + u^2.
 
     The quadratic substep is advanced by explicit midpoint RK2 with the
-    square dealiased (two-thirds rule) unless cfg.dealias == "off".  When
-    bootstrap parameters are given, the profile norms are monitored at
-    every snapshot and an excursion above eps1 is reported in the
-    trajectory metadata (and logged), never clipped.
+    square dealiased (two-thirds rule) unless cfg.dealias == "off".
     """
     grid = u1.grid
     op = _linear_operator(ps, skip_certification)
@@ -279,10 +278,7 @@ def evolve_nonlinear(u1: Field, ps: PotentialSet, cfg: EvolveConfig, *,
             u2 = np.fft.ifftn(mask * np.fft.fftn(u2))
         return -1j * (op(u) + u2)
 
-    tr = _evolve(u1, cfg, _rk2_substep(rhs))
-    if bootstrap is not None:
-        tr.meta["bootstrap"] = _monitor_bootstrap(tr, bootstrap)
-    return tr
+    return _evolve(u1, cfg, _rk2_substep(rhs))
 
 
 def profile_norms(tr: Trajectory) -> list[dict]:
@@ -290,12 +286,14 @@ def profile_norms(tr: Trajectory) -> list[dict]:
     rows = []
     for t, u in zip(tr.times, tr.fields):
         f = free_propagate(u, -t)
-        rows.append({"t": float(t), "h10": float(sobolev_norm(f, 10)), "x": float(x_norm(f))})
+        rows.append({"t": float(t), "h10": sobolev_norm(f, 10), "x": x_norm(f)})
     return rows
 
 
-def _monitor_bootstrap(tr: Trajectory, bp: BootstrapParams) -> dict:
-    rows = profile_norms(tr)
+def bootstrap_monitor(rows: list[dict], bp: BootstrapParams) -> dict:
+    """The bootstrap test on profile_norms rows: the run exits at the first
+    row whose H^10 or X norm is strictly above eps1.  An exit is logged as a
+    warning and reported; the rows come back as given, never clipped."""
     exited_at = next((r["t"] for r in rows if max(r["h10"], r["x"]) > bp.eps1), None)
     if exited_at is not None:
         logger.warning(
@@ -315,10 +313,11 @@ def evolve_hamiltonian(u1: Field, a: tuple[Field, Field, Field], v: Field,
                        cfg: EvolveConfig) -> Trajectory:
     """Solve i du/dt = H_A u with H_A = -(grad - i A)^2 + V, A and V real.
 
-    Records the L2 mass and the energy functional
-    H(u) = 1/2 integral |(grad - iA) u|^2 + V |u|^2 dx at every snapshot.
+    The flow conserves the L2 mass and the energy hamiltonian_energy(u, A, V)
+    up to the O(dt^2) drift of its RK2 substep.
     """
     grid = u1.grid
+    a, v = [as_physical(ai) for ai in a], as_physical(v)
     for f in (*a, v):
         if f.grid != grid:
             raise ValueError("potentials must live on the field's grid")
@@ -326,44 +325,37 @@ def evolve_hamiltonian(u1: Field, a: tuple[Field, Field, Field], v: Field,
             raise ValueError("Hamiltonian flow needs real A and V")
     a_data = [ai.data.real for ai in a]
     v_data = v.data.real
-    ixi = [1j * grid.freq_mesh[j] for j in range(3)]
     div_a = np.zeros(grid.shape)
     for j in range(3):
-        div_a += np.fft.ifftn(ixi[j] * np.fft.fftn(a_data[j])).real
+        div_a += np.fft.ifftn(1j * grid.freq_mesh[j] * np.fft.fftn(a_data[j])).real
     a_sq = sum(aj * aj for aj in a_data)
     # H_A - (-Laplacian) = (i div A + |A|^2 + V) + sum_j 2i A_j d_j
     op = _PotentialOperator(grid, 1j * div_a + a_sq + v_data, [2j * aj for aj in a_data])
-    tr = _evolve(u1, cfg, _rk2_substep(lambda u: -1j * op(u)))
-    masses, energies = [], []
-    for f in tr.fields:
-        masses.append(l2_norm(f))
-        energies.append(_hamiltonian_energy(f, a_data, v_data, ixi))
-    tr.meta["mass"] = masses
-    tr.meta["hamiltonian"] = energies
-    return tr
+    return _evolve(u1, cfg, _rk2_substep(lambda u: -1j * op(u)))
 
 
-def _hamiltonian_energy(f: Field, a_data, v_data, ixi) -> float:
-    u = f.data
+def hamiltonian_energy(f: Field, a: tuple[Field, Field, Field], v: Field) -> float:
+    """H(u) = 1/2 integral |(grad - iA) u|^2 + V |u|^2 dx, A and V real."""
+    grid = f.grid
+    u = as_physical(f).data
     uhat = np.fft.fftn(u)
-    acc = np.zeros(f.grid.shape)
+    acc = np.zeros(grid.shape)
     for j in range(3):
-        dj = np.fft.ifftn(ixi[j] * uhat)
-        acc += np.abs(dj - 1j * a_data[j] * u) ** 2
-    acc += v_data * np.abs(u) ** 2
-    return float(0.5 * np.sum(acc) * f.grid.dx**3)
+        dj = np.fft.ifftn(1j * grid.freq_mesh[j] * uhat)
+        acc += np.abs(dj - 1j * as_physical(a[j]).data.real * u) ** 2
+    acc += as_physical(v).data.real * np.abs(u) ** 2
+    return float(0.5 * np.sum(acc) * grid.dx**3)
 
 
 def profile_of(tr: Trajectory) -> Trajectory:
     """Pull back by the free flow: f(t) = e^{-i t Laplacian} u(t), snapshotwise."""
     fields = [free_propagate(u, -t) for t, u in zip(tr.times, tr.fields)]
-    meta = dict(tr.meta)
-    meta["profile"] = True
-    return Trajectory(times=tr.times.copy(), fields=fields, meta=meta)
+    return Trajectory(times=tr.times.copy(), fields=fields)
 
 
-def save_trajectory(tr: Trajectory, directory, config_hash: str = "") -> list[str]:
-    """Persist as a directory of snapshots plus an index JSON."""
+def save_trajectory(tr: Trajectory, directory, stride: int, config_hash: str) -> list[str]:
+    """Persist as a directory of snapshots plus an index JSON that records
+    the times, the snapshot stride and the config hash."""
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -373,7 +365,7 @@ def save_trajectory(tr: Trajectory, directory, config_hash: str = "") -> list[st
         paths.append(str(p))
     index = {
         "times": [float(t) for t in tr.times],
-        "stride": tr.meta.get("stride"),
+        "stride": stride,
         "config_hash": config_hash,
         "snapshots": [pathlib.Path(p).name for p in paths],
     }

@@ -7,8 +7,10 @@ sides agree.  L-infinity over the continuum is reported as the grid max
 (a lower bound of the true sup).  Space-time norms use trapezoidal
 quadrature in t.  The xi-gradient inside the X norms is realized as
 multiplication by -i x in centered physical coordinates, which is exact
-until mass reaches the box boundary; a wrap-around note is attached when
-more than 1e-6 of the L2 mass sits in the outer 10% shell.
+until mass reaches the box boundary.  _wrap_note is the one detector of
+that: it names a field with more than 1e-6 of its L2 mass in the outer 10%
+shell.  Every norm is a plain float, checked once on its way out: NaN or a
+negative value raises a ValueError naming the norm.
 
 Everything here is pure; the X norms read the band supports from
 bands.band_table, built once per grid and shared read-only.
@@ -16,9 +18,8 @@ bands.band_table, built once per grid and shared read-only.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,31 +38,14 @@ from .spectral import (
 BOUNDARY_MASS_TOL = 1e-6
 
 
-class NormValue(float):
-    """A nonnegative norm value tagged with its identity and quadrature note."""
-
-    norm_id: str
-    quadrature_note: str
-
-    def __new__(cls, value: float, norm_id: str, quadrature_note: str = ""):
-        if math.isnan(value):
-            raise ValueError(f"norm {norm_id!r} evaluated to NaN")
-        if value < 0:
-            raise ValueError(f"norm {norm_id!r} evaluated to {value} < 0")
-        obj = super().__new__(cls, value)
-        obj.norm_id = norm_id
-        obj.quadrature_note = quadrature_note
-        return obj
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "norm_id": self.norm_id,
-                "value": float(self),
-                "quadrature_note": self.quadrature_note,
-            },
-            sort_keys=True,
-        )
+def _checked(value: float, name: str) -> float:
+    """value as a float; a NaN or negative value is a ValueError naming the norm."""
+    value = float(value)
+    if math.isnan(value):
+        raise ValueError(f"norm {name!r} evaluated to NaN")
+    if value < 0:
+        raise ValueError(f"norm {name!r} evaluated to {value} < 0")
+    return value
 
 
 @dataclass
@@ -73,7 +57,6 @@ class Trajectory:
 
     times: np.ndarray
     fields: list[Field]
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -97,37 +80,34 @@ def _check_exponent(p, name="p"):
         raise ValueError(f"{name} must satisfy {name} >= 1 (got {p})")
 
 
-def lebesgue_norm(f: Field, p: float) -> NormValue:
+def lebesgue_norm(f: Field, p: float) -> float:
     """(integral |f|^p dx)^(1/p); p = inf gives the grid max."""
     _check_exponent(p)
     if p == np.inf:
-        val = float(np.max(np.abs(as_physical(f).data)))
-        return NormValue(val, "Linf", "grid max, lower bound of the sup")
+        return _checked(np.max(np.abs(as_physical(f).data)), "Linf")
     if p == 2 and f.rep == FREQUENCY:
         w = f.grid.dxi**3 / (2.0 * np.pi) ** 3
-        val = float(np.sqrt(np.sum(np.abs(f.data) ** 2) * w))
-        return NormValue(val, "L2", "frequency side via Parseval")
+        return _checked(np.sqrt(np.sum(np.abs(f.data) ** 2) * w), "L2")
     a = np.abs(as_physical(f).data)
-    val = float(np.sum(a**p) * f.grid.dx**3) ** (1.0 / p)
-    return NormValue(val, f"L{p:g}", "")
+    return _checked(float(np.sum(a**p) * f.grid.dx**3) ** (1.0 / p), f"L{p:g}")
 
 
-def spacetime_norm(tr: Trajectory, p_t: float, q_x: float) -> NormValue:
+def spacetime_norm(tr: Trajectory, p_t: float, q_x: float) -> float:
     """L^p in time (trapezoid over the sample ladder) of the L^q space norm."""
     _check_exponent(p_t, "p_t")
     _check_exponent(q_x, "q_x")
     vals = np.array([lebesgue_norm(f, q_x) for f in tr.fields])
     if p_t == np.inf:
-        return NormValue(float(np.max(vals)), f"Linf_t_L{q_x:g}_x", "max over samples")
+        return _checked(np.max(vals), f"Linf_t_L{q_x:g}_x")
     if len(tr.fields) < 2:
         raise ValueError("finite p_t needs at least two time samples")
     val = float(np.trapezoid(vals**p_t, tr.times)) ** (1.0 / p_t)
-    return NormValue(val, f"L{p_t:g}_t_L{q_x:g}_x", "trapezoid in t")
+    return _checked(val, f"L{p_t:g}_t_L{q_x:g}_x")
 
 
 def mixed_spacetime_norm(
     tr: Trajectory, axis: int, p_outer: float, q_inner: float
-) -> NormValue:
+) -> float:
     """|| ||f||_{L^q over (t, transverse axes)} ||_{L^p over x_axis}.
 
     This is the smoothing-estimate norm family, e.g. (p, q) = (inf, 2)
@@ -159,25 +139,21 @@ def mixed_spacetime_norm(
         val = float(np.max(inner))
     else:
         val = float(np.sum(inner**p_outer) * dx) ** (1.0 / p_outer)
-    return NormValue(
-        val,
-        f"L{p_outer:g}_x{axis + 1}_L{q_inner:g}_t_trans",
-        "trapezoid in t",
-    )
+    return _checked(val, f"L{p_outer:g}_x{axis + 1}_L{q_inner:g}_t_trans")
 
 
-def sobolev_norm(f: Field, s: float) -> NormValue:
+def sobolev_norm(f: Field, s: float) -> float:
     """H^s norm ||(1+|xi|^2)^(s/2) fhat|| with the Parseval weighting."""
     fhat = as_frequency(f)
     g = f.grid
     w = g.dxi**3 / (2.0 * np.pi) ** 3
-    val = float(
-        np.sqrt(np.sum(bessel_weight(g, 2 * s) * np.abs(fhat.data) ** 2) * w)
-    )
-    return NormValue(val, f"H{s:g}", "")
+    return _checked(np.sqrt(np.sum(bessel_weight(g, 2 * s) * np.abs(fhat.data) ** 2) * w),
+                    f"H{s:g}")
 
 
 def _wrap_note(f: Field) -> str:
+    """A wrap-around warning when more than BOUNDARY_MASS_TOL of f's L2 mass
+    sits in the outer shell of the box, else ""."""
     frac = boundary_mass_fraction(f)
     if frac > BOUNDARY_MASS_TOL:
         return (f"wrap-around warning: boundary mass fraction {frac:.3e} "
@@ -185,7 +161,7 @@ def _wrap_note(f: Field) -> str:
     return ""
 
 
-def x_norm(f: Field) -> NormValue:
+def x_norm(f: Field) -> float:
     """sup_k || grad_xi (P_k fhat) ||_L2.
 
     Per band, grad_xi of P_k fhat is the forward transform of -i x times
@@ -194,37 +170,37 @@ def x_norm(f: Field) -> NormValue:
     the grid.  Each band's spectrum is scattered from the grid's cached
     bands.band_table onto a zeroed grid and taken back by one inverse FFT.
     """
-    note = _wrap_note(f)
     g = f.grid
     fhat = as_frequency(f).data.reshape(-1)
     r2 = g.radius_squared
-    best = 0.0
+    norms = []
     for _, support, values in bands.band_table(g):
         h = np.zeros(g.n**3, dtype=np.complex128)
         h[support] = values * fhat[support]
         gk = np.fft.ifftn(h.reshape(g.shape)) / g.dx**3  # the values carry the centering sign
-        best = max(best, float(np.sqrt(np.sum(r2 * np.abs(gk) ** 2) * g.dx**3)))
-    return NormValue(best, "X", note)
+        norms.append(np.sqrt(np.sum(r2 * np.abs(gk) ** 2) * g.dx**3))
+    # np.max, unlike the builtin max, carries a NaN band through to the guard
+    return _checked(np.max(norms, initial=0.0), "X")
 
 
-def x_prime_norm(f: Field) -> NormValue:
+def x_prime_norm(f: Field) -> float:
     """sup_k || (grad_xi fhat) P_k ||_L2: the cutoff sits outside the gradient."""
-    note = _wrap_note(f)
     g = f.grid
     p = as_physical(f)
     w = g.dxi**3 / (2.0 * np.pi) ** 3
     parts = [as_frequency(Field(g, PHYSICAL, -1j * xj * p.data)).data.reshape(-1)
              for xj in g.coord_mesh]
-    best = 0.0
+    norms = []
     for _, support, values in bands.band_table(g):
         grad_sq = np.zeros(g.shape)
         grad_sq.reshape(-1)[support] = sum(np.abs(values * d[support]) ** 2 for d in parts)
-        best = max(best, float(np.sqrt(np.sum(grad_sq) * w)))
-    return NormValue(best, "Xprime", note)
+        norms.append(np.sqrt(np.sum(grad_sq) * w))
+    return _checked(np.max(norms, initial=0.0), "Xprime")
 
 
-def y_norm(w: Field) -> NormValue:
-    """L1 + Linf + sum_j || || |w|^(1/2) ||_{Linf transverse} ||_{L2, x_j}."""
+def y_norm(w: Field) -> float:
+    """L1 + Linf + sum_j || || |w|^(1/2) ||_{Linf transverse} ||_{L2, x_j};
+    the Linf parts are grid maxima."""
     a = np.abs(as_physical(w).data)
     dx = w.grid.dx
     l1 = float(np.sum(a) * dx**3)
@@ -234,4 +210,4 @@ def y_norm(w: Field) -> NormValue:
         transverse = tuple(i for i in range(3) if i != axis)
         sup_trans = np.max(a, axis=transverse)
         mixed += float(np.sqrt(np.sum(sup_trans) * dx))
-    return NormValue(l1 + linf + mixed, "Y", "Linf parts are grid maxima")
+    return _checked(l1 + linf + mixed, "Y")

@@ -121,9 +121,9 @@ def _x_weight(f: Field) -> Field:
 
 def _triple(w: Field, fhat: Field, weight: np.ndarray) -> dict:
     return {
-        "y": float(y_norm(w)),
-        "y_weighted": float(y_norm(_x_weight(w))),
-        "y_smooth": float(y_norm(apply_multiplier(fhat, weight))),  # (1-Delta)^5 w
+        "y": y_norm(w),
+        "y_weighted": y_norm(_x_weight(w)),
+        "y_smooth": y_norm(apply_multiplier(fhat, weight)),  # (1-Delta)^5 w
     }
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from rlab import sampling
 from rlab.duhamel import (
-    DuhamelTerm,
     _born_ladder,
     born_terms,
     denominator_sweep,
@@ -67,10 +66,6 @@ class TestBornTerm:
                                   compare_with_flow=True)
         errs = rep.partial_sum_errors
         assert all(b < a for a, b in zip(errs[:4], errs[1:4]))
-
-    def test_rejects_invalid_order(self):
-        with pytest.raises(ValueError):
-            DuhamelTerm(order=-1, field=None, h10=0.0, x=0.0)
 
     def test_rejects_time_off_the_dt_ladder(self, datum, potentials):
         # (2 - 1) / 0.3 is not an integer step count

@@ -15,17 +15,20 @@ from rlab.flows import (
     _step_count,
     _strang_loop,
     EvolveConfig,
+    bootstrap_monitor,
     evolve_hamiltonian,
     evolve_linear,
     evolve_linear_to,
     evolve_nonlinear,
+    hamiltonian_energy,
+    profile_norms,
     profile_of,
     save_trajectory,
 )
 from rlab.norms import sobolev_norm
 from rlab.potentials import PotentialSet, gaussian_potential, zero_potential_set
-from rlab.spectral import (PHYSICAL, Field, free_propagate, l2_norm, make_grid, read_snapshot,
-                           zero_field)
+from rlab.spectral import (PHYSICAL, Field, forward_transform, free_propagate, l2_norm, make_grid,
+                           read_snapshot, zero_field)
 
 
 @pytest.fixture(scope="module")
@@ -87,12 +90,43 @@ class TestStepCount:
 
 class TestBootstrapParams:
     def test_eps1(self):
-        bp = BootstrapParams(eps0=0.01, amplification=10.0, delta=0.1)
+        bp = BootstrapParams(eps0=0.01, amplification=10.0)
         assert bp.eps1 == 0.1
 
     def test_rejects_amplification_below_one(self):
         with pytest.raises(ValueError):
-            BootstrapParams(eps0=0.01, amplification=0.5, delta=0.1)
+            BootstrapParams(eps0=0.01, amplification=0.5)
+
+
+class TestBootstrapMonitor:
+    # hand-written profile_norms rows around eps1 = 2 * 0.5 = 1
+    BP = BootstrapParams(eps0=0.5, amplification=2.0)
+
+    @staticmethod
+    def rows(*pairs):
+        return [{"t": 1.0 + 0.5 * i, "h10": h10, "x": x} for i, (h10, x) in enumerate(pairs)]
+
+    @pytest.mark.parametrize("pairs, exit_time", [
+        (((0.5, 0.5), (1.5, 0.5), (2.0, 2.0)), 1.5),  # h10 crosses first
+        (((0.5, 0.5), (0.5, 0.9), (0.5, 1.2)), 2.0),  # x crosses first
+        (((1.0, 1.0), (1.0, 1.0)), None),  # equal to eps1 is inside
+        (((0.1, 0.2),), None),
+    ])
+    def test_exits_at_first_row_strictly_above_eps1(self, pairs, exit_time, caplog):
+        with caplog.at_level(logging.WARNING, logger="rlab.flows"):
+            mon = bootstrap_monitor(self.rows(*pairs), self.BP)
+        assert mon["exited"] == (exit_time is not None)
+        assert mon["exit_time"] == exit_time
+        assert (mon["eps0"], mon["eps1"]) == (0.5, 1.0)
+        # one warning per exit, however many rows lie above eps1
+        exits = [r for r in caplog.records if "bootstrap exit" in r.message]
+        assert len(exits) == mon["exited"]
+        assert all(r.name == "rlab.flows" for r in exits)
+
+    def test_rows_come_back_unclipped(self):
+        rows = self.rows((0.5, 0.5), (7.0, 3.0), (9.0, 9.0))
+        mon = bootstrap_monitor(rows, self.BP)
+        assert mon["rows"] == self.rows((0.5, 0.5), (7.0, 3.0), (9.0, 9.0))
 
 
 class TestPotentialOperator:
@@ -262,23 +296,21 @@ class TestEvolveNonlinear:
 
     def test_bootstrap_monitor_reports_exit_without_clipping(self, grid, datum,
                                                              potentials, caplog):
-        bp = BootstrapParams(eps0=1e-6, amplification=1.0, delta=1.0)
+        bp = BootstrapParams(eps0=1e-6, amplification=1.0)
         cfg = EvolveConfig(t_end=1.5, dt=0.05, snapshot_stride=5)
+        tr = evolve_nonlinear(datum, potentials, cfg, skip_certification=True)
         with caplog.at_level(logging.WARNING):
-            tr = evolve_nonlinear(datum, potentials, cfg, bootstrap=bp,
-                                  skip_certification=True)
-        mon = tr.meta["bootstrap"]
+            mon = bootstrap_monitor(profile_norms(tr), bp)
         assert mon["exited"] and mon["exit_time"] == 1.0
         assert any("bootstrap exit" in r.message for r in caplog.records)
         # norms are reported, never clipped
         assert mon["rows"][0]["h10"] > bp.eps1
 
     def test_bootstrap_monitor_contained_run(self, grid, datum, potentials):
-        bp = BootstrapParams(eps0=1.0, amplification=10.0, delta=1.0)
+        bp = BootstrapParams(eps0=1.0, amplification=10.0)
         cfg = EvolveConfig(t_end=1.5, dt=0.05, snapshot_stride=5)
-        tr = evolve_nonlinear(datum, potentials, cfg, bootstrap=bp,
-                              skip_certification=True)
-        assert not tr.meta["bootstrap"]["exited"]
+        tr = evolve_nonlinear(datum, potentials, cfg, skip_certification=True)
+        assert not bootstrap_monitor(profile_norms(tr), bp)["exited"]
 
 
 class TestEvolveHamiltonian:
@@ -291,14 +323,26 @@ class TestEvolveHamiltonian:
     def test_mass_conservation_over_thousand_steps(self, grid, datum, potentials):
         cfg = EvolveConfig(t_end=3.0, dt=0.002, snapshot_stride=100)
         tr = evolve_hamiltonian(datum, potentials.a, potentials.v, cfg)
-        m = np.asarray(tr.meta["mass"])
+        m = np.asarray([l2_norm(f) for f in tr.fields])
         assert np.max(np.abs(m / m[0] - 1.0)) <= 1e-6
 
     def test_energy_drift_small(self, grid, datum, potentials):
         cfg = EvolveConfig(t_end=3.0, dt=0.002, snapshot_stride=100)
         tr = evolve_hamiltonian(datum, potentials.a, potentials.v, cfg)
-        h = np.asarray(tr.meta["hamiltonian"])
+        h = np.asarray([hamiltonian_energy(f, potentials.a, potentials.v) for f in tr.fields])
         assert np.max(np.abs(h / h[0] - 1.0)) <= 1e-5
+
+    def test_potentials_read_in_either_representation(self, grid, datum, potentials):
+        a, v = potentials.a, potentials.v
+        a_hat, v_hat = tuple(forward_transform(ai) for ai in a), forward_transform(v)
+        energy = hamiltonian_energy(datum, a, v)
+        assert hamiltonian_energy(datum, a_hat, v_hat) == pytest.approx(energy, rel=1e-12)
+        u_hat = forward_transform(datum)
+        assert hamiltonian_energy(u_hat, a, v) == pytest.approx(energy, rel=1e-12)
+        cfg = EvolveConfig(t_end=1.2, dt=0.05)
+        ref = evolve_hamiltonian(datum, a, v, cfg).fields[-1].data
+        out = evolve_hamiltonian(datum, a_hat, v_hat, cfg).fields[-1].data
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_rejects_complex_potentials(self, grid, datum):
         bad = Field(grid, PHYSICAL, 1j * np.ones(grid.shape))
@@ -326,10 +370,10 @@ class TestPersistence:
     def test_round_trip(self, tmp_path, grid, datum):
         cfg = EvolveConfig(t_end=1.2, dt=0.05, snapshot_stride=2)
         tr = evolve_linear(datum, zero_potential_set(grid), cfg)
-        save_trajectory(tr, tmp_path / "run", config_hash="abc")
+        save_trajectory(tr, tmp_path / "run", 2, "abc")
         index = json.loads((tmp_path / "run" / "index.json").read_text())
         assert_allclose(index["times"], tr.times)
-        assert index["config_hash"] == "abc"
+        assert (index["stride"], index["config_hash"]) == (2, "abc")
         back = [read_snapshot(tmp_path / "run" / name) for name in index["snapshots"]]
         assert len(back) == len(tr.fields)
         # snapshots quantize to complex64

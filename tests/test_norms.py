@@ -8,9 +8,11 @@ from numpy.testing import assert_allclose
 
 from rlab import bands, sampling
 from rlab.norms import (
-    NormValue,
     Trajectory,
+    _checked,
+    _wrap_note,
     lebesgue_norm,
+    mixed_spacetime_norm,
     sobolev_norm,
     spacetime_norm,
     x_norm,
@@ -37,24 +39,28 @@ from rlab.spectral import (
 from conftest import random_field
 
 
-class TestNormValue:
-    def test_behaves_like_float(self):
-        v = NormValue(2.0, "L2")
-        assert v + 1 == 3.0
-        assert v.norm_id == "L2"
-
+class TestChecked:
     def test_rejects_nan_and_negative(self):
-        with pytest.raises(ValueError):
-            NormValue(float("nan"), "bad")
-        with pytest.raises(ValueError):
-            NormValue(-1.0, "bad")
+        with pytest.raises(ValueError, match="norm 'bad' evaluated to NaN"):
+            _checked(float("nan"), "bad")
+        with pytest.raises(ValueError, match="norm 'bad' evaluated to -1.0 < 0"):
+            _checked(-1.0, "bad")
 
-    def test_json_round_trip(self):
-        import json
+    def test_every_norm_is_a_plain_float(self, grid16):
+        f = random_field(grid16, 3)
+        tr = Trajectory(times=np.array([1.0, 2.0]), fields=[f, f])
+        values = [lebesgue_norm(f, np.inf), lebesgue_norm(forward_transform(f), 2),
+                  lebesgue_norm(f, 3), spacetime_norm(tr, np.inf, 2), spacetime_norm(tr, 2, 6),
+                  mixed_spacetime_norm(tr, 0, np.inf, 2), sobolev_norm(f, 10), x_norm(f),
+                  x_prime_norm(f), y_norm(f)]
+        assert all(type(v) is float for v in values)
 
-        v = NormValue(1.5, "X", "note")
-        doc = json.loads(v.to_json())
-        assert doc == {"norm_id": "X", "value": 1.5, "quadrature_note": "note"}
+    @pytest.mark.parametrize("norm, name", [(x_norm, "X"), (x_prime_norm, "Xprime")])
+    def test_x_norms_reject_one_nan_sample(self, grid16, norm, name):
+        data = random_field(grid16, 5).data.copy()
+        data[3, 4, 5] = np.nan
+        with pytest.raises(ValueError, match=f"norm '{name}' evaluated to NaN"):
+            norm(Field(grid16, PHYSICAL, data))
 
 
 class TestLebesgue:
@@ -167,7 +173,7 @@ class TestXNorm:
         edge = field_from_function(
             g, lambda a, b, c: np.exp(-((a + 7.8) ** 2 + b**2 + c**2) / 2.0)
         )
-        assert "wrap-around" in x_norm(edge).quadrature_note
+        assert "wrap-around" in _wrap_note(edge)
 
     def test_interior_field_has_no_warning(self):
         # compactly supported Gaussian packet (band projections would add
@@ -176,7 +182,7 @@ class TestXNorm:
         f = field_from_function(
             g, lambda a, b, c: np.exp(-(a**2 + b**2 + c**2) / 8.0) * np.exp(1j * a)
         )
-        assert x_norm(f).quadrature_note == ""
+        assert _wrap_note(f) == ""
 
 
 class TestXPrime:
@@ -232,7 +238,7 @@ class TestBandTable:
         assert float(x_norm(f)) == x
         assert float(x_prime_norm(f)) == xp
         if width == 1.0 and kind == "windowed":
-            assert "wrap-around" in x_norm(f).quadrature_note
+            assert "wrap-around" in _wrap_note(f)
 
     def test_repeat_call_costs_one_inverse_fft_per_band(self, monkeypatch):
         g = make_grid(16, 24.0)

@@ -1,4 +1,4 @@
-"""Byte-identity sweep: run 18 scenario configs and print one digest per run.
+"""Byte-identity sweep: run 20 scenario configs and print one digest per run.
 
 Usage, from the root of a checkout::
 
@@ -74,6 +74,10 @@ def configs() -> dict[str, dict]:
         **shipped,
         "simulate-linear": _with(shipped["simulate-nonlinear"],
                                  **{"run.scenario": "simulate-linear"}),
+        # the quadratic flow without the two-thirds rule
+        "simulate-undealiased": _with(shipped["simulate-nonlinear"], **{"evolve.dealias": "off"}),
+        # eps1 = 0.004 sits below the profile norms: the bootstrap monitor exits
+        "simulate-exit": _with(shipped["simulate-nonlinear"], **{"bootstrap.eps0": 0.001}),
         "born-16": born_16,
         # electric only: the delta rescale meets zero certificate entries
         "born-electric": _with(born_16, **{f"potential.amplitude_a{j}": 0 for j in (1, 2, 3)}),
