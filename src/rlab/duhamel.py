@@ -17,11 +17,11 @@ LU = fftn(L ifftn(U)),
 
 one duhamel_trapezoid step per order.  LU_{n-1}(t+dt) is carried into the
 next step as its LU_{n-1}(t), so each step applies L once per order below
-the top one, at (V ? 1 : 0) + #a + 1 FFTs (#a the nonzero magnetic
-components; 5 for the full set, down from 12 when every term went back and
-forth to physical space), and the terms return to physical space once, at
-t_end.  The cost is O(order * steps), not O(steps^order).  The numerical
-series keeps the plain Duhamel integral: the measurable content of the
+the top one, at 6 + 2 #a one-dimensional FFT passes (#a the nonzero
+magnetic components; 12 for the full set, 72 a step at 6 orders), and the
+terms return to physical space once, at t_end.  The cost is
+O(order * steps), not O(steps^order).  The numerical series keeps the
+plain Duhamel integral: the measurable content of the
 frequency-differentiated expansion is the geometric decay of the terms in
 both the H^10 and X norms, reported by series_decay_report, plus the
 quadrature check of the regularized denominator

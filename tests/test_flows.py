@@ -11,6 +11,7 @@ from rlab.errors import BlowupError
 from rlab.flows import (
     BootstrapParams,
     _linear_operator,
+    _linear_substep,
     _PotentialOperator,
     _step_count,
     _strang_loop,
@@ -146,6 +147,38 @@ class TestPotentialOperator:
         op = _linear_operator(potentials, skip_certification=True)
         assert op.v.dtype == np.float64
         assert len(op.a) == 3 and all(aj.dtype == np.float64 for _, aj in op.a)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("which", ["full", "electric", "magnetic"])
+    def test_matches_full_grid_derivatives(self, n, which):
+        # white noise carries every mode, the Nyquist planes included
+        g = make_grid(n, 32.0)
+        rng = np.random.default_rng(n)
+        c, b1, b2, b3, u = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+                            for _ in range(5))
+        b = [b1, b2, b3]
+        if which == "electric":
+            b = [np.zeros(g.shape)] * 3
+        if which == "magnetic":
+            c = np.zeros(g.shape)
+        uhat = np.fft.fftn(u)
+        expected = c * u + sum(bj * np.fft.ifftn(1j * g.freq_mesh[j] * uhat)
+                               for j, bj in enumerate(b))
+        op = _PotentialOperator(g, c, b)
+        assert np.max(np.abs(op(u) - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert np.array_equal(op.spectral(uhat), np.fft.fftn(op(np.fft.ifftn(uhat))))
+
+    @pytest.mark.parametrize("which,per_step", [("full", 30), ("electric", 6)])
+    def test_fft_passes_per_linear_strang_step(self, fft_count, grid, datum, potentials,
+                                               which, per_step):
+        # a full-grid pair around the substep, whose 4 applications of L
+        # take 2 one-dimensional passes per nonzero a_j
+        a = potentials.a if which == "full" else (zero_field(grid),) * 3
+        ps = PotentialSet(v=potentials.v, a=a, delta_target=potentials.delta_target)
+        substep = _linear_substep(_linear_operator(ps, skip_certification=True))
+        assert fft_count.passes_per_step(
+            lambda steps: _strang_loop(grid, datum.data, 0.05, steps, substep, set())
+        ) == per_step
 
 
 class TestEvolveLinear:

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -240,25 +239,15 @@ class TestBandTable:
         if width == 1.0 and kind == "windowed":
             assert "wrap-around" in _wrap_note(f)
 
-    def test_repeat_call_costs_one_inverse_fft_per_band(self, monkeypatch):
+    def test_repeat_call_costs_one_inverse_fft_per_band(self, fft_count):
         g = make_grid(16, 24.0)
         f = random_field(g, 11)
         first = x_norm(f)
         n_bands = len(bands.band_table(g))
-        counts = Counter()
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(np.fft, "ifftn", counted("ifftn", np.fft.ifftn))
-        monkeypatch.setattr(np.fft, "fftn", counted("fftn", np.fft.fftn))
-        monkeypatch.setattr(bands, "band_multiplier",
-                            counted("band_multiplier", bands.band_multiplier))
+        fft_count.watch(bands, "band_multiplier")
+        fft_count.calls.clear()
         assert x_norm(f) == first
-        assert counts == {"ifftn": n_bands, "fftn": 1}
+        assert fft_count.calls == {"ifftn": n_bands, "fftn": 1}
 
 
 class TestYNorm:

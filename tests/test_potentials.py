@@ -1,5 +1,3 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,21 +124,12 @@ class TestCertify:
         cert = certify(ps, 1.0)
         assert any("resolution warning" in n for n in cert.notes)
 
-    def test_transforms_each_component_once(self, monkeypatch, sample_set):
+    def test_transforms_each_component_once(self, fft_count, sample_set):
         first = certify(sample_set, 1000.0)
-        counts = Counter()
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(np.fft, "fftn", counted("fftn", np.fft.fftn))
-        monkeypatch.setattr(np.fft, "ifftn", counted("ifftn", np.fft.ifftn))
+        fft_count.calls.clear()
         assert certify(sample_set, 1000.0) == first
         # V, a1, a2, a3 and the three magnetic squares
-        assert counts == {"fftn": 7, "ifftn": 7}
+        assert fft_count.calls == {"fftn": 7, "ifftn": 7}
 
     def test_serializes_every_norm(self, grid, sample_set):
         import json
