@@ -163,10 +163,10 @@ def _time_ladder(grid: Grid, k: int, horizon: tuple[float, float] | None, nt: in
 
 def _free_ladder(grid: Grid, fhat: np.ndarray, times: np.ndarray,
                  multiplier: np.ndarray | None = None) -> Trajectory:
+    """The spectra of e^{it Lap} f on the ladder, kept in frequency form."""
     if multiplier is not None:
         fhat = multiplier * fhat
-    fields = [inverse_transform(Field(grid, FREQUENCY, free_phase(grid, t) * fhat))
-              for t in times]
+    fields = [Field(grid, FREQUENCY, free_phase(grid, t) * fhat) for t in times]
     return Trajectory(times=times, fields=fields)
 
 
@@ -216,7 +216,8 @@ def _forcing_sample(grid: Grid, k: int, axis: int, rng,
 
 def _duhamel_ladder(grid: Grid, forcing: list[Field], times: np.ndarray,
                     multiplier: np.ndarray | None) -> Trajectory:
-    """Cumulative trapezoid Duhamel integral int_{s<=t} e^{i(t-s)Lap} F(s) ds."""
+    """Cumulative trapezoid Duhamel integral int_{s<=t} e^{i(t-s)Lap} F(s) ds,
+    kept as its spectra; duhamel_trapezoid returns a fresh array each step."""
     out_fields = []
     acc = np.zeros(grid.shape, dtype=np.complex128)
     prev_fhat = as_frequency(forcing[0]).data
@@ -228,7 +229,7 @@ def _duhamel_ladder(grid: Grid, forcing: list[Field], times: np.ndarray,
             acc = duhamel_trapezoid(acc, E, dt / 2.0, prev_fhat, cur)
             prev_fhat = cur
         U = acc if multiplier is None else multiplier * acc
-        out_fields.append(inverse_transform(Field(grid, FREQUENCY, U.copy())))
+        out_fields.append(Field(grid, FREQUENCY, U))
     return Trajectory(times=times, fields=out_fields)
 
 
@@ -476,6 +477,8 @@ def check_summation_interpolation(grid: Grid, k: int, p: float, q: float,
         f = sampling.localized_packet(grid, k, sampling.sample_rng(seed, i),
                                       width=PACKET_WIDTH)
         tr = _free_ladder(grid, as_frequency(f).data, times)
+        # both norms read the physical ladder: transform it once
+        tr = Trajectory(times=times, fields=[as_physical(u) for u in tr.fields])
         lhs = spacetime_norm(tr, p, q)
         base = spacetime_norm(tr, p * (1.0 - c), q)
         proxy = sobolev_norm(f, 2)

@@ -3,9 +3,11 @@ norms X and X', and the potential norm Y.
 
 Conventions.  Physical integrals are Riemann sums with weight dx^3; the
 frequency-side L2 norm carries the Parseval weight dxi^3/(2 pi)^3 so both
-sides agree.  L-infinity over the continuum is reported as the grid max
-(a lower bound of the true sup).  Space-time norms use trapezoidal
-quadrature in t.  The xi-gradient inside the X norms is realized as
+sides agree.  A mixed L2 norm of a spectrum (the smoothing norms) goes by
+Parseval across the transverse axes: one transform along the remaining
+axis, and no physical field.  L-infinity over the continuum is reported as
+the grid max (a lower bound of the true sup).  Space-time norms use
+trapezoidal quadrature in t.  The xi-gradient inside the X norms is realized as
 multiplication by -i x in centered physical coordinates, which is exact
 until mass reaches the box boundary.  _wrap_note is the one detector of
 that: it names a field with more than 1e-6 of its L2 mass in the outer 10%
@@ -105,6 +107,23 @@ def spacetime_norm(tr: Trajectory, p_t: float, q_x: float) -> float:
     return _checked(val, f"L{p_t:g}_t_L{q_x:g}_x")
 
 
+def _transverse_power_sum(f: Field, axis: int, q: float) -> np.ndarray:
+    """sum over the transverse axes of |f|^q dx^2, as a profile along axis.
+
+    For q = 2 a spectrum stays a spectrum: by Parseval across the transverse
+    axes the sum is sum_{xi'} |ifft_axis(fhat)|^2 / (n^2 dx^4), one transform
+    along axis.  The centering sign (-1)^m along that axis shifts the profile
+    cyclically by n/2, which np.roll undoes.
+    """
+    g = f.grid
+    transverse = tuple(i for i in range(3) if i != axis)
+    if q == 2 and f.rep == FREQUENCY:
+        v = np.fft.ifft(f.data, axis=axis)
+        s = np.sum(np.abs(v) ** 2, axis=transverse) / (g.n**2 * g.dx**4)
+        return np.roll(s, g.n // 2)
+    return np.sum(np.abs(as_physical(f).data) ** q, axis=transverse) * g.dx**2
+
+
 def mixed_spacetime_norm(
     tr: Trajectory, axis: int, p_outer: float, q_inner: float
 ) -> float:
@@ -128,12 +147,8 @@ def mixed_spacetime_norm(
         )
         inner = np.max(per_t, axis=0)
     else:
-        per_t = np.stack(
-            [
-                np.sum(np.abs(as_physical(f).data) ** q_inner, axis=transverse) * dx**2
-                for f in tr.fields
-            ]
-        )
+        per_t = np.stack([_transverse_power_sum(f, axis, q_inner)
+                          for f in tr.fields])
         inner = np.trapezoid(per_t, tr.times, axis=0) ** (1.0 / q_inner)
     if p_outer == np.inf:
         val = float(np.max(inner))

@@ -175,7 +175,9 @@ def forward_transform(f: Field) -> Field:
     if f.rep != PHYSICAL:
         raise ValueError("forward_transform expects a physical-representation field")
     g = f.grid
-    data = g.centering_phase * np.fft.fftn(f.data) * g.dx**3
+    data = np.fft.fftn(f.data)
+    data *= g.centering_phase
+    data *= g.dx**3
     return Field(g, FREQUENCY, data)
 
 
@@ -184,7 +186,8 @@ def inverse_transform(f: Field) -> Field:
     if f.rep != FREQUENCY:
         raise ValueError("inverse_transform expects a frequency-representation field")
     g = f.grid
-    data = np.fft.ifftn(g.centering_phase * f.data) / g.dx**3
+    data = np.fft.ifftn(g.centering_phase * f.data)
+    data /= g.dx**3
     return Field(g, PHYSICAL, data)
 
 

@@ -23,9 +23,10 @@ def random_field(grid, seed=0):
 
 
 class FFTCount:
-    """Calls of np.fft.fftn and np.fft.ifftn by name, and the one-dimensional
-    FFT passes they make: len(axes) for a call with axes=, one per axis of
-    the array (3 on a grid) for a full call."""
+    """Calls of np.fft.fftn, ifftn, fft and ifft by name, and the
+    one-dimensional FFT passes they make: len(axes) for an n-dimensional
+    call with axes=, one per axis of the array (3 on a grid) for a full
+    call, and one for a one-dimensional call."""
 
     def __init__(self, monkeypatch):
         self.calls = Counter()
@@ -33,9 +34,14 @@ class FFTCount:
         self._monkeypatch = monkeypatch
         for name in ("fftn", "ifftn"):
             self._wrap(np.fft, name, self._count_passes)
+        for name in ("fft", "ifft"):
+            self._wrap(np.fft, name, self._count_one_pass)
 
     def _count_passes(self, a, s=None, axes=None, *args, **kwargs):
         self.passes += np.ndim(a) if axes is None else len(axes)
+
+    def _count_one_pass(self, *args, **kwargs):
+        self.passes += 1
 
     def _wrap(self, owner, name, also=None):
         fn = getattr(owner, name)

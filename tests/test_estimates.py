@@ -114,6 +114,16 @@ class TestSmoothing:
                                   horizon=(1.0, 3.0), nt=16, seed=5)
             assert rep.max_ratio > 0
 
+    @pytest.mark.parametrize("variant,per_time", [
+        ("homogeneous", 1), ("dual", 3), ("inhomogeneous", 4)])
+    def test_fft_passes_per_ladder_time(self, fft_count, grid, variant, per_time):
+        # a mixed L2 norm of a spectrum takes one pass along the axis; the
+        # physical forcing of dual and inhomogeneous takes a full-grid fftn
+        assert fft_count.passes_per_step(
+            lambda steps: check_smoothing(grid, variant, 0, 1, band=1,
+                                          horizon=(1.0, 2.0), nt=4 + steps)
+        ) == per_time
+
     def test_unknown_variant_rejected(self, grid32):
         with pytest.raises(ValueError):
             check_smoothing(grid32, "sideways", 0, 1)

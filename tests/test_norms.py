@@ -9,6 +9,7 @@ from rlab import bands, sampling
 from rlab.norms import (
     Trajectory,
     _checked,
+    _transverse_power_sum,
     _wrap_note,
     lebesgue_norm,
     mixed_spacetime_norm,
@@ -114,6 +115,42 @@ class TestSpacetime:
             fields = [free_propagate(f, t - 1.0) for t in ts]
             vals[nt] = float(spacetime_norm(Trajectory(times=ts, fields=fields), 2.0, 6.0))
         assert abs(vals[33] - vals[65]) / vals[65] < 0.01
+
+
+class TestMixedSpacetime:
+    # grid16 has dx = 2, so a wrong power of dx in the Parseval path shows
+    @staticmethod
+    def _spectra(grid, seed, nt=5):
+        rng = np.random.default_rng(seed)
+        times = 1.0 + np.cumsum(0.1 + rng.random(nt))
+        fields = [Field(grid, FREQUENCY, rng.standard_normal(grid.shape)
+                        + 1j * rng.standard_normal(grid.shape)) for _ in times]
+        return Trajectory(times=times, fields=fields)
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("p_outer", [np.inf, 1.0, 2.0])
+    def test_spectrum_agrees_with_its_physical_form(self, grid16, axis, p_outer, seed):
+        tr = self._spectra(grid16, seed)
+        phys = Trajectory(times=tr.times, fields=[as_physical(f) for f in tr.fields])
+        got = mixed_spacetime_norm(tr, axis, p_outer, 2)
+        ref = mixed_spacetime_norm(phys, axis, p_outer, 2)
+        assert abs(got - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_transverse_profile_keeps_its_position(self, grid16, axis):
+        # the max and sum over x_j cannot see a cyclic shift; the profile can
+        f = self._spectra(grid16, 7, nt=1).fields[0]
+        got = _transverse_power_sum(f, axis, 2)
+        ref = _transverse_power_sum(as_physical(f), axis, 2)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+
+    def test_zero_spectrum_gives_exactly_zero(self, grid16):
+        tr = Trajectory(times=np.linspace(1.0, 2.0, 3),
+                        fields=[zero_field(grid16, FREQUENCY)] * 3)
+        assert mixed_spacetime_norm(tr, 1, np.inf, 2) == 0.0
+        assert mixed_spacetime_norm(tr, 2, 1, 2) == 0.0
 
 
 class TestSobolev:

@@ -1,4 +1,4 @@
-"""Byte-identity sweep: run 20 scenario configs and print one digest per run.
+"""Byte-identity sweep: run 21 scenario configs and print one digest per run.
 
 Usage, from the root of a checkout::
 
@@ -84,6 +84,8 @@ def configs() -> dict[str, dict]:
         # magnetic only: the Born ladder applies L without the V multiplication
         "born-magnetic": _with(born_16, **{"potential.amplitude_v": 0}),
         "harness-64": _load(REPO / "perfbench" / "harness-64.ini"),
+        # dx = 1.5: a wrong power of dx in a smoothing norm shows here, not at dx = 1
+        "smo1-dx": _harness("smo1", 1, 32, 48.0, band=1, samples=2),
         "smo2": _harness("smo2", 1, 32, 32.0, band=2, samples=2),
         "smo3": _harness("smo3", 1, 32, 32.0, band=2, samples=2),
         "ik-smostri": _harness("ik-smostri", 2, 16, 16.0, band=1, samples=4),
