@@ -121,6 +121,8 @@ class ExperimentConfig:
             raise ConfigError("potential.delta must be positive")
         if self.getfloat("bootstrap", "eps0", 1.0) <= 0:
             raise ConfigError("bootstrap.eps0 must be positive")
+        if self.getfloat("scenario", "datum_amplitude", 1.0) == 0:
+            raise ConfigError("scenario.datum_amplitude must be nonzero")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

@@ -37,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import (EvolveConfig, _linear_operator, _linear_substep, _step_count, _strang_loop,
-                    evolve_linear)
-from .norms import sobolev_norm, x_norm
+from .flows import _linear_flow, _linear_operator, _run, _step_count, evolve_linear_to, profile_of
+from .norms import Trajectory, sobolev_norm, x_norm
 from .potentials import PotentialSet
 from .spectral import PHYSICAL, Field, as_physical, free_phase, free_propagate
 
@@ -157,9 +156,7 @@ def series_decay_report(u1: Field, ps: PotentialSet, order_max: int, t: float,
     terms = born_terms(u1, ps, order_max, t, dt)
     errors = None
     if compare_with_flow:
-        cfg = EvolveConfig(t_end=t, dt=dt, snapshot_stride=max(1, int(round((t - 1) / dt))))
-        ref = evolve_linear(u1, ps, cfg, skip_certification=True)
-        target = ref.fields[-1].data
+        target = evolve_linear_to(u1, ps, 1.0, t, dt, skip_certification=True).data
         errors = []
         partial = np.zeros(u1.grid.shape, dtype=np.complex128)
         for tm in terms:
@@ -210,40 +207,28 @@ def wave_operator(u1: Field, ps: PotentialSet, T: float, dt: float, *,
                   skip_certification: bool = False) -> WaveOperatorResult:
     """Numerical wave-operator limit of the linear electromagnetic flow.
 
-    Runs the linear flow to time T, forms g(tau) = e^{-i tau Laplacian}
-    u(tau) on the dyadic ladder tau = 1, 2, 4, ..., T, and reports the
-    Cauchy increments d(tau) = ||g(2 tau) - g(tau)||_{H10} together with a
-    fitted polynomial decay exponent.  A non-decreasing trace is reported
-    as non-convergence, not raised.
+    Records the linear flow at the dyadic times tau = 1, 2, 4, ..., T, pulls
+    the record back by the free flow, g(tau) = e^{-i tau Laplacian} u(tau)
+    (profile_of), and reports the Cauchy increments
+    d(tau) = ||g(2 tau) - g(tau)||_{H10} together with a fitted polynomial
+    decay exponent.  A zero potential set has the constant profile
+    e^{-i Laplacian} u1, evaluated once so that the trace is exactly 0.  A
+    non-decreasing trace is reported as non-convergence, not raised.
     """
     m = int(round(math.log2(T)))
     if abs(T - 2.0**m) > 1e-9 or m < 1:
         raise ValueError("T must be a power of two, at least 2")
     taus = [2.0**j for j in range(m + 1)]  # 1, 2, ..., T
-    grid = u1.grid
-    steps = {tau: _step_count(1.0, tau, dt, "dyadic time") for tau in taus}
-    op = _linear_operator(ps, skip_certification)
-    if op.is_zero:
-        # free flow: the profile e^{-i tau Lap} e^{i (tau-1) Lap} u1 is the
-        # constant e^{-i Lap} u1; evaluate it once so the trace vanishes
-        # identically
-        constant = free_propagate(as_physical(u1), -1.0)
-        profiles = {tau: constant for tau in taus}
+    steps = [_step_count(1.0, tau, dt, "dyadic time") for tau in taus]
+    substep = _linear_flow(ps, skip_certification)
+    if substep is None:
+        profiles = [free_propagate(as_physical(u1), -1.0)] * len(taus)
     else:
-        records = _strang_loop(grid, as_physical(u1).data, dt, steps[taus[-1]],
-                               _linear_substep(op), set(steps.values()))
-        profiles = {tau: free_propagate(Field(grid, PHYSICAL, records[steps[tau]]), -tau)
-                    for tau in taus}
-    distances = []
-    for tau in taus[:-1]:
-        diff = Field(grid, PHYSICAL,
-                     as_physical(profiles[2 * tau]).data - as_physical(profiles[tau]).data)
-        distances.append(sobolev_norm(diff, 10))
-    return WaveOperatorResult(
-        field=as_physical(profiles[taus[-1]]),
-        taus=[float(t) for t in taus[:-1]],
-        distances=distances,
-    )
+        run = Trajectory(times=taus, fields=_run(u1, 1.0, dt, steps, substep))
+        profiles = profile_of(run).fields
+    distances = [sobolev_norm(Field(u1.grid, PHYSICAL, g2.data - g1.data), 10)
+                 for g1, g2 in zip(profiles, profiles[1:])]
+    return WaveOperatorResult(field=profiles[-1], taus=taus[:-1], distances=distances)
 
 
 @dataclass(frozen=True)

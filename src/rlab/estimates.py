@@ -233,6 +233,22 @@ def _duhamel_ladder(grid: Grid, forcing: list[Field], times: np.ndarray,
     return Trajectory(times=times, fields=out_fields)
 
 
+def _flow_integral(tr: Trajectory) -> np.ndarray:
+    """Spectrum of the trapezoid rule for integral e^{it Lap} F(t) dt over tr.
+
+    np.trapezoid's sum on the stacked spectra, one interval at a time in its
+    own order, holding two spectra instead of the stack; acc starts from the
+    first term, since 0.0 + (-0.0) would flip a zero's sign."""
+    acc = prev = None
+    for i, (t, F) in enumerate(zip(tr.times, tr.fields)):
+        cur = free_phase(tr.grid, t) * as_frequency(F).data
+        if i:
+            term = (t - tr.times[i - 1]) * (cur + prev) / 2.0
+            acc = term if acc is None else acc + term
+        prev = cur
+    return acc
+
+
 def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
                     band: int = 0, horizon: tuple[float, float] = (1.0, 3.5),
                     nt: int = 32, seed: int = 0, threads: int = 1,
@@ -266,14 +282,12 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
     elif variant == "dual":
         def one(i):
             tr_f = _forcing_sample(grid, band, axis, sampling.sample_rng(seed, i), times)
-            fhats = [as_frequency(F).data for F in tr_f.fields]
-            flows = [free_phase(grid, t) * fh for t, fh in zip(times, fhats)]
-            acc = np.trapezoid(np.stack(flows), times, axis=0)
+            # first, so that a one-time ladder, which has no interval, raises its ValueError
+            den = mixed_spacetime_norm(tr_f, axis, 1, 2)
+            acc = _flow_integral(tr_f)
             if mult is not None:
                 acc = mult * acc
-            num = l2_norm(Field(grid, FREQUENCY, acc))
-            den = mixed_spacetime_norm(tr_f, axis, 1, 2)
-            return num / den
+            return l2_norm(Field(grid, FREQUENCY, acc)) / den
 
     else:  # inhomogeneous
         def one(i):

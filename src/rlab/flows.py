@@ -19,6 +19,12 @@ The non-Laplacian substep is advanced
 Every step passes an L2-mass guard: a jump above 5% in one step, or a
 non-finite mass, aborts with diagnostics.  Initial time is t = 1 throughout.
 
+One recorder, _run, runs every flow and records it at named steps of its dt
+ladder; evolve_linear, evolve_linear_to, the other evolve_* flows and the
+wave operator all go through it.  The linear flow of a zero potential set is
+the exact free multiplier per record, one free_propagate by m dt at step m,
+with no Strang loop.
+
 A flow returns a Trajectory, its times and fields and nothing else.  What
 is measured on it is a plain function of it, computed by the caller that
 needs it: profile_norms gives the H^10 and X norms of the profile at every
@@ -184,30 +190,22 @@ def _record_steps(cfg: EvolveConfig) -> list[int]:
     return steps
 
 
-def _free_trajectory(u1: Field, cfg: EvolveConfig) -> Trajectory:
-    # zero potential: the Strang step collapses to the exact free multiplier,
-    # so each step literally calls free_propagate (bit-identical by shared code)
-    steps = _record_steps(cfg)
-    fields = []
-    f = as_physical(u1)
-    last = 0
-    for m in steps:
-        for _ in range(m - last):
-            f = free_propagate(f, cfg.dt)
-        last = m
-        fields.append(f)
-    times = cfg.t_start + cfg.dt * np.asarray(steps, dtype=np.float64)
-    return Trajectory(times=times, fields=fields)
+def _run(u1: Field, t_start: float, dt: float, steps: list[int], substep) -> list[Field]:
+    """The flow from u1 at t_start, recorded at the ascending steps of its dt
+    ladder.  substep=None is the zero potential, whose flow is the exact free
+    multiplier: step 0 is u1 itself and step m one free_propagate by m dt."""
+    u = as_physical(u1)
+    if substep is None:
+        return [u if m == 0 else free_propagate(u, m * dt) for m in steps]
+    records = _strang_loop(u1.grid, u.data, dt, steps[-1], substep, set(steps), t_start=t_start)
+    return [Field(u1.grid, PHYSICAL, records[m]) for m in steps]
 
 
 def _evolve(u1: Field, cfg: EvolveConfig, substep) -> Trajectory:
-    """Strang loop from u1 over cfg's time ladder, recorded at cfg's snapshot steps."""
+    """The flow from u1 over cfg's time ladder, recorded at cfg's snapshot steps."""
     steps = _record_steps(cfg)
-    records = _strang_loop(u1.grid, as_physical(u1).data, cfg.dt, cfg.n_steps, substep,
-                           set(steps), t_start=cfg.t_start)
     times = cfg.t_start + cfg.dt * np.asarray(steps, dtype=np.float64)
-    fields = [Field(u1.grid, PHYSICAL, records[m]) for m in steps]
-    return Trajectory(times=times, fields=fields)
+    return Trajectory(times=times, fields=_run(u1, cfg.t_start, cfg.dt, steps, substep))
 
 
 def _linear_operator(ps: PotentialSet, skip_certification: bool) -> _PotentialOperator:
@@ -233,6 +231,12 @@ def _linear_substep(op: _PotentialOperator):
     return substep
 
 
+def _linear_flow(ps: PotentialSet, skip_certification: bool):
+    """The substep of the linear flow of ps, None for a zero set (the free flow)."""
+    op = _linear_operator(ps, skip_certification)
+    return None if op.is_zero else _linear_substep(op)
+
+
 def _rk2_substep(rhs):
     # explicit midpoint RK2 on u' = rhs(u)
     def substep(u, dt):
@@ -246,23 +250,14 @@ def _rk2_substep(rhs):
 def evolve_linear(u1: Field, ps: PotentialSet, cfg: EvolveConfig, *,
                   skip_certification: bool = False) -> Trajectory:
     """Solve i du/dt + Laplacian u = a . grad u + V u from u(t_start) = u1."""
-    op = _linear_operator(ps, skip_certification)
-    if op.is_zero:
-        return _free_trajectory(u1, cfg)
-    return _evolve(u1, cfg, _linear_substep(op))
+    return _evolve(u1, cfg, _linear_flow(ps, skip_certification))
 
 
 def evolve_linear_to(u1: Field, ps: PotentialSet, t_start: float, t_end: float,
                      dt: float, *, skip_certification: bool = False) -> Field:
     """Terminal field only; accepts either time direction (dt signed)."""
-    grid = u1.grid
     n_steps = _step_count(t_start, t_end, dt, "t_end")
-    op = _linear_operator(ps, skip_certification)
-    if op.is_zero:
-        return free_propagate(as_physical(u1), t_end - t_start)
-    records = _strang_loop(grid, as_physical(u1).data, dt, n_steps,
-                           _linear_substep(op), {n_steps}, t_start=t_start)
-    return Field(grid, PHYSICAL, records[n_steps])
+    return _run(u1, t_start, dt, [n_steps], _linear_flow(ps, skip_certification))[0]
 
 
 def evolve_nonlinear(u1: Field, ps: PotentialSet, cfg: EvolveConfig, *,

@@ -169,6 +169,17 @@ class TestConfig:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_zero_datum_amplitude_rejected(self, tmp_path, capsys):
+        # a zero datum has a zero profile: the wave operator's kappa would be 0/0
+        text = (CONFIGS / "wave-operator.ini").read_text()
+        assert "datum_amplitude = 0.01" in text
+        p = tmp_path / "zero.ini"
+        p.write_text(text.replace("datum_amplitude = 0.01", "datum_amplitude = 0"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: scenario.datum_amplitude must be nonzero\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, message", [
         (BAD_AXIS, "axis must be 0, 1 or 2 (got 3)"),
         (MINIMAL.format("harness:ik-smostri") + "[scenario]\np = 3\nq = 3\n",

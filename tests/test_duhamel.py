@@ -12,7 +12,8 @@ from rlab.duhamel import (
     series_decay_report,
     wave_operator,
 )
-from rlab.flows import _linear_operator
+from rlab.flows import EvolveConfig, _linear_operator, evolve_linear, profile_of
+from rlab.norms import sobolev_norm
 from rlab.potentials import PotentialSet, gaussian_potential, zero_potential_set
 from rlab.spectral import PHYSICAL, Field, free_phase, free_propagate, l2_norm, make_grid
 
@@ -150,6 +151,17 @@ class TestWaveOperator:
         # g(T) is the constant profile e^{-i Lap} u1, not u1 itself
         ref = free_propagate(datum, -1.0)
         assert np.max(np.abs(res.field.data - ref.data)) < 1e-12
+
+    def test_is_the_free_pull_back_of_the_recorded_linear_flow(self, grid, datum, potentials):
+        res = wave_operator(datum, potentials, 4.0, 0.05, skip_certification=True)
+        cfg = EvolveConfig(t_end=4.0, dt=0.05, snapshot_stride=20)
+        prof = profile_of(evolve_linear(datum, potentials, cfg, skip_certification=True))
+        assert prof.times.tolist() == [1.0, 2.0, 3.0, 4.0]
+        g = {t: f.data for t, f in zip(prof.times, prof.fields)}
+        assert res.taus == [1.0, 2.0]
+        for tau, d in zip(res.taus, res.distances):
+            assert d == sobolev_norm(Field(grid, PHYSICAL, g[2 * tau] - g[tau]), 10)
+        assert np.array_equal(res.field.data, g[4.0])
 
     def test_rejects_non_dyadic_horizon(self, grid, datum):
         with pytest.raises(ValueError):

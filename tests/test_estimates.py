@@ -4,6 +4,9 @@ from numpy.testing import assert_allclose
 
 from rlab import bands, sampling
 from rlab.estimates import (
+    _flow_integral,
+    _forcing_sample,
+    _time_ladder,
     AdmissiblePair,
     EstimateReport,
     admissible,
@@ -27,6 +30,8 @@ from rlab.spectral import (
     PHYSICAL,
     Field,
     as_frequency,
+    free_phase,
+    half_derivative_weight,
     inverse_transform,
     l2_norm,
     make_grid,
@@ -124,6 +129,11 @@ class TestSmoothing:
                                           horizon=(1.0, 2.0), nt=4 + steps)
         ) == per_time
 
+    @pytest.mark.parametrize("variant", ["homogeneous", "dual", "inhomogeneous"])
+    def test_one_time_ladder_rejected(self, grid, variant):
+        with pytest.raises(ValueError, match="at least two time samples"):
+            check_smoothing(grid, variant, 0, 1, band=1, horizon=(1.0, 2.0), nt=1)
+
     def test_unknown_variant_rejected(self, grid32):
         with pytest.raises(ValueError):
             check_smoothing(grid32, "sideways", 0, 1)
@@ -185,6 +195,25 @@ class TestSmoothing:
                                      axis, 1, 2)
             )
             assert 0.7 <= dual / hom <= 1.3
+
+    def test_dual_sum_bit_identical_to_stacked_trapezoid(self, grid16):
+        # the dual variant accumulates its time integral one interval at a
+        # time; the reference stacks every spectrum and calls np.trapezoid
+        g, axis, band, seed = grid16, 0, 2, 5
+        rep = check_smoothing(g, "dual", axis, 3, band=band, horizon=(1.0, 3.0), nt=16,
+                              seed=seed)
+        times = _time_ladder(g, band, (1.0, 3.0), 16)
+        mult = half_derivative_weight(g, axis)
+        ref = []
+        for i in range(3):
+            tr_f = _forcing_sample(g, band, axis, sampling.sample_rng(seed, i), times)
+            flows = [free_phase(g, t) * as_frequency(F).data for t, F in zip(times, tr_f.fields)]
+            integral = np.trapezoid(np.stack(flows), times, axis=0)
+            # the ratio is a norm, blind to the order of the sum: pin the spectrum too
+            assert np.array_equal(_flow_integral(tr_f), integral)
+            ref.append(l2_norm(Field(g, FREQUENCY, mult * integral))
+                       / mixed_spacetime_norm(tr_f, axis, 1, 2))
+        assert rep.ratios == ref
 
     def test_gap_between_with_and_without_multiplier(self, grid32):
         with_rep = check_smoothing(grid32, "homogeneous", 0, 2, band=4,

@@ -198,17 +198,22 @@ class TestEvolveLinear:
     @settings(max_examples=40, deadline=None)
     @given(steps=st.integers(1, 12), stride=st.integers(1, 5),
            dt=st.sampled_from([0.01, 0.05, 0.1]))
-    def test_free_snapshots_bit_identical_to_repeated_free_propagate(self, grid, datum,
-                                                                     steps, stride, dt):
+    def test_free_snapshots_bit_identical_to_one_free_propagate(self, grid, datum, steps,
+                                                                stride, dt):
+        # the zero potential's flow is the exact free multiplier per record:
+        # the datum at step 0, one free_propagate by m dt at step m
+        ps = zero_potential_set(grid)
         cfg = EvolveConfig(t_end=1.0 + steps * dt, dt=dt, snapshot_stride=stride)
-        tr = evolve_linear(datum, zero_potential_set(grid), cfg)
-        ref = [datum]
-        for _ in range(steps):
-            ref.append(free_propagate(ref[-1], dt))
+        tr = evolve_linear(datum, ps, cfg)
         recorded = sorted(set(range(0, steps + 1, stride)) | {steps})
         assert len(tr.fields) == len(recorded)
-        for m, f in zip(recorded, tr.fields):
-            assert np.array_equal(f.data, ref[m].data)
+        assert tr.fields[0] is datum
+        for m, f in zip(recorded[1:], tr.fields[1:]):
+            assert np.array_equal(f.data, free_propagate(datum, m * dt).data)
+        forward = evolve_linear_to(datum, ps, 1.0, cfg.t_end, dt)
+        assert np.array_equal(forward.data, free_propagate(datum, steps * dt).data)
+        backward = evolve_linear_to(datum, ps, cfg.t_end, 1.0, -dt)
+        assert np.array_equal(backward.data, free_propagate(datum, steps * -dt).data)
 
     @settings(max_examples=30, deadline=None)
     @given(amplitude=st.floats(0.05, 5.0), dt=st.sampled_from([0.01, 0.05, 0.1]),

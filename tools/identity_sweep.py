@@ -1,4 +1,4 @@
-"""Byte-identity sweep: run 21 scenario configs and print one digest per run.
+"""Byte-identity sweep: run 22 scenario configs and print one digest per run.
 
 Usage, from the root of a checkout::
 
@@ -74,6 +74,10 @@ def configs() -> dict[str, dict]:
         **shipped,
         "simulate-linear": _with(shipped["simulate-nonlinear"],
                                  **{"run.scenario": "simulate-linear"}),
+        # zero potential: the linear flow is the exact free multiplier per record
+        "simulate-free": _with(shipped["simulate-nonlinear"],
+                               **{"run.scenario": "simulate-linear", "potential.amplitude_v": 0,
+                                  **{f"potential.amplitude_a{j}": 0 for j in (1, 2, 3)}}),
         # the quadratic flow without the two-thirds rule
         "simulate-undealiased": _with(shipped["simulate-nonlinear"], **{"evolve.dealias": "off"}),
         # eps1 = 0.004 sits below the profile norms: the bootstrap monitor exits
