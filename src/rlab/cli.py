@@ -4,12 +4,12 @@ persistence and report emission.
 Configs are flat INI-style text (``key = value`` under ``[section]``
 headers), chosen over nested formats for diff-ability.  The table
 ACCEPTED_KEYS is the grammar, each key with its type: any other section or
-key is a ConfigError naming it, as is a value its type cannot read, when
-the config is built or overridden.  Values are plain tokens; floats use '.'
-decimals.  CSV outputs print floats with 17 significant digits and are
-byte-identical for identical configs and seeds, serial or parallel.  Each
-scenario is one entry of the registry SCENARIOS, which config validation,
-``describe`` and ``run`` all read.
+key is a ConfigError naming it, as is a value its type cannot read or a
+value out of its range, on a load and on an override alike.  Values are
+plain tokens; floats use '.' decimals.  CSV outputs print floats with 17
+significant digits and are byte-identical for identical configs and seeds,
+serial or parallel.  Each scenario is one entry of the registry SCENARIOS,
+which config validation, ``describe`` and ``run`` all read.
 """
 
 from __future__ import annotations
@@ -123,6 +123,10 @@ class ExperimentConfig:
             raise ConfigError("bootstrap.eps0 must be positive")
         if self.getfloat("scenario", "datum_amplitude", 1.0) == 0:
             raise ConfigError("scenario.datum_amplitude must be nonzero")
+        for key, least in (("samples", 1), ("orders", 2)):
+            value = self.getint("scenario", key)
+            if value is not None and value < least:
+                raise ConfigError(f"scenario.{key} = {value} must be at least {least}")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -150,8 +154,9 @@ class ExperimentConfig:
         return default if val is None else int(val)
 
     def override(self, section, key, value):
-        _check_value(section, key, str(value))
-        self.sections.setdefault(section, {})[key] = str(value)
+        # the changed sections pass every check of a load before they are kept
+        changed = {**self.sections, section: {**self.sections.get(section, {}), key: str(value)}}
+        self.sections = ExperimentConfig(changed).sections
 
     def canonical(self) -> str:
         # threads and the output directory are execution environment, not
@@ -513,13 +518,9 @@ def _lookup(scenario: str) -> Scenario:
 
 
 def run(cfg: ExperimentConfig, out_dir) -> RunManifest:
-    # a bad grid, thread count or scenario count fails here, before the run directory exists
+    # a bad grid or thread count fails here, before the run directory exists
     grid = build_grid(cfg)
     cfg.threads
-    for key, least in (("samples", 1), ("orders", 2)):
-        value = cfg.getint("scenario", key)
-        if value is not None and value < least:
-            raise ConfigError(f"scenario.{key} = {value} must be at least {least}")
     out = pathlib.Path(out_dir)
     made = [d for d in (out, *out.parents) if not d.exists()]  # innermost first
     out.mkdir(parents=True, exist_ok=True)

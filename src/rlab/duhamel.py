@@ -215,8 +215,8 @@ def wave_operator(u1: Field, ps: PotentialSet, T: float, dt: float, *,
     e^{-i Laplacian} u1, evaluated once so that the trace is exactly 0.  A
     non-decreasing trace is reported as non-convergence, not raised.
     """
-    m = int(round(math.log2(T)))
-    if abs(T - 2.0**m) > 1e-9 or m < 1:
+    m = int(round(math.log2(T))) if T > 0 else 0
+    if m < 1 or abs(T - 2.0**m) > 1e-9:
         raise ValueError("T must be a power of two, at least 2")
     taus = [2.0**j for j in range(m + 1)]  # 1, 2, ..., T
     steps = [_step_count(1.0, tau, dt, "dyadic time") for tau in taus]

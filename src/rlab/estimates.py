@@ -66,8 +66,7 @@ class AdmissiblePair:
 def admissible(p: float, q: float) -> bool:
     if p < 2 or q < 2:
         return False
-    ip = 0.0 if p == np.inf else 1.0 / p
-    iq = 0.0 if q == np.inf else 1.0 / q
+    ip, iq = 1.0 / p, 1.0 / q  # 1.0 / inf is 0.0
     return abs(2.0 * ip + 3.0 * iq - 1.5) <= 1e-12
 
 
@@ -236,15 +235,15 @@ def _duhamel_ladder(grid: Grid, forcing: list[Field], times: np.ndarray,
 def _flow_integral(tr: Trajectory) -> np.ndarray:
     """Spectrum of the trapezoid rule for integral e^{it Lap} F(t) dt over tr.
 
-    np.trapezoid's sum on the stacked spectra, one interval at a time in its
-    own order, holding two spectra instead of the stack; acc starts from the
-    first term, since 0.0 + (-0.0) would flip a zero's sign."""
-    acc = prev = None
+    The pushed-forward forcing e^{it Lap} F(t) needs no free multiplier between
+    nodes, so each interval is one duhamel_trapezoid step with E = 1, holding
+    two spectra instead of the stack."""
+    acc = np.zeros(tr.grid.shape, dtype=np.complex128)
+    prev = None
     for i, (t, F) in enumerate(zip(tr.times, tr.fields)):
         cur = free_phase(tr.grid, t) * as_frequency(F).data
         if i:
-            term = (t - tr.times[i - 1]) * (cur + prev) / 2.0
-            acc = term if acc is None else acc + term
+            acc = duhamel_trapezoid(acc, 1.0, (t - tr.times[i - 1]) / 2, prev, cur)
         prev = cur
     return acc
 
@@ -401,9 +400,8 @@ def bilinear_apply(f: Field, g: Field, m1: np.ndarray, m2: np.ndarray) -> Field:
 
 def kernel_l1_norm(grid: Grid, m: np.ndarray) -> float:
     """L1 norm of the physical kernel of a multiplier array, by direct quadrature."""
-    vals = np.broadcast_to(m, grid.shape)
-    kern = inverse_transform(Field(grid, FREQUENCY, vals.astype(np.complex128)))
-    return float(np.sum(np.abs(kern.data)) * grid.dx**3)
+    vals = np.broadcast_to(m, grid.shape).astype(np.complex128)
+    return lebesgue_norm(inverse_transform(Field(grid, FREQUENCY, vals)), 1)
 
 
 def check_bilinear(grid: Grid, m1: np.ndarray, m2: np.ndarray, p: float, q: float,
@@ -411,10 +409,7 @@ def check_bilinear(grid: Grid, m1: np.ndarray, m2: np.ndarray, p: float, q: floa
                    threads: int = 1) -> EstimateReport:
     """||B(f, g)||_{L^r} against ||F^-1 m||_{L^1} ||f||_{L^p} ||g||_{L^q},
     for separable symbols; requires the Hoelder relation 1/r = 1/p + 1/q."""
-    ir = 0.0 if r == np.inf else 1.0 / r
-    ip = 0.0 if p == np.inf else 1.0 / p
-    iq = 0.0 if q == np.inf else 1.0 / q
-    if abs(ir - ip - iq) > 1e-12:
+    if abs(1.0 / r - 1.0 / p - 1.0 / q) > 1e-12:  # 1.0 / inf is 0.0
         raise ValueError("exponents must satisfy 1/r = 1/p + 1/q")
     kernel = kernel_l1_norm(grid, m1) * kernel_l1_norm(grid, m2)
 
@@ -436,11 +431,16 @@ def check_bilinear(grid: Grid, m1: np.ndarray, m2: np.ndarray, p: float, q: floa
 
 # ---------------------------------------------------------------- direction
 
+def _components(grid: Grid):
+    """|xi_j| for j = 1, 2, 3 on the full grid, and their pointwise maximum."""
+    comps = [np.abs(np.broadcast_to(grid.freq_mesh[j], grid.shape)) for j in range(3)]
+    return comps, np.maximum(np.maximum(comps[0], comps[1]), comps[2])
+
+
 def direction_partition(grid: Grid):
     """Smooth angular partition chi_1 + chi_2 + chi_3 = 1 with
     |xi_j| >= DIRECTION_THRESHOLD * max_k |xi_k| on supp chi_j."""
-    comps = [np.abs(np.broadcast_to(grid.freq_mesh[j], grid.shape)) for j in range(3)]
-    biggest = np.maximum(np.maximum(comps[0], comps[1]), comps[2])
+    comps, biggest = _components(grid)
     safe = np.where(biggest > 0, biggest, 1.0)
     weights = []
     for j in range(3):
@@ -456,8 +456,7 @@ def check_direction_partition(grid: Grid) -> EstimateReport:
     chis = direction_partition(grid)
     total = chis[0] + chis[1] + chis[2]
     sum_err = float(np.max(np.abs(total - 1.0)))
-    comps = [np.abs(np.broadcast_to(grid.freq_mesh[j], grid.shape)) for j in range(3)]
-    biggest = np.maximum(np.maximum(comps[0], comps[1]), comps[2])
+    comps, biggest = _components(grid)
     violations = 0
     for j in range(3):
         on_supp = chis[j] > 0

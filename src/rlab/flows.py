@@ -103,11 +103,13 @@ class BootstrapParams:
 
 def _step_count(t_start: float, t_end: float, dt: float, what: str) -> int:
     """Steps of dt from t_start to t_end: the one check that both times sit at
-    or after t = 1 on one dt ladder, (t_end - t_start) / dt a nonnegative
-    integer to within 1e-9.  ``what`` names t_end in the error."""
+    or after t = 1 on one ladder of nonzero dt, (t_end - t_start) / dt a
+    nonnegative integer to within 1e-9.  ``what`` names t_end in the error."""
     if min(t_start, t_end) < 1.0:
         raise ValueError("evolution times must stay at or above t = 1 "
                          f"(t_start {t_start:g}, {what} {t_end:g})")
+    if dt == 0:
+        raise ValueError("dt must be nonzero")
     steps = (t_end - t_start) / dt
     n = int(round(steps))
     if abs(steps - n) > 1e-9 or n < 0:
@@ -136,10 +138,6 @@ class _PotentialOperator:
         self.grid = grid
         self.v = v_data if np.any(v_data) else None
         self.a = [(j, a_data[j]) for j in range(3) if np.any(a_data[j])]
-
-    @property
-    def is_zero(self) -> bool:
-        return self.v is None and not self.a
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         out = self.v * u if self.v is not None else np.zeros_like(u)
@@ -233,8 +231,7 @@ def _linear_substep(op: _PotentialOperator):
 
 def _linear_flow(ps: PotentialSet, skip_certification: bool):
     """The substep of the linear flow of ps, None for a zero set (the free flow)."""
-    op = _linear_operator(ps, skip_certification)
-    return None if op.is_zero else _linear_substep(op)
+    return None if ps.is_zero else _linear_substep(_linear_operator(ps, skip_certification))
 
 
 def _rk2_substep(rhs):

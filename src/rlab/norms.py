@@ -35,6 +35,7 @@ from .spectral import (
     as_physical,
     bessel_weight,
     boundary_mass_fraction,
+    l2_norm,
 )
 
 BOUNDARY_MASS_TOL = 1e-6
@@ -87,9 +88,8 @@ def lebesgue_norm(f: Field, p: float) -> float:
     _check_exponent(p)
     if p == np.inf:
         return _checked(np.max(np.abs(as_physical(f).data)), "Linf")
-    if p == 2 and f.rep == FREQUENCY:
-        w = f.grid.dxi**3 / (2.0 * np.pi) ** 3
-        return _checked(np.sqrt(np.sum(np.abs(f.data) ** 2) * w), "L2")
+    if p == 2:
+        return _checked(l2_norm(f), "L2")
     a = np.abs(as_physical(f).data)
     return _checked(float(np.sum(a**p) * f.grid.dx**3) ** (1.0 / p), f"L{p:g}")
 

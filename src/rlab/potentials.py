@@ -26,6 +26,7 @@ from .spectral import (
     as_frequency,
     as_physical,
     bessel_weight,
+    shell_fraction,
     zero_field,
 )
 
@@ -130,14 +131,8 @@ def _triple(w: Field, fhat: Field, weight: np.ndarray) -> dict:
 def _nyquist_tail_note(fhat: Field, weight: np.ndarray, name: str) -> str | None:
     # (1-Delta)^5 is under-resolved when the weighted spectrum leans on Nyquist
     g = fhat.grid
-    weighted = weight * np.abs(fhat.data) ** 2
-    m = np.abs(g.axis_freqs)
-    hi = m >= 0.8 * g.nyquist
-    shell = hi[:, None, None] | hi[None, :, None] | hi[None, None, :]
-    total = float(np.sum(weighted))
-    if total == 0.0:
-        return None
-    frac = float(np.sum(weighted[shell]) / total)
+    frac = shell_fraction(weight * np.abs(fhat.data) ** 2,
+                          np.abs(g.axis_freqs) >= 0.8 * g.nyquist)
     if frac > 1e-6:
         return (
             f"resolution warning: {name} carries fraction {frac:.3e} of its "

@@ -233,8 +233,7 @@ def half_derivative_weight(grid: Grid, axis: int) -> np.ndarray:
 
 def bessel_weight(grid: Grid, s: float) -> np.ndarray:
     """(1 + |xi|^2)^(s/2), the Sobolev weight of order s, on the grid's modes."""
-    a, b, c = grid.freq_mesh
-    return (1.0 + (a * a + b * b + c * c)) ** (s / 2.0)
+    return (1.0 + grid.xi_squared) ** (s / 2.0)
 
 
 def apply_multiplier(f: Field, m: np.ndarray) -> Field:
@@ -262,17 +261,21 @@ def free_propagate(f: Field, t: float) -> Field:
     return apply_multiplier(f, free_phase(f.grid, t))
 
 
-def boundary_mass_fraction(f: Field) -> float:
-    """Fraction of L2 mass in the outer 10% shell of the box (sup-norm shell)."""
-    p = as_physical(f)
-    g = f.grid
-    c = np.abs(g.axis_coords)
-    edge = c >= 0.9 * (g.length / 2.0)
+def shell_fraction(w: np.ndarray, edge: np.ndarray) -> float:
+    """Share of sum(w) on the shell of the cube where some axis index is in
+    edge, a boolean mask along one axis; 0.0 when w sums to 0."""
     shell = edge[:, None, None] | edge[None, :, None] | edge[None, None, :]
-    total = float(np.sum(np.abs(p.data) ** 2))
+    total = float(np.sum(w))
     if total == 0.0:
         return 0.0
-    return float(np.sum(np.abs(p.data[shell]) ** 2) / total)
+    return float(np.sum(w[shell]) / total)
+
+
+def boundary_mass_fraction(f: Field) -> float:
+    """Fraction of L2 mass in the outer 10% shell of the box (sup-norm shell)."""
+    g = f.grid
+    edge = np.abs(g.axis_coords) >= 0.9 * (g.length / 2.0)
+    return shell_fraction(np.abs(as_physical(f).data) ** 2, edge)
 
 
 _REP_CODE = {PHYSICAL: 0, FREQUENCY: 1}

@@ -1,3 +1,5 @@
+import copy
+import importlib.util
 import json
 import pathlib
 
@@ -180,19 +182,42 @@ class TestConfig:
         assert capsys.readouterr().err == "error: scenario.datum_amplitude must be nonzero\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("potential", "delta", "0"),
+        ("bootstrap", "eps0", "-1"),
+        ("scenario", "datum_amplitude", "0"),
+        ("scenario", "samples", "0"),
+        ("scenario", "orders", "1"),
+    ])
+    def test_override_rejected_exactly_when_a_load_is(self, tmp_path, section, key, value):
+        p = tmp_path / "loaded.ini"
+        p.write_text(MINIMAL.format("born-series") + f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError) as loaded:
+            ExperimentConfig.from_file(p)
+        cfg = ExperimentConfig.from_file(small_born_config(tmp_path))
+        before = copy.deepcopy(cfg.sections)
+        with pytest.raises(ConfigError) as overridden:
+            cfg.override(section, key, value)
+        assert str(overridden.value) == str(loaded.value)
+        assert cfg.sections == before
+
     @pytest.mark.parametrize("text, message", [
         (BAD_AXIS, "axis must be 0, 1 or 2 (got 3)"),
         (MINIMAL.format("harness:ik-smostri") + "[scenario]\np = 3\nq = 3\n",
          "(3.0, 3.0) is not Strichartz admissible"),
         ((CONFIGS / "simulate-nonlinear.ini").read_text().replace(
             "dealias = two-thirds", "dealias = bogus"), "unknown dealias mode 'bogus'"),
-    ], ids=["axis", "pair", "dealias"])
+        ((CONFIGS / "born-series.ini").read_text().replace("dt = 0.01", "dt = 0"),
+         "dt must be nonzero"),
+        ((CONFIGS / "wave-operator.ini").read_text().replace("dt = 0.05", "dt = 0"),
+         "dt must be nonzero"),
+    ], ids=["axis", "pair", "dealias", "born-zero-dt", "wave-zero-dt"])
     def test_runner_error_leaves_no_run_directory(self, tmp_path, capsys, text, message):
         p = tmp_path / "bad.ini"
         p.write_text(text)
         out = tmp_path / "o"
         assert main(["run", "--config", str(p), "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_runner_error_removes_the_parents_it_made(self, tmp_path, capsys):
@@ -237,6 +262,16 @@ class TestConfig:
         cfg = ExperimentConfig.from_file(p)
         assert cfg.get("scenario", "dt") == "0.02"
         assert "potential.amplitude_v = 0.15" in cfg.canonical()
+
+
+class TestIdentitySweep:
+    def test_configs_cover_every_scenario(self):
+        path = REPO / "tools" / "identity_sweep.py"
+        spec = importlib.util.spec_from_file_location("identity_sweep", path)
+        sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sweep)
+        covered = {sections["run"]["scenario"] for sections in sweep.configs().values()}
+        assert set(SCENARIOS) - covered == set()
 
 
 class TestDescribe:

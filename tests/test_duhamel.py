@@ -164,8 +164,9 @@ class TestWaveOperator:
         assert np.array_equal(res.field.data, g[4.0])
 
     def test_rejects_non_dyadic_horizon(self, grid, datum):
-        with pytest.raises(ValueError):
-            wave_operator(datum, zero_potential_set(grid), 9.0, 0.05)
+        for T in (9.0, 0.0, -4.0):
+            with pytest.raises(ValueError, match="T must be a power of two, at least 2"):
+                wave_operator(datum, zero_potential_set(grid), T, 0.05)
 
     def test_rejects_dyadic_time_off_the_dt_ladder(self, datum, potentials):
         # T = 4 is 10 steps of 0.3, but tau = 2 falls at step 3.33

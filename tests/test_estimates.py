@@ -314,6 +314,12 @@ class TestBilinear:
         out = bilinear_apply(f, z, one, one)
         assert np.all(out.data == 0)
 
+    @pytest.mark.parametrize("p, q, r", [(2.0, np.inf, 2.0), (np.inf, np.inf, np.inf)])
+    def test_infinite_exponent_has_zero_reciprocal(self, grid, p, q, r):
+        one = np.ones(grid.shape)
+        rep = check_bilinear(grid, one, one, p, q, r, 2, seed=1)
+        assert rep.max_ratio <= 1.0 + 1e-10
+
     def test_rejects_non_hoelder_exponents(self, grid):
         with pytest.raises(ValueError):
             check_bilinear(grid, np.ones(grid.shape), np.ones(grid.shape),

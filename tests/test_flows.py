@@ -83,6 +83,11 @@ class TestStepCount:
         with pytest.raises(ValueError, match="t = 1"):
             _step_count(1.0, 0.5, -0.1, "t_end")
 
+    @pytest.mark.parametrize("t_end", [1.0, 2.0])
+    def test_rejects_zero_dt(self, t_end):
+        with pytest.raises(ValueError, match="^dt must be nonzero$"):
+            _step_count(1.0, t_end, 0.0, "t_end")
+
     @pytest.mark.parametrize("t_end, dt", [(2.0, 0.3), (2.0, -0.1)])
     def test_rejects_off_ladder_or_backward_counts(self, t_end, dt):
         with pytest.raises(ValueError, match="t_end 2 is off the dt ladder"):

@@ -75,6 +75,11 @@ class TestLebesgue:
         freq = lebesgue_norm(forward_transform(f), 2)
         assert abs(phys - freq) <= 1e-12 * phys
 
+    def test_l2_is_l2_norm_in_either_representation(self, grid16):
+        f = random_field(grid16, 0)
+        for g in (f, forward_transform(f)):
+            assert lebesgue_norm(g, 2) == l2_norm(g)
+
     def test_gaussian_l2_closed_form(self):
         g = make_grid(32, 16.0)
         f = field_from_function(g, lambda a, b, c: np.exp(-(a**2 + b**2 + c**2)))

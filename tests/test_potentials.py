@@ -13,6 +13,7 @@ from rlab.potentials import (
     zero_potential_set,
 )
 from rlab.spectral import (
+    FREQUENCY,
     PHYSICAL,
     Field,
     apply_multiplier,
@@ -123,6 +124,10 @@ class TestCertify:
         ps = PotentialSet(v=spiky, a=(zero_field(g),) * 3, delta_target=1.0)
         cert = certify(ps, 1.0)
         assert any("resolution warning" in n for n in cert.notes)
+
+    def test_zero_spectrum_has_no_tail_note(self, grid):
+        zero = zero_field(grid, FREQUENCY)
+        assert potentials._nyquist_tail_note(zero, bessel_weight(grid, 10), "V") is None
 
     def test_transforms_each_component_once(self, fft_count, sample_set):
         first = certify(sample_set, 1000.0)

@@ -7,6 +7,8 @@ from rlab.spectral import (
     PHYSICAL,
     Field,
     apply_multiplier,
+    bessel_weight,
+    boundary_mass_fraction,
     field_from_function,
     forward_transform,
     free_phase,
@@ -16,6 +18,7 @@ from rlab.spectral import (
     l2_norm,
     make_grid,
     read_snapshot,
+    shell_fraction,
     write_snapshot,
     zero_field,
 )
@@ -183,6 +186,27 @@ class TestHalfDerivative:
         assert np.max(np.abs(apply_multiplier(f, half * half).data
                              - apply_multiplier(f, np.abs(grid16.freq_mesh[2])).data)) \
             < 1e-12 * np.max(np.abs(f.data))
+
+
+class TestBesselWeight:
+    @pytest.mark.parametrize("n, length", [(16, 16.0), (32, 48.0)])
+    @pytest.mark.parametrize("s", [0.5, 1, 2, 10, 20])
+    def test_is_the_sum_of_squared_components(self, n, length, s):
+        g = make_grid(n, length)
+        a, b, c = g.freq_mesh
+        assert np.array_equal(bessel_weight(g, s), (1.0 + (a * a + b * b + c * c)) ** (s / 2))
+
+
+class TestShellFraction:
+    def test_zero_weight_has_zero_share(self, grid16):
+        edge = np.abs(grid16.axis_coords) >= 0.9 * (grid16.length / 2.0)
+        assert shell_fraction(np.zeros(grid16.shape), edge) == 0.0
+        assert boundary_mass_fraction(zero_field(grid16)) == 0.0
+
+    def test_uniform_weight_counts_the_shell(self):
+        # one edge index of four per axis: the shell holds 1 - (3/4)^3 of the cube
+        edge = np.array([True, False, False, False])
+        assert shell_fraction(np.ones((4, 4, 4)), edge) == 37 / 64
 
 
 class TestSnapshots:
