@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import _linear_flow, _linear_operator, _run, _step_count, evolve_linear_to, profile_of
+from .flows import _linear_flow, _linear_operator, _run, _step_count, evolve_linear_to, profiles
 from .norms import Trajectory, sobolev_norm, x_norm
 from .potentials import PotentialSet
 from .spectral import PHYSICAL, Field, as_physical, free_phase, free_propagate
@@ -172,16 +172,21 @@ def series_decay_report(u1: Field, ps: PotentialSet, order_max: int, t: float,
 
 @dataclass(frozen=True)
 class WaveOperatorResult:
-    """Profile limit g(T) = e^{-i T Laplacian} u(T) plus its dyadic Cauchy
-    trace; the convergence flag and the decay exponent are properties of it."""
+    """Profiles g(tau) = e^{-i tau Laplacian} u(tau), tau = 1, 2, ..., T, and their
+    Cauchy trace; the limit g(T), the verdict, exponent and kappa derive from them."""
 
-    field: Field
+    profiles: list[Field]
     taus: list[float]
     distances: list[float]
 
     @property
+    def field(self) -> Field:
+        return self.profiles[-1]
+
+    @property
     def converged(self) -> bool:
-        d = self.distances
+        """The trace from tau = 2 on vanishes or strictly decreases."""
+        d = self.distances[1:]
         return all(x == 0.0 for x in d) or all(b < a for a, b in zip(d, d[1:]))
 
     @property
@@ -196,6 +201,12 @@ class WaveOperatorResult:
         ld = np.log([p[1] for p in pos])
         return float(-np.polyfit(lt, ld, 1)[0])
 
+    @property
+    def kappa(self) -> float:
+        """(||g(T)||_{H10} + ||g(T)||_X) / (||g(1)||_{H10} + ||g(1)||_X)."""
+        g1, gT = self.profiles[0], self.profiles[-1]
+        return (sobolev_norm(gT, 10) + x_norm(gT)) / (sobolev_norm(g1, 10) + x_norm(g1))
+
     def rows(self) -> list[dict]:
         return [
             {"tau": tau, "cauchy_distance": d}
@@ -209,11 +220,10 @@ def wave_operator(u1: Field, ps: PotentialSet, T: float, dt: float, *,
 
     Records the linear flow at the dyadic times tau = 1, 2, 4, ..., T, pulls
     the record back by the free flow, g(tau) = e^{-i tau Laplacian} u(tau)
-    (profile_of), and reports the Cauchy increments
-    d(tau) = ||g(2 tau) - g(tau)||_{H10} together with a fitted polynomial
-    decay exponent.  A zero potential set has the constant profile
-    e^{-i Laplacian} u1, evaluated once so that the trace is exactly 0.  A
-    non-decreasing trace is reported as non-convergence, not raised.
+    (profiles), and keeps them with their Cauchy increments
+    d(tau) = ||g(2 tau) - g(tau)||_{H10}.  A zero potential set has the
+    constant profile e^{-i Laplacian} u1, evaluated once so that the trace is
+    exactly 0.  A non-decreasing trace is non-convergence, not an error.
     """
     m = int(round(math.log2(T))) if T > 0 else 0
     if m < 1 or abs(T - 2.0**m) > 1e-9:
@@ -222,13 +232,12 @@ def wave_operator(u1: Field, ps: PotentialSet, T: float, dt: float, *,
     steps = [_step_count(1.0, tau, dt, "dyadic time") for tau in taus]
     substep = _linear_flow(ps, skip_certification)
     if substep is None:
-        profiles = [free_propagate(as_physical(u1), -1.0)] * len(taus)
+        g = [free_propagate(as_physical(u1), -1.0)] * len(taus)
     else:
-        run = Trajectory(times=taus, fields=_run(u1, 1.0, dt, steps, substep))
-        profiles = profile_of(run).fields
+        g = list(profiles(Trajectory(times=taus, fields=_run(u1, 1.0, dt, steps, substep))))
     distances = [sobolev_norm(Field(u1.grid, PHYSICAL, g2.data - g1.data), 10)
-                 for g1, g2 in zip(profiles, profiles[1:])]
-    return WaveOperatorResult(field=profiles[-1], taus=taus[:-1], distances=distances)
+                 for g1, g2 in zip(g, g[1:])]
+    return WaveOperatorResult(profiles=g, taus=taus[:-1], distances=distances)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bands, sampling
 from .duhamel import duhamel_trapezoid
-from .flows import EvolveConfig, evolve_nonlinear, profile_of
+from .flows import EvolveConfig, evolve_nonlinear, profiles
 from .norms import (
     Trajectory,
     _wrap_note,
@@ -276,13 +276,13 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
             f = sampling.localized_packet(grid, band, sampling.sample_rng(seed, i),
                                           width=PACKET_WIDTH, axis_bias=axis)
             tr = _free_ladder(grid, as_frequency(f).data, times, mult)
-            return mixed_spacetime_norm(tr, axis, np.inf, 2) / l2_norm(f)
+            return mixed_spacetime_norm(tr, axis, np.inf) / l2_norm(f)
 
     elif variant == "dual":
         def one(i):
             tr_f = _forcing_sample(grid, band, axis, sampling.sample_rng(seed, i), times)
             # first, so that a one-time ladder, which has no interval, raises its ValueError
-            den = mixed_spacetime_norm(tr_f, axis, 1, 2)
+            den = mixed_spacetime_norm(tr_f, axis, 1)
             acc = _flow_integral(tr_f)
             if mult is not None:
                 acc = mult * acc
@@ -292,8 +292,8 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
         def one(i):
             tr_f = _forcing_sample(grid, band, axis, sampling.sample_rng(seed, i), times)
             tr_d = _duhamel_ladder(grid, tr_f.fields, times, mult)
-            num = mixed_spacetime_norm(tr_d, axis, np.inf, 2)
-            den = mixed_spacetime_norm(tr_f, axis, 1, 2)
+            num = mixed_spacetime_norm(tr_d, axis, np.inf)
+            den = mixed_spacetime_norm(tr_f, axis, 1)
             return num / den
 
     ratios = _map_samples(one, samples, threads)
@@ -326,8 +326,8 @@ def smoothing_band_signature(grid: Grid, axis: int, ks, *,
         tr_w = _free_ladder(grid, fhat, times, mult)
         tr_wo = _free_ladder(grid, fhat, times, None)
         l2 = l2_norm(f)
-        w = mixed_spacetime_norm(tr_w, axis, np.inf, 2) / l2
-        wo = mixed_spacetime_norm(tr_wo, axis, np.inf, 2) / l2
+        w = mixed_spacetime_norm(tr_w, axis, np.inf) / l2
+        wo = mixed_spacetime_norm(tr_wo, axis, np.inf) / l2
         rows.append({"k": k, "with": w, "without": wo, "gap": w / wo})
     return rows
 
@@ -347,7 +347,7 @@ def check_smoothing_strichartz(grid: Grid, pair, axis: int, samples: int, *,
     def one(i):
         tr_f = _forcing_sample(grid, band, axis, sampling.sample_rng(seed, i), times)
         tr_d = _duhamel_ladder(grid, tr_f.fields, times, mult)
-        num = mixed_spacetime_norm(tr_d, axis, np.inf, 2)
+        num = mixed_spacetime_norm(tr_d, axis, np.inf)
         den = spacetime_norm(tr_f, pp, qq)
         return num / den
 
@@ -515,8 +515,8 @@ def check_doi_local(u1: Field, ps: PotentialSet, T: float, dt: float) -> Estimat
     if T - 1.0 > 1.0 + 1e-12:
         raise ValueError("Doi check is a short-horizon bound: need T - 1 <= 1")
     cfg = EvolveConfig(t_end=T, dt=dt, snapshot_stride=5)
-    tr = profile_of(evolve_nonlinear(u1, ps, cfg, skip_certification=True))
-    h10s = [sobolev_norm(f, 10) for f in tr.fields]
+    tr = evolve_nonlinear(u1, ps, cfg, skip_certification=True)
+    h10s = [sobolev_norm(f, 10) for f in profiles(tr)]
     lhs = max(h10s)
     rhs = h10s[0] + (T - 1.0) * lhs**2
     kappa = lhs / rhs if rhs > 0 else 0.0

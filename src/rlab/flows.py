@@ -27,9 +27,11 @@ with no Strang loop.
 
 A flow returns a Trajectory, its times and fields and nothing else.  What
 is measured on it is a plain function of it, computed by the caller that
-needs it: profile_norms gives the H^10 and X norms of the profile at every
-snapshot, bootstrap_monitor reads those rows against eps1 = A eps0, and
-hamiltonian_energy gives the energy of one snapshot.
+needs it.  profiles, the one free pull-back of a trajectory, yields the
+profile e^{-i t Laplacian} u(t) of one snapshot at a time; profile_norms
+gives its H^10 and X norms at every snapshot, bootstrap_monitor reads those
+rows against eps1 = A eps0, and hamiltonian_energy gives the energy of one
+snapshot.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import json
 import logging
 import pathlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,13 +280,17 @@ def evolve_nonlinear(u1: Field, ps: PotentialSet, cfg: EvolveConfig, *,
     return _evolve(u1, cfg, _rk2_substep(rhs))
 
 
-def profile_norms(tr: Trajectory) -> list[dict]:
-    """H^10 and X norms of the profile e^{-i t Laplacian} u(t) at every snapshot."""
-    rows = []
+def profiles(tr: Trajectory) -> Iterator[Field]:
+    """The profile f(t) = e^{-i t Laplacian} u(t) of each snapshot, pulled
+    back by the free flow one snapshot at a time."""
     for t, u in zip(tr.times, tr.fields):
-        f = free_propagate(u, -t)
-        rows.append({"t": float(t), "h10": sobolev_norm(f, 10), "x": x_norm(f)})
-    return rows
+        yield free_propagate(u, -t)
+
+
+def profile_norms(tr: Trajectory) -> list[dict]:
+    """H^10 and X norms of the profile at every snapshot, one profile held at a time."""
+    return [{"t": float(t), "h10": sobolev_norm(f, 10), "x": x_norm(f)}
+            for t, f in zip(tr.times, profiles(tr))]
 
 
 def bootstrap_monitor(rows: list[dict], bp: BootstrapParams) -> dict:
@@ -336,12 +343,6 @@ def hamiltonian_energy(f: Field, a: tuple[Field, Field, Field], v: Field) -> flo
               for j in range(3))
     acc += as_physical(v).data.real * np.abs(u) ** 2
     return float(0.5 * np.sum(acc) * grid.dx**3)
-
-
-def profile_of(tr: Trajectory) -> Trajectory:
-    """Pull back by the free flow: f(t) = e^{-i t Laplacian} u(t), snapshotwise."""
-    fields = [free_propagate(u, -t) for t, u in zip(tr.times, tr.fields)]
-    return Trajectory(times=tr.times.copy(), fields=fields)
 
 
 def save_trajectory(tr: Trajectory, directory, stride: int, config_hash: str) -> list[str]:

@@ -107,54 +107,42 @@ def spacetime_norm(tr: Trajectory, p_t: float, q_x: float) -> float:
     return _checked(val, f"L{p_t:g}_t_L{q_x:g}_x")
 
 
-def _transverse_power_sum(f: Field, axis: int, q: float) -> np.ndarray:
-    """sum over the transverse axes of |f|^q dx^2, as a profile along axis.
+def _transverse_power_sum(f: Field, axis: int) -> np.ndarray:
+    """sum over the transverse axes of |f|^2 dx^2, as a profile along axis.
 
-    For q = 2 a spectrum stays a spectrum: by Parseval across the transverse
-    axes the sum is sum_{xi'} |ifft_axis(fhat)|^2 / (n^2 dx^4), one transform
-    along axis.  The centering sign (-1)^m along that axis shifts the profile
+    A spectrum stays a spectrum: by Parseval across the transverse axes the
+    sum is sum_{xi'} |ifft_axis(fhat)|^2 / (n^2 dx^4), one transform along
+    axis.  The centering sign (-1)^m along that axis shifts the profile
     cyclically by n/2, which np.roll undoes.
     """
     g = f.grid
     transverse = tuple(i for i in range(3) if i != axis)
-    if q == 2 and f.rep == FREQUENCY:
+    if f.rep == FREQUENCY:
         v = np.fft.ifft(f.data, axis=axis)
         s = np.sum(np.abs(v) ** 2, axis=transverse) / (g.n**2 * g.dx**4)
         return np.roll(s, g.n // 2)
-    return np.sum(np.abs(as_physical(f).data) ** q, axis=transverse) * g.dx**2
+    return np.sum(np.abs(f.data) ** 2, axis=transverse) * g.dx**2
 
 
-def mixed_spacetime_norm(
-    tr: Trajectory, axis: int, p_outer: float, q_inner: float
-) -> float:
-    """|| ||f||_{L^q over (t, transverse axes)} ||_{L^p over x_axis}.
+def mixed_spacetime_norm(tr: Trajectory, axis: int, p_outer: float) -> float:
+    """|| ||f||_{L^2 over (t, transverse axes)} ||_{L^p over x_axis}.
 
-    This is the smoothing-estimate norm family, e.g. (p, q) = (inf, 2)
-    gives L^inf_{x_j} L^2_{t, x~j}.
+    This is the smoothing-estimate norm family, e.g. p = inf gives
+    L^inf_{x_j} L^2_{t, x~j}.
     """
     if axis not in (0, 1, 2):
         raise ValueError(f"axis must be 0, 1 or 2 (got {axis})")
     _check_exponent(p_outer, "p_outer")
-    _check_exponent(q_inner, "q_inner")
-    if len(tr.fields) < 2 and q_inner != np.inf:
-        raise ValueError("finite inner exponent needs at least two time samples")
-    dx = tr.grid.dx
-    transverse = tuple(i for i in range(3) if i != axis)
+    if len(tr.fields) < 2:
+        raise ValueError("the time L^2 norm needs at least two time samples")
     # stack of per-time transverse reductions, shape (nt, n)
-    if q_inner == np.inf:
-        per_t = np.stack(
-            [np.max(np.abs(as_physical(f).data), axis=transverse) for f in tr.fields]
-        )
-        inner = np.max(per_t, axis=0)
-    else:
-        per_t = np.stack([_transverse_power_sum(f, axis, q_inner)
-                          for f in tr.fields])
-        inner = np.trapezoid(per_t, tr.times, axis=0) ** (1.0 / q_inner)
+    per_t = np.stack([_transverse_power_sum(f, axis) for f in tr.fields])
+    inner = np.trapezoid(per_t, tr.times, axis=0) ** (1.0 / 2)
     if p_outer == np.inf:
         val = float(np.max(inner))
     else:
-        val = float(np.sum(inner**p_outer) * dx) ** (1.0 / p_outer)
-    return _checked(val, f"L{p_outer:g}_x{axis + 1}_L{q_inner:g}_t_trans")
+        val = float(np.sum(inner**p_outer) * tr.grid.dx) ** (1.0 / p_outer)
+    return _checked(val, f"L{p_outer:g}_x{axis + 1}_L2_t_trans")
 
 
 def sobolev_norm(f: Field, s: float) -> float:

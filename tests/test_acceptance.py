@@ -29,7 +29,7 @@ from rlab.flows import (
     evolve_nonlinear,
     hamiltonian_energy,
     profile_norms,
-    profile_of,
+    profiles,
 )
 from rlab.norms import sobolev_norm, x_norm
 from rlab.potentials import PotentialSet, gaussian_potential, rescale_to_delta
@@ -297,8 +297,8 @@ def test_criterion_9_bootstrap_monitor():
             assert row["h10"] <= bp.eps1
             assert row["x"] <= bp.eps1
         # the monitor reports the actual values, never clipped copies
-        prof = profile_of(tr)
-        recomputed = sobolev_norm(prof.fields[-1], 10)
+        prof = list(profiles(tr))
+        recomputed = sobolev_norm(prof[-1], 10)
         assert abs(mon["rows"][-1]["h10"] - recomputed) <= 1e-12
 
 

@@ -98,6 +98,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"\[potentail\]"):
             ExperimentConfig.from_file(p)
 
+    def test_empty_unknown_section_rejected(self, tmp_path):
+        p = tmp_path / "typo.ini"
+        p.write_text(MINIMAL.format("certify") + "[potentail]\n")
+        with pytest.raises(ConfigError, match=r"\[potentail\]"):
+            ExperimentConfig.from_file(p)
+
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "typo.ini"
         p.write_text(MINIMAL.format("born-series") + "[scenario]\noders = 4\n")
@@ -159,6 +165,7 @@ class TestConfig:
          "scenario.samples = 0 must be at least 1"),
         ("born-series.ini", "orders = 6", "orders = 1",
          "scenario.orders = 1 must be at least 2"),
+        ("harness-strichartz.ini", "seed = 3", "seed = -1", "run.seed = -1 must be at least 0"),
     ])
     def test_count_below_its_least_value_names_its_key(self, tmp_path, capsys, config,
                                                        old, new, message):
@@ -169,6 +176,13 @@ class TestConfig:
         out = tmp_path / "o"
         assert main(["run", "--config", str(p), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_negative_seed_override_names_its_key(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(CONFIGS / "harness-strichartz.ini"),
+                     "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: run.seed = -1 must be at least 0\n"
         assert not out.exists()
 
     def test_zero_datum_amplitude_rejected(self, tmp_path, capsys):
@@ -330,6 +344,7 @@ class TestRun:
         # norms.csv reuses the bootstrap monitor's profile norms
         from rlab import cli, flows, norms
 
+        assert not hasattr(cli, "x_norm")  # so only flows can take an X norm
         calls = []
 
         def counting(f):
@@ -337,7 +352,6 @@ class TestRun:
             return norms.x_norm(f)
 
         monkeypatch.setattr(flows, "x_norm", counting)
-        monkeypatch.setattr(cli, "x_norm", counting)
         cfg = ExperimentConfig.from_file(CONFIGS / "simulate-nonlinear.ini")
         cfg.override("evolve", "t_end", "1.1")
         cfg.override("evolve", "snapshot_stride", "2")
@@ -363,6 +377,20 @@ class TestWaveRun:
         assert {"exponent", "kappa"} <= docs[0]["values"].keys()
         assert docs[0]["seed"] == 3
         assert docs[0]["config_hash"] == docs[1]["config_hash"]
+
+
+    def test_zero_potential_run_passes(self, tmp_path, capsys):
+        # every amplitude 0: the trace is exactly 0, which the verdict accepts
+        text = (CONFIGS / "wave-operator.ini").read_text().replace("n = 32", "n = 16")
+        for key in ("amplitude_v", "amplitude_a1", "amplitude_a2", "amplitude_a3"):
+            text = "\n".join(f"{key} = 0" if line.startswith(f"{key} =") else line
+                              for line in text.splitlines())
+        p = tmp_path / "free.ini"
+        p.write_text(text + "\n")
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert "monotone_trace: pass" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert doc["values"]["kappa"] == 1.0
 
 
 class TestHarnessReport:

@@ -5,6 +5,7 @@ import pytest
 
 from rlab import sampling
 from rlab.duhamel import (
+    WaveOperatorResult,
     _born_ladder,
     born_terms,
     denominator_sweep,
@@ -12,10 +13,11 @@ from rlab.duhamel import (
     series_decay_report,
     wave_operator,
 )
-from rlab.flows import EvolveConfig, _linear_operator, evolve_linear, profile_of
-from rlab.norms import sobolev_norm
+from rlab.flows import EvolveConfig, _linear_operator, evolve_linear, profiles
+from rlab.norms import sobolev_norm, x_norm
 from rlab.potentials import PotentialSet, gaussian_potential, zero_potential_set
-from rlab.spectral import PHYSICAL, Field, free_phase, free_propagate, l2_norm, make_grid
+from rlab.spectral import (PHYSICAL, Field, free_phase, free_propagate, l2_norm, make_grid,
+                           zero_field)
 
 
 @pytest.fixture(scope="module")
@@ -155,13 +157,40 @@ class TestWaveOperator:
     def test_is_the_free_pull_back_of_the_recorded_linear_flow(self, grid, datum, potentials):
         res = wave_operator(datum, potentials, 4.0, 0.05, skip_certification=True)
         cfg = EvolveConfig(t_end=4.0, dt=0.05, snapshot_stride=20)
-        prof = profile_of(evolve_linear(datum, potentials, cfg, skip_certification=True))
-        assert prof.times.tolist() == [1.0, 2.0, 3.0, 4.0]
-        g = {t: f.data for t, f in zip(prof.times, prof.fields)}
+        tr = evolve_linear(datum, potentials, cfg, skip_certification=True)
+        assert tr.times.tolist() == [1.0, 2.0, 3.0, 4.0]
+        g = {t: f.data for t, f in zip(tr.times, profiles(tr))}
         assert res.taus == [1.0, 2.0]
         for tau, d in zip(res.taus, res.distances):
             assert d == sobolev_norm(Field(grid, PHYSICAL, g[2 * tau] - g[tau]), 10)
         assert np.array_equal(res.field.data, g[4.0])
+
+    @pytest.mark.parametrize("zero", [True, False], ids=["zero", "nonzero"])
+    def test_first_profile_is_the_pull_back_of_the_datum(self, grid, datum, potentials, zero):
+        ps = zero_potential_set(grid) if zero else potentials
+        res = wave_operator(datum, ps, 4.0, 0.05, skip_certification=True)
+        assert len(res.profiles) == 3
+        assert np.array_equal(res.profiles[0].data, free_propagate(datum, -1.0).data)
+        assert res.field is res.profiles[-1]
+
+    def test_kappa_is_the_norm_quotient_of_criterion_6(self, grid, datum, potentials):
+        res = wave_operator(datum, potentials, 4.0, 0.05, skip_certification=True)
+        prof1 = free_propagate(datum, -1.0)
+        rhs = float(sobolev_norm(prof1, 10)) + float(x_norm(prof1))
+        lhs = float(sobolev_norm(res.field, 10)) + float(x_norm(res.field))
+        assert res.kappa == lhs / rhs
+
+    @pytest.mark.parametrize("distances, converged", [
+        ([1.0, 2.0, 1.5, 1.0], True),  # the first increment rises, the tail falls
+        ([3.0, 2.0, 2.5, 1.0], False),  # the tail rises once
+        ([3.0, 2.0, 2.0], False),  # a flat tail does not strictly decrease
+        ([1.0, 0.0, 0.0], True),  # the tail vanishes
+    ])
+    def test_converged_reads_the_trace_from_tau_2(self, grid, distances, converged):
+        n = len(distances)
+        res = WaveOperatorResult(profiles=[zero_field(grid)] * (n + 1),
+                                 taus=[2.0**j for j in range(n)], distances=distances)
+        assert res.converged is converged
 
     def test_rejects_non_dyadic_horizon(self, grid, datum):
         for T in (9.0, 0.0, -4.0):

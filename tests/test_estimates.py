@@ -111,7 +111,7 @@ class TestStrichartz:
 class TestSmoothing:
     def test_zero_trajectory_gives_zero_norm(self, grid):
         tr = Trajectory(times=np.linspace(1, 2, 5), fields=[zero_field(grid)] * 5)
-        assert mixed_spacetime_norm(tr, 0, np.inf, 2) == 0.0
+        assert mixed_spacetime_norm(tr, 0, np.inf) == 0.0
 
     def test_variants_run_and_are_positive(self, grid32):
         for variant in ("homogeneous", "dual", "inhomogeneous"):
@@ -183,7 +183,7 @@ class TestSmoothing:
                 for t in times
             ]
             hom = float(mixed_spacetime_norm(Trajectory(times=times, fields=Tf),
-                                             axis, np.inf, 2)) / l2_norm(f)
+                                             axis, np.inf)) / l2_norm(f)
             conj_fields = [Field(g, PHYSICAL, np.conj(F.data)) for F in Tf]
             flows = [
                 mult * np.exp(-1j * t * g.xi_squared) * as_frequency(F).data
@@ -192,7 +192,7 @@ class TestSmoothing:
             acc = np.trapezoid(np.stack(flows), times, axis=0)
             dual = l2_norm(Field(g, FREQUENCY, acc)) / float(
                 mixed_spacetime_norm(Trajectory(times=times, fields=conj_fields),
-                                     axis, 1, 2)
+                                     axis, 1)
             )
             assert 0.7 <= dual / hom <= 1.3
 
@@ -212,7 +212,7 @@ class TestSmoothing:
             # the ratio is a norm, blind to the order of the sum: pin the spectrum too
             assert np.array_equal(_flow_integral(tr_f), integral)
             ref.append(l2_norm(Field(g, FREQUENCY, mult * integral))
-                       / mixed_spacetime_norm(tr_f, axis, 1, 2))
+                       / mixed_spacetime_norm(tr_f, axis, 1))
         assert rep.ratios == ref
 
     def test_gap_between_with_and_without_multiplier(self, grid32):
@@ -254,7 +254,7 @@ class TestSmoothingStrichartz:
                        for t in times]
             tr_f = Trajectory(times=times, fields=forcing)
             tr_d = _duhamel_ladder(g, forcing, times, mult)
-            num = float(mixed_spacetime_norm(tr_d, 0, np.inf, 2))
+            num = float(mixed_spacetime_norm(tr_d, 0, np.inf))
             den = float(spacetime_norm(tr_f, 2.0, 1.2))
             return num / den
 

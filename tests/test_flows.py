@@ -1,5 +1,6 @@
 import json
 import logging
+import types
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from rlab.flows import (
     evolve_nonlinear,
     hamiltonian_energy,
     profile_norms,
-    profile_of,
+    profiles,
     save_trajectory,
 )
 from rlab.norms import sobolev_norm
@@ -317,9 +318,9 @@ class TestEvolveNonlinear:
         # the H10 profile norm moves by less than the datum's own size
         cfg = EvolveConfig(t_end=2.0, dt=0.01, snapshot_stride=20)
         tr = evolve_nonlinear(datum, zero_potential_set(grid), cfg)
-        prof = profile_of(tr)
-        h0 = float(sobolev_norm(prof.fields[0], 10))
-        sup = max(float(sobolev_norm(f, 10)) for f in prof.fields)
+        prof = list(profiles(tr))
+        h0 = float(sobolev_norm(prof[0], 10))
+        sup = max(float(sobolev_norm(f, 10)) for f in prof)
         assert sup <= 2.0 * h0
 
     def test_dealias_off_runs(self, grid, datum, potentials):
@@ -395,18 +396,28 @@ class TestEvolveHamiltonian:
 
 
 class TestProfile:
+    def test_profiles_yields_the_pull_back_of_each_snapshot(self, grid, datum, potentials):
+        cfg = EvolveConfig(t_end=1.5, dt=0.05, snapshot_stride=5)
+        tr = evolve_linear(datum, potentials, cfg, skip_certification=True)
+        gen = profiles(tr)
+        assert isinstance(gen, types.GeneratorType)
+        got = list(gen)
+        assert len(got) == len(tr.fields) == 3
+        for t, u, f in zip(tr.times, tr.fields, got):
+            assert np.array_equal(f.data, free_propagate(u, -t).data)
+
     def test_free_flow_profile_constant(self, grid, datum):
         cfg = EvolveConfig(t_end=3.0, dt=0.05, snapshot_stride=10)
-        prof = profile_of(evolve_linear(datum, zero_potential_set(grid), cfg))
-        base = prof.fields[0].data
-        for f in prof.fields[1:]:
+        prof = list(profiles(evolve_linear(datum, zero_potential_set(grid), cfg)))
+        base = prof[0].data
+        for f in prof[1:]:
             assert np.max(np.abs(f.data - base)) < 1e-12
 
     def test_profile_at_start_is_pullback_of_datum(self, grid, datum):
         cfg = EvolveConfig(t_end=1.2, dt=0.05)
-        prof = profile_of(evolve_linear(datum, zero_potential_set(grid), cfg))
+        prof = list(profiles(evolve_linear(datum, zero_potential_set(grid), cfg)))
         ref = free_propagate(datum, -1.0)
-        assert np.max(np.abs(prof.fields[0].data - ref.data)) < 1e-13
+        assert np.max(np.abs(prof[0].data - ref.data)) < 1e-13
 
 
 class TestPersistence:

@@ -51,7 +51,7 @@ class TestChecked:
         tr = Trajectory(times=np.array([1.0, 2.0]), fields=[f, f])
         values = [lebesgue_norm(f, np.inf), lebesgue_norm(forward_transform(f), 2),
                   lebesgue_norm(f, 3), spacetime_norm(tr, np.inf, 2), spacetime_norm(tr, 2, 6),
-                  mixed_spacetime_norm(tr, 0, np.inf, 2), sobolev_norm(f, 10), x_norm(f),
+                  mixed_spacetime_norm(tr, 0, np.inf), sobolev_norm(f, 10), x_norm(f),
                   x_prime_norm(f), y_norm(f)]
         assert all(type(v) is float for v in values)
 
@@ -139,23 +139,23 @@ class TestMixedSpacetime:
     def test_spectrum_agrees_with_its_physical_form(self, grid16, axis, p_outer, seed):
         tr = self._spectra(grid16, seed)
         phys = Trajectory(times=tr.times, fields=[as_physical(f) for f in tr.fields])
-        got = mixed_spacetime_norm(tr, axis, p_outer, 2)
-        ref = mixed_spacetime_norm(phys, axis, p_outer, 2)
+        got = mixed_spacetime_norm(tr, axis, p_outer)
+        ref = mixed_spacetime_norm(phys, axis, p_outer)
         assert abs(got - ref) <= 1e-13 * ref
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_transverse_profile_keeps_its_position(self, grid16, axis):
         # the max and sum over x_j cannot see a cyclic shift; the profile can
         f = self._spectra(grid16, 7, nt=1).fields[0]
-        got = _transverse_power_sum(f, axis, 2)
-        ref = _transverse_power_sum(as_physical(f), axis, 2)
+        got = _transverse_power_sum(f, axis)
+        ref = _transverse_power_sum(as_physical(f), axis)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
 
     def test_zero_spectrum_gives_exactly_zero(self, grid16):
         tr = Trajectory(times=np.linspace(1.0, 2.0, 3),
                         fields=[zero_field(grid16, FREQUENCY)] * 3)
-        assert mixed_spacetime_norm(tr, 1, np.inf, 2) == 0.0
-        assert mixed_spacetime_norm(tr, 2, 1, 2) == 0.0
+        assert mixed_spacetime_norm(tr, 1, np.inf) == 0.0
+        assert mixed_spacetime_norm(tr, 2, 1) == 0.0
 
 
 class TestSobolev:

@@ -1,4 +1,4 @@
-"""Byte-identity sweep: run 22 scenario configs and print one digest per run.
+"""Byte-identity sweep: run 23 scenario configs and print one digest per run.
 
 Usage, from the root of a checkout::
 
@@ -82,6 +82,10 @@ def configs() -> dict[str, dict]:
         "simulate-undealiased": _with(shipped["simulate-nonlinear"], **{"evolve.dealias": "off"}),
         # eps1 = 0.004 sits below the profile norms: the bootstrap monitor exits
         "simulate-exit": _with(shipped["simulate-nonlinear"], **{"bootstrap.eps0": 0.001}),
+        # zero potential: the wave operator's constant profile, a trace of exact zeros
+        "wave-free": _with(shipped["wave-operator"],
+                           **{"grid.n": 16, "potential.amplitude_v": 0,
+                              **{f"potential.amplitude_a{j}": 0 for j in (1, 2, 3)}}),
         "born-16": born_16,
         # electric only: the delta rescale meets zero certificate entries
         "born-electric": _with(born_16, **{f"potential.amplitude_a{j}": 0 for j in (1, 2, 3)}),
