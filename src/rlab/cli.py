@@ -8,8 +8,10 @@ key is a ConfigError naming it, as is a value its type cannot read or a
 value out of its range, on a load and on an override alike.  Values are
 plain tokens; floats use '.' decimals.  CSV outputs print floats with 17
 significant digits and are byte-identical for identical configs and seeds,
-serial or parallel.  Each scenario is one entry of the registry SCENARIOS,
-which config validation, ``describe`` and ``run`` all read.
+serial or parallel.  Manifests are strict JSON (RFC 8259): a non-finite
+value is written as the string "Infinity", "-Infinity" or "NaN", which
+compare reads back as a float.  Each scenario is one entry of the registry
+SCENARIOS, which config validation, ``describe`` and ``run`` all read.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import sys
@@ -48,7 +51,7 @@ from .flows import (BootstrapParams, EvolveConfig, bootstrap_monitor, evolve_lin
                     evolve_nonlinear, profile_norms, save_trajectory)
 from .norms import sobolev_norm
 from .potentials import PotentialSet, certify, gaussian_potential, rescale_to_delta
-from .spectral import Field, Grid, free_propagate, l2_norm, make_grid
+from .spectral import Field, Grid, free_propagate, l2_norm, make_grid, read_snapshot
 from .sampling import normalized, sample_rng
 
 ACCEPTED_KEYS = {
@@ -226,6 +229,21 @@ def build_datum(cfg: ExperimentConfig, grid, seed: int) -> Field:
     return Field(grid, "physical", amp * f.data)
 
 
+# JSON has no non-finite numbers, so a manifest holds these strings instead
+NON_FINITE = ("Infinity", "-Infinity", "NaN")
+
+
+def _spell_non_finite(value):
+    """value with every non-finite float as the string of its NON_FINITE token."""
+    if isinstance(value, dict):
+        return {k: _spell_non_finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spell_non_finite(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return json.dumps(value)  # "Infinity", "-Infinity" or "NaN"
+    return value
+
+
 class RunManifest:
     def __init__(self, cfg: ExperimentConfig, out_dir: pathlib.Path):
         self.cfg = cfg
@@ -267,7 +285,8 @@ class RunManifest:
             "values": self.values,
         }
         path = self.out_dir / "manifest.json"
-        path.write_text(json.dumps(doc, sort_keys=True, indent=1))
+        path.write_text(json.dumps(_spell_non_finite(doc), sort_keys=True, indent=1,
+                                   allow_nan=False))
         return path
 
 
@@ -539,18 +558,66 @@ def describe(scenario: str) -> str:
 
 def _flatten(value, key: str, out: dict) -> dict:
     """The leaves of nested dicts and lists under dotted keys such as
-    ``bootstrap.eps1`` and ``partial_sum_errors.2``."""
+    ``bootstrap.eps1`` and ``partial_sum_errors.2``; a NON_FINITE string
+    is read back as its float."""
     if isinstance(value, (dict, list)):
         items = value.items() if isinstance(value, dict) else enumerate(value)
         for sub, leaf in items:
             _flatten(leaf, f"{key}.{sub}" if key else str(sub), out)
     else:
-        out[key] = value
+        out[key] = float(value) if value in NON_FINITE else value
     return out
 
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _deviation(a: float, b: float) -> float:
+    """|b/a - 1|, or |b - a| where a is 0; 0 for equal entries, NaNs included,
+    and inf where one side alone is NaN."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    d = abs(b - a) if a == 0 else abs(b / a - 1.0)
+    return math.inf if math.isnan(d) else d
+
+
+def _read_csv_columns(path) -> dict[str, list[float]]:
+    with open(path, newline="") as fh:
+        header, *body = list(csv.reader(fh))
+    return {name: [float(row[i]) for row in body] for i, name in enumerate(header)}
+
+
+def _artifact_rows(rel: str, path_a: pathlib.Path, path_b: pathlib.Path) -> list[list]:
+    """Value rows [key, a, b, deviation] of an artifact two runs wrote
+    differently, [] when its values cannot be compared.
+
+    A CSV with the same header and length gives one row per column that
+    differs: the pair of entries of largest _deviation.  A .rlab snapshot on
+    the same grid gives the relative L2 distance ||b - a|| / ||a|| (the
+    absolute one where a is 0), with the two L2 norms."""
+    try:
+        if rel.endswith(".csv"):
+            cols_a, cols_b = _read_csv_columns(path_a), _read_csv_columns(path_b)
+            if list(cols_a) != list(cols_b) or any(
+                    len(cols_a[k]) != len(cols_b[k]) for k in cols_a):
+                return []
+            rows = []
+            for name, col_a in cols_a.items():
+                dev, a, b = max((_deviation(a, b), a, b) for a, b in zip(col_a, cols_b[name]))
+                if dev > 0:
+                    rows.append([f"artifact:{rel}:{name}", a, b, dev])
+            return rows
+        if rel.endswith(".rlab"):
+            fa, fb = read_snapshot(path_a), read_snapshot(path_b)
+            if fa.grid != fb.grid or fa.rep != fb.rep:
+                return []
+            na, nb = l2_norm(fa), l2_norm(fb)
+            dist = l2_norm(Field(fa.grid, fa.rep, fb.data - fa.data))
+            return [[f"artifact:{rel}", na, nb, dist / na if na else dist]]
+    except (OSError, ValueError, IndexError):  # unreadable or ragged: digest row
+        return []
+    return []
 
 
 def compare(manifest_a, manifest_b) -> list[list]:
@@ -563,6 +630,10 @@ def compare(manifest_a, manifest_b) -> list[list]:
     that differs (a string, bool or None) or that one side lacks, and any
     assertion or artifact digest that differs or is one-sided, gives a row
     with ratio NaN ("assertion:"/"artifact:" prefixed); a missing side shows "-".
+    An artifact both runs wrote differently is compared by value where it
+    can be (_artifact_rows): its rows hold a deviation, not a ratio, in the
+    last place, and its key names the column.  The artifacts are read next
+    to each manifest.
     """
     doc_a = json.loads(pathlib.Path(manifest_a).read_text())
     doc_b = json.loads(pathlib.Path(manifest_b).read_text())
@@ -577,8 +648,14 @@ def compare(manifest_a, manifest_b) -> list[list]:
             a, b = sec_a.get(key, "-"), sec_b.get(key, "-")  # "-" marks a missing leaf
             if a == b:
                 continue
+            by_value = []
+            if section == "artifacts" and "-" not in (a, b):
+                by_value = _artifact_rows(key, *(pathlib.Path(m).parent / key
+                                                 for m in (manifest_a, manifest_b)))
             if section == "values" and _is_number(a) and _is_number(b):
                 rows.append([key, a, b, b / a if a != 0 else float("nan")])
+            elif by_value:
+                rows += by_value
             else:
                 name = key if section == "values" else f"{section[:-1]}:{key}"
                 width = 12 if section == "artifacts" else None  # digests show 12 characters

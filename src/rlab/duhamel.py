@@ -8,18 +8,19 @@ the iterated Duhamel representation
 
 so term n carries n potential applications.  All orders are advanced
 together on one fixed dt ladder by the trapezoid exponential integrator
-(Hochbruck & Ostermann, Acta Numerica 2010), kept in Fourier variables:
-with U_n the FFT of u_n, E = e^{i dt Laplacian} the free multiplier and
-LU = fftn(L ifftn(U)),
+(Hochbruck & Ostermann, Acta Numerica 2010), in physical space: with
+E = e^{i dt Laplacian} the free step, the axis operator of
+p = e^{-i dt xi_j^2} along the three axes (spectral.free_step), and
+h = -i dt/2,
 
-    U_0(t+dt) = E U_0(t),
-    U_n(t+dt) = E U_n(t) - i (dt/2) [ E LU_{n-1}(t) + LU_{n-1}(t+dt) ],
+    u_0(t+dt) = E u_0(t),
+    u_n(t+dt) = E [ u_n(t) + h L u_{n-1}(t) ] + h L u_{n-1}(t+dt),
 
-one duhamel_trapezoid step per order.  LU_{n-1}(t+dt) is carried into the
-next step as its LU_{n-1}(t), so each step applies L once per order below
-the top one, at 6 + 2 #a one-dimensional FFT passes (#a the nonzero
-magnetic components; 12 for the full set, 72 a step at 6 orders), and the
-terms return to physical space once, at t_end.  The cost is
+the trapezoid step factored so that E applies once per order.
+L u_{n-1}(t+dt) is carried into the next step as its L u_{n-1}(t), so each
+step applies L once per order below the top one, at #a axis products (#a
+the nonzero magnetic components), and E once per order, at 3: 39 axis
+products a step at 6 orders with the full set.  The cost is
 O(order * steps), not O(steps^order).  The numerical series keeps the
 plain Duhamel integral: the measurable content of the
 frequency-differentiated expansion is the geometric decay of the terms in
@@ -40,7 +41,7 @@ import numpy as np
 from .flows import _linear_flow, _linear_operator, _run, _step_count, evolve_linear_to, profiles
 from .norms import Trajectory, sobolev_norm, x_norm
 from .potentials import PotentialSet
-from .spectral import PHYSICAL, Field, as_physical, free_phase, free_propagate
+from .spectral import PHYSICAL, Field, as_physical, free_propagate, free_step
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,8 @@ def duhamel_trapezoid(acc: np.ndarray, E: np.ndarray, c: complex, f_prev: np.nda
                       f_cur: np.ndarray) -> np.ndarray:
     """One trapezoid step of acc(t) = integral e^{i(t-s) Lap} F(s) ds on spectra:
     acc(t+dt) = E acc(t) + c (E F(t) + F(t+dt)), with c = dt/2 times the
-    integral's prefactor."""
+    integral's prefactor.  The Born ladder takes the same step in physical
+    space as E (acc + c F(t)) + c F(t+dt), one free step instead of two."""
     return E * acc + c * (E * f_prev + f_cur)
 
 
@@ -70,19 +72,19 @@ def _born_ladder(u1: Field, ps: PotentialSet, order_max: int, t_end: float,
     grid = u1.grid
     n_steps = _step_count(1.0, t_end, dt, "t")
     op = _linear_operator(ps, skip_certification=True)
-    E = free_phase(grid, dt)
+    E = free_step(grid, dt)
     h = -1j * dt / 2.0
-    spectra = [np.fft.fftn(as_physical(u1).data)]
-    spectra += [np.zeros(grid.shape, dtype=np.complex128) for _ in range(order_max)]
-    # l_prev[n] = LU_n at the current time; U_n = 0 at t = 1 for n >= 1
-    l_prev = [op.spectral(spectra[0])] + spectra[1:order_max] if order_max else []
+    terms = [as_physical(u1).data]
+    terms += [np.zeros(grid.shape, dtype=np.complex128) for _ in range(order_max)]
+    # l_prev[n] = L u_n at the current time; u_n = 0 at t = 1 for n >= 1
+    l_prev = [op(terms[0])] + terms[1:order_max] if order_max else []
     for _ in range(n_steps):
-        spectra[0] = E * spectra[0]
+        terms[0] = E(terms[0])
         for n in range(1, order_max + 1):
-            l_cur = op.spectral(spectra[n - 1])
-            spectra[n] = duhamel_trapezoid(spectra[n], E, h, l_prev[n - 1], l_cur)
+            l_cur = op(terms[n - 1])
+            terms[n] = E(terms[n] + h * l_prev[n - 1]) + h * l_cur
             l_prev[n - 1] = l_cur
-    return [np.fft.ifftn(U) for U in spectra]
+    return terms
 
 
 def born_terms(u1: Field, ps: PotentialSet, order_max: int, t: float,

@@ -5,18 +5,24 @@ e^{i (dt/2) Laplacian}, the non-Laplacian part, then another half step.
 The non-Laplacian substep is advanced
 
 * for the linear electromagnetic flow, by a 4th-order truncated
-  exponential of -i dt (a.grad + V), applied pseudo-spectrally
-  (derivatives in frequency, products in physical space);
+  exponential of -i dt (a.grad + V): products in physical space, each
+  derivative d_j one axis operator (spectral.AxisOperator, the symbol
+  i xi_j along axis j);
 * for the quadratic flow, by explicit midpoint RK2 on
   -i (a.grad u + V u + u^2), the square formed in physical space and
-  dealiased by the two-thirds rule;
+  dealiased by the two-thirds rule, one axis operator per axis;
 * for the Hamiltonian flow i du/dt = H_A u with
   H_A = -Laplacian + 2i A.grad + (i div A + |A|^2) + V, by RK2, whose
   order-2 non-unitarity keeps the drifts of the mass (l2_norm) and of the
   energy (hamiltonian_energy) on the same O(dt^2) footing as the splitting
   error.
 
-Every step passes an L2-mass guard: a jump above 5% in one step, or a
+The loop stays in physical space.  The free multiplier is the axis
+operator of p = e^{-i t xi_j^2} along the three axes (spectral.free_step),
+and consecutive half steps merge into one full step, so a linear Strang
+step costs 3 + 4 #a axis products (#a the nonzero magnetic components):
+15 for a full set.  Every step passes an L2-mass guard, read right after the
+substep since the free step is unitary: a jump above 5% in one step, or a
 non-finite mass, aborts with diagnostics.  Initial time is t = 1 throughout.
 
 One recorder, _run, runs every flow and records it at named steps of its dt
@@ -52,8 +58,8 @@ from .spectral import (
     Field,
     Grid,
     as_physical,
-    free_phase,
     free_propagate,
+    free_step,
     write_snapshot,
 )
 
@@ -122,19 +128,16 @@ def _step_count(t_start: float, t_end: float, dt: float, what: str) -> int:
 
 
 def _partial(grid: Grid, u: np.ndarray, j: int) -> np.ndarray:
-    """d_j u by one transform along axis j and back, 2 one-dimensional FFT
-    passes: its multiplier i xi_j depends on xi_j alone."""
-    U = np.fft.fftn(u, axes=(j,))
-    U *= 1j * grid.freq_mesh[j]
-    return np.fft.ifftn(U, axes=(j,))
+    """d_j u, one axis product: its multiplier i xi_j depends on xi_j alone."""
+    return grid.derivative.along(u, j)
 
 
 class _PotentialOperator:
     """L u = c u + sum_j b_j d_j u, pseudo-spectral, on raw physical arrays.
 
     The coefficients c = v_data and b_j = a_data[j] are stored as given,
-    real or complex; an identically zero one is skipped.  A call costs 2 #b
-    one-dimensional FFT passes (#b the nonzero b_j): 6 for a full set.
+    real or complex; an identically zero one is skipped.  A call costs #b
+    axis products (#b the nonzero b_j): 3 for a full set.
     """
 
     def __init__(self, grid: Grid, v_data: np.ndarray, a_data: list[np.ndarray]):
@@ -150,37 +153,35 @@ class _PotentialOperator:
             out += d
         return out
 
-    def spectral(self, U: np.ndarray) -> np.ndarray:
-        """fftn(L ifftn(U)): L on a spectrum, in 6 + 2 #b one-dimensional passes."""
-        return np.fft.fftn(self(np.fft.ifftn(U)))
-
-
-def _mass_of_modes(U: np.ndarray) -> float:
-    return float(np.sum(np.abs(U) ** 2))
-
 
 def _strang_loop(grid: Grid, u0: np.ndarray, dt: float, n_steps: int, substep,
                  record_steps, t_start: float = 1.0) -> dict[int, np.ndarray]:
-    """Shared driver; substep(u, dt) advances the non-Laplacian part."""
-    half = free_phase(grid, dt / 2.0)
+    """Shared driver; substep(u, dt) advances the non-Laplacian part.
+
+    The half steps H = e^{i (dt/2) Laplacian} around consecutive substeps
+    merge into the full step E = e^{i dt Laplacian}: u runs H S E S ... E S,
+    and a record applies the trailing H to a copy."""
+    half, full = free_step(grid, dt / 2.0), free_step(grid, dt)
     records: dict[int, np.ndarray] = {}
     if 0 in record_steps:
         records[0] = u0.copy()
-    U = np.fft.fftn(u0)
-    mass_prev = _mass_of_modes(U)
+    # sum |u|^2: the guard reads a ratio, so the dx^3 scale drops out
+    mass_prev = float(np.sum(np.abs(u0) ** 2))
+    u = half(u0)
     for m in range(1, n_steps + 1):
-        u = np.fft.ifftn(half * U)
         u = substep(u, dt)
-        U = half * np.fft.fftn(u)
-        mass = _mass_of_modes(U)
+        mass = float(np.sum(np.abs(u) ** 2))
         # a NaN mass slips past the jump comparison, so test finiteness too
         jump = mass_prev > 0 and abs(mass / mass_prev - 1.0) > MASS_JUMP_GUARD
         if not np.isfinite(mass) or jump:
             raise BlowupError(t=t_start + m * dt, step=m,
-                              mass_before=np.sqrt(mass_prev), mass_after=np.sqrt(mass))
+                              mass_before=np.sqrt(mass_prev * grid.dx**3),
+                              mass_after=np.sqrt(mass * grid.dx**3))
         mass_prev = mass
         if m in record_steps:
-            records[m] = np.fft.ifftn(U)
+            records[m] = half(u)
+        if m < n_steps:
+            u = full(u)
     return records
 
 
@@ -267,14 +268,13 @@ def evolve_nonlinear(u1: Field, ps: PotentialSet, cfg: EvolveConfig, *,
     The quadratic substep is advanced by explicit midpoint RK2 with the
     square dealiased (two-thirds rule) unless cfg.dealias == "off".
     """
-    grid = u1.grid
     op = _linear_operator(ps, skip_certification)
-    mask = grid.dealias_mask if cfg.dealias == "two-thirds" else None
+    dealias = u1.grid.dealias if cfg.dealias == "two-thirds" else None
 
     def rhs(u):
         u2 = u * u
-        if mask is not None:
-            u2 = np.fft.ifftn(mask * np.fft.fftn(u2))
+        if dealias is not None:
+            u2 = dealias(u2)
         return -1j * (op(u) + u2)
 
     return _evolve(u1, cfg, _rk2_substep(rhs))

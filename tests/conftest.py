@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rlab.spectral import PHYSICAL, Field, make_grid
+from rlab.spectral import PHYSICAL, AxisOperator, Field, make_grid
 
 
 @pytest.fixture(scope="session")
@@ -26,22 +26,29 @@ class FFTCount:
     """Calls of np.fft.fftn, ifftn, fft and ifft by name, and the
     one-dimensional FFT passes they make: len(axes) for an n-dimensional
     call with axes=, one per axis of the array (3 on a grid) for a full
-    call, and one for a one-dimensional call."""
+    call, and one for a one-dimensional call.  Also the axis products: the
+    calls of AxisOperator.along, each of which at n >= 64 also makes a
+    one-axis FFT pair (2 passes)."""
 
     def __init__(self, monkeypatch):
         self.calls = Counter()
         self.passes = 0
+        self.products = 0
         self._monkeypatch = monkeypatch
         for name in ("fftn", "ifftn"):
             self._wrap(np.fft, name, self._count_passes)
         for name in ("fft", "ifft"):
             self._wrap(np.fft, name, self._count_one_pass)
+        self._wrap(AxisOperator, "along", self._count_product)
 
     def _count_passes(self, a, s=None, axes=None, *args, **kwargs):
         self.passes += np.ndim(a) if axes is None else len(axes)
 
     def _count_one_pass(self, *args, **kwargs):
         self.passes += 1
+
+    def _count_product(self, *args, **kwargs):
+        self.products += 1
 
     def _wrap(self, owner, name, also=None):
         fn = getattr(owner, name)
@@ -58,17 +65,49 @@ class FFTCount:
         """Count the calls of owner.name as well, under its name."""
         self._wrap(owner, name)
 
+    def _per_step(self, run, attr):
+        counts = []
+        for steps in (1, 2):
+            start = getattr(self, attr)
+            run(steps)
+            counts.append(getattr(self, attr) - start)
+        return counts[1] - counts[0]
+
     def passes_per_step(self, run):
         """Passes of run(2) minus those of run(1), run(steps) a stepping loop."""
-        passes = []
-        for steps in (1, 2):
-            start = self.passes
-            run(steps)
-            passes.append(self.passes - start)
-        return passes[1] - passes[0]
+        return self._per_step(run, "passes")
+
+    def products_per_step(self, run):
+        """Axis products of run(2) minus those of run(1)."""
+        return self._per_step(run, "products")
 
 
 @pytest.fixture
 def fft_count(monkeypatch):
     """An FFTCount on np.fft for the duration of one test."""
     return FFTCount(monkeypatch)
+
+
+@pytest.fixture
+def matmul_shapes(monkeypatch):
+    """The operand shapes of every np.matmul call for the duration of one test."""
+    shapes = []
+    matmul = np.matmul
+
+    def recorded(a, b, *args, **kwargs):
+        shapes.append((np.shape(a), np.shape(b)))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    return shapes
+
+
+def assert_small_batched_products(shapes, n):
+    """Each product is an n x n matrix against a stack of n x n slices, so
+    each BLAS call multiplies an m x k by a k x p matrix with m k p <= 32^3,
+    below OpenBLAS's threading threshold of 64^3."""
+    assert shapes
+    for a, b in shapes:
+        assert sorted([a, b], key=len) == [(n, n), (n, n, n)], (a, b)
+        (m, k), p = a[-2:], b[-1]
+        assert m * k * p <= 32**3, (a, b)

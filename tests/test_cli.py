@@ -21,6 +21,7 @@ from rlab.cli import (
 from rlab.errors import ConfigError
 from rlab.estimates import EstimateReport
 from rlab.potentials import rescale_to_delta
+from rlab.spectral import PHYSICAL, Field, make_grid, write_snapshot
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -379,18 +380,42 @@ class TestWaveRun:
         assert docs[0]["config_hash"] == docs[1]["config_hash"]
 
 
-    def test_zero_potential_run_passes(self, tmp_path, capsys):
-        # every amplitude 0: the trace is exactly 0, which the verdict accepts
+    @staticmethod
+    def free_config(tmp_path):
         text = (CONFIGS / "wave-operator.ini").read_text().replace("n = 32", "n = 16")
         for key in ("amplitude_v", "amplitude_a1", "amplitude_a2", "amplitude_a3"):
             text = "\n".join(f"{key} = 0" if line.startswith(f"{key} =") else line
                               for line in text.splitlines())
         p = tmp_path / "free.ini"
         p.write_text(text + "\n")
+        return p
+
+    def test_zero_potential_run_passes(self, tmp_path, capsys):
+        # every amplitude 0: the trace is exactly 0, which the verdict accepts
+        p = self.free_config(tmp_path)
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
         assert "monotone_trace: pass" in capsys.readouterr().out
         doc = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert doc["values"]["kappa"] == 1.0
+
+    def test_zero_potential_manifest_is_strict_json(self, tmp_path):
+        # the vanishing trace has exponent inf, which RFC 8259 JSON cannot hold
+        manifest = run(ExperimentConfig.from_file(self.free_config(tmp_path)), tmp_path / "o")
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        path = tmp_path / "o" / "manifest.json"
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert doc["values"]["exponent"] == "Infinity"
+        assert manifest.values["exponent"] == float("inf")
+        # compare reads the string back as inf: against itself, no row
+        assert compare(path, path) == []
+        finite = json.loads(path.read_text())
+        finite["values"]["exponent"] = 2.0
+        (tmp_path / "finite.json").write_text(json.dumps(finite))
+        rows = compare(path, tmp_path / "finite.json")
+        assert [r[:3] for r in rows] == [["exponent", float("inf"), 2.0]]
 
 
 class TestHarnessReport:
@@ -407,8 +432,8 @@ class TestHarnessReport:
         manifest = self.run_harness(tmp_path, [1.0, float("inf")])
         assert manifest.assertions["ratios_finite"] is False
         doc = json.loads(manifest.write().read_text())
-        assert doc["values"]["max_ratio"] == float("inf")
-        assert doc["values"]["median_ratio"] == float("inf")
+        assert doc["values"]["max_ratio"] == "Infinity"  # strict JSON has no inf
+        assert doc["values"]["median_ratio"] == "Infinity"
         assert (tmp_path / "report.csv").read_text() == "sample,ratio\n0,1\n1,inf\n"
 
     def test_nan_ratio_raises_naming_the_estimate(self, tmp_path):
@@ -542,6 +567,50 @@ class TestCompare:
         assert main(["compare", *paths]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out == ["key,a,b,ratio", f'blowup,-,"{message}",nan']
+
+
+class TestCompareArtifacts:
+    @staticmethod
+    def write_run(directory, artifacts: dict):
+        """A hand-made manifest over artifacts, a dict of path -> writer."""
+        directory.mkdir()
+        manifest = RunManifest(ExperimentConfig.from_file(CONFIGS / "certify.ini"), directory)
+        for rel, write in artifacts.items():
+            write(directory / rel)
+            manifest.add_artifact(directory / rel)
+        return manifest.write()
+
+    def test_perturbed_csv_entry_gives_its_deviation(self, tmp_path):
+        base = "t,l2,h10\n1,0.5,2\n2,0.25,0\n"
+        moved = "t,l2,h10\n1,0.5,2\n2,0.2500001,3e-15\n"
+        paths = [self.write_run(tmp_path / name, {"norms.csv": lambda p, t=text: p.write_text(t)})
+                 for name, text in (("a", base), ("b", moved))]
+        rows = {r[0]: r for r in compare(*paths)}
+        assert set(rows) == {"artifact:norms.csv:l2", "artifact:norms.csv:h10"}
+        key, a, b, dev = rows["artifact:norms.csv:l2"]
+        assert (a, b) == (0.25, 0.2500001) and dev == pytest.approx(4e-7, rel=1e-9)
+        assert rows["artifact:norms.csv:h10"][1:] == [0.0, 3e-15, 3e-15]  # |b - a| at a = 0
+
+    def test_snapshot_pair_gives_the_relative_l2_distance(self, tmp_path):
+        grid = make_grid(8, 8.0)
+        rng = np.random.default_rng(0)
+        # values exact in complex64, so the snapshot files hold them as given
+        base = rng.integers(-8, 8, grid.shape) + 1j * rng.integers(-8, 8, grid.shape)
+        step = np.zeros(grid.shape, dtype=np.complex128)
+        step[1, 2, 3] = 0.5
+        fields = {"a": base, "b": base + step}
+        paths = [self.write_run(tmp_path / name, {"snap.rlab": lambda p, d=data: write_snapshot(
+                     p, Field(grid, PHYSICAL, d))}) for name, data in fields.items()]
+        [row] = compare(*paths)
+        expected = 0.5 / np.sqrt(np.sum(np.abs(base) ** 2))
+        assert row[0] == "artifact:snap.rlab"
+        assert row[3] == pytest.approx(expected, rel=1e-12)
+
+    def test_other_artifacts_keep_their_digest_row(self, tmp_path):
+        paths = [self.write_run(tmp_path / name, {"report.json": lambda p, t=text: p.write_text(t)})
+                 for name, text in (("a", "{}"), ("b", "[]"))]
+        [row] = compare(*paths)
+        assert row[0] == "artifact:report.json" and np.isnan(row[3])
 
 
 class TestThreadsEnv:

@@ -19,6 +19,8 @@ from rlab.potentials import PotentialSet, gaussian_potential, zero_potential_set
 from rlab.spectral import (PHYSICAL, Field, free_phase, free_propagate, l2_norm, make_grid,
                            zero_field)
 
+from conftest import assert_small_batched_products
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -116,14 +118,23 @@ class TestBornLadder:
             assert np.max(np.abs(got - ref)) <= 1e-12 * scale, n
 
     @pytest.mark.parametrize("which,order_max,per_step", [
-        ("full", 6, 72), ("electric", 6, 36), ("magnetic", 6, 72), ("full", 0, 0)])
-    def test_ffts_per_step(self, fft_count, datum, potentials, which, order_max,
-                           per_step):
-        # 6 + 2 #a one-dimensional passes per order below the top one
+        ("full", 6, 39), ("electric", 6, 21), ("magnetic", 6, 39), ("full", 0, 3)])
+    def test_axis_products_per_step(self, fft_count, datum, potentials, which, order_max,
+                                    per_step):
+        # one free step E (3 axis products) per order, 0 included, and #a
+        # products per application of L, once per order below the top one
         ps = _part(potentials, which)
-        assert fft_count.passes_per_step(
-            lambda steps: _born_ladder(datum, ps, order_max, 1.0 + 0.25 * steps, 0.25)
-        ) == per_step
+
+        def run(steps):
+            _born_ladder(datum, ps, order_max, 1.0 + 0.25 * steps, 0.25)
+
+        assert fft_count.products_per_step(run) == per_step
+        assert fft_count.passes_per_step(run) == 0
+
+    def test_born_step_at_16_is_small_batched_products(self, matmul_shapes, datum, potentials):
+        _born_ladder(datum, potentials, 6, 1.25, 0.25)
+        assert len(matmul_shapes) == 3 + 39  # the set-up's L u_0, then one step
+        assert_small_batched_products(matmul_shapes, 16)
 
 
 class TestSeriesDecay:

@@ -32,6 +32,8 @@ from rlab.potentials import PotentialSet, gaussian_potential, zero_potential_set
 from rlab.spectral import (PHYSICAL, Field, forward_transform, free_propagate, l2_norm, make_grid,
                            read_snapshot, zero_field)
 
+from conftest import assert_small_batched_products
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -172,19 +174,33 @@ class TestPotentialOperator:
                                for j, bj in enumerate(b))
         op = _PotentialOperator(g, c, b)
         assert np.max(np.abs(op(u) - expected)) <= 1e-13 * np.max(np.abs(expected))
-        assert np.array_equal(op.spectral(uhat), np.fft.fftn(op(np.fft.ifftn(uhat))))
 
-    @pytest.mark.parametrize("which,per_step", [("full", 30), ("electric", 6)])
-    def test_fft_passes_per_linear_strang_step(self, fft_count, grid, datum, potentials,
-                                               which, per_step):
-        # a full-grid pair around the substep, whose 4 applications of L
-        # take 2 one-dimensional passes per nonzero a_j
+    @pytest.mark.parametrize("which,per_step", [("full", 15), ("electric", 3)])
+    def test_axis_products_per_linear_strang_step(self, fft_count, grid, datum, potentials,
+                                                  which, per_step):
+        # the merged half steps give one full free step (3 axis products) per
+        # step, and the substep's 4 applications of L take one product per
+        # nonzero a_j; no full-grid FFT is left in the loop
         a = potentials.a if which == "full" else (zero_field(grid),) * 3
         ps = PotentialSet(v=potentials.v, a=a, delta_target=potentials.delta_target)
         substep = _linear_substep(_linear_operator(ps, skip_certification=True))
-        assert fft_count.passes_per_step(
-            lambda steps: _strang_loop(grid, datum.data, 0.05, steps, substep, set())
-        ) == per_step
+
+        def run(steps):
+            _strang_loop(grid, datum.data, 0.05, steps, substep, set())
+
+        assert fft_count.products_per_step(run) == per_step
+        assert fft_count.passes_per_step(run) == 0
+
+    def test_strang_step_at_32_is_small_batched_products(self, matmul_shapes):
+        g = make_grid(32, 64.0)
+        v = gaussian_potential(g, (0, 0, 0), 4.0, 0.08)
+        a = tuple(gaussian_potential(g, (1.0, 0, 0), 4.0, 0.06) for _ in range(3))
+        ps = PotentialSet(v=v, a=a, delta_target=1000.0)
+        u0 = sampling.localized_packet(g, -4, np.random.default_rng(1), width=4.0).data
+        substep = _linear_substep(_linear_operator(ps, skip_certification=True))
+        _strang_loop(g, u0, 0.05, 1, substep, {1})
+        assert len(matmul_shapes) == 3 + 12 + 3
+        assert_small_batched_products(matmul_shapes, 32)
 
 
 class TestEvolveLinear:

@@ -3,8 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rlab.spectral import (
+    DENSE_AXIS_MAX_N,
     FREQUENCY,
     PHYSICAL,
+    AxisOperator,
     Field,
     apply_multiplier,
     bessel_weight,
@@ -13,6 +15,7 @@ from rlab.spectral import (
     forward_transform,
     free_phase,
     free_propagate,
+    free_step,
     half_derivative_weight,
     inverse_transform,
     l2_norm,
@@ -137,6 +140,70 @@ class TestFreePhase:
         p = free_phase(make_grid(n, L), 0.0)
         assert p.shape == (n, n, n)
         assert np.all(p == 1.0)
+
+
+def _white_noise(n, seed=0):
+    # every mode carries weight, the Nyquist planes included
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+
+
+def _one_axis_fft(symbol, u, j):
+    shape = [1, 1, 1]
+    shape[j] = -1
+    return np.fft.ifftn(symbol.reshape(shape) * np.fft.fftn(u, axes=(j,)), axes=(j,))
+
+
+def _axis_operators(g):
+    return {"derivative": g.derivative, "free_step": free_step(g, 0.37), "dealias": g.dealias}
+
+
+class TestAxisOperator:
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("which", ["derivative", "free_step", "dealias"])
+    def test_dense_matches_the_one_axis_fft_pair(self, n, which):
+        g = make_grid(n, 32.0)
+        op = _axis_operators(g)[which]
+        assert op.matrix is not None and op.matrix.shape == (n, n)
+        u = _white_noise(n)
+        for j in range(3):
+            got = op.along(u, j)
+            ref = _one_axis_fft(op.symbol, u, j)
+            assert got.flags.c_contiguous
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), j
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_three_axes_match_the_full_grid_multipliers(self, n):
+        g = make_grid(n, 32.0)
+        u = _white_noise(n, 1)
+        uhat = np.fft.fftn(u)
+        keep = np.abs(g.modes) <= n // 3
+        mask = keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
+        for op, m in ((free_step(g, -0.8), free_phase(g, -0.8)), (g.dealias, mask)):
+            ref = np.fft.ifftn(m * uhat)
+            assert np.max(np.abs(op(u) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_above_the_size_rule_is_the_fft_pair(self):
+        n = 2 * DENSE_AXIS_MAX_N
+        g = make_grid(n, 64.0)
+        u = _white_noise(n, 2)
+        for op in _axis_operators(g).values():
+            assert op.matrix is None
+            for j in range(3):
+                ref = _one_axis_fft(op.symbol, u, j)
+                assert np.max(np.abs(op.along(u, j) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_real_input_takes_the_complex_matrix(self, grid16):
+        u = _white_noise(16).real
+        for j in range(3):
+            got = grid16.derivative.along(u, j)
+            ref = _one_axis_fft(grid16.derivative.symbol, u, j)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_symbol_is_stored_as_complex(self):
+        op = AxisOperator(np.ones(8))
+        assert op.symbol.dtype == np.complex128
+        assert np.allclose(op.matrix, np.eye(8), atol=1e-15)
 
 
 class TestFreePropagate:

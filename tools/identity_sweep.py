@@ -19,10 +19,13 @@ factored kernel) cannot pass that ``diff``.  ``--compare OLD NEW`` reads two
 such sweep directories and runs ``rlab.cli.compare`` on each run name
 present in both.  It prints ``name rows max|b/a-1|``: the number of rows
 ``compare`` gives (every manifest value that moved, every assertion that
-flipped, every artifact whose digest changed) and the largest |b/a - 1|
-over the rows with a ratio ("-" if none has one).  Below each name it lists
-the keys of the rows without a ratio: assertions, artifacts, text values
-and values leaving zero.  No ``assertion:`` row may appear.  A ratio far
+flipped, every CSV column or snapshot that moved, every other artifact
+whose digest changed) and the largest deviation over the rows that carry
+one ("-" if none does): |b/a - 1| of a value, and the deviation an
+artifact row holds (the CSV column's largest |b/a - 1|, or the snapshot's
+relative L2 distance).  Below each name it lists the keys of the rows
+without one: assertions, other artifacts, text values and values leaving
+zero.  No ``assertion:`` row may appear.  A ratio far
 above roundoff (say 1e-9) is acceptable only for a value that is itself a
 roundoff-level quantity, such as a difference of nearly equal numbers.
 """
@@ -127,7 +130,8 @@ def compare_sweeps(old: pathlib.Path, new: pathlib.Path) -> None:
                    if (new / p.parent.name / "manifest.json").exists())
     for name in names:
         rows = compare(old / name / "manifest.json", new / name / "manifest.json")
-        devs = [abs(row[3] - 1.0) for row in rows if not math.isnan(row[3])]
+        devs = [row[3] if row[0].startswith("artifact:") else abs(row[3] - 1.0)
+                for row in rows if not math.isnan(row[3])]
         print(name, len(rows), f"{max(devs):.3g}" if devs else "-", flush=True)
         for row in rows:
             if math.isnan(row[3]):
