@@ -582,7 +582,10 @@ def _deviation(a: float, b: float) -> float:
     return math.inf if math.isnan(d) else d
 
 
-def _read_csv_columns(path) -> dict[str, list[float]]:
+def _read_columns(path) -> dict[str, list]:
+    """A CSV's columns, or a JSON document's leaves (_flatten) as one-entry columns."""
+    if path.suffix == ".json":
+        return {k: [v] for k, v in _flatten(json.loads(path.read_text()), "", {}).items()}
     with open(path, newline="") as fh:
         header, *body = list(csv.reader(fh))
     return {name: [float(row[i]) for row in body] for i, name in enumerate(header)}
@@ -593,12 +596,13 @@ def _artifact_rows(rel: str, path_a: pathlib.Path, path_b: pathlib.Path) -> list
     differently, [] when its values cannot be compared.
 
     A CSV with the same header and length gives one row per column that
-    differs: the pair of entries of largest _deviation.  A .rlab snapshot on
-    the same grid gives the relative L2 distance ||b - a|| / ||a|| (the
-    absolute one where a is 0), with the two L2 norms."""
+    differs, a JSON file (report.json, certificate.json) with the same keys
+    one per leaf: the pair of entries of largest _deviation.  A .rlab
+    snapshot on the same grid gives the relative L2 distance ||b - a|| / ||a||
+    (the absolute one where a is 0), with the two L2 norms."""
     try:
-        if rel.endswith(".csv"):
-            cols_a, cols_b = _read_csv_columns(path_a), _read_csv_columns(path_b)
+        if rel.endswith((".csv", ".json")):
+            cols_a, cols_b = _read_columns(path_a), _read_columns(path_b)
             if list(cols_a) != list(cols_b) or any(
                     len(cols_a[k]) != len(cols_b[k]) for k in cols_a):
                 return []
@@ -615,7 +619,8 @@ def _artifact_rows(rel: str, path_a: pathlib.Path, path_b: pathlib.Path) -> list
             na, nb = l2_norm(fa), l2_norm(fb)
             dist = l2_norm(Field(fa.grid, fa.rep, fb.data - fa.data))
             return [[f"artifact:{rel}", na, nb, dist / na if na else dist]]
-    except (OSError, ValueError, IndexError):  # unreadable or ragged: digest row
+    # unreadable, ragged, or a text leaf that moved (_deviation raises TypeError): digest row
+    except (OSError, ValueError, IndexError, TypeError):
         return []
     return []
 
@@ -633,10 +638,12 @@ def compare(manifest_a, manifest_b) -> list[list]:
     An artifact both runs wrote differently is compared by value where it
     can be (_artifact_rows): its rows hold a deviation, not a ratio, in the
     last place, and its key names the column.  The artifacts are read next
-    to each manifest.
+    to each manifest; a file that is not a manifest is a ConfigError.
     """
-    doc_a = json.loads(pathlib.Path(manifest_a).read_text())
-    doc_b = json.loads(pathlib.Path(manifest_b).read_text())
+    doc_a, doc_b = (json.loads(pathlib.Path(m).read_text()) for m in (manifest_a, manifest_b))
+    for m, doc in ((manifest_a, doc_a), (manifest_b, doc_b)):
+        if not (isinstance(doc, dict) and "scenario" in doc):
+            raise ConfigError(f"{m} is not a run manifest: it names no scenario")
     if doc_a["scenario"] != doc_b["scenario"]:
         raise ConfigError(
             f"cannot compare scenarios {doc_a['scenario']!r} and {doc_b['scenario']!r}"

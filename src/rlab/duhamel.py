@@ -16,7 +16,7 @@ h = -i dt/2,
     u_0(t+dt) = E u_0(t),
     u_n(t+dt) = E [ u_n(t) + h L u_{n-1}(t) ] + h L u_{n-1}(t+dt),
 
-the trapezoid step factored so that E applies once per order.
+one duhamel_trapezoid step per order, factored so that E applies once.
 L u_{n-1}(t+dt) is carried into the next step as its L u_{n-1}(t), so each
 step applies L once per order below the top one, at #a axis products (#a
 the nonzero magnetic components), and E once per order, at 3: 39 axis
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -57,13 +58,13 @@ class DuhamelTerm:
     x: float
 
 
-def duhamel_trapezoid(acc: np.ndarray, E: np.ndarray, c: complex, f_prev: np.ndarray,
+def duhamel_trapezoid(acc: np.ndarray, E: Callable, c: complex, f_prev: np.ndarray,
                       f_cur: np.ndarray) -> np.ndarray:
-    """One trapezoid step of acc(t) = integral e^{i(t-s) Lap} F(s) ds on spectra:
-    acc(t+dt) = E acc(t) + c (E F(t) + F(t+dt)), with c = dt/2 times the
-    integral's prefactor.  The Born ladder takes the same step in physical
-    space as E (acc + c F(t)) + c F(t+dt), one free step instead of two."""
-    return E * acc + c * (E * f_prev + f_cur)
+    """One trapezoid step of acc(t) = integral e^{i(t-s) Lap} F(s) ds, factored so
+    that the free step E = e^{i dt Lap} applies once: acc(t+dt) = E(acc(t) +
+    c F(t)) + c F(t+dt), c = dt/2 times the integral's prefactor.  E is free_step
+    on physical arrays (the Born ladder), the product by free_phase on spectra."""
+    return E(acc + c * f_prev) + c * f_cur
 
 
 def _born_ladder(u1: Field, ps: PotentialSet, order_max: int, t_end: float,
@@ -82,7 +83,7 @@ def _born_ladder(u1: Field, ps: PotentialSet, order_max: int, t_end: float,
         terms[0] = E(terms[0])
         for n in range(1, order_max + 1):
             l_cur = op(terms[n - 1])
-            terms[n] = E(terms[n] + h * l_prev[n - 1]) + h * l_cur
+            terms[n] = duhamel_trapezoid(terms[n], E, h, l_prev[n - 1], l_cur)
             l_prev[n - 1] = l_cur
     return terms
 
@@ -234,7 +235,7 @@ def wave_operator(u1: Field, ps: PotentialSet, T: float, dt: float, *,
     steps = [_step_count(1.0, tau, dt, "dyadic time") for tau in taus]
     substep = _linear_flow(ps, skip_certification)
     if substep is None:
-        g = [free_propagate(as_physical(u1), -1.0)] * len(taus)
+        g = [free_propagate(u1, -1.0)] * len(taus)
     else:
         g = list(profiles(Trajectory(times=taus, fields=_run(u1, 1.0, dt, steps, substep))))
     distances = [sobolev_norm(Field(u1.grid, PHYSICAL, g2.data - g1.data), 10)

@@ -15,6 +15,7 @@ agree bit for bit.
 
 from __future__ import annotations
 
+import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -216,14 +217,14 @@ def _forcing_sample(grid: Grid, k: int, axis: int, rng,
 def _duhamel_ladder(grid: Grid, forcing: list[Field], times: np.ndarray,
                     multiplier: np.ndarray | None) -> Trajectory:
     """Cumulative trapezoid Duhamel integral int_{s<=t} e^{i(t-s)Lap} F(s) ds,
-    kept as its spectra; duhamel_trapezoid returns a fresh array each step."""
+    kept as its spectra: per interval one duhamel_trapezoid step, E the free_phase product."""
     out_fields = []
     acc = np.zeros(grid.shape, dtype=np.complex128)
     prev_fhat = as_frequency(forcing[0]).data
     for i, t in enumerate(times):
         if i > 0:
             dt = times[i] - times[i - 1]
-            E = free_phase(grid, dt)
+            E = functools.partial(np.multiply, free_phase(grid, dt))
             cur = as_frequency(forcing[i]).data
             acc = duhamel_trapezoid(acc, E, dt / 2.0, prev_fhat, cur)
             prev_fhat = cur
@@ -236,14 +237,14 @@ def _flow_integral(tr: Trajectory) -> np.ndarray:
     """Spectrum of the trapezoid rule for integral e^{it Lap} F(t) dt over tr.
 
     The pushed-forward forcing e^{it Lap} F(t) needs no free multiplier between
-    nodes, so each interval is one duhamel_trapezoid step with E = 1, holding
-    two spectra instead of the stack."""
+    nodes, so each interval adds (dt/2) (prev + cur), holding two spectra
+    instead of the stack."""
     acc = np.zeros(tr.grid.shape, dtype=np.complex128)
     prev = None
     for i, (t, F) in enumerate(zip(tr.times, tr.fields)):
         cur = free_phase(tr.grid, t) * as_frequency(F).data
         if i:
-            acc = duhamel_trapezoid(acc, 1.0, (t - tr.times[i - 1]) / 2, prev, cur)
+            acc = acc + (t - tr.times[i - 1]) / 2 * (prev + cur)
         prev = cur
     return acc
 

@@ -17,8 +17,8 @@ The non-Laplacian substep is advanced
   energy (hamiltonian_energy) on the same O(dt^2) footing as the splitting
   error.
 
-The loop stays in physical space.  The free multiplier is the axis
-operator of p = e^{-i t xi_j^2} along the three axes (spectral.free_step),
+The loop stays in physical space.  A free flow of a physical array is the
+axis operator of p = e^{-i t xi_j^2} along the three axes (spectral.free_step),
 and consecutive half steps merge into one full step, so a linear Strang
 step costs 3 + 4 #a axis products (#a the nonzero magnetic components):
 15 for a full set.  Every step passes an L2-mass guard, read right after the
@@ -28,7 +28,7 @@ non-finite mass, aborts with diagnostics.  Initial time is t = 1 throughout.
 One recorder, _run, runs every flow and records it at named steps of its dt
 ladder; evolve_linear, evolve_linear_to, the other evolve_* flows and the
 wave operator all go through it.  The linear flow of a zero potential set is
-the exact free multiplier per record, one free_propagate by m dt at step m,
+the exact free flow per record, one free_propagate by m dt at step m,
 with no Strang loop.
 
 A flow returns a Trajectory, its times and fields and nothing else.  What
@@ -70,26 +70,26 @@ MASS_JUMP_GUARD = 0.05
 
 @dataclass(frozen=True)
 class EvolveConfig:
-    """Strang-splitting run parameters; t_start = 1 is the initial time."""
+    """Strang-splitting run parameters of a forward run from t = 1 to t_end."""
 
     t_end: float
     dt: float
-    t_start: float = 1.0
     dealias: str = "two-thirds"
     snapshot_stride: int = 1
 
     def __post_init__(self):
         if self.dealias not in ("two-thirds", "off"):
             raise ValueError(f"unknown dealias mode {self.dealias!r}")
-        if self.dt == 0 or (self.t_end - self.t_start) * self.dt <= 0:
-            raise ValueError("dt must be nonzero and point from t_start to t_end")
+        if not (self.dt > 0 and self.t_end > 1.0):
+            raise ValueError(f"EvolveConfig runs forward from t = 1 (dt {self.dt:g}, t_end "
+                             f"{self.t_end:g}); a backward flow runs through evolve_linear_to")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be at least 1")
-        _step_count(self.t_start, self.t_end, self.dt, "t_end")
+        _step_count(1.0, self.t_end, self.dt, "t_end")
 
     @property
     def n_steps(self) -> int:
-        return _step_count(self.t_start, self.t_end, self.dt, "t_end")
+        return _step_count(1.0, self.t_end, self.dt, "t_end")
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,6 @@ def _step_count(t_start: float, t_end: float, dt: float, what: str) -> int:
     return n
 
 
-def _partial(grid: Grid, u: np.ndarray, j: int) -> np.ndarray:
-    """d_j u, one axis product: its multiplier i xi_j depends on xi_j alone."""
-    return grid.derivative.along(u, j)
-
-
 class _PotentialOperator:
     """L u = c u + sum_j b_j d_j u, pseudo-spectral, on raw physical arrays.
 
@@ -148,7 +143,7 @@ class _PotentialOperator:
     def __call__(self, u: np.ndarray) -> np.ndarray:
         out = self.v * u if self.v is not None else np.zeros_like(u)
         for j, aj in self.a:
-            d = _partial(self.grid, u, j)
+            d = self.grid.derivative.along(u, j)
             d *= aj
             out += d
         return out
@@ -185,17 +180,10 @@ def _strang_loop(grid: Grid, u0: np.ndarray, dt: float, n_steps: int, substep,
     return records
 
 
-def _record_steps(cfg: EvolveConfig) -> list[int]:
-    steps = list(range(0, cfg.n_steps + 1, cfg.snapshot_stride))
-    if steps[-1] != cfg.n_steps:
-        steps.append(cfg.n_steps)
-    return steps
-
-
 def _run(u1: Field, t_start: float, dt: float, steps: list[int], substep) -> list[Field]:
     """The flow from u1 at t_start, recorded at the ascending steps of its dt
     ladder.  substep=None is the zero potential, whose flow is the exact free
-    multiplier: step 0 is u1 itself and step m one free_propagate by m dt."""
+    flow: step 0 is u1 itself and step m one free_propagate by m dt."""
     u = as_physical(u1)
     if substep is None:
         return [u if m == 0 else free_propagate(u, m * dt) for m in steps]
@@ -204,10 +192,11 @@ def _run(u1: Field, t_start: float, dt: float, steps: list[int], substep) -> lis
 
 
 def _evolve(u1: Field, cfg: EvolveConfig, substep) -> Trajectory:
-    """The flow from u1 over cfg's time ladder, recorded at cfg's snapshot steps."""
-    steps = _record_steps(cfg)
-    times = cfg.t_start + cfg.dt * np.asarray(steps, dtype=np.float64)
-    return Trajectory(times=times, fields=_run(u1, cfg.t_start, cfg.dt, steps, substep))
+    """The flow from u1 over cfg's time ladder, recorded every snapshot_stride
+    steps and at the last step."""
+    steps = sorted({*range(0, cfg.n_steps, cfg.snapshot_stride), cfg.n_steps})
+    times = 1.0 + cfg.dt * np.asarray(steps, dtype=np.float64)
+    return Trajectory(times=times, fields=_run(u1, 1.0, cfg.dt, steps, substep))
 
 
 def _linear_operator(ps: PotentialSet, skip_certification: bool) -> _PotentialOperator:
@@ -250,7 +239,7 @@ def _rk2_substep(rhs):
 
 def evolve_linear(u1: Field, ps: PotentialSet, cfg: EvolveConfig, *,
                   skip_certification: bool = False) -> Trajectory:
-    """Solve i du/dt + Laplacian u = a . grad u + V u from u(t_start) = u1."""
+    """Solve i du/dt + Laplacian u = a . grad u + V u from u(1) = u1."""
     return _evolve(u1, cfg, _linear_flow(ps, skip_certification))
 
 
@@ -328,7 +317,7 @@ def evolve_hamiltonian(u1: Field, a: tuple[Field, Field, Field], v: Field,
             raise ValueError("Hamiltonian flow needs real A and V")
     a_data = [ai.data.real for ai in a]
     v_data = v.data.real
-    div_a = sum(_partial(grid, a_data[j], j).real for j in range(3))
+    div_a = sum(grid.derivative.along(a_data[j], j).real for j in range(3))
     a_sq = sum(aj * aj for aj in a_data)
     # H_A - (-Laplacian) = (i div A + |A|^2 + V) + sum_j 2i A_j d_j
     op = _PotentialOperator(grid, 1j * div_a + a_sq + v_data, [2j * aj for aj in a_data])
@@ -339,7 +328,7 @@ def hamiltonian_energy(f: Field, a: tuple[Field, Field, Field], v: Field) -> flo
     """H(u) = 1/2 integral |(grad - iA) u|^2 + V |u|^2 dx, A and V real."""
     grid = f.grid
     u = as_physical(f).data
-    acc = sum(np.abs(_partial(grid, u, j) - 1j * as_physical(a[j]).data.real * u) ** 2
+    acc = sum(np.abs(grid.derivative.along(u, j) - 1j * as_physical(a[j]).data.real * u) ** 2
               for j in range(3))
     acc += as_physical(v).data.real * np.abs(u) ** 2
     return float(0.5 * np.sum(acc) * grid.dx**3)

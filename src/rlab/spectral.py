@@ -326,8 +326,9 @@ def free_step(grid: Grid, t: float) -> AxisOperator:
 
 
 def free_propagate(f: Field, t: float) -> Field:
-    """Exact free Schroedinger flow e^{i t Laplacian}: multiplier e^{-i t |xi|^2}."""
-    return apply_multiplier(f, free_phase(f.grid, t))
+    """Exact free Schroedinger flow e^{i t Laplacian}, as free_step on the physical
+    samples; a physical field comes back (a held spectrum takes free_phase)."""
+    return Field(f.grid, PHYSICAL, free_step(f.grid, t)(as_physical(f).data))
 
 
 def shell_fraction(w: np.ndarray, edge: np.ndarray) -> float:

@@ -280,13 +280,30 @@ class TestConfig:
 
 
 class TestIdentitySweep:
-    def test_configs_cover_every_scenario(self):
+    @pytest.fixture(scope="class")
+    def sweep(self):
         path = REPO / "tools" / "identity_sweep.py"
         spec = importlib.util.spec_from_file_location("identity_sweep", path)
         sweep = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sweep)
+        return sweep
+
+    def test_configs_cover_every_scenario(self, sweep):
         covered = {sections["run"]["scenario"] for sections in sweep.configs().values()}
         assert set(SCENARIOS) - covered == set()
+
+    def test_compare_fails_on_an_assertion_row_or_a_one_sided_run(self, tmp_path, capsys, sweep):
+        old, new = tmp_path / "old", tmp_path / "new"
+        for side, runs in ((old, {"x": True, "y": True}), (new, {"x": False})):
+            for name, ok in runs.items():
+                (side / name).mkdir(parents=True)
+                (side / name / "manifest.json").write_text(json.dumps(
+                    {"scenario": "certify", "assertions": {"ok": ok}}))
+        assert sweep.main(["identity_sweep.py", "--compare", str(old), str(old)]) == 0
+        capsys.readouterr()
+        assert sweep.main(["identity_sweep.py", "--compare", str(old), str(new)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"FAULT y: only in {old}", "FAULT x: assertion:ok"]
 
 
 class TestDescribe:
@@ -569,6 +586,18 @@ class TestCompare:
         assert out == ["key,a,b,ratio", f'blowup,-,"{message}",nan']
 
 
+    @pytest.mark.parametrize("doc", [{"values": {}}, [1]], ids=["no-scenario", "list"])
+    def test_file_that_is_not_a_manifest_is_a_config_error(self, tmp_path, capsys, doc):
+        run(ExperimentConfig.from_file(CONFIGS / "certify.ini"), tmp_path / "a")
+        good = tmp_path / "a" / "manifest.json"
+        bad = tmp_path / "other.json"
+        bad.write_text(json.dumps(doc))
+        for pair in ((good, bad), (bad, good)):
+            assert main(["compare", *map(str, pair)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {bad} is not a run manifest: it names no scenario\n"
+
+
 class TestCompareArtifacts:
     @staticmethod
     def write_run(directory, artifacts: dict):
@@ -605,6 +634,26 @@ class TestCompareArtifacts:
         expected = 0.5 / np.sqrt(np.sum(np.abs(base) ** 2))
         assert row[0] == "artifact:snap.rlab"
         assert row[3] == pytest.approx(expected, rel=1e-12)
+
+    def test_json_report_gives_a_row_per_moved_leaf(self, tmp_path):
+        base = {"estimate_id": "smo3", "max_ratio": 1.5, "median_ratio": 1.25,
+                "extras": {"p": 2.0, "times": [1.0, 2.0]}}
+        moved = {**base, "max_ratio": 1.5000003, "extras": {"p": 2.0, "times": [1.0, 2.5]}}
+        paths = [self.write_run(tmp_path / name, {"report.json": lambda p, d=doc: p.write_text(
+                     json.dumps(d))}) for name, doc in (("a", base), ("b", moved))]
+        rows = {r[0]: r for r in compare(*paths)}
+        assert set(rows) == {"artifact:report.json:max_ratio",
+                             "artifact:report.json:extras.times.1"}
+        key, a, b, dev = rows["artifact:report.json:max_ratio"]
+        assert (a, b) == (1.5, 1.5000003) and dev == pytest.approx(2e-7, rel=1e-9)
+        assert rows["artifact:report.json:extras.times.1"][3] == pytest.approx(0.25)
+
+    def test_json_with_a_moved_text_leaf_keeps_its_digest_row(self, tmp_path):
+        texts = {"a": '{"id": "smo2", "max_ratio": 1.0}', "b": '{"id": "smo3", "max_ratio": 2.0}'}
+        paths = [self.write_run(tmp_path / name, {"report.json": lambda p, t=text: p.write_text(t)})
+                 for name, text in texts.items()]
+        [row] = compare(*paths)
+        assert row[0] == "artifact:report.json" and np.isnan(row[3])
 
     def test_other_artifacts_keep_their_digest_row(self, tmp_path):
         paths = [self.write_run(tmp_path / name, {"report.json": lambda p, t=text: p.write_text(t)})

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from rlab.duhamel import (
     _born_ladder,
     born_terms,
     denominator_sweep,
+    duhamel_trapezoid,
     regularized_denominator_check,
     series_decay_report,
     wave_operator,
@@ -16,8 +18,8 @@ from rlab.duhamel import (
 from rlab.flows import EvolveConfig, _linear_operator, evolve_linear, profiles
 from rlab.norms import sobolev_norm, x_norm
 from rlab.potentials import PotentialSet, gaussian_potential, zero_potential_set
-from rlab.spectral import (PHYSICAL, Field, free_phase, free_propagate, l2_norm, make_grid,
-                           zero_field)
+from rlab.spectral import (PHYSICAL, Field, free_phase, free_propagate, free_step, l2_norm,
+                           make_grid, zero_field)
 
 from conftest import assert_small_batched_products
 
@@ -75,6 +77,23 @@ class TestBornTerm:
         # (2 - 1) / 0.3 is not an integer step count
         with pytest.raises(ValueError, match="integer"):
             born_terms(datum, potentials, 1, 2.0, 0.3)
+
+
+class TestDuhamelTrapezoid:
+    @pytest.mark.parametrize("form", ["spectral", "physical"])
+    def test_factored_step_matches_the_unfactored_step(self, grid, form):
+        # E (acc + c F(t)) + c F(t+dt) against E acc + c (E F(t) + F(t+dt))
+        rng = np.random.default_rng(3)
+        acc, f_prev, f_cur = (rng.standard_normal(grid.shape)
+                              + 1j * rng.standard_normal(grid.shape) for _ in range(3))
+        if form == "spectral":
+            E = functools.partial(np.multiply, free_phase(grid, 0.05))
+        else:
+            E = free_step(grid, 0.05)
+        c = -0.025j
+        got = duhamel_trapezoid(acc, E, c, f_prev, f_cur)
+        ref = E(acc) + c * (E(f_prev) + f_cur)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def _part(ps: PotentialSet, which: str) -> PotentialSet:

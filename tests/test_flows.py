@@ -63,17 +63,18 @@ class TestEvolveConfig:
         with pytest.raises(ValueError):
             EvolveConfig(t_end=2.0, dt=0.3)
 
-    def test_rejects_times_before_one(self):
-        with pytest.raises(ValueError):
-            EvolveConfig(t_end=2.0, dt=0.1, t_start=0.5)
-
     def test_rejects_inconsistent_direction(self):
         with pytest.raises(ValueError):
             EvolveConfig(t_end=2.0, dt=-0.1)
 
-    def test_backward_runs_allowed_with_negative_dt(self):
-        cfg = EvolveConfig(t_end=1.0, dt=-0.1, t_start=2.0)
-        assert cfg.n_steps == 10
+    def test_refuses_backward_runs_up_front(self):
+        # a run always starts at t = 1, so a backward or zero dt is refused at
+        # construction, before any step, and the message names the backward flow
+        for t_end, dt in ((1.0, -0.1), (2.0, 0.0), (1.0, 0.1)):
+            with pytest.raises(ValueError, match="evolve_linear_to"):
+                EvolveConfig(t_end=t_end, dt=dt)
+        with pytest.raises(TypeError):
+            EvolveConfig(t_end=1.0, dt=-0.1, t_start=2.0)
 
 
 class TestStepCount:

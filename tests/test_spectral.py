@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from rlab import spectral
 from rlab.spectral import (
     DENSE_AXIS_MAX_N,
     FREQUENCY,
@@ -9,6 +10,7 @@ from rlab.spectral import (
     AxisOperator,
     Field,
     apply_multiplier,
+    as_physical,
     bessel_weight,
     boundary_mass_fraction,
     field_from_function,
@@ -222,6 +224,29 @@ class TestFreePropagate:
         ab = free_propagate(free_propagate(f, 0.7), 0.4)
         once = free_propagate(f, 1.1)
         assert np.max(np.abs(ab.data - once.data)) < 1e-12 * np.max(np.abs(f.data))
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("rep", [PHYSICAL, FREQUENCY])
+    def test_matches_the_full_grid_multiplier(self, n, rep):
+        # reference: the full-grid route, fftn, the n^3 phase, ifftn
+        g = make_grid(n, 32.0)
+        f = random_field(g, 7)
+        f = f if rep == PHYSICAL else forward_transform(f)
+        for t in (-3.0, 0.7, 16.0):
+            got = free_propagate(f, t)
+            ref = as_physical(apply_multiplier(f, free_phase(g, t)))
+            assert got.rep == PHYSICAL
+            assert l2_norm(Field(g, PHYSICAL, got.data - ref.data)) <= 1e-13 * l2_norm(ref)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_is_three_axis_products(self, fft_count, n):
+        # no full-grid FFT: at n >= 64 each axis product is a one-axis FFT pair
+        fft_count.watch(spectral, "apply_multiplier")
+        free_propagate(random_field(make_grid(n, 32.0), 8), 0.5)
+        assert fft_count.products == 3
+        pairs = 0 if n <= DENSE_AXIS_MAX_N else 3
+        assert fft_count.calls["fftn"] == fft_count.calls["ifftn"] == pairs
+        assert fft_count.calls["apply_multiplier"] == 0
 
 
 class TestHalfDerivative:

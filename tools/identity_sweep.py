@@ -19,15 +19,18 @@ factored kernel) cannot pass that ``diff``.  ``--compare OLD NEW`` reads two
 such sweep directories and runs ``rlab.cli.compare`` on each run name
 present in both.  It prints ``name rows max|b/a-1|``: the number of rows
 ``compare`` gives (every manifest value that moved, every assertion that
-flipped, every CSV column or snapshot that moved, every other artifact
-whose digest changed) and the largest deviation over the rows that carry
-one ("-" if none does): |b/a - 1| of a value, and the deviation an
-artifact row holds (the CSV column's largest |b/a - 1|, or the snapshot's
+flipped, every CSV column, JSON leaf or snapshot that moved, every other
+artifact whose digest changed) and the largest deviation over the rows
+that carry one ("-" if none does): |b/a - 1| of a value, and the deviation
+an artifact row holds (the largest |b/a - 1| of a CSV column or of a
+numeric leaf of a JSON artifact such as ``report.json``, or the snapshot's
 relative L2 distance).  Below each name it lists the keys of the rows
 without one: assertions, other artifacts, text values and values leaving
-zero.  No ``assertion:`` row may appear.  A ratio far
-above roundoff (say 1e-9) is acceptable only for a value that is itself a
-roundoff-level quantity, such as a difference of nearly equal numbers.
+zero.  No ``assertion:`` row may appear, and each run name must be on both
+sides: the script lists each breach on stderr after the table and exits 1
+if there is one.  A ratio far above roundoff (say 1e-9) is acceptable only
+for a value that is itself a roundoff-level quantity, such as a difference
+of nearly equal numbers.
 """
 
 from __future__ import annotations
@@ -123,12 +126,15 @@ def digest(manifest_path: pathlib.Path) -> tuple[str, bool]:
     return hashlib.sha256(blob).hexdigest(), all(doc["assertions"].values())
 
 
-def compare_sweeps(old: pathlib.Path, new: pathlib.Path) -> None:
+def compare_sweeps(old: pathlib.Path, new: pathlib.Path) -> list[str]:
+    """Print the table; return its faults: each assertion row and each run
+    name only one side has."""
     from rlab.cli import compare
 
-    names = sorted(p.parent.name for p in old.glob("*/manifest.json")
-                   if (new / p.parent.name / "manifest.json").exists())
-    for name in names:
+    names_old, names_new = ({p.parent.name for p in d.glob("*/manifest.json")} for d in (old, new))
+    faults = [f"{name}: only in {old}" for name in sorted(names_old - names_new)]
+    faults += [f"{name}: only in {new}" for name in sorted(names_new - names_old)]
+    for name in sorted(names_old & names_new):
         rows = compare(old / name / "manifest.json", new / name / "manifest.json")
         devs = [row[3] if row[0].startswith("artifact:") else abs(row[3] - 1.0)
                 for row in rows if not math.isnan(row[3])]
@@ -136,12 +142,16 @@ def compare_sweeps(old: pathlib.Path, new: pathlib.Path) -> None:
         for row in rows:
             if math.isnan(row[3]):
                 print(f"  {row[0]}")
+        faults += [f"{name}: {row[0]}" for row in rows if row[0].startswith("assertion:")]
+    return faults
 
 
 def main(argv) -> int:
     if len(argv) == 4 and argv[1] == "--compare":
-        compare_sweeps(pathlib.Path(argv[2]), pathlib.Path(argv[3]))
-        return 0
+        faults = compare_sweeps(pathlib.Path(argv[2]), pathlib.Path(argv[3]))
+        for fault in faults:
+            print("FAULT", fault, file=sys.stderr)
+        return 1 if faults else 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
