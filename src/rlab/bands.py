@@ -7,7 +7,7 @@ lowpass (1 below 1/1.04, 0 above 1.04).  The telescoping identity
 sum_j phi(1.1^{-j} r) = 1 then holds exactly for every r > 0, and
 bands two or more apart have exactly disjoint supports
 (1.04^2 < 1.1).  Sums and suprema over bands read band_table, which keeps
-each band's support and values, built once per grid.
+each band's support and plain values P_k, built once per grid.
 """
 
 from __future__ import annotations
@@ -110,14 +110,13 @@ def covering_band_range(grid: Grid) -> range:
 def band_table(grid: Grid) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
     """(k, support, values) for each band of covering_band_range that touches
     a grid mode, built once per grid: the flat indices where P_k is nonzero
-    and P_k there times the centering sign (-1)^(m1+m2+m3), read-only."""
-    sign = grid.centering_phase.reshape(-1)
+    and the values of P_k there, read-only."""
     table = []
     for k in covering_band_range(grid):
         mult = band_multiplier(grid, k).reshape(-1)
         if np.any(mult > 0.0):
             support = np.flatnonzero(mult)
-            values = mult[support] * sign[support]
+            values = mult[support]
             support.flags.writeable = values.flags.writeable = False
             table.append((k, support, values))
     return tuple(table)

@@ -85,12 +85,15 @@ def write_csv(path, header: list[str], rows: list[dict]) -> None:
 
 
 def _parse(name: str, value: str, kind):
-    """kind(value), or a ConfigError naming the key or variable and the value."""
+    """kind(value), or a ConfigError naming the key or variable and the value (NaN too)."""
     try:
-        return kind(value)
+        parsed = kind(value)
+        if kind is float and math.isnan(parsed):
+            raise ValueError
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name} = {value!r} is not {noun}") from None
+    return parsed
 
 
 class ExperimentConfig:
@@ -640,10 +643,15 @@ def compare(manifest_a, manifest_b) -> list[list]:
     last place, and its key names the column.  The artifacts are read next
     to each manifest; a file that is not a manifest is a ConfigError.
     """
-    doc_a, doc_b = (json.loads(pathlib.Path(m).read_text()) for m in (manifest_a, manifest_b))
-    for m, doc in ((manifest_a, doc_a), (manifest_b, doc_b)):
-        if not (isinstance(doc, dict) and "scenario" in doc):
+    docs = []
+    for m in (manifest_a, manifest_b):
+        try:
+            docs.append(json.loads(pathlib.Path(m).read_text()))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{m} is not a run manifest: {exc}") from None
+        if not (isinstance(docs[-1], dict) and "scenario" in docs[-1]):
             raise ConfigError(f"{m} is not a run manifest: it names no scenario")
+    doc_a, doc_b = docs
     if doc_a["scenario"] != doc_b["scenario"]:
         raise ConfigError(
             f"cannot compare scenarios {doc_a['scenario']!r} and {doc_b['scenario']!r}"

@@ -228,9 +228,9 @@ def wave_operator(u1: Field, ps: PotentialSet, T: float, dt: float, *,
     constant profile e^{-i Laplacian} u1, evaluated once so that the trace is
     exactly 0.  A non-decreasing trace is non-convergence, not an error.
     """
-    m = int(round(math.log2(T))) if T > 0 else 0
+    m = int(round(math.log2(T))) if 0 < T < math.inf else 0
     if m < 1 or abs(T - 2.0**m) > 1e-9:
-        raise ValueError("T must be a power of two, at least 2")
+        raise ValueError(f"T must be a power of two, at least 2 (got {T:g})")
     taus = [2.0**j for j in range(m + 1)]  # 1, 2, ..., T
     steps = [_step_count(1.0, tau, dt, "dyadic time") for tau in taus]
     substep = _linear_flow(ps, skip_certification)

@@ -111,19 +111,19 @@ class BootstrapParams:
 
 
 def _step_count(t_start: float, t_end: float, dt: float, what: str) -> int:
-    """Steps of dt from t_start to t_end: the one check that both times sit at
-    or after t = 1 on one ladder of nonzero dt, (t_end - t_start) / dt a
-    nonnegative integer to within 1e-9.  ``what`` names t_end in the error."""
-    if min(t_start, t_end) < 1.0:
-        raise ValueError("evolution times must stay at or above t = 1 "
-                         f"(t_start {t_start:g}, {what} {t_end:g})")
+    """Steps of dt from t_start to t_end: the one check that both finite times sit at or
+    after t = 1 on one ladder of finite nonzero dt, (t_end - t_start) / dt a positive
+    integer to within 1e-9 (0 for equal times).  ``what`` names t_end in the error."""
+    if not np.all(np.isfinite((t_start, t_end, dt))) or min(t_start, t_end) < 1.0:
+        raise ValueError("evolution times must be finite and stay at or above t = 1 "
+                         f"(t_start {t_start:g}, {what} {t_end:g}, dt {dt:g})")
     if dt == 0:
         raise ValueError("dt must be nonzero")
     steps = (t_end - t_start) / dt
     n = int(round(steps))
-    if abs(steps - n) > 1e-9 or n < 0:
+    if abs(steps - n) > 1e-9 or n < 0 or (n == 0 and t_end != t_start):
         raise ValueError(f"{what} {t_end:g} is off the dt ladder: (t_end - t_start) / dt = "
-                         f"{steps:.6g} must be a nonnegative integer")
+                         f"{steps:.6g} must be a positive integer")
     return n
 
 

@@ -1,11 +1,10 @@
 """Norms: Lebesgue, space-time (also mixed-axis), Sobolev, the profile
 norms X and X', and the potential norm Y.
 
-Conventions.  Physical integrals are Riemann sums with weight dx^3; the
-frequency-side L2 norm carries the Parseval weight dxi^3/(2 pi)^3 so both
-sides agree.  A mixed L2 norm of a spectrum (the smoothing norms) goes by
-Parseval across the transverse axes: one transform along the remaining
-axis, and no physical field.  L-infinity over the continuum is reported as
+Conventions.  Physical integrals are Riemann sums with weight dx^3, mode
+sums carry Grid.parseval_weight, and every transform goes through spectral.
+A mixed L2 norm of a spectrum (the smoothing norms) reads its profile from
+spectral.transverse_power_sum.  L-infinity over the continuum is reported as
 the grid max (a lower bound of the true sup).  Space-time norms use
 trapezoidal quadrature in t.  The xi-gradient inside the X norms is realized as
 multiplication by -i x in centered physical coordinates, which is exact
@@ -27,7 +26,6 @@ import numpy as np
 
 from . import bands
 from .spectral import (
-    FREQUENCY,
     PHYSICAL,
     Field,
     Grid,
@@ -35,7 +33,9 @@ from .spectral import (
     as_physical,
     bessel_weight,
     boundary_mass_fraction,
+    inverse_on_support,
     l2_norm,
+    transverse_power_sum,
 )
 
 BOUNDARY_MASS_TOL = 1e-6
@@ -107,23 +107,6 @@ def spacetime_norm(tr: Trajectory, p_t: float, q_x: float) -> float:
     return _checked(val, f"L{p_t:g}_t_L{q_x:g}_x")
 
 
-def _transverse_power_sum(f: Field, axis: int) -> np.ndarray:
-    """sum over the transverse axes of |f|^2 dx^2, as a profile along axis.
-
-    A spectrum stays a spectrum: by Parseval across the transverse axes the
-    sum is sum_{xi'} |ifft_axis(fhat)|^2 / (n^2 dx^4), one transform along
-    axis.  The centering sign (-1)^m along that axis shifts the profile
-    cyclically by n/2, which np.roll undoes.
-    """
-    g = f.grid
-    transverse = tuple(i for i in range(3) if i != axis)
-    if f.rep == FREQUENCY:
-        v = np.fft.ifft(f.data, axis=axis)
-        s = np.sum(np.abs(v) ** 2, axis=transverse) / (g.n**2 * g.dx**4)
-        return np.roll(s, g.n // 2)
-    return np.sum(np.abs(f.data) ** 2, axis=transverse) * g.dx**2
-
-
 def mixed_spacetime_norm(tr: Trajectory, axis: int, p_outer: float) -> float:
     """|| ||f||_{L^2 over (t, transverse axes)} ||_{L^p over x_axis}.
 
@@ -136,7 +119,7 @@ def mixed_spacetime_norm(tr: Trajectory, axis: int, p_outer: float) -> float:
     if len(tr.fields) < 2:
         raise ValueError("the time L^2 norm needs at least two time samples")
     # stack of per-time transverse reductions, shape (nt, n)
-    per_t = np.stack([_transverse_power_sum(f, axis) for f in tr.fields])
+    per_t = np.stack([transverse_power_sum(f, axis) for f in tr.fields])
     inner = np.trapezoid(per_t, tr.times, axis=0) ** (1.0 / 2)
     if p_outer == np.inf:
         val = float(np.max(inner))
@@ -149,9 +132,8 @@ def sobolev_norm(f: Field, s: float) -> float:
     """H^s norm ||(1+|xi|^2)^(s/2) fhat|| with the Parseval weighting."""
     fhat = as_frequency(f)
     g = f.grid
-    w = g.dxi**3 / (2.0 * np.pi) ** 3
-    return _checked(np.sqrt(np.sum(bessel_weight(g, 2 * s) * np.abs(fhat.data) ** 2) * w),
-                    f"H{s:g}")
+    return _checked(np.sqrt(np.sum(bessel_weight(g, 2 * s) * np.abs(fhat.data) ** 2)
+                            * g.parseval_weight), f"H{s:g}")
 
 
 def _wrap_note(f: Field) -> str:
@@ -170,17 +152,15 @@ def x_norm(f: Field) -> float:
     Per band, grad_xi of P_k fhat is the forward transform of -i x times
     the band-projected field, so its Parseval L2 norm equals
     || |x| P_k f ||_{L2(dx)}; the sup runs over every band with support on
-    the grid.  Each band's spectrum is scattered from the grid's cached
-    bands.band_table onto a zeroed grid and taken back by one inverse FFT.
+    the grid.  Each band's spectrum, read from the grid's cached
+    bands.band_table, is taken back by spectral.inverse_on_support.
     """
     g = f.grid
     fhat = as_frequency(f).data.reshape(-1)
     r2 = g.radius_squared
     norms = []
     for _, support, values in bands.band_table(g):
-        h = np.zeros(g.n**3, dtype=np.complex128)
-        h[support] = values * fhat[support]
-        gk = np.fft.ifftn(h.reshape(g.shape)) / g.dx**3  # the values carry the centering sign
+        gk = inverse_on_support(g, support, values * fhat[support])
         norms.append(np.sqrt(np.sum(r2 * np.abs(gk) ** 2) * g.dx**3))
     # np.max, unlike the builtin max, carries a NaN band through to the guard
     return _checked(np.max(norms, initial=0.0), "X")
@@ -190,14 +170,13 @@ def x_prime_norm(f: Field) -> float:
     """sup_k || (grad_xi fhat) P_k ||_L2: the cutoff sits outside the gradient."""
     g = f.grid
     p = as_physical(f)
-    w = g.dxi**3 / (2.0 * np.pi) ** 3
     parts = [as_frequency(Field(g, PHYSICAL, -1j * xj * p.data)).data.reshape(-1)
              for xj in g.coord_mesh]
     norms = []
     for _, support, values in bands.band_table(g):
         grad_sq = np.zeros(g.shape)
         grad_sq.reshape(-1)[support] = sum(np.abs(values * d[support]) ** 2 for d in parts)
-        norms.append(np.sqrt(np.sum(grad_sq) * w))
+        norms.append(np.sqrt(np.sum(grad_sq) * g.parseval_weight))
     return _checked(np.max(norms, initial=0.0), "Xprime")
 
 

@@ -9,7 +9,9 @@ space.  Transforms use the continuum normalization
 realized as a scaled DFT with the phase referenced to centered physical
 coordinates.  Because x0 = -L/2 and xi_m = 2 pi m / L, the centering phase
 e^{-i x0 xi_m} is exactly (-1)^m per axis, so forward/inverse round trips
-reduce to numpy's ifftn(fftn(.)) and are exact to roundoff.
+reduce to numpy's ifftn(fftn(.)) and are exact to roundoff.  Only this module
+calls numpy.fft, applies the centering sign or writes the Parseval weight
+Grid.parseval_weight = dxi^3/(2 pi)^3; every other module transforms through it.
 
 Transforms are stateless (numpy's pocketfft keeps no plans), so every
 operation here is safe to call concurrently on distinct fields.
@@ -114,6 +116,11 @@ class Grid:
         return np.pi / self.dx
 
     @property
+    def parseval_weight(self) -> float:
+        """dxi^3/(2 pi)^3, under which sums of |fhat|^2 equal integrals of |f|^2."""
+        return self.dxi**3 / (2.0 * np.pi) ** 3
+
+    @property
     def shape(self) -> tuple[int, int, int]:
         return (self.n, self.n, self.n)
 
@@ -178,15 +185,13 @@ class Grid:
 
 
 def make_grid(n: int, length: float) -> Grid:
-    """Build a Grid, rejecting odd/tiny n and non-positive box lengths."""
+    """Build a Grid: n a power of two, at least 4; length positive and finite."""
     if n < 4:
         raise ValueError(f"n must be at least 4 (got n={n})")
-    if n % 2 != 0:
-        raise ValueError(f"odd n is not supported (got n={n})")
     if n & (n - 1) != 0:
         raise ValueError(f"n must be a power of two (got n={n})")
-    if not length > 0:
-        raise ValueError(f"box length must be positive (got L={length})")
+    if not 0 < length < np.inf:
+        raise ValueError(f"box length must be positive and finite (got L={length})")
     return Grid(n=int(n), length=float(length))
 
 
@@ -249,6 +254,14 @@ def inverse_transform(f: Field) -> Field:
     return Field(g, PHYSICAL, data)
 
 
+def inverse_on_support(grid: Grid, support: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """inverse_transform's samples of the spectrum that is coeffs on the flat mode
+    indices support and 0 elsewhere, the centering sign applied on the support only."""
+    h = np.zeros(grid.n**3, dtype=np.complex128)
+    h[support] = coeffs * grid.centering_phase.reshape(-1)[support]
+    return np.fft.ifftn(h.reshape(grid.shape)) / grid.dx**3
+
+
 def as_physical(f: Field) -> Field:
     return f if f.rep == PHYSICAL else inverse_transform(f)
 
@@ -259,9 +272,7 @@ def as_frequency(f: Field) -> Field:
 
 def l2_norm(f: Field) -> float:
     """Continuum-normalized L2 norm, computed in the field's own representation."""
-    if f.rep == PHYSICAL:
-        return float(np.sqrt(np.sum(np.abs(f.data) ** 2) * f.grid.dx**3))
-    w = f.grid.dxi**3 / (2.0 * np.pi) ** 3
+    w = f.grid.dx**3 if f.rep == PHYSICAL else f.grid.parseval_weight
     return float(np.sqrt(np.sum(np.abs(f.data) ** 2) * w))
 
 
@@ -275,11 +286,22 @@ def inner_product(f: Field, g: Field) -> complex:
         raise ValueError("fields live on different grids")
     if f.rep != g.rep:
         f, g = as_frequency(f), as_frequency(g)
-    if f.rep == PHYSICAL:
-        w = f.grid.dx**3
-    else:
-        w = f.grid.dxi**3 / (2.0 * np.pi) ** 3
+    w = f.grid.dx**3 if f.rep == PHYSICAL else f.grid.parseval_weight
     return complex(np.sum(f.data * np.conj(g.data)) * w)
+
+
+def transverse_power_sum(f: Field, axis: int) -> np.ndarray:
+    """sum over the transverse axes of |f|^2 dx^2, as a profile along axis (the one-axis
+    l2_norm).  A spectrum takes one transform along axis: by Parseval across the
+    transverse axes the sum is sum_{xi'} |ifft_axis(fhat)|^2 / (n^2 dx^4), and the
+    centering sign (-1)^m along axis shifts it cyclically by n/2, which np.roll undoes."""
+    g = f.grid
+    transverse = tuple(i for i in range(3) if i != axis)
+    if f.rep == FREQUENCY:
+        v = np.fft.ifft(f.data, axis=axis)
+        s = np.sum(np.abs(v) ** 2, axis=transverse) / (g.n**2 * g.dx**4)
+        return np.roll(s, g.n // 2)
+    return np.sum(np.abs(f.data) ** 2, axis=transverse) * g.dx**2
 
 
 def half_derivative_weight(grid: Grid, axis: int) -> np.ndarray:

@@ -216,12 +216,11 @@ class TestActiveBands:
         expected = [k for k in covering_band_range(g) if np.any(band_multiplier(g, k) > 0.0)]
         table = band_table(g)
         assert [k for k, _, _ in table] == expected
-        sign = g.centering_phase.reshape(-1)
         for k, support, values in table:
             mult = band_multiplier(g, k).reshape(-1)
             assert np.array_equal(support, np.flatnonzero(mult))
-            # the stored values are P_k with the exact centering sign folded in
-            assert np.array_equal(values * sign[support], mult[support])
+            # the stored values are plain P_k: the centering sign stays in spectral
+            assert np.array_equal(values, mult[support])
         # every covering band that is skipped misses every grid mode
         for k in set(covering_band_range(g)) - set(expected):
             assert not np.any(band_multiplier(g, k))
@@ -232,7 +231,6 @@ class TestActiveBands:
         total = np.zeros(g.n**3)
         for _, support, values in band_table(g):
             total[support] += values
-        total *= g.centering_phase.reshape(-1)
         r = g.xi_norm.reshape(-1)
         assert np.max(np.abs(total[r > 0] - 1.0)) <= 1e-12
         assert total[r == 0] == 0.0

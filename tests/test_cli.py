@@ -197,6 +197,41 @@ class TestConfig:
         assert capsys.readouterr().err == "error: scenario.datum_amplitude must be nonzero\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, old, new, message", [
+        ("born-series.ini", "dt = 0.01", "dt = nan", "scenario.dt = 'nan' is not a number"),
+        ("wave-operator.ini", "datum_amplitude = 0.01", "datum_amplitude = nan",
+         "scenario.datum_amplitude = 'nan' is not a number"),
+        ("simulate-nonlinear.ini", "L = 48.0", "L = inf",
+         "box length must be positive and finite (got L=inf)"),
+        ("simulate-nonlinear.ini", "t_end = 5.0", "t_end = inf",
+         "evolution times must be finite and stay at or above t = 1 "
+         "(t_start 1, t_end inf, dt 0.01)"),
+        ("born-series.ini", "t = 14.0", "t = inf",
+         "evolution times must be finite and stay at or above t = 1 (t_start 1, t inf, dt 0.01)"),
+        ("wave-operator.ini", "T = 16.0", "T = inf", "T must be a power of two, at least 2 (got inf)"),
+        ("simulate-nonlinear.ini", "dt = 0.01", "dt = 1e10",
+         "t_end 5 is off the dt ladder: (t_end - t_start) / dt = 4e-10 must be a positive integer"),
+        ("wave-operator.ini", "dt = 0.05", "dt = 1e10",
+         "dyadic time 2 is off the dt ladder: (t_end - t_start) / dt = 1e-10 must be a positive "
+         "integer"),
+    ], ids=["nan-dt", "nan-amplitude", "inf-L", "inf-t_end", "inf-born-t", "inf-wave-T",
+            "coarse-evolve-dt", "coarse-wave-dt"])
+    def test_non_finite_or_stepless_value_is_one_error_line(self, tmp_path, capsys, config,
+                                                            old, new, message):
+        text = (CONFIGS / config).read_text()
+        assert old in text
+        p = tmp_path / "bad.ini"
+        p.write_text(text.replace(old, new))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_infinite_exponent_stays_legal(self, tmp_path):
+        p = tmp_path / "endpoint.ini"
+        p.write_text(MINIMAL.format("harness:str1") + "[scenario]\np = inf\nq = 2\n")
+        assert ExperimentConfig.from_file(p).getfloat("scenario", "p") == np.inf
+
     @pytest.mark.parametrize("section, key, value", [
         ("potential", "delta", "0"),
         ("bootstrap", "eps0", "-1"),
@@ -596,6 +631,19 @@ class TestCompare:
             assert main(["compare", *map(str, pair)]) == 2
             err = capsys.readouterr().err
             assert err == f"error: {bad} is not a run manifest: it names no scenario\n"
+
+    def test_file_that_is_not_json_is_a_config_error_naming_it(self, tmp_path, capsys):
+        run(ExperimentConfig.from_file(CONFIGS / "certify.ini"), tmp_path / "a")
+        good = tmp_path / "a" / "manifest.json"
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        for pair in ((good, bad), (bad, good)):
+            with pytest.raises(ConfigError, match="bad.json is not a run manifest"):
+                compare(*pair)
+            assert main(["compare", *map(str, pair)]) == 2
+            err = capsys.readouterr().err
+            assert err == (f"error: {bad} is not a run manifest: "
+                           "Expecting value: line 1 column 1 (char 0)\n")
 
 
 class TestCompareArtifacts:

@@ -76,6 +76,11 @@ class TestEvolveConfig:
         with pytest.raises(TypeError):
             EvolveConfig(t_end=1.0, dt=-0.1, t_start=2.0)
 
+    def test_rejects_a_dt_coarser_than_the_run(self):
+        # (3 - 1) / 1e10 is within 1e-9 of 0 steps: the flow to t_end would never run
+        with pytest.raises(ValueError, match="off the dt ladder"):
+            EvolveConfig(t_end=3.0, dt=1e10)
+
 
 class TestStepCount:
     def test_counts_steps_in_either_direction(self):
@@ -92,10 +97,23 @@ class TestStepCount:
         with pytest.raises(ValueError, match="^dt must be nonzero$"):
             _step_count(1.0, t_end, 0.0, "t_end")
 
-    @pytest.mark.parametrize("t_end, dt", [(2.0, 0.3), (2.0, -0.1)])
+    @pytest.mark.parametrize("t_end, dt", [(2.0, 0.3), (2.0, -0.1), (2.0, 1e10), (2.0, -1e10)])
     def test_rejects_off_ladder_or_backward_counts(self, t_end, dt):
         with pytest.raises(ValueError, match="t_end 2 is off the dt ladder"):
             _step_count(1.0, t_end, dt, "t_end")
+
+    @pytest.mark.parametrize("t_start, t_end, dt", [
+        (1.0, np.inf, 0.1), (np.inf, 2.0, -0.1), (1.0, np.nan, 0.1), (1.0, 2.0, np.nan),
+        (1.0, 2.0, np.inf),
+    ])
+    def test_rejects_non_finite_times_and_dt(self, t_start, t_end, dt):
+        with pytest.raises(ValueError, match="must be finite"):
+            _step_count(t_start, t_end, dt, "t_end")
+
+    @settings(max_examples=200, deadline=None)
+    @given(t0=st.floats(1.0, 16.0), dt=st.floats(0.01, 10.0), n=st.integers(0, 1000))
+    def test_a_whole_number_of_steps_is_counted_exactly(self, t0, dt, n):
+        assert _step_count(t0, t0 + n * dt, dt, "t_end") == n
 
 
 class TestBootstrapParams:

@@ -9,7 +9,6 @@ from rlab import bands, sampling
 from rlab.norms import (
     Trajectory,
     _checked,
-    _transverse_power_sum,
     _wrap_note,
     lebesgue_norm,
     mixed_spacetime_norm,
@@ -33,6 +32,7 @@ from rlab.spectral import (
     inverse_transform,
     l2_norm,
     make_grid,
+    transverse_power_sum,
     zero_field,
 )
 
@@ -147,8 +147,8 @@ class TestMixedSpacetime:
     def test_transverse_profile_keeps_its_position(self, grid16, axis):
         # the max and sum over x_j cannot see a cyclic shift; the profile can
         f = self._spectra(grid16, 7, nt=1).fields[0]
-        got = _transverse_power_sum(f, axis)
-        ref = _transverse_power_sum(as_physical(f), axis)
+        got = transverse_power_sum(f, axis)
+        ref = transverse_power_sum(as_physical(f), axis)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
 
     def test_zero_spectrum_gives_exactly_zero(self, grid16):

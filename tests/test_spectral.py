@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,6 +22,7 @@ from rlab.spectral import (
     free_propagate,
     free_step,
     half_derivative_weight,
+    inverse_on_support,
     inverse_transform,
     l2_norm,
     make_grid,
@@ -42,7 +46,8 @@ class TestMakeGrid:
         assert_allclose(g.dxi, 1 / 8, rtol=1e-15)
         assert g.dx * g.n == g.length
 
-    @pytest.mark.parametrize("n,L", [(5, 1.0), (2, 1.0), (12, 1.0), (8, 0.0), (8, -2.0)])
+    @pytest.mark.parametrize("n,L", [(5, 1.0), (2, 1.0), (12, 1.0), (8, 0.0), (8, -2.0),
+                                     (8, np.inf), (8, np.nan)])
     def test_rejects_bad_arguments(self, n, L):
         with pytest.raises(ValueError):
             make_grid(n, L)
@@ -361,3 +366,57 @@ def test_fields_are_immutable(grid16):
     f = random_field(grid16, 10)
     with pytest.raises(ValueError):
         f.data[0, 0, 0] = 1.0
+
+
+def _package_trees():
+    src = pathlib.Path(spectral.__file__).parent
+    return {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+
+
+def _convention_references(tree) -> list[str]:
+    """The numpy.fft uses (attribute or import) and centering_phase reads of a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("fft", "centering_phase"):
+            found.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id == "centering_phase":
+            found.append(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            found += [name for name in names if "fft" in name]
+    return found
+
+
+def _parseval_weights(tree) -> list[str]:
+    """Every power of an expression in np.pi raised to 3: the (2 pi)^3 of the weight."""
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.Constant) and node.right.value == 3
+            and "pi" in ast.unparse(node.left)]
+
+
+class TestKernelLayer:
+    def test_only_spectral_calls_numpy_fft_or_reads_the_centering_sign(self):
+        users = {name for name, tree in _package_trees().items()
+                 if _convention_references(tree)}
+        assert users == {"spectral.py"}
+
+    def test_parseval_weight_is_written_once(self):
+        weights = {name: _parseval_weights(tree) for name, tree in _package_trees().items()}
+        assert {name: w for name, w in weights.items() if w} == {
+            "spectral.py": ["(2.0 * np.pi) ** 3"]}
+
+    def test_parseval_weight_equates_mode_sums_with_integrals(self, grid16):
+        f = random_field(grid16, 12)
+        total = np.sum(np.abs(forward_transform(f).data) ** 2) * grid16.parseval_weight
+        assert_allclose(total, np.sum(np.abs(f.data) ** 2) * grid16.dx**3, rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_inverse_on_support_is_the_inverse_of_the_scattered_spectrum(self, n):
+        g = make_grid(n, 12.0)
+        coeffs = forward_transform(random_field(g, n)).data.reshape(-1)
+        support = np.flatnonzero(np.random.default_rng(n).random(g.n**3) < 0.3)
+        spectrum = np.zeros(g.n**3, dtype=np.complex128)
+        spectrum[support] = coeffs[support]
+        ref = inverse_transform(Field(g, FREQUENCY, spectrum.reshape(g.shape))).data
+        assert np.array_equal(inverse_on_support(g, support, coeffs[support]), ref)
