@@ -126,6 +126,12 @@ class ExperimentConfig:
             raise ConfigError("bootstrap.eps0 must be positive")
         if self.getfloat("scenario", "datum_amplitude", 1.0) == 0:
             raise ConfigError("scenario.datum_amplitude must be nonzero")
+        if self.getfloat("scenario", "datum_width", 1.0) <= 0:
+            raise ConfigError("scenario.datum_width must be positive")
+        if not math.isfinite(self.getfloat("scenario", "datum_carrier", 0.0)):
+            raise ConfigError("scenario.datum_carrier must be finite")
+        if not 0 < self.getfloat("potential", "width", 1.0) < math.inf:
+            raise ConfigError("potential.width must be positive and finite")
         for sec, key, least in (("run", "seed", 0), ("scenario", "samples", 1),
                                 ("scenario", "orders", 2)):
             value = self.getint(sec, key)

@@ -29,6 +29,7 @@ from .norms import (
     Trajectory,
     _wrap_note,
     lebesgue_norm,
+    mixed_profile_norm,
     mixed_spacetime_norm,
     sobolev_norm,
     spacetime_norm,
@@ -43,6 +44,7 @@ from .spectral import (
     as_frequency,
     as_physical,
     free_phase,
+    free_power_profiles,
     half_derivative_weight,
     inverse_transform,
     l2_norm,
@@ -161,13 +163,21 @@ def _time_ladder(grid: Grid, k: int, horizon: tuple[float, float] | None, nt: in
     return np.linspace(start, end, nt)
 
 
-def _free_ladder(grid: Grid, fhat: np.ndarray, times: np.ndarray,
-                 multiplier: np.ndarray | None = None) -> Trajectory:
-    """The spectra of e^{it Lap} f on the ladder, kept in frequency form."""
-    if multiplier is not None:
-        fhat = multiplier * fhat
+def _free_ladder(grid: Grid, fhat: np.ndarray, times: np.ndarray) -> Trajectory:
+    """The spectra of e^{it Lap} f on the ladder, kept in frequency form, for
+    the readers of the field itself (Strichartz, dispersive, summation)."""
     fields = [Field(grid, FREQUENCY, free_phase(grid, t) * fhat) for t in times]
     return Trajectory(times=times, fields=fields)
+
+
+def _free_smoothing_norm(grid: Grid, fhat: np.ndarray, times: np.ndarray, axis: int,
+                         multiplier: np.ndarray | None) -> float:
+    """||m(D) e^{it Lap} f||_{Linf_xj L2_{t,trans}} on the ladder, from the
+    Gram-matrix profiles of spectral.free_power_profiles: no field at any time."""
+    if multiplier is not None:
+        fhat = multiplier * fhat
+    per_t = free_power_profiles(grid, fhat, axis, times)
+    return mixed_profile_norm(grid, per_t, times, axis, np.inf)
 
 
 # ---------------------------------------------------------------- Strichartz
@@ -276,8 +286,8 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
         def one(i):
             f = sampling.localized_packet(grid, band, sampling.sample_rng(seed, i),
                                           width=PACKET_WIDTH, axis_bias=axis)
-            tr = _free_ladder(grid, as_frequency(f).data, times, mult)
-            return mixed_spacetime_norm(tr, axis, np.inf) / l2_norm(f)
+            return (_free_smoothing_norm(grid, as_frequency(f).data, times, axis, mult)
+                    / l2_norm(f))
 
     elif variant == "dual":
         def one(i):
@@ -324,11 +334,9 @@ def smoothing_band_signature(grid: Grid, axis: int, ks, *,
     for k in ks:
         f = sampling.directed_band_kernel(grid, k, axis)
         fhat = as_frequency(f).data
-        tr_w = _free_ladder(grid, fhat, times, mult)
-        tr_wo = _free_ladder(grid, fhat, times, None)
         l2 = l2_norm(f)
-        w = mixed_spacetime_norm(tr_w, axis, np.inf) / l2
-        wo = mixed_spacetime_norm(tr_wo, axis, np.inf) / l2
+        w = _free_smoothing_norm(grid, fhat, times, axis, mult) / l2
+        wo = _free_smoothing_norm(grid, fhat, times, axis, None) / l2
         rows.append({"k": k, "with": w, "without": wo, "gap": w / wo})
     return rows
 

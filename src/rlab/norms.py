@@ -3,8 +3,10 @@ norms X and X', and the potential norm Y.
 
 Conventions.  Physical integrals are Riemann sums with weight dx^3, mode
 sums carry Grid.parseval_weight, and every transform goes through spectral.
-A mixed L2 norm of a spectrum (the smoothing norms) reads its profile from
-spectral.transverse_power_sum.  L-infinity over the continuum is reported as
+A mixed L2 norm (the smoothing norms) is one reduction of per-time profiles
+along its axis, mixed_profile_norm: a spectrum's profile comes from
+spectral.transverse_power_sum, a free flow's from
+spectral.free_power_profiles.  L-infinity over the continuum is reported as
 the grid max (a lower bound of the true sup).  Space-time norms use
 trapezoidal quadrature in t.  The xi-gradient inside the X norms is realized as
 multiplication by -i x in centered physical coordinates, which is exact
@@ -113,18 +115,25 @@ def mixed_spacetime_norm(tr: Trajectory, axis: int, p_outer: float) -> float:
     This is the smoothing-estimate norm family, e.g. p = inf gives
     L^inf_{x_j} L^2_{t, x~j}.
     """
+    per_t = (transverse_power_sum(f, axis) for f in tr.fields)  # read after the checks
+    return mixed_profile_norm(tr.grid, per_t, tr.times, axis, p_outer)
+
+
+def mixed_profile_norm(grid: Grid, per_t, times: np.ndarray, axis: int,
+                       p_outer: float) -> float:
+    """mixed_spacetime_norm from its profiles: per_t yields the transverse power
+    sum along axis at each of times (spectral.transverse_power_sum, or the rows
+    of spectral.free_power_profiles); trapezoid in t, then sup or L^p over x_axis."""
     if axis not in (0, 1, 2):
         raise ValueError(f"axis must be 0, 1 or 2 (got {axis})")
     _check_exponent(p_outer, "p_outer")
-    if len(tr.fields) < 2:
+    if len(times) < 2:
         raise ValueError("the time L^2 norm needs at least two time samples")
-    # stack of per-time transverse reductions, shape (nt, n)
-    per_t = np.stack([transverse_power_sum(f, axis) for f in tr.fields])
-    inner = np.trapezoid(per_t, tr.times, axis=0) ** (1.0 / 2)
+    inner = np.trapezoid(np.stack(list(per_t)), times, axis=0) ** (1.0 / 2)
     if p_outer == np.inf:
         val = float(np.max(inner))
     else:
-        val = float(np.sum(inner**p_outer) * tr.grid.dx) ** (1.0 / p_outer)
+        val = float(np.sum(inner**p_outer) * grid.dx) ** (1.0 / p_outer)
     return _checked(val, f"L{p_outer:g}_x{axis + 1}_L2_t_trans")
 
 

@@ -78,8 +78,8 @@ def zero_potential_set(grid: Grid) -> PotentialSet:
 def gaussian_potential(grid: Grid, center, width: float, amplitude: float) -> Field:
     """amplitude * exp(-|x - center|^2 / (2 width^2)), with a wrap-around note
     when the bump carries boundary mass."""
-    if not width > 0:
-        raise ValueError(f"width must be positive (got {width})")
+    if not 0 < width < np.inf:
+        raise ValueError(f"width must be positive and finite (got {width})")
     c = np.asarray(center, dtype=np.float64)
     if c.shape != (3,):
         raise ValueError("center must be a 3-vector")

@@ -45,6 +45,14 @@ _SNAPSHOT_HEADER = struct.Struct("<4sIIdB11x")
 # and the n^4 product no longer pays, so n >= 64 keeps the FFT pair.
 DENSE_AXIS_MAX_N = 32
 
+# Largest m k n of one complex m x k by k x n BLAS product in a Gram matrix.
+# Measured on a 2-vCPU Xeon VM with numpy's OpenBLAS 0.3.31: complex products
+# with m k n >= 64 x 16 x 64 run threaded at CPU/wall about 2, leave about
+# 0.13 CPU-s of threads spinning after the call, and in about one fresh process
+# in four the first threaded call stalled for ~1 s.  Products up to this size
+# stay on the calling thread (8 columns per product at n = 64).
+GRAM_PRODUCT_MAX_MKN = 32768
+
 
 class AxisOperator:
     """A Fourier multiplier s(xi_j) that depends on one axis' frequency,
@@ -302,6 +310,39 @@ def transverse_power_sum(f: Field, axis: int) -> np.ndarray:
         s = np.sum(np.abs(v) ** 2, axis=transverse) / (g.n**2 * g.dx**4)
         return np.roll(s, g.n // 2)
     return np.sum(np.abs(f.data) ** 2, axis=transverse) * g.dx**2
+
+
+def free_power_profiles(grid: Grid, fhat: np.ndarray, axis: int,
+                        times: np.ndarray) -> np.ndarray:
+    """The profiles transverse_power_sum(Field(grid, FREQUENCY, free_phase(grid, t)
+    * fhat), axis) at every t of times, as an (nt, n) array.
+
+    No field at any time is built.  The transverse phase factors have modulus
+    one, so by Parseval across the transverse axes the profile needs only the
+    n x n Gram matrix C[k, l] = sum_{xi'} fhat(k, xi') conj fhat(l, xi') along
+    axis, formed once from column chunks whose products stay at or below
+    GRAM_PRODUCT_MAX_MKN.  At each t the circular diagonal sums
+    S_t[d] = sum_k C[k, k - d] p_t(k) conj p_t(k - d), p_t = e^{-i t xi_j^2},
+    are n times the DFT of the transverse sum of |ifft_axis|^2; one batched
+    length-n ifft over all times inverts them.  The profile is a sum of
+    squares, so roundoff below zero is cut to zero.
+    """
+    if axis not in (0, 1, 2):
+        raise ValueError(f"axis must be 0, 1 or 2 (got {axis})")
+    n = grid.n
+    a = np.moveaxis(fhat, axis, 0).reshape(n, -1)
+    step = max(1, GRAM_PRODUCT_MAX_MKN // (n * n))  # columns per product
+    c = np.zeros((n, n), dtype=np.complex128)
+    for start in range(0, a.shape[1], step):
+        block = a[:, start:start + step]
+        c += np.matmul(block, block.conj().T)
+    k = np.arange(n)
+    lag = (k[None, :] - k[:, None]) % n  # lag[d, k] = k - d
+    diagonals = c[k[None, :], lag]  # diagonals[d, k] = C[k, k - d]
+    p = np.exp(-1j * np.outer(times, grid.axis_freqs**2))  # p[t, k] = p_t(k)
+    s = np.einsum("dk,tk,tdk->td", diagonals, p, p.conj()[:, lag])
+    prof = np.fft.ifft(s, axis=1).real / n / (n**2 * grid.dx**4)
+    return np.maximum(np.roll(prof, n // 2, axis=1), 0.0)
 
 
 def half_derivative_weight(grid: Grid, axis: int) -> np.ndarray:

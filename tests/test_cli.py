@@ -197,6 +197,28 @@ class TestConfig:
         assert capsys.readouterr().err == "error: scenario.datum_amplitude must be nonzero\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("datum_width = 4.0", "datum_width = 0", "scenario.datum_width must be positive"),
+        ("datum_width = 4.0", "datum_width = -2", "scenario.datum_width must be positive"),
+        ("datum_carrier = 0.6", "datum_carrier = inf", "scenario.datum_carrier must be finite"),
+        ("datum_carrier = 0.6", "datum_carrier = -inf", "scenario.datum_carrier must be finite"),
+        ("\nwidth = 4.0", "\nwidth = inf", "potential.width must be positive and finite"),
+        ("\nwidth = 4.0", "\nwidth = 0", "potential.width must be positive and finite"),
+    ], ids=["zero-datum-width", "negative-datum-width", "inf-carrier", "minus-inf-carrier",
+            "inf-potential-width", "zero-potential-width"])
+    def test_width_or_carrier_out_of_range_names_its_key(self, tmp_path, capsys, old, new,
+                                                         message):
+        # build_datum divides by 2 datum_width^2, and an infinite potential width
+        # is a constant potential: both runs used to fail without naming the key
+        text = (CONFIGS / "born-series.ini").read_text()
+        assert text.count(old) == 1
+        p = tmp_path / "widths.ini"
+        p.write_text(text.replace(old, new))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("config, old, new, message", [
         ("born-series.ini", "dt = 0.01", "dt = nan", "scenario.dt = 'nan' is not a number"),
         ("wave-operator.ini", "datum_amplitude = 0.01", "datum_amplitude = nan",
@@ -236,6 +258,9 @@ class TestConfig:
         ("potential", "delta", "0"),
         ("bootstrap", "eps0", "-1"),
         ("scenario", "datum_amplitude", "0"),
+        ("scenario", "datum_width", "0"),
+        ("scenario", "datum_carrier", "inf"),
+        ("potential", "width", "inf"),
         ("scenario", "samples", "0"),
         ("scenario", "orders", "1"),
     ])

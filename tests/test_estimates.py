@@ -120,10 +120,12 @@ class TestSmoothing:
             assert rep.max_ratio > 0
 
     @pytest.mark.parametrize("variant,per_time", [
-        ("homogeneous", 1), ("dual", 3), ("inhomogeneous", 4)])
+        ("homogeneous", 0), ("dual", 3), ("inhomogeneous", 4)])
     def test_fft_passes_per_ladder_time(self, fft_count, grid, variant, per_time):
-        # a mixed L2 norm of a spectrum takes one pass along the axis; the
-        # physical forcing of dual and inhomogeneous takes a full-grid fftn
+        # the free flow's profiles come from one Gram matrix and one batched
+        # ifft over all times; a mixed L2 norm of a spectrum takes one pass
+        # along the axis, and the physical forcing of dual and inhomogeneous
+        # takes a full-grid fftn
         assert fft_count.passes_per_step(
             lambda steps: check_smoothing(grid, variant, 0, 1, band=1,
                                           horizon=(1.0, 2.0), nt=4 + steps)
@@ -133,6 +135,19 @@ class TestSmoothing:
     def test_one_time_ladder_rejected(self, grid, variant):
         with pytest.raises(ValueError, match="at least two time samples"):
             check_smoothing(grid, variant, 0, 1, band=1, horizon=(1.0, 2.0), nt=1)
+
+    def test_homogeneous_serial_and_parallel_agree_bitwise(self, grid32):
+        a = check_smoothing(grid32, "homogeneous", 1, 6, band=2, horizon=(1.0, 3.0), nt=9,
+                            seed=5, threads=1)
+        b = check_smoothing(grid32, "homogeneous", 1, 6, band=2, horizon=(1.0, 3.0), nt=9,
+                            seed=5, threads=3)
+        assert a.ratios == b.ratios
+
+    def test_homogeneous_makes_no_free_phase_call(self, fft_count, grid):
+        from rlab import estimates
+        fft_count.watch(estimates, "free_phase")
+        check_smoothing(grid, "homogeneous", 2, 2, band=1, horizon=(1.0, 2.0), nt=8)
+        assert fft_count.calls["free_phase"] == 0
 
     def test_unknown_variant_rejected(self, grid32):
         with pytest.raises(ValueError):

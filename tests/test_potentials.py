@@ -60,6 +60,12 @@ class TestGaussianPotential:
         with pytest.raises(ValueError):
             gaussian_potential(grid, (0, 0, 0), 0.0, 1.0)
 
+    @pytest.mark.parametrize("width", [np.inf, np.nan])
+    def test_rejects_non_finite_width(self, grid, width):
+        # an infinite width would be a constant potential over the whole box
+        with pytest.raises(ValueError, match="width must be positive and finite"):
+            gaussian_potential(grid, (0, 0, 0), width, 1.0)
+
     def test_boundary_bump_carries_note(self, grid):
         f = gaussian_potential(grid, (-23.0, 0, 0), 3.0, 1.0)
         assert f.note and "wrap-around" in f.note

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rlab import spectral
+from rlab import sampling, spectral
 from rlab.spectral import (
     DENSE_AXIS_MAX_N,
     FREQUENCY,
+    GRAM_PRODUCT_MAX_MKN,
     PHYSICAL,
     AxisOperator,
     Field,
@@ -19,6 +20,7 @@ from rlab.spectral import (
     field_from_function,
     forward_transform,
     free_phase,
+    free_power_profiles,
     free_propagate,
     free_step,
     half_derivative_weight,
@@ -28,6 +30,7 @@ from rlab.spectral import (
     make_grid,
     read_snapshot,
     shell_fraction,
+    transverse_power_sum,
     write_snapshot,
     zero_field,
 )
@@ -147,6 +150,68 @@ class TestFreePhase:
         p = free_phase(make_grid(n, L), 0.0)
         assert p.shape == (n, n, n)
         assert np.all(p == 1.0)
+
+
+PROFILE_TIMES = np.array([0.0, 1.0, 2.3, 7.5])
+
+
+def _profile_data(g, kind, axis):
+    """A band-limited packet or non-band-limited band-flat data, as a spectrum."""
+    rng = sampling.sample_rng(17, axis)
+    if kind == "packet":
+        f = sampling.localized_packet(g, 1, rng, width=3.0, axis_bias=axis)
+    else:
+        f = sampling.band_flat_field(g, -3, 3, rng)
+    return forward_transform(f).data
+
+
+class TestFreePowerProfiles:
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["packet", "band-flat"])
+    @pytest.mark.parametrize("half", [False, True], ids=["plain", "half-derivative"])
+    def test_equals_the_free_phase_ladder(self, n, axis, kind, half):
+        g = make_grid(n, 32.0)
+        fhat = _profile_data(g, kind, axis)
+        if half:
+            fhat = half_derivative_weight(g, axis) * fhat
+        got = free_power_profiles(g, fhat, axis, PROFILE_TIMES)
+        ref = np.stack([transverse_power_sum(Field(g, FREQUENCY, free_phase(g, t) * fhat), axis)
+                        for t in PROFILE_TIMES])
+        assert got.shape == (PROFILE_TIMES.size, n)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("kind", ["packet", "band-flat"])
+    def test_free_flow_conserves_mass_at_every_time(self, n, kind):
+        # Parseval: the integral of every profile along its axis is ||f||^2
+        g = make_grid(n, 24.0)
+        fhat = _profile_data(g, kind, 0)
+        mass = l2_norm(Field(g, FREQUENCY, fhat)) ** 2
+        times = np.linspace(0.0, 16.0, 9)
+        for axis in range(3):
+            totals = np.sum(free_power_profiles(g, fhat, axis, times), axis=1) * g.dx
+            assert np.max(np.abs(totals / mass - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_gram_products_stay_serial_sized(self, matmul_shapes, n):
+        g = make_grid(n, float(n))
+        free_power_profiles(g, _profile_data(g, "band-flat", 1), 1, PROFILE_TIMES)
+        assert matmul_shapes
+        for a, b in matmul_shapes:
+            assert a[0] * a[1] * b[1] <= GRAM_PRODUCT_MAX_MKN, (a, b)
+
+    def test_tight_packet_profile_is_never_negative(self):
+        # far from a narrow Gaussian the Gram sums cancel to roundoff of either
+        # sign; a negative profile would turn the mixed norm's square root NaN
+        g = make_grid(32, 64.0)
+        f = field_from_function(g, lambda x1, x2, x3: np.exp(-(x1**2 + x2**2 + x3**2) / 2))
+        prof = free_power_profiles(g, forward_transform(f).data, 0, np.array([0.0, 0.5]))
+        assert np.all(prof >= 0.0) and np.min(prof) == 0.0
+
+    def test_rejects_a_bad_axis(self, grid16):
+        with pytest.raises(ValueError, match="axis must be 0, 1 or 2"):
+            free_power_profiles(grid16, np.zeros(grid16.shape, complex), 3, PROFILE_TIMES)
 
 
 def _white_noise(n, seed=0):
