@@ -7,7 +7,9 @@ lowpass (1 below 1/1.04, 0 above 1.04).  The telescoping identity
 sum_j phi(1.1^{-j} r) = 1 then holds exactly for every r > 0, and
 bands two or more apart have exactly disjoint supports
 (1.04^2 < 1.1).  Sums and suprema over bands read band_table, which keeps
-each band's support and plain values P_k, built once per grid.
+each band's support and plain values P_k, built once per grid; line_batches
+lays each support out on the lines it touches along each axis, for
+spectral.line_moments.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from .spectral import Field, Grid, apply_multiplier
+from .spectral import LINE_BATCH_MAX_ENTRIES, Field, Grid, apply_multiplier
 
 BASE = 1.1
 INNER_EDGE = 1.0 / 1.04
@@ -120,3 +122,39 @@ def band_table(grid: Grid) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
             support.flags.writeable = values.flags.writeable = False
             table.append((k, support, values))
     return tuple(table)
+
+
+def line_pieces(grid: Grid, support: np.ndarray) -> tuple[tuple[np.ndarray, int], ...]:
+    """For each axis j, the lines along j that the flat mode indices support
+    touch, as (scatter, rows): row r of a rows x n block is the r-th touched
+    line, and scatter (int32) is the flat position in that block of each
+    support mode, in support's order, at the column of its index along j.
+    Each mode lies on exactly one line per axis."""
+    n = grid.n
+    index = np.unravel_index(support, grid.shape)
+    pieces = []
+    for j in range(3):
+        a, b = (index[i] for i in range(3) if i != j)
+        lines, row = np.unique(a * n + b, return_inverse=True)
+        pieces.append(((row * n + index[j]).astype(np.int32), lines.size))
+    return tuple(pieces)
+
+
+@functools.lru_cache(maxsize=4)
+def line_batches(grid: Grid) -> tuple[tuple[tuple[int, np.ndarray, int], ...], ...]:
+    """band_table's (band, axis) pieces as (position in band_table, scatter,
+    rows) from line_pieces, band by band, grouped in order into batches of at
+    most LINE_BATCH_MAX_ENTRIES block entries (rows x n summed over the
+    batch); a larger piece forms a batch alone.  Built once per grid,
+    read-only."""
+    batches, batch, entries = [], [], 0
+    for b, (_, support, _) in enumerate(band_table(grid)):
+        for scatter, rows in line_pieces(grid, support):
+            if batch and entries + rows * grid.n > LINE_BATCH_MAX_ENTRIES:
+                batches.append(tuple(batch))
+                batch, entries = [], 0
+            scatter.flags.writeable = False
+            batch.append((b, scatter, rows))
+            entries += rows * grid.n
+    batches.append(tuple(batch))
+    return tuple(batches)

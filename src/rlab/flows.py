@@ -57,6 +57,7 @@ from .spectral import (
     PHYSICAL,
     Field,
     Grid,
+    as_frequency,
     as_physical,
     free_propagate,
     free_step,
@@ -277,9 +278,10 @@ def profiles(tr: Trajectory) -> Iterator[Field]:
 
 
 def profile_norms(tr: Trajectory) -> list[dict]:
-    """H^10 and X norms of the profile at every snapshot, one profile held at a time."""
-    return [{"t": float(t), "h10": sobolev_norm(f, 10), "x": x_norm(f)}
-            for t, f in zip(tr.times, profiles(tr))]
+    """H^10 and X norms of the profile at every snapshot, one profile held at a
+    time and transformed to frequency once for both norms."""
+    return [{"t": float(t), "h10": sobolev_norm(fhat, 10), "x": x_norm(fhat)}
+            for t, fhat in zip(tr.times, map(as_frequency, profiles(tr)))]
 
 
 def bootstrap_monitor(rows: list[dict], bp: BootstrapParams) -> dict:

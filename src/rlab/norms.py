@@ -12,11 +12,16 @@ trapezoidal quadrature in t.  The xi-gradient inside the X norms is realized as
 multiplication by -i x in centered physical coordinates, which is exact
 until mass reaches the box boundary.  _wrap_note is the one detector of
 that: it names a field with more than 1e-6 of its L2 mass in the outer 10%
-shell.  Every norm is a plain float, checked once on its way out: NaN or a
-negative value raises a ValueError naming the norm.
+shell.  X never builds a band's field g_k on the full grid: || |x| g_k ||^2
+is the sum over the axes j of || x_j g_k ||^2, and by Parseval across the
+transverse axes each term needs only one-axis inverse transforms of the
+lines along j that band k's support touches (spectral.line_moments on the
+pieces of bands.line_batches).  Every norm is a plain float, checked once
+on its way out: NaN or a negative value raises a ValueError naming the norm.
 
 Everything here is pure; the X norms read the band supports from
-bands.band_table, built once per grid and shared read-only.
+bands.band_table and X its line layout from bands.line_batches, both built
+once per grid and shared read-only.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from .spectral import (
     as_physical,
     bessel_weight,
     boundary_mass_fraction,
-    inverse_on_support,
     l2_norm,
+    line_moments,
     transverse_power_sum,
 )
 
@@ -159,20 +164,28 @@ def x_norm(f: Field) -> float:
     """sup_k || grad_xi (P_k fhat) ||_L2.
 
     Per band, grad_xi of P_k fhat is the forward transform of -i x times
-    the band-projected field, so its Parseval L2 norm equals
-    || |x| P_k f ||_{L2(dx)}; the sup runs over every band with support on
-    the grid.  Each band's spectrum, read from the grid's cached
-    bands.band_table, is taken back by spectral.inverse_on_support.
+    the band-projected field g_k, so its Parseval L2 norm is || |x| g_k ||,
+    whose square is the sum over the axes j of || x_j g_k ||^2; the sup runs
+    over every band with support on the grid.  spectral.line_moments takes
+    each || x_j g_k ||^2 from one-axis inverse transforms of the lines along j
+    that the band's support touches (bands.line_batches), never from g_k on
+    the full grid.  Each band's coefficients P_k fhat are gathered once.
     """
     g = f.grid
     fhat = as_frequency(f).data.reshape(-1)
-    r2 = g.radius_squared
-    norms = []
-    for _, support, values in bands.band_table(g):
-        gk = inverse_on_support(g, support, values * fhat[support])
-        norms.append(np.sqrt(np.sum(r2 * np.abs(gk) ** 2) * g.dx**3))
+    table = bands.band_table(g)
+    moments = np.zeros(len(table))
+    held = coeffs = None
+    for batch in bands.line_batches(g):
+        pieces = []
+        for b, scatter, rows in batch:
+            if b != held:
+                _, support, values = table[b]
+                held, coeffs = b, values * fhat[support]
+            pieces.append((coeffs, scatter, rows))
+        np.add.at(moments, [b for b, _, _ in batch], line_moments(g, pieces))
     # np.max, unlike the builtin max, carries a NaN band through to the guard
-    return _checked(np.max(norms, initial=0.0), "X")
+    return _checked(np.sqrt(np.max(moments, initial=0.0)), "X")
 
 
 def x_prime_norm(f: Field) -> float:

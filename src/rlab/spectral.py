@@ -53,6 +53,16 @@ DENSE_AXIS_MAX_N = 32
 # stay on the calling thread (8 columns per product at n = 64).
 GRAM_PRODUCT_MAX_MKN = 32768
 
+# Largest block, in entries (lines x n summed over a batch of line pieces), that
+# line_moments transforms in one batched ifft.  Measured for x_norm on a 2-vCPU
+# Xeon VM with numpy 2.4's pocketfft: at 16^3, budgets of 2^12, 2^13, 2^14 and
+# 2^15 entries take 1.7, 1.3, 1.1 and 1.0 ms per call, with tracemalloc peaks
+# of 0.21, 0.34, 0.60 and 1.15 MB; past 2^14 the per-batch overhead barely
+# falls while the block keeps growing.  At 32^3 the largest pieces (1024 lines,
+# 2^15 entries) form batches alone, and every budget up to 2^15 takes 9-10 ms
+# and peaks at 1.65 MB (the full-grid band loop: 33 ms and 2.76 MB).
+LINE_BATCH_MAX_ENTRIES = 2**14
+
 
 class AxisOperator:
     """A Fourier multiplier s(xi_j) that depends on one axis' frequency,
@@ -262,12 +272,29 @@ def inverse_transform(f: Field) -> Field:
     return Field(g, PHYSICAL, data)
 
 
-def inverse_on_support(grid: Grid, support: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """inverse_transform's samples of the spectrum that is coeffs on the flat mode
-    indices support and 0 elsewhere, the centering sign applied on the support only."""
-    h = np.zeros(grid.n**3, dtype=np.complex128)
-    h[support] = coeffs * grid.centering_phase.reshape(-1)[support]
-    return np.fft.ifftn(h.reshape(grid.shape)) / grid.dx**3
+def line_moments(grid: Grid, pieces) -> np.ndarray:
+    """integral x_j^2 |g|^2 dx for each piece (coeffs, scatter, rows) of a
+    batch, g the inverse_transform of the spectrum that is coeffs on the
+    piece's modes and 0 elsewhere, j the axis of the piece's lines: scatter
+    places each coefficient in a rows x n block, one row per line along j and
+    the column its index along j (bands.line_pieces).
+
+    One batched length-n ifft along the rows serves the batch.  By Parseval
+    across the transverse axes, sum_{x'} |g|^2 is the sum over the lines of
+    |ifft_j|^2 / (n^2 dx^6): the transverse centering signs have modulus one,
+    and the sign (-1)^m along j shifts ifft_j cyclically by n/2, which np.roll
+    moves onto the weight x_j^2.
+    """
+    n = grid.n
+    starts = np.cumsum([0] + [rows for _, _, rows in pieces])
+    block = np.zeros((starts[-1], n), dtype=np.complex128)
+    for (coeffs, scatter, rows), start in zip(pieces, starts):
+        block[start:start + rows].reshape(-1)[scatter] = coeffs
+    np.fft.ifft(block, axis=1, out=block)
+    power = block.real**2
+    power += block.imag**2
+    weight = np.roll(grid.axis_coords**2, n // 2)
+    return np.add.reduceat(power, starts[:-1], axis=0) @ weight / (n**2 * grid.dx**3)
 
 
 def as_physical(f: Field) -> Field:

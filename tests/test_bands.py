@@ -11,6 +11,7 @@ from rlab.bands import (
     band_indices,
     band_multiplier,
     band_table,
+    line_batches,
     covering_band_range,
     phi,
     project_band,
@@ -18,6 +19,7 @@ from rlab.bands import (
 )
 from rlab.spectral import (
     FREQUENCY,
+    LINE_BATCH_MAX_ENTRIES,
     PHYSICAL,
     Field,
     apply_multiplier,
@@ -243,3 +245,27 @@ class TestActiveBands:
             values[0] = 0.0
         with pytest.raises(ValueError):
             support[0] = 0
+
+    @pytest.mark.parametrize("n, length", [(8, 8.0), (16, 32.0), (32, 48.0)])
+    def test_line_batches_lay_each_band_out_on_its_lines_once_per_axis(self, n, length):
+        g = make_grid(n, length)
+        table = band_table(g)
+        batches = line_batches(g)
+        assert line_batches(make_grid(n, length)) is batches
+        pieces = [p for batch in batches for p in batch]
+        # band by band, three axes each, in table order
+        assert [b for b, _, _ in pieces] == [b for b in range(len(table)) for _ in range(3)]
+        for batch in batches:
+            entries = sum(rows * n for _, _, rows in batch)
+            assert len(batch) == 1 or entries <= LINE_BATCH_MAX_ENTRIES
+        for p, (b, scatter, rows) in enumerate(pieces):
+            j = p % 3
+            support = table[b][1]
+            index = np.unravel_index(support, g.shape)
+            assert scatter.dtype == np.int32 and not scatter.flags.writeable
+            # the column is the mode's index along j, each mode has its own
+            # slot, and the rows are exactly the lines the support touches
+            assert np.array_equal(scatter % n, index[j])
+            assert np.unique(scatter).size == support.size
+            a, c = (index[i] for i in range(3) if i != j)
+            assert rows == np.unique(a * n + c).size == np.unique(scatter // n).size

@@ -27,7 +27,7 @@ from rlab.flows import (
     profiles,
     save_trajectory,
 )
-from rlab.norms import sobolev_norm
+from rlab.norms import sobolev_norm, x_norm
 from rlab.potentials import PotentialSet, gaussian_potential, zero_potential_set
 from rlab.spectral import (PHYSICAL, Field, forward_transform, free_propagate, l2_norm, make_grid,
                            read_snapshot, zero_field)
@@ -447,6 +447,17 @@ class TestProfile:
         base = prof[0].data
         for f in prof[1:]:
             assert np.max(np.abs(f.data - base)) < 1e-12
+
+    def test_profile_norms_transform_each_profile_once(self, fft_count, grid, datum):
+        cfg = EvolveConfig(t_end=1.5, dt=0.05, snapshot_stride=5)
+        tr = evolve_linear(datum, zero_potential_set(grid), cfg)
+        fft_count.calls.clear()
+        rows = profile_norms(tr)
+        # one fftn per snapshot serves both norms; the 16^3 pull-back is axis products
+        assert fft_count.calls["fftn"] == len(tr.fields) == 3
+        assert fft_count.calls["ifftn"] == 0
+        for t, f, row in zip(tr.times, profiles(tr), rows):
+            assert row == {"t": t, "h10": sobolev_norm(f, 10), "x": x_norm(f)}
 
     def test_profile_at_start_is_pullback_of_datum(self, grid, datum):
         cfg = EvolveConfig(t_end=1.2, dt=0.05)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rlab import sampling, spectral
+from rlab import bands, sampling, spectral
 from rlab.spectral import (
     DENSE_AXIS_MAX_N,
     FREQUENCY,
@@ -24,9 +24,9 @@ from rlab.spectral import (
     free_propagate,
     free_step,
     half_derivative_weight,
-    inverse_on_support,
     inverse_transform,
     l2_norm,
+    line_moments,
     make_grid,
     read_snapshot,
     shell_fraction,
@@ -476,12 +476,20 @@ class TestKernelLayer:
         total = np.sum(np.abs(forward_transform(f).data) ** 2) * grid16.parseval_weight
         assert_allclose(total, np.sum(np.abs(f.data) ** 2) * grid16.dx**3, rtol=1e-13)
 
-    @pytest.mark.parametrize("n", [8, 16])
-    def test_inverse_on_support_is_the_inverse_of_the_scattered_spectrum(self, n):
-        g = make_grid(n, 12.0)
-        coeffs = forward_transform(random_field(g, n)).data.reshape(-1)
-        support = np.flatnonzero(np.random.default_rng(n).random(g.n**3) < 0.3)
-        spectrum = np.zeros(g.n**3, dtype=np.complex128)
-        spectrum[support] = coeffs[support]
-        ref = inverse_transform(Field(g, FREQUENCY, spectrum.reshape(g.shape))).data
-        assert np.array_equal(inverse_on_support(g, support, coeffs[support]), ref)
+    def test_line_moments_match_the_dense_axis_moments(self):
+        for n in (8, 16, 32):
+            g = make_grid(n, 12.0)
+            rng = np.random.default_rng(n)
+            coeffs = forward_transform(random_field(g, n)).data.reshape(-1)
+            pieces, dense = [], []
+            for share in (0.02, 0.3, 1.0):  # random supports, the last one full
+                support = np.flatnonzero(rng.random(g.n**3) < share)
+                spectrum = np.zeros(g.n**3, dtype=np.complex128)
+                spectrum[support] = coeffs[support]
+                g_abs2 = np.abs(inverse_transform(Field(g, FREQUENCY, spectrum.reshape(g.shape))).data) ** 2
+                for j, (scatter, rows) in enumerate(bands.line_pieces(g, support)):
+                    pieces.append((coeffs[support], scatter, rows))
+                    dense.append(np.sum(g.coord_mesh[j] ** 2 * g_abs2) * g.dx**3)
+            # one batch of all nine pieces: the sums agree to a few ulps of the
+            # n^3 positive terms they add up in another order
+            assert_allclose(line_moments(g, pieces), dense, rtol=1e-13, atol=0)
