@@ -71,36 +71,11 @@ def project_band(f: Field, k: int) -> Field:
     return Field(out.grid, out.rep, out.data, note="inert-band")
 
 
-def project_leq(f: Field, k: int) -> Field:
-    """Projection onto frequencies up to band k (cumulative lowpass)."""
-    return apply_multiplier(f, lowpass_multiplier(f.grid, k))
-
-
-def band_indices(grid: Grid) -> range:
-    """Inclusive range of band indices intersecting the resolved frequencies.
-
-    A band is active when its inner edge 1.1^k/1.04 is at most the per-axis
-    Nyquist frequency and its outer scale reaches down to the frequency
-    spacing dxi.
-    """
-    log = math.log(BASE)
-    k_min = math.ceil(math.log(grid.dxi / 1.04) / log)
-    k_max = math.floor(math.log(1.04 * grid.nyquist) / log)
-    if k_max < k_min:
-        raise ValueError(
-            f"grid resolves no frequency bands (dxi={grid.dxi:.3g}, "
-            f"nyquist={grid.nyquist:.3g})"
-        )
-    return range(k_min, k_max + 1)
-
-
 def covering_band_range(grid: Grid) -> range:
-    """All k whose annulus can touch any nonzero grid mode.
-
-    Wider than band_indices: runs from the band just below dxi to the band
-    covering the corner modes at sqrt(3) * nyquist.  Used where a supremum
-    or a sum over *all* bands with support is required (X norms, partition
-    sums).
+    """All k whose annulus can touch any nonzero grid mode: from the band
+    just below dxi to the band covering the corner modes at sqrt(3) * nyquist.
+    band_table keeps those that do, for the suprema and sums over *all* bands
+    with support (X norms, partition sums).
     """
     log = math.log(BASE)
     k_min = math.floor(math.log(grid.dxi / OUTER_EDGE) / log)
@@ -122,6 +97,17 @@ def band_table(grid: Grid) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
             support.flags.writeable = values.flags.writeable = False
             table.append((k, support, values))
     return tuple(table)
+
+
+def require_modes(grid: Grid, k_lo: int, k_hi: int) -> None:
+    """A ValueError naming the bands and the grid when P_k vanishes on every grid
+    mode for each k of k_lo..k_hi (band_table's test): data sampled there would be
+    zero.  P_k is radial, and FFT indices 0..n/2 of an axis hold every |m_j| once."""
+    h = grid.n // 2 + 1
+    radii = grid.xi_norm[:h, :h, :h]
+    if not any(np.any(phi(radii * BASE ** (-k)) > 0.0) for k in range(k_lo, k_hi + 1)):
+        bands = f"band {k_lo}" if k_lo == k_hi else f"bands {k_lo}..{k_hi}"
+        raise ValueError(f"no mode of the {grid.n}^3 grid with L = {grid.length:g} is in {bands}")
 
 
 def line_pieces(grid: Grid, support: np.ndarray) -> tuple[tuple[np.ndarray, int], ...]:

@@ -49,9 +49,8 @@ from .estimates import (
 )
 from .flows import (BootstrapParams, EvolveConfig, bootstrap_monitor, evolve_linear,
                     evolve_nonlinear, profile_norms, save_trajectory)
-from .norms import sobolev_norm
 from .potentials import PotentialSet, certify, gaussian_potential, rescale_to_delta
-from .spectral import Field, Grid, free_propagate, l2_norm, make_grid, read_snapshot
+from .spectral import Field, Grid, free_propagate, gaussian, l2_norm, make_grid, read_snapshot
 from .sampling import normalized, sample_rng
 
 ACCEPTED_KEYS = {
@@ -228,11 +227,8 @@ def build_datum(cfg: ExperimentConfig, grid, seed: int) -> Field:
     rng = sample_rng(seed, 0)
     direction = rng.standard_normal(3)
     direction /= np.linalg.norm(direction)
-    x1, x2, x3 = grid.coord_mesh
-    xi0 = carrier * direction
-    env = np.exp(-(x1**2 + x2**2 + x3**2) / (2.0 * sigma**2))
-    data = env * np.exp(1j * (xi0[0] * x1 + xi0[1] * x2 + xi0[2] * x3))
-    f = normalized(Field(grid, "physical", data.astype(np.complex128)))
+    f = normalized(Field(grid, "physical", gaussian(grid, sigma, (0.0, 0.0, 0.0),
+                                                    carrier * direction)))
     if advance:
         f = free_propagate(f, advance)
     return Field(grid, "physical", amp * f.data)
@@ -312,8 +308,9 @@ def _run_certify(cfg, grid, manifest, out):
 
 
 def _norm_rows(tr, prof):
-    """norms.csv rows: L2 and H10 of each snapshot beside its profile_norms row prof."""
-    return [{"t": t, "l2": l2_norm(u), "h10": sobolev_norm(u, 10),
+    """norms.csv rows: each snapshot's L2 norm beside its profile_norms row prof; the
+    free flow has modulus one on every mode, so h10 repeats the profile's H10 norm."""
+    return [{"t": t, "l2": l2_norm(u), "h10": p["h10"],
              "profile_h10": p["h10"], "profile_x": p["x"]}
             for t, u, p in zip(tr.times, tr.fields, prof)]
 
@@ -522,7 +519,7 @@ SCENARIOS: dict[str, Scenario] = {
         "Band summation/interpolation bound with the H2 proxy for the bootstrap constant.",
         _harness(lambda cfg, grid: check_summation_interpolation(
             grid, cfg.getint("scenario", "band", 0), 2.0, 6.0,
-            cfg.getfloat("scenario", "c", 0.25), horizon=(1.0, 2.5), **_sampled(cfg))),
+            cfg.getfloat("scenario", "c", 0.25), **_sampled(cfg))),
     ),
     "harness:doi": Scenario(
         "Doi-type short-horizon well-posedness quotient for the quadratic flow.",

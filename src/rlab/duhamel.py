@@ -44,6 +44,9 @@ from .norms import Trajectory, sobolev_norm, x_norm
 from .potentials import PotentialSet
 from .spectral import PHYSICAL, Field, as_physical, free_propagate, free_step
 
+SWEEP_A, SWEEP_BETAS = (0.0, 1.0, 3.0), (1e-1, 1e-2, 1e-3)  # denominator_sweep's a and beta
+SWEEP_TAU_BETA, SWEEP_DTAU = 8.0, 5e-3  # its cutoff tau_max times beta, its node spacing
+
 
 @dataclass(frozen=True)
 class DuhamelTerm:
@@ -249,7 +252,6 @@ class DenominatorCheck:
 
     value: complex
     reference: complex
-    note: str = ""
 
     @property
     def residual(self) -> float:
@@ -270,42 +272,24 @@ def regularized_denominator_check(a: float, beta: float, tau_max: float,
         raise ValueError("beta must be positive")
     if not (tau_max > 0 and 0 < dtau < tau_max):
         raise ValueError("need 0 < dtau < tau_max")
-    note = ""
-    if tau_max * beta < 5.0:
-        note = (
-            f"truncation warning: tau_max * beta = {tau_max * beta:.3g} < 5, "
-            "the integrand is not yet negligible at the cutoff"
-        )
     n = int(math.ceil(tau_max / dtau))
     h = tau_max / n
     z = 1j * h * (a + 1j * beta)
     total = np.expm1((n + 1) * z) / np.expm1(z) - (2.0 + np.expm1(n * z)) / 2.0
     value = -1j * complex(h * total)
-    reference = 1.0 / (a + 1j * beta)
-    return DenominatorCheck(
-        value=value,
-        reference=reference,
-        note=note,
-    )
+    return DenominatorCheck(value=value, reference=1.0 / (a + 1j * beta))
 
 
-def denominator_sweep(a_values=(0.0, 1.0, 3.0), betas=(1e-1, 1e-2, 1e-3), *,
-                      tau_max_factor: float = 8.0, dtau: float = 5e-3) -> list[dict]:
-    """Residual table over the default beta ladder; tau_max scales as 1/beta."""
+def denominator_sweep() -> list[dict]:
+    """Residual table over the a values SWEEP_A and the beta ladder SWEEP_BETAS,
+    with tau_max = SWEEP_TAU_BETA / beta (the integrand is e^-8 at the cutoff)
+    and the node spacing SWEEP_DTAU."""
     rows = []
-    for a in a_values:
-        for beta in betas:
-            tau_max = tau_max_factor / beta
-            chk = regularized_denominator_check(a, beta, tau_max, dtau)
-            rows.append(
-                {
-                    "a": a,
-                    "beta": beta,
-                    "tau_max": tau_max,
-                    "dtau": dtau,
-                    "value_re": chk.value.real,
-                    "value_im": chk.value.imag,
-                    "residual": chk.residual,
-                }
-            )
+    for a in SWEEP_A:
+        for beta in SWEEP_BETAS:
+            tau_max = SWEEP_TAU_BETA / beta
+            chk = regularized_denominator_check(a, beta, tau_max, SWEEP_DTAU)
+            rows.append({"a": a, "beta": beta, "tau_max": tau_max, "dtau": SWEEP_DTAU,
+                         "value_re": chk.value.real, "value_im": chk.value.imag,
+                         "residual": chk.residual})
     return rows

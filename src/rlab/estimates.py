@@ -51,6 +51,8 @@ from .spectral import (
 )
 
 PACKET_WIDTH = 3.0  # envelope width of the localized packets the checks sample
+SIGNATURE_HORIZON, SIGNATURE_NT = (1.0, 6.5), 32  # smoothing_band_signature's ladder
+SUMMATION_HORIZON = (1.0, 2.5)  # check_summation_interpolation's ladder
 DIRECTION_THRESHOLD = 0.9  # |xi_j| >= 0.9 max_k |xi_k| on the support of chi_j
 
 
@@ -139,11 +141,10 @@ def _map_samples(fn, count: int, threads: int = 1) -> list:
         return list(pool.map(fn, range(count)))
 
 
-def wraparound_horizon(grid: Grid, xi_max: float, start_radius: float = 0.0) -> float:
-    """Latest safe end time: the fastest mode travels at speed 2 xi_max and
-    must stay a 5%-of-box margin away from the antipodal plane at L/2."""
-    if xi_max <= 0:
-        return np.inf
+def wraparound_horizon(grid: Grid, xi_max: float, start_radius: float) -> float:
+    """Latest safe end time for data that has spread to start_radius at t = 1:
+    the fastest mode travels at speed 2 xi_max > 0 and must stay a 5%-of-box
+    margin away from the antipodal plane at L/2."""
     return 1.0 + max(0.0, 0.45 * grid.length - start_radius) / (2.0 * xi_max)
 
 
@@ -317,18 +318,17 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
     )
 
 
-def smoothing_band_signature(grid: Grid, axis: int, ks, *,
-                             horizon: tuple[float, float] = (1.0, 6.5),
-                             nt: int = 32) -> list[dict]:
+def smoothing_band_signature(grid: Grid, axis: int, ks) -> list[dict]:
     """Deterministic per-band homogeneous-smoothing ratios with and without
-    the half-derivative multiplier (directed band kernels).
+    the half-derivative multiplier (directed band kernels), on SIGNATURE_NT
+    times across SIGNATURE_HORIZON.
 
     The with-ratio sits in a narrow band across k while the with/without
     gap grows like 1.1^(k/2): the half derivative exactly compensates the
     band growth.
     """
     ks = list(ks)
-    times = _time_ladder(grid, max(ks), horizon, nt)
+    times = _time_ladder(grid, max(ks), SIGNATURE_HORIZON, SIGNATURE_NT)
     mult = half_derivative_weight(grid, axis)
     rows = []
     for k in ks:
@@ -371,20 +371,21 @@ def check_smoothing_strichartz(grid: Grid, pair, axis: int, samples: int, *,
 
 def check_dispersive_decay(grid: Grid, k: int,
                            horizon: tuple[float, float] = (4.0, 16.0), *,
-                           n_points: int = 13, advance: float = 8.0) -> EstimateReport:
+                           n_points: int = 13) -> EstimateReport:
     """Tabulate t * ||e^{it Lap} f_k||_L6 for a localized band-k pulse.
 
     The flatness factor max/min over the ladder is the measurement; the
-    datum is the band kernel already `advance` units into its spreading,
-    which keeps the whole window inside the dispersive regime.
+    datum is the band kernel already sampling.DISPERSIVE_ADVANCE units into
+    its spreading, which keeps the whole window inside the dispersive regime.
     """
-    times = _time_ladder(grid, k, horizon, n_points, advance)
-    f = sampling.dispersive_datum(grid, k, advance=advance)
+    times = _time_ladder(grid, k, horizon, n_points, sampling.DISPERSIVE_ADVANCE)
+    f = sampling.dispersive_datum(grid, k)
     tr = _free_ladder(grid, as_frequency(f).data, times)
     products = np.asarray([float(t * lebesgue_norm(u, 6)) for t, u in zip(times, tr.fields)])
     flatness = float(products.max() / products.min())
     return EstimateReport(
-        "dispersive", products.tolist(), f"band kernel k={k} advanced {advance:g}",
+        "dispersive", products.tolist(),
+        f"band kernel k={k} advanced {sampling.DISPERSIVE_ADVANCE:g}",
         grid, horizon, seed=0,
         extras={
             "k": k,
@@ -482,10 +483,10 @@ def check_direction_partition(grid: Grid) -> EstimateReport:
 
 def check_summation_interpolation(grid: Grid, k: int, p: float, q: float,
                                   c: float, samples: int, *,
-                                  horizon: tuple[float, float] = (1.0, 3.0),
                                   seed: int = 0, threads: int = 1) -> EstimateReport:
     """kappa in ||e^{itLap} f_k||_{L^p_t L^q} <= kappa
-    ||e^{itLap} f_k||^{1-c}_{L^{p(1-c)}_t L^q} * 1.1^{-8ck} * proxy^c.
+    ||e^{itLap} f_k||^{1-c}_{L^{p(1-c)}_t L^q} * 1.1^{-8ck} * proxy^c,
+    on 24 times across SUMMATION_HORIZON.
 
     The bootstrap constant in the right side is not a norm of the sample;
     we substitute the H^2 norm of the band datum and record that in every
@@ -493,7 +494,7 @@ def check_summation_interpolation(grid: Grid, k: int, p: float, q: float,
     """
     if not (0 < c < 1):
         raise ValueError("need 0 < c < 1")
-    times = _time_ladder(grid, k, horizon, 24)
+    times = _time_ladder(grid, k, SUMMATION_HORIZON, 24)
 
     def one(i):
         f = sampling.localized_packet(grid, k, sampling.sample_rng(seed, i),
@@ -509,7 +510,7 @@ def check_summation_interpolation(grid: Grid, k: int, p: float, q: float,
 
     ratios = _map_samples(one, samples, threads)
     return EstimateReport(
-        "summation", ratios, f"localized packets band {k}", grid, horizon, seed,
+        "summation", ratios, f"localized packets band {k}", grid, SUMMATION_HORIZON, seed,
         extras={"p": p, "q": q, "c": c, "k": k,
                 "note": "bootstrap constant replaced by the H2 norm of the sample"},
     )

@@ -1,5 +1,5 @@
 """Norms: Lebesgue, space-time (also mixed-axis), Sobolev, the profile
-norms X and X', and the potential norm Y.
+norm X, and the potential norm Y.
 
 Conventions.  Physical integrals are Riemann sums with weight dx^3, mode
 sums carry Grid.parseval_weight, and every transform goes through spectral.
@@ -8,7 +8,7 @@ along its axis, mixed_profile_norm: a spectrum's profile comes from
 spectral.transverse_power_sum, a free flow's from
 spectral.free_power_profiles.  L-infinity over the continuum is reported as
 the grid max (a lower bound of the true sup).  Space-time norms use
-trapezoidal quadrature in t.  The xi-gradient inside the X norms is realized as
+trapezoidal quadrature in t.  The xi-gradient inside the X norm is realized as
 multiplication by -i x in centered physical coordinates, which is exact
 until mass reaches the box boundary.  _wrap_note is the one detector of
 that: it names a field with more than 1e-6 of its L2 mass in the outer 10%
@@ -19,9 +19,9 @@ lines along j that band k's support touches (spectral.line_moments on the
 pieces of bands.line_batches).  Every norm is a plain float, checked once
 on its way out: NaN or a negative value raises a ValueError naming the norm.
 
-Everything here is pure; the X norms read the band supports from
-bands.band_table and X its line layout from bands.line_batches, both built
-once per grid and shared read-only.
+Everything here is pure; X reads the band supports from bands.band_table
+and its line layout from bands.line_batches, both built once per grid and
+shared read-only.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 
 from . import bands
 from .spectral import (
-    PHYSICAL,
     Field,
     Grid,
     as_frequency,
@@ -186,20 +185,6 @@ def x_norm(f: Field) -> float:
         np.add.at(moments, [b for b, _, _ in batch], line_moments(g, pieces))
     # np.max, unlike the builtin max, carries a NaN band through to the guard
     return _checked(np.sqrt(np.max(moments, initial=0.0)), "X")
-
-
-def x_prime_norm(f: Field) -> float:
-    """sup_k || (grad_xi fhat) P_k ||_L2: the cutoff sits outside the gradient."""
-    g = f.grid
-    p = as_physical(f)
-    parts = [as_frequency(Field(g, PHYSICAL, -1j * xj * p.data)).data.reshape(-1)
-             for xj in g.coord_mesh]
-    norms = []
-    for _, support, values in bands.band_table(g):
-        grad_sq = np.zeros(g.shape)
-        grad_sq.reshape(-1)[support] = sum(np.abs(values * d[support]) ** 2 for d in parts)
-        norms.append(np.sqrt(np.sum(grad_sq) * g.parseval_weight))
-    return _checked(np.max(norms, initial=0.0), "Xprime")
 
 
 def y_norm(w: Field) -> float:

@@ -26,8 +26,8 @@ from .spectral import (
     as_frequency,
     as_physical,
     bessel_weight,
+    gaussian,
     shell_fraction,
-    zero_field,
 )
 
 _IMAG_TOL = 1e-14
@@ -70,22 +70,11 @@ class PotentialSet:
         )
 
 
-def zero_potential_set(grid: Grid) -> PotentialSet:
-    z = zero_field(grid)
-    return PotentialSet(v=z, a=(z, z, z), delta_target=1.0)
-
-
 def gaussian_potential(grid: Grid, center, width: float, amplitude: float) -> Field:
-    """amplitude * exp(-|x - center|^2 / (2 width^2)), with a wrap-around note
-    when the bump carries boundary mass."""
-    if not 0 < width < np.inf:
-        raise ValueError(f"width must be positive and finite (got {width})")
-    c = np.asarray(center, dtype=np.float64)
-    if c.shape != (3,):
-        raise ValueError("center must be a 3-vector")
-    x1, x2, x3 = grid.coord_mesh
-    r2 = (x1 - c[0]) ** 2 + (x2 - c[1]) ** 2 + (x3 - c[2]) ** 2
-    f = Field(grid, PHYSICAL, amplitude * np.exp(-r2 / (2.0 * width**2)) + 0j)
+    """amplitude * exp(-|x - center|^2 / (2 width^2)) (spectral.gaussian, which
+    checks the width and the center), with a wrap-around note when the bump
+    carries boundary mass."""
+    f = Field(grid, PHYSICAL, amplitude * gaussian(grid, width, center, (0.0, 0.0, 0.0)))
     return Field(grid, PHYSICAL, f.data, note=_wrap_note(f) or None)
 
 

@@ -18,7 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import bands
-from .spectral import FREQUENCY, PHYSICAL, Field, Grid, free_phase, inverse_transform, l2_norm
+from .spectral import (FREQUENCY, PHYSICAL, Field, Grid, free_phase, gaussian, inverse_transform,
+                       l2_norm)
+
+DISPERSIVE_ADVANCE = 8.0  # time units the dispersive datum starts into its spreading
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -34,8 +37,7 @@ def normalized(f: Field) -> Field:
 
 def band_mask(grid: Grid, k_lo: int, k_hi: int) -> np.ndarray:
     """Smooth mask sum_{k_lo <= k <= k_hi} P_k (telescoped lowpass difference)."""
-    if k_hi < k_lo:
-        raise ValueError("empty band range")
+    bands.require_modes(grid, k_lo, k_hi)  # an empty range k_hi < k_lo too
     return bands.lowpass_multiplier(grid, k_hi) - bands.lowpass_multiplier(
         grid, k_lo - 1
     )
@@ -64,8 +66,7 @@ def localized_packet(
     this, since transverse packets never clear their slab within a finite
     horizon.
     """
-    x1, x2, x3 = grid.coord_mesh
-    env = np.exp(-(x1 * x1 + x2 * x2 + x3 * x3) / (2.0 * width**2))
+    bands.require_modes(grid, k, k)
     radius = bands.BASE**k
     data = np.zeros(grid.shape, dtype=np.complex128)
     for _ in range(2):
@@ -77,7 +78,7 @@ def localized_packet(
         direction /= np.linalg.norm(direction)
         xi0 = radius * direction
         amp = rng.standard_normal() + 1j * rng.standard_normal()
-        data += amp * env * np.exp(1j * (x1 * xi0[0] + x2 * xi0[1] + x3 * xi0[2]))
+        data += amp * gaussian(grid, width, (0.0, 0.0, 0.0), xi0)
     return normalized(bands.project_band(Field(grid, PHYSICAL, data), k))
 
 
@@ -89,6 +90,7 @@ def directed_band_kernel(grid: Grid, k: int, axis: int) -> Field:
     crosses transverse slabs in a finite, k-predictable time.  Used by the
     smoothing-gain signature.
     """
+    bands.require_modes(grid, k, k)
     r = grid.xi_norm
     cosq = np.where(r > 0, grid.freq_mesh[axis] / np.where(r > 0, r, 1.0), 0.0)
     cap = np.exp(-((1.0 - cosq) ** 2) / (2.0 * 0.35**2))
@@ -96,13 +98,15 @@ def directed_band_kernel(grid: Grid, k: int, axis: int) -> Field:
     return inverse_transform(normalized(Field(grid, FREQUENCY, data)))
 
 
-def dispersive_datum(grid: Grid, k: int, advance: float = 8.0) -> Field:
-    """Localized band-k pulse already `advance` time units into its free
-    spreading: fhat = P_k(xi) e^{-i advance |xi|^2}, normalized in L2.
+def dispersive_datum(grid: Grid, k: int) -> Field:
+    """Localized band-k pulse already DISPERSIVE_ADVANCE time units into its
+    free spreading: fhat = P_k(xi) e^{-i DISPERSIVE_ADVANCE |xi|^2}, normalized
+    in L2.
 
     Starting inside the dispersive regime keeps t * ||u(t)||_L6 flat over a
     finite observation window; the band kernel at its focus spends most of
     such a window crossing into the far field.
     """
-    data = bands.band_multiplier(grid, k) * free_phase(grid, advance)
+    bands.require_modes(grid, k, k)
+    data = bands.band_multiplier(grid, k) * free_phase(grid, DISPERSIVE_ADVANCE)
     return inverse_transform(normalized(Field(grid, FREQUENCY, data)))

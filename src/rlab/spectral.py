@@ -23,7 +23,6 @@ import pathlib
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -239,18 +238,6 @@ class Field:
         self.data.flags.writeable = False
 
 
-def field_from_function(grid: Grid, fn: Callable) -> Field:
-    """Sample fn(x1, x2, x3) on the physical lattice."""
-    x1, x2, x3 = grid.coord_mesh
-    data = np.asarray(fn(x1, x2, x3), dtype=np.complex128)
-    data = np.broadcast_to(data, grid.shape).copy()
-    return Field(grid, PHYSICAL, data)
-
-
-def zero_field(grid: Grid, rep: str = PHYSICAL) -> Field:
-    return Field(grid, rep, np.zeros(grid.shape, dtype=np.complex128))
-
-
 def forward_transform(f: Field) -> Field:
     """Discrete fhat(xi) = integral e^{-i x.xi} f(x) dx; requires physical input."""
     if f.rep != PHYSICAL:
@@ -309,20 +296,6 @@ def l2_norm(f: Field) -> float:
     """Continuum-normalized L2 norm, computed in the field's own representation."""
     w = f.grid.dx**3 if f.rep == PHYSICAL else f.grid.parseval_weight
     return float(np.sqrt(np.sum(np.abs(f.data) ** 2) * w))
-
-
-def inner_product(f: Field, g: Field) -> complex:
-    """<f, g> = integral f conj(g) dx, evaluated in a common representation.
-
-    If both arguments already share a representation it is used as is, so
-    frequency-side products of disjointly supported fields vanish exactly.
-    """
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    if f.rep != g.rep:
-        f, g = as_frequency(f), as_frequency(g)
-    w = f.grid.dx**3 if f.rep == PHYSICAL else f.grid.parseval_weight
-    return complex(np.sum(f.data * np.conj(g.data)) * w)
 
 
 def transverse_power_sum(f: Field, axis: int) -> np.ndarray:
@@ -407,6 +380,24 @@ def free_phase(grid: Grid, t: float) -> np.ndarray:
     """
     p = _axis_phase(grid, t)
     return p[:, None, None] * p[None, :, None] * p[None, None, :]
+
+
+def gaussian(grid: Grid, width: float, center, carrier) -> np.ndarray:
+    """exp(-|x - center|^2 / (2 width^2) + i carrier.x) on the physical lattice.
+
+    Built like free_phase, as the product of the per-axis factors
+    exp(-(x_j - c_j)^2 / (2 width^2) + i carrier_j x_j): 3n complex
+    exponentials in place of n^3.  A width that is not positive and finite,
+    or a center that is not a 3-vector, is a ValueError.
+    """
+    if not 0 < width < np.inf:
+        raise ValueError(f"width must be positive and finite (got {width})")
+    c = np.asarray(center, dtype=np.float64)
+    if c.shape != (3,):
+        raise ValueError("center must be a 3-vector")
+    x = grid.axis_coords
+    p = [np.exp(-((x - c[j]) ** 2) / (2.0 * width**2) + 1j * carrier[j] * x) for j in range(3)]
+    return p[0][:, None, None] * p[1][None, :, None] * p[2][None, None, :]
 
 
 def free_step(grid: Grid, t: float) -> AxisOperator:

@@ -1,9 +1,13 @@
+import math
 from collections import Counter
+from typing import Callable
 
 import numpy as np
 import pytest
 
-from rlab.spectral import PHYSICAL, AxisOperator, Field, make_grid
+from rlab.bands import BASE
+from rlab.potentials import PotentialSet
+from rlab.spectral import PHYSICAL, AxisOperator, Field, Grid, as_frequency, make_grid
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +24,55 @@ def random_field(grid, seed=0):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     return Field(grid, PHYSICAL, data)
+
+
+def field_from_function(grid: Grid, fn: Callable) -> Field:
+    """Sample fn(x1, x2, x3) on the physical lattice."""
+    x1, x2, x3 = grid.coord_mesh
+    data = np.asarray(fn(x1, x2, x3), dtype=np.complex128)
+    data = np.broadcast_to(data, grid.shape).copy()
+    return Field(grid, PHYSICAL, data)
+
+
+def zero_field(grid: Grid, rep: str = PHYSICAL) -> Field:
+    return Field(grid, rep, np.zeros(grid.shape, dtype=np.complex128))
+
+
+def inner_product(f: Field, g: Field) -> complex:
+    """<f, g> = integral f conj(g) dx, evaluated in a common representation.
+
+    If both arguments already share a representation it is used as is, so
+    frequency-side products of disjointly supported fields vanish exactly.
+    """
+    if f.grid != g.grid:
+        raise ValueError("fields live on different grids")
+    if f.rep != g.rep:
+        f, g = as_frequency(f), as_frequency(g)
+    w = f.grid.dx**3 if f.rep == PHYSICAL else f.grid.parseval_weight
+    return complex(np.sum(f.data * np.conj(g.data)) * w)
+
+
+def zero_potential_set(grid: Grid) -> PotentialSet:
+    z = zero_field(grid)
+    return PotentialSet(v=z, a=(z, z, z), delta_target=1.0)
+
+
+def band_indices(grid: Grid) -> range:
+    """Inclusive range of band indices intersecting the resolved frequencies.
+
+    A band is active when its inner edge 1.1^k/1.04 is at most the per-axis
+    Nyquist frequency and its outer scale reaches down to the frequency
+    spacing dxi.
+    """
+    log = math.log(BASE)
+    k_min = math.ceil(math.log(grid.dxi / 1.04) / log)
+    k_max = math.floor(math.log(1.04 * grid.nyquist) / log)
+    if k_max < k_min:
+        raise ValueError(
+            f"grid resolves no frequency bands (dxi={grid.dxi:.3g}, "
+            f"nyquist={grid.nyquist:.3g})"
+        )
+    return range(k_min, k_max + 1)
 
 
 class FFTCount:

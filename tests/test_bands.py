@@ -8,14 +8,14 @@ from rlab.bands import (
     BASE,
     INNER_EDGE,
     OUTER_EDGE,
-    band_indices,
     band_multiplier,
     band_table,
     line_batches,
+    lowpass_multiplier,
     covering_band_range,
     phi,
     project_band,
-    project_leq,
+    require_modes,
 )
 from rlab.spectral import (
     FREQUENCY,
@@ -24,13 +24,12 @@ from rlab.spectral import (
     Field,
     apply_multiplier,
     as_frequency,
-    inner_product,
     inverse_transform,
     l2_norm,
     make_grid,
 )
 
-from conftest import random_field
+from conftest import band_indices, inner_product, random_field, zero_field
 
 
 class TestProfile:
@@ -81,8 +80,6 @@ class TestProjectBand:
         assert np.max(np.abs(total - f.data)) < 1e-12
 
     def test_zero_field_projects_to_zero(self, grid16):
-        from rlab.spectral import zero_field
-
         out = project_band(zero_field(grid16), 0)
         assert np.all(out.data == 0)
 
@@ -149,9 +146,12 @@ class TestProjectBand:
 
 
 class TestProjectLeq:
+    """The cumulative lowpass P_{<=k} applied as a multiplier."""
+
     def test_difference_identity(self, grid16):
         f = as_frequency(random_field(grid16, 6))
-        diff = project_leq(f, 3).data - project_leq(f, 2).data
+        diff = (apply_multiplier(f, lowpass_multiplier(grid16, 3)).data
+                - apply_multiplier(f, lowpass_multiplier(grid16, 2)).data)
         band = project_band(f, 3).data
         assert np.max(np.abs(diff - band)) < 1e-12 * np.max(np.abs(f.data))
 
@@ -162,13 +162,13 @@ class TestProjectLeq:
         data = (r <= 0.5 * g.nyquist) * (rng.standard_normal(g.shape) + 0j)
         f = Field(g, FREQUENCY, data)
         k_top = band_indices(g).stop + 1
-        out = project_leq(f, k_top)
+        out = apply_multiplier(f, lowpass_multiplier(g, k_top))
         assert np.max(np.abs(out.data - f.data)) < 1e-13
 
     def test_below_range_keeps_only_zero_mode(self, grid16):
         f = as_frequency(random_field(grid16, 8))
         k_bot = band_indices(grid16).start - 8
-        out = project_leq(f, k_bot)
+        out = apply_multiplier(f, lowpass_multiplier(grid16, k_bot))
         rest = np.array(out.data)
         rest[0, 0, 0] = 0.0
         assert np.max(np.abs(rest)) < 1e-13 * np.max(np.abs(f.data))
@@ -236,6 +236,21 @@ class TestActiveBands:
         r = g.xi_norm.reshape(-1)
         assert np.max(np.abs(total[r > 0] - 1.0)) <= 1e-12
         assert total[r == 0] == 0.0
+
+    @pytest.mark.parametrize("n, length", [(8, 8.0), (16, 32.0), (32, 48.0)])
+    def test_require_modes_passes_exactly_the_bands_of_the_table(self, n, length):
+        g = make_grid(n, length)
+        table = {k for k, _, _ in band_table(g)}
+        cover = covering_band_range(g)
+        for k in range(cover.start - 3, cover.stop + 3):
+            if k in table:
+                require_modes(g, k, k)
+            else:
+                with pytest.raises(ValueError, match=f"grid with L = {length:g} is in band {k}$"):
+                    require_modes(g, k, k)
+        require_modes(g, cover.start - 3, cover.stop + 3)  # one band of the range suffices
+        with pytest.raises(ValueError, match=r"is in bands 1\.\.0$"):
+            require_modes(g, 1, 0)
 
     def test_table_is_built_once_per_grid_and_read_only(self, grid16):
         table = band_table(grid16)

@@ -339,6 +339,30 @@ class TestConfig:
         assert "potential.amplitude_v = 0.15" in cfg.canonical()
 
 
+class TestBandWithoutModes:
+    """A band (or band range) that reaches no mode of the grid is one error line
+    naming it and the grid, exit 2 and no run directory, before any sample."""
+
+    @pytest.mark.parametrize("scenario, keys, bands", [
+        ("smo1", "band = -60", "band -60"),
+        ("smo2", "band = -60", "band -60"),
+        ("smo3", "band = -60", "band -60"),
+        ("ik-smostri", "band = -60", "band -60"),
+        ("str1", "k_lo = -60\nk_hi = -50", "bands -60..-50"),
+        ("summation", "band = -60", "band -60"),
+        ("dispersive", "band = -60", "band -60"),
+    ])
+    def test_is_one_error_line_and_exit_2(self, tmp_path, capsys, scenario, keys, bands):
+        p = tmp_path / "bad.ini"
+        p.write_text(f"[run]\nscenario = harness:{scenario}\nseed = 1\n"
+                     f"[grid]\nn = 16\nL = 16.0\n[scenario]\n{keys}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: no mode of the 16^3 grid with L = 16 is in {bands}\n")
+        assert not out.exists()
+
+
 class TestIdentitySweep:
     @pytest.fixture(scope="class")
     def sweep(self):
@@ -417,6 +441,32 @@ class TestRun:
         ps = build_potentials(cfg, build_grid(cfg))
         assert lam == rescale_to_delta(ps, 60.0).lam
         assert 0.0 < lam < 1.0
+
+    def test_build_datum_keeps_its_draws_and_values(self, monkeypatch):
+        # the draws, in order, and the full-grid formula the Gaussian builder replaced
+        from rlab import cli
+        from rlab.sampling import normalized, sample_rng
+        from rlab.spectral import free_propagate
+
+        rngs = []
+
+        def recorded(seed, index):
+            rngs.append(sample_rng(seed, index))
+            return rngs[-1]
+
+        monkeypatch.setattr(cli, "sample_rng", recorded)
+        cfg = ExperimentConfig.from_file(CONFIGS / "born-series.ini")
+        grid = build_grid(cfg)
+        u = cli.build_datum(cfg, grid, 7)
+        ref_rng = sample_rng(7, 0)
+        direction = ref_rng.standard_normal(3)
+        assert len(rngs) == 1 and rngs[0].bit_generator.state == ref_rng.bit_generator.state
+        x1, x2, x3 = grid.coord_mesh
+        xi0 = 0.6 * direction / np.linalg.norm(direction)
+        data = (np.exp(-(x1**2 + x2**2 + x3**2) / (2.0 * 4.0**2))
+                * np.exp(1j * (xi0[0] * x1 + xi0[1] * x2 + xi0[2] * x3)))
+        ref = 0.01 * free_propagate(normalized(Field(grid, PHYSICAL, data)), 4.0).data
+        assert np.linalg.norm(u.data - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_profile_x_norm_once_per_snapshot(self, tmp_path, monkeypatch):
         # norms.csv reuses the bootstrap monitor's profile norms

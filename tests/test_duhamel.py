@@ -17,11 +17,11 @@ from rlab.duhamel import (
 )
 from rlab.flows import EvolveConfig, _linear_operator, evolve_linear, profiles
 from rlab.norms import sobolev_norm, x_norm
-from rlab.potentials import PotentialSet, gaussian_potential, zero_potential_set
+from rlab.potentials import PotentialSet, gaussian_potential
 from rlab.spectral import (PHYSICAL, Field, free_phase, free_propagate, free_step, l2_norm,
-                           make_grid, zero_field)
+                           make_grid)
 
-from conftest import assert_small_batched_products
+from conftest import assert_small_batched_products, zero_field, zero_potential_set
 
 
 @pytest.fixture(scope="module")
@@ -279,19 +279,20 @@ class TestRegularizedDenominator:
         assert 3.0 <= res[0] / res[1] <= 5.0
         assert 3.0 <= res[1] / res[2] <= 5.0
 
-    def test_truncation_warning(self):
-        chk = regularized_denominator_check(1.0, 0.1, 20.0, 1e-3)
-        assert "truncation warning" in chk.note
-
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
             regularized_denominator_check(1.0, 0.0, 10.0, 1e-3)
 
     def test_sweep_table_shape(self):
-        rows = denominator_sweep(a_values=(0.0, 1.0), betas=(1e-1, 1e-2),
-                                 tau_max_factor=8.0, dtau=5e-3)
-        assert len(rows) == 4
-        assert all(r["residual"] < 0.05 for r in rows)
+        rows = denominator_sweep()
+        assert [(r["a"], r["beta"]) for r in rows] == [
+            (a, beta) for a in (0.0, 1.0, 3.0) for beta in (1e-1, 1e-2, 1e-3)]
+        for r in rows:
+            assert r["tau_max"] * r["beta"] == pytest.approx(8.0) and r["dtau"] == 5e-3
+            if r["a"] <= 1.0 and r["beta"] >= 1e-2:
+                assert r["residual"] < 0.05
+            # what is left is the tail e^{-tau_max beta} / |a + i beta| of the cut integral
+            assert r["residual"] * abs(r["a"] + 1j * r["beta"]) <= 1.1 * math.exp(-8.0)
 
 
 class TestClosedFormTrapezoid:

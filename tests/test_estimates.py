@@ -24,7 +24,7 @@ from rlab.estimates import (
     wraparound_horizon,
 )
 from rlab.norms import Trajectory, mixed_spacetime_norm
-from rlab.potentials import PotentialSet, gaussian_potential, zero_potential_set
+from rlab.potentials import PotentialSet, gaussian_potential
 from rlab.spectral import (
     FREQUENCY,
     PHYSICAL,
@@ -35,8 +35,9 @@ from rlab.spectral import (
     inverse_transform,
     l2_norm,
     make_grid,
-    zero_field,
 )
+
+from conftest import zero_field, zero_potential_set
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +87,7 @@ class TestStrichartz:
         assert r16.max_ratio <= 1.2 * r8.max_ratio  # stability under doubling
 
     def test_horizon_beyond_wraparound_rejected(self, grid):
-        t_wrap = wraparound_horizon(grid, 1.04 * bands.BASE**3)
+        t_wrap = wraparound_horizon(grid, 1.04 * bands.BASE**3, 0.0)
         with pytest.raises(ValueError):
             check_strichartz(grid, (2.0, 6.0), 2, k_lo=-2, k_hi=2,
                              horizon=(1.0, 2.0 * t_wrap))
@@ -298,7 +299,7 @@ class TestDispersive:
         rep1 = check_dispersive_decay(g, 0, horizon=(4.0, 8.0), n_points=5)
         rep2 = check_dispersive_decay(g, 0, horizon=(4.0, 8.0), n_points=5)
         assert rep1.ratios == rep2.ratios
-        f = sampling.dispersive_datum(g, 0, advance=8.0)
+        f = sampling.dispersive_datum(g, 0)
         lam = 3.7
         scaled = Field(g, PHYSICAL, lam * f.data)
         for t in (4.0, 8.0):
@@ -375,13 +376,11 @@ class TestDirectionPartition:
 
 class TestSummation:
     def test_c_to_zero_limit(self, grid32):
-        rep = check_summation_interpolation(grid32, 3, 2.0, 6.0, 1e-9, 2,
-                                            horizon=(1.0, 2.5), seed=2)
+        rep = check_summation_interpolation(grid32, 3, 2.0, 6.0, 1e-9, 2, seed=2)
         assert abs(rep.max_ratio - 1.0) <= 1e-6
 
     def test_band_eight_kappa_stable(self, grid32):
-        rep = check_summation_interpolation(grid32, 8, 2.0, 6.0, 0.25, 6,
-                                            horizon=(1.0, 2.5), seed=2)
+        rep = check_summation_interpolation(grid32, 8, 2.0, 6.0, 0.25, 6, seed=2)
         assert rep.max_ratio / rep.median_ratio <= 1.3
         assert "H2 norm" in rep.extras["note"]
 

@@ -28,11 +28,11 @@ from rlab.flows import (
     save_trajectory,
 )
 from rlab.norms import sobolev_norm, x_norm
-from rlab.potentials import PotentialSet, gaussian_potential, zero_potential_set
+from rlab.potentials import PotentialSet, gaussian_potential
 from rlab.spectral import (PHYSICAL, Field, forward_transform, free_propagate, l2_norm, make_grid,
-                           read_snapshot, zero_field)
+                           read_snapshot)
 
-from conftest import assert_small_batched_products
+from conftest import assert_small_batched_products, zero_field, zero_potential_set
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,6 @@ from rlab.norms import (
     sobolev_norm,
     spacetime_norm,
     x_norm,
-    x_prime_norm,
     y_norm,
 )
 from rlab.spectral import (
@@ -27,17 +26,15 @@ from rlab.spectral import (
     as_frequency,
     as_physical,
     bessel_weight,
-    field_from_function,
     forward_transform,
     free_propagate,
     inverse_transform,
     l2_norm,
     make_grid,
     transverse_power_sum,
-    zero_field,
 )
 
-from conftest import random_field
+from conftest import field_from_function, random_field, zero_field
 
 
 class TestChecked:
@@ -53,10 +50,10 @@ class TestChecked:
         values = [lebesgue_norm(f, np.inf), lebesgue_norm(forward_transform(f), 2),
                   lebesgue_norm(f, 3), spacetime_norm(tr, np.inf, 2), spacetime_norm(tr, 2, 6),
                   mixed_spacetime_norm(tr, 0, np.inf), sobolev_norm(f, 10), x_norm(f),
-                  x_prime_norm(f), y_norm(f)]
+                  y_norm(f)]
         assert all(type(v) is float for v in values)
 
-    @pytest.mark.parametrize("norm, name", [(x_norm, "X"), (x_prime_norm, "Xprime")])
+    @pytest.mark.parametrize("norm, name", [(x_norm, "X")])
     def test_x_norms_reject_one_nan_sample(self, grid16, norm, name):
         data = random_field(grid16, 5).data.copy()
         data[3, 4, 5] = np.nan
@@ -227,38 +224,19 @@ class TestXNorm:
         assert _wrap_note(f) == ""
 
 
-class TestXPrime:
-    def test_zero_field(self, grid16):
-        assert x_prime_norm(zero_field(grid16)) == 0.0
-
-    def test_controlled_by_x_norm_on_localized_fields(self):
-        # factor 3 frozen from the calibration run (worst observed 0.57)
-        g = make_grid(16, 32.0)
-        for i in range(50):
-            rng = sampling.sample_rng(314, i)
-            k = int(rng.integers(-6, 3))
-            f = sampling.localized_packet(g, k, rng, width=3.0 + 2 * rng.random())
-            assert float(x_prime_norm(f)) <= 3.0 * float(x_norm(f)) + 1e-12
-
-
 def _dense_band_loop_norms(f):
-    """X and X' through the dense per-band loop: one full-grid P_k per band,
-    rebuilt on every call, and the centered inverse transform."""
+    """X through the dense per-band loop: one full-grid P_k per band, rebuilt
+    on every call, and the centered inverse transform."""
     g = f.grid
     fhat = as_frequency(f).data
-    p = as_physical(f).data
-    parts = [as_frequency(Field(g, PHYSICAL, -1j * xj * p)).data for xj in g.coord_mesh]
-    w = g.dxi**3 / (2.0 * np.pi) ** 3
-    x = xp = 0.0
+    x = 0.0
     for k in bands.covering_band_range(g):
         mult = bands.band_multiplier(g, k)
         if not np.any(mult > 0.0):
             continue
         gk = inverse_transform(Field(g, FREQUENCY, mult * fhat))
         x = max(x, float(np.sqrt(np.sum(g.radius_squared * np.abs(gk.data) ** 2) * g.dx**3)))
-        grad_sq = sum(np.abs(mult * d) ** 2 for d in parts)
-        xp = max(xp, float(np.sqrt(np.sum(grad_sq) * w)))
-    return x, xp
+    return x
 
 
 class TestBandTable:
@@ -276,11 +254,10 @@ class TestBandTable:
         f = Field(g, PHYSICAL, data if kind == "windowed" else 0.0 * data)
         if rep == FREQUENCY:
             f = forward_transform(f)
-        x, xp = _dense_band_loop_norms(f)
+        x = _dense_band_loop_norms(f)
         # X sums its squares along lines, in another order than the full-grid
         # loop: a few ulps of a sum of ~n^3 positive terms
         assert abs(float(x_norm(f)) - x) <= 1e-13 * x
-        assert float(x_prime_norm(f)) == xp
         if kind == "zero":
             assert x_norm(f) == 0.0
         if width == 1.0 and kind == "windowed":
@@ -353,7 +330,7 @@ class TestSharedProperties:
         lambda f: lebesgue_norm(f, np.inf),
         lambda f: sobolev_norm(f, 10),
         lambda f: x_norm(f),
-        lambda f: x_prime_norm(f),
+        lambda f: x_norm(forward_transform(f)),  # X of a held spectrum
     ]
     TRIANGLE_NORMS = NORMS + [lambda f: y_norm(f)]
 

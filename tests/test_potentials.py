@@ -10,7 +10,6 @@ from rlab.potentials import (
     certify,
     gaussian_potential,
     rescale_to_delta,
-    zero_potential_set,
 )
 from rlab.spectral import (
     FREQUENCY,
@@ -18,10 +17,10 @@ from rlab.spectral import (
     Field,
     apply_multiplier,
     bessel_weight,
-    field_from_function,
     make_grid,
-    zero_field,
 )
+
+from conftest import field_from_function, zero_field, zero_potential_set
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,6 @@ from rlab.spectral import (
     as_physical,
     bessel_weight,
     boundary_mass_fraction,
-    field_from_function,
     forward_transform,
     free_phase,
     free_power_profiles,
@@ -32,10 +31,9 @@ from rlab.spectral import (
     shell_fraction,
     transverse_power_sum,
     write_snapshot,
-    zero_field,
 )
 
-from conftest import random_field
+from conftest import field_from_function, random_field, zero_field
 
 
 class TestMakeGrid:
@@ -150,6 +148,61 @@ class TestFreePhase:
         p = free_phase(make_grid(n, L), 0.0)
         assert p.shape == (n, n, n)
         assert np.all(p == 1.0)
+
+
+GAUSSIAN_GRIDS = [(16, 48.0), (32, 64.0), (64, 201.06)]
+
+
+def _full_grid_gaussian(g, width, center, carrier):
+    """exp(-|x - c|^2 / (2 w^2) + i carrier.x) evaluated on the full grid."""
+    x1, x2, x3 = g.coord_mesh
+    c, k = center, carrier
+    r2 = (x1 - c[0]) ** 2 + (x2 - c[1]) ** 2 + (x3 - c[2]) ** 2
+    return np.exp(-r2 / (2.0 * width**2) + 1j * (k[0] * x1 + k[1] * x2 + k[2] * x3))
+
+
+class TestGaussian:
+    @pytest.mark.parametrize("n,L", GAUSSIAN_GRIDS)
+    @pytest.mark.parametrize("center, carrier", [
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        ((1.0, 0.5, -2.0), (0.0, 0.0, 0.0)),
+        ((0.0, 0.0, 0.0), (0.6, -0.3, 1.1)),
+        ((1.0, 0.5, -2.0), (1.5, 0.2, -0.9)),
+    ], ids=["plain", "center", "carrier", "center-carrier"])
+    def test_matches_the_full_grid_formula(self, n, L, center, carrier):
+        g = make_grid(n, L)
+        for width in (3.0, 4.0):
+            got = spectral.gaussian(g, width, center, carrier)
+            ref = _full_grid_gaussian(g, width, center, carrier)
+            assert got.shape == g.shape and got.dtype == np.complex128
+            assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("width, center, message", [
+        (0.0, (0.0, 0.0, 0.0), "width must be positive and finite"),
+        (np.inf, (0.0, 0.0, 0.0), "width must be positive and finite"),
+        (2.0, (0.0, 0.0), "center must be a 3-vector"),
+    ])
+    def test_rejects_a_bad_width_or_center(self, grid16, width, center, message):
+        with pytest.raises(ValueError, match=message):
+            spectral.gaussian(grid16, width, center, (0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("axis_bias", [None, 1])
+    def test_localized_packet_keeps_its_draws_and_values(self, axis_bias):
+        # the draws, in order, and the full-grid formula the builder replaced
+        g = make_grid(32, 48.0)
+        rng, ref_rng = sampling.sample_rng(3, 1), sampling.sample_rng(3, 1)
+        f = sampling.localized_packet(g, 1, rng, width=3.0, axis_bias=axis_bias)
+        data = np.zeros(g.shape, dtype=np.complex128)
+        for _ in range(2):
+            direction = ref_rng.standard_normal(3)
+            if axis_bias is not None:
+                direction = np.eye(3)[axis_bias] + 0.35 * direction
+            xi0 = bands.BASE * direction / np.linalg.norm(direction)
+            amp = ref_rng.standard_normal() + 1j * ref_rng.standard_normal()
+            data += amp * _full_grid_gaussian(g, 3.0, (0.0, 0.0, 0.0), xi0)
+        ref = sampling.normalized(bands.project_band(Field(g, PHYSICAL, data), 1))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.linalg.norm(f.data - ref.data) <= 1e-14 * np.linalg.norm(ref.data)
 
 
 PROFILE_TIMES = np.array([0.0, 1.0, 2.3, 7.5])

@@ -1,4 +1,4 @@
-"""Byte-identity sweep: run 23 scenario configs and print one digest per run.
+"""Byte-identity sweep: run 24 scenario configs and print one digest per run.
 
 Usage, from the root of a checkout::
 
@@ -88,6 +88,10 @@ def configs() -> dict[str, dict]:
         "simulate-undealiased": _with(shipped["simulate-nonlinear"], **{"evolve.dealias": "off"}),
         # eps1 = 0.004 sits below the profile norms: the bootstrap monitor exits
         "simulate-exit": _with(shipped["simulate-nonlinear"], **{"bootstrap.eps0": 0.001}),
+        # 64^3: the only run that takes AxisOperator's one-axis FFT branch (n > 32)
+        "simulate-64": _with(shipped["simulate-nonlinear"],
+                             **{"grid.n": 64, "evolve.t_end": 1.2, "evolve.dt": 0.05,
+                                "evolve.snapshot_stride": 4}),
         # zero potential: the wave operator's constant profile, a trace of exact zeros
         "wave-free": _with(shipped["wave-operator"],
                            **{"grid.n": 16, "potential.amplitude_v": 0,

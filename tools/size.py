@@ -17,9 +17,10 @@ aside): only tests or outside callers can reach it.  An unread field is a
 dataclass field that no module of the package loads as an attribute outside
 its own class's ``__post_init__``: it is stored but never used.  Names are
 matched as strings, not resolved to types, so a field counts as read when
-any object's attribute of the same name is loaded.  The script scans the
-source with ``ast`` and prints the counts and the unread names and fields,
-so a change can quote them before and after.
+any object's attribute of the same name is loaded.  scan() reads the
+source with ``ast`` and returns the counts and the unread names and fields;
+the script prints them, so a change can quote them before and after, and
+the test suite compares the unread lists with the names it allows.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import ast
 import pathlib
 import sys
 from collections import Counter
+from typing import NamedTuple
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -92,13 +94,20 @@ def unread_fields(trees: dict[str, ast.AST]) -> list[str]:
     return [f"{cls}.{name}" for cls, name, own in fields if total[name] == own[name]]
 
 
-def main(argv) -> int:
-    arg = argv[1] if len(argv) > 1 else "src/rlab"
-    src = REPO / arg  # an absolute SRC_DIR replaces REPO
-    files = sorted(src.glob("*.py"))
+class Scan(NamedTuple):
+    files: int
+    lines: int
+    defaults: int  # defaulted parameters
+    fields: int  # dataclass fields
+    unread_names: list[str]
+    unread_fields: list[str]
+
+
+def scan(src_dir: pathlib.Path) -> Scan:
+    """The size of the package in src_dir; a ValueError if it holds no ``*.py``."""
+    files = sorted(pathlib.Path(src_dir).glob("*.py"))
     if not files:
-        print(f"no Python files in {src}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no Python files in {src_dir}")
     lines = defaults = fields = 0
     trees = {}
     for path in files:
@@ -108,17 +117,24 @@ def main(argv) -> int:
         d, f = settable_values(trees[path.stem])
         defaults += d
         fields += f
-    print(f"{arg}: {lines} lines in {len(files)} files")
-    print(f"settable values: {defaults} defaulted parameters + {fields} dataclass fields"
-          f" = {defaults + fields}")
-    unread = unread_names(trees)
-    print(f"unread top-level names: {len(unread)}")
-    for name in unread:
-        print(f"  {name}")
-    fields = unread_fields(trees)
-    print(f"unread dataclass fields: {len(fields)}")
-    for name in fields:
-        print(f"  {name}")
+    return Scan(len(files), lines, defaults, fields, unread_names(trees), unread_fields(trees))
+
+
+def main(argv) -> int:
+    arg = argv[1] if len(argv) > 1 else "src/rlab"
+    try:
+        size = scan(REPO / arg)  # an absolute SRC_DIR replaces REPO
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    print(f"{arg}: {size.lines} lines in {size.files} files")
+    print(f"settable values: {size.defaults} defaulted parameters + {size.fields} dataclass"
+          f" fields = {size.defaults + size.fields}")
+    for kind, names in (("top-level names", size.unread_names),
+                        ("dataclass fields", size.unread_fields)):
+        print(f"unread {kind}: {len(names)}")
+        for name in names:
+            print(f"  {name}")
     return 0
 
 
