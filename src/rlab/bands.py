@@ -6,10 +6,12 @@ phi(r) = chi(r/1.1) - chi(r) where chi is a C^2 quintic-smoothstep
 lowpass (1 below 1/1.04, 0 above 1.04).  The telescoping identity
 sum_j phi(1.1^{-j} r) = 1 then holds exactly for every r > 0, and
 bands two or more apart have exactly disjoint supports
-(1.04^2 < 1.1).  Sums and suprema over bands read band_table, which keeps
-each band's support and plain values P_k, built once per grid; line_batches
-lays each support out on the lines it touches along each axis, for
-spectral.line_moments.
+(1.04^2 < 1.1).  The multipliers are radial: each is evaluated on the
+grid's distinct radii and gathered onto its modes.  A projection is its
+multiplier array applied to a spectrum (spectral.apply_multiplier).  Sums and
+suprema over bands read band_table, which keeps each band's support and plain
+values P_k, built once per grid; line_batches lays each support out on the
+lines it touches along each axis, for spectral.line_moments.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 
-from .spectral import LINE_BATCH_MAX_ENTRIES, Field, Grid, apply_multiplier
+from .spectral import LINE_BATCH_MAX_ENTRIES, Grid
 
 BASE = 1.1
 INNER_EDGE = 1.0 / 1.04
@@ -45,8 +47,10 @@ def phi(r) -> np.ndarray:
 
 
 def band_multiplier(grid: Grid, k: int) -> np.ndarray:
-    """P_k(xi) = phi(1.1^{-k} |xi|) sampled on the grid's modes."""
-    return phi(grid.xi_norm * BASE ** (-k))
+    """P_k(xi) = phi(1.1^{-k} |xi|) sampled on the grid's modes, from
+    Grid.radius_index."""
+    radii, position = grid.radius_index
+    return phi(radii * BASE ** (-k))[position]
 
 
 def lowpass_multiplier(grid: Grid, k: int) -> np.ndarray:
@@ -55,20 +59,8 @@ def lowpass_multiplier(grid: Grid, k: int) -> np.ndarray:
     The extra 1/1.1 inside chi is forced by the telescoping identity
     P_{<=k} - P_{<=k-1} = P_k.
     """
-    return chi(grid.xi_norm * BASE ** (-(k + 1)))
-
-
-def project_band(f: Field, k: int) -> Field:
-    """Band projection f_k with fhat_k = P_k fhat, in the caller's representation.
-
-    A band whose annulus misses every grid mode returns a zero field
-    flagged with note="inert-band" rather than a silent zero.
-    """
-    mult = band_multiplier(f.grid, k)
-    out = apply_multiplier(f, mult)
-    if np.any(mult > 0.0):
-        return out
-    return Field(out.grid, out.rep, out.data, note="inert-band")
+    radii, position = grid.radius_index
+    return chi(radii * BASE ** (-(k + 1)))[position]
 
 
 def covering_band_range(grid: Grid) -> range:
@@ -102,9 +94,8 @@ def band_table(grid: Grid) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
 def require_modes(grid: Grid, k_lo: int, k_hi: int) -> None:
     """A ValueError naming the bands and the grid when P_k vanishes on every grid
     mode for each k of k_lo..k_hi (band_table's test): data sampled there would be
-    zero.  P_k is radial, and FFT indices 0..n/2 of an axis hold every |m_j| once."""
-    h = grid.n // 2 + 1
-    radii = grid.xi_norm[:h, :h, :h]
+    zero.  P_k is radial, so the distinct radii of the modes decide."""
+    radii, _ = grid.radius_index
     if not any(np.any(phi(radii * BASE ** (-k)) > 0.0) for k in range(k_lo, k_hi + 1)):
         bands = f"band {k_lo}" if k_lo == k_hi else f"bands {k_lo}..{k_hi}"
         raise ValueError(f"no mode of the {grid.n}^3 grid with L = {grid.length:g} is in {bands}")

@@ -213,39 +213,34 @@ def check_strichartz(grid: Grid, pair, samples: int, *, k_lo: int = -3,
 
 def _forcing_sample(grid: Grid, k: int, axis: int, rng,
                     times: np.ndarray) -> Trajectory:
-    """Smooth-in-time localized forcing: two packets with oscillating weights."""
+    """Smooth-in-time localized forcing, as spectra: two packets with oscillating weights."""
     f1 = sampling.localized_packet(grid, k, rng, width=PACKET_WIDTH, axis_bias=axis)
     f2 = sampling.localized_packet(grid, k, rng, width=PACKET_WIDTH, axis_bias=axis)
     w1, w2 = 0.5 + rng.random(2)
     om1, om2 = 2.0 * rng.random(2)
-    out = []
-    for t in times:
-        data = w1 * np.cos(om1 * t) * f1.data + w2 * np.sin(om2 * t) * f2.data
-        out.append(Field(grid, "physical", data))
-    return Trajectory(times=times, fields=out)
+    return Trajectory(times=times, fields=[
+        Field(grid, FREQUENCY, w1 * np.cos(om1 * t) * f1.data + w2 * np.sin(om2 * t) * f2.data)
+        for t in times])
 
 
 def _duhamel_ladder(grid: Grid, forcing: list[Field], times: np.ndarray,
                     multiplier: np.ndarray | None) -> Trajectory:
     """Cumulative trapezoid Duhamel integral int_{s<=t} e^{i(t-s)Lap} F(s) ds,
-    kept as its spectra: per interval one duhamel_trapezoid step, E the free_phase product."""
+    spectra in and out: per interval one duhamel_trapezoid step, E the free_phase product."""
     out_fields = []
     acc = np.zeros(grid.shape, dtype=np.complex128)
-    prev_fhat = as_frequency(forcing[0]).data
     for i, t in enumerate(times):
         if i > 0:
             dt = times[i] - times[i - 1]
             E = functools.partial(np.multiply, free_phase(grid, dt))
-            cur = as_frequency(forcing[i]).data
-            acc = duhamel_trapezoid(acc, E, dt / 2.0, prev_fhat, cur)
-            prev_fhat = cur
+            acc = duhamel_trapezoid(acc, E, dt / 2.0, forcing[i - 1].data, forcing[i].data)
         U = acc if multiplier is None else multiplier * acc
         out_fields.append(Field(grid, FREQUENCY, U))
     return Trajectory(times=times, fields=out_fields)
 
 
 def _flow_integral(tr: Trajectory) -> np.ndarray:
-    """Spectrum of the trapezoid rule for integral e^{it Lap} F(t) dt over tr.
+    """Spectrum of the trapezoid rule for integral e^{it Lap} F(t) dt over tr's spectra.
 
     The pushed-forward forcing e^{it Lap} F(t) needs no free multiplier between
     nodes, so each interval adds (dt/2) (prev + cur), holding two spectra
@@ -253,7 +248,7 @@ def _flow_integral(tr: Trajectory) -> np.ndarray:
     acc = np.zeros(tr.grid.shape, dtype=np.complex128)
     prev = None
     for i, (t, F) in enumerate(zip(tr.times, tr.fields)):
-        cur = free_phase(tr.grid, t) * as_frequency(F).data
+        cur = free_phase(tr.grid, t) * F.data
         if i:
             acc = acc + (t - tr.times[i - 1]) / 2 * (prev + cur)
         prev = cur
@@ -402,9 +397,9 @@ def check_dispersive_decay(grid: Grid, k: int,
 def bilinear_apply(f: Field, g: Field, m1: np.ndarray, m2: np.ndarray) -> Field:
     """(2 pi)^-3-normalized bilinear operator with separable symbol
     m(xi, eta) = m1(xi - eta) m2(eta): reduces to (m1(D) f) * (m2(D) g),
-    m1 and m2 multiplier arrays on the grid's modes."""
-    a = apply_multiplier(as_physical(f), m1)
-    b = apply_multiplier(as_physical(g), m2)
+    m1 and m2 multiplier arrays on the grid's modes, each applied before one as_physical."""
+    a = as_physical(apply_multiplier(f, m1))
+    b = as_physical(apply_multiplier(g, m2))
     return Field(f.grid, "physical", a.data * b.data)
 
 

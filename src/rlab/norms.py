@@ -3,9 +3,11 @@ norm X, and the potential norm Y.
 
 Conventions.  Physical integrals are Riemann sums with weight dx^3, mode
 sums carry Grid.parseval_weight, and every transform goes through spectral.
-A mixed L2 norm (the smoothing norms) is one reduction of per-time profiles
-along its axis, mixed_profile_norm: a spectrum's profile comes from
-spectral.transverse_power_sum, a free flow's from
+A norm transforms only what it needs: the L2, Sobolev, X and mixed L2 norms
+read the samplers' spectra as they are, any other L^p norm takes one
+as_physical.  A mixed L2 norm (the smoothing norms) is one reduction of
+per-time profiles along its axis, mixed_profile_norm: a spectrum's profile
+comes from spectral.transverse_power_sum, a free flow's from
 spectral.free_power_profiles.  L-infinity over the continuum is reported as
 the grid max (a lower bound of the true sup).  Space-time norms use
 trapezoidal quadrature in t.  The xi-gradient inside the X norm is realized as
@@ -16,12 +18,10 @@ shell.  X never builds a band's field g_k on the full grid: || |x| g_k ||^2
 is the sum over the axes j of || x_j g_k ||^2, and by Parseval across the
 transverse axes each term needs only one-axis inverse transforms of the
 lines along j that band k's support touches (spectral.line_moments on the
-pieces of bands.line_batches).  Every norm is a plain float, checked once
+pieces of bands.line_batches; both it and bands.band_table are built once
+per grid and shared read-only).  Every norm is a plain float, checked once
 on its way out: NaN or a negative value raises a ValueError naming the norm.
-
-Everything here is pure; X reads the band supports from bands.band_table
-and its line layout from bands.line_batches, both built once per grid and
-shared read-only.
+Everything here is pure.
 """
 
 from __future__ import annotations

@@ -5,9 +5,12 @@ Two classes:
 * band-flat fields: iid complex Gaussians per mode, masked to a union of
   frequency bands (flat spectrum inside each band, delocalized in space);
 * localized packets: a Gaussian envelope at the origin carrying two
-  random in-band carriers, then re-projected onto the band, for
+  random in-band carriers, times the band multiplier P_k, for
   measurements that need spatial localization (dispersive decay,
   smoothing transits, X norms).
+
+Every sampler returns its unit-L2 spectrum, a FREQUENCY field, and makes no
+full-grid FFT; a reader of the physical samples takes spectral.as_physical.
 
 Sample streams are derived as default_rng([seed, index]) so that serial
 and parallel sample loops see identical data.
@@ -18,8 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bands
-from .spectral import (FREQUENCY, PHYSICAL, Field, Grid, free_phase, gaussian, inverse_transform,
-                       l2_norm)
+from .spectral import FREQUENCY, Field, Grid, free_phase, gaussian_spectrum, l2_norm
 
 DISPERSIVE_ADVANCE = 8.0  # time units the dispersive datum starts into its spreading
 
@@ -35,30 +37,20 @@ def normalized(f: Field) -> Field:
     return Field(f.grid, f.rep, f.data / nrm) if nrm > 0 else f
 
 
-def band_mask(grid: Grid, k_lo: int, k_hi: int) -> np.ndarray:
-    """Smooth mask sum_{k_lo <= k <= k_hi} P_k (telescoped lowpass difference)."""
-    bands.require_modes(grid, k_lo, k_hi)  # an empty range k_hi < k_lo too
-    return bands.lowpass_multiplier(grid, k_hi) - bands.lowpass_multiplier(
-        grid, k_lo - 1
-    )
-
-
 def band_flat_field(grid: Grid, k_lo: int, k_hi: int, rng: np.random.Generator) -> Field:
-    """Unit-L2 complex Gaussian coefficients on the bands k_lo..k_hi, flat per band."""
-    mask = band_mask(grid, k_lo, k_hi)
+    """Unit-L2 complex Gaussian coefficients on the bands k_lo..k_hi, flat per band
+    (the smooth mask sum_{k_lo <= k <= k_hi} P_k, a telescoped lowpass difference)."""
+    bands.require_modes(grid, k_lo, k_hi)  # an empty range k_hi < k_lo too
+    mask = bands.lowpass_multiplier(grid, k_hi) - bands.lowpass_multiplier(grid, k_lo - 1)
     z = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    return inverse_transform(normalized(Field(grid, FREQUENCY, mask * z)))
+    return normalized(Field(grid, FREQUENCY, mask * z))
 
 
-def localized_packet(
-    grid: Grid,
-    k: int,
-    rng: np.random.Generator,
-    width: float,
-    axis_bias: int | None = None,
-) -> Field:
-    """Unit-L2 band-k wave packet: Gaussian envelope at the origin times random
-    in-band carriers, re-projected onto band k.
+def localized_packet(grid: Grid, k: int, rng: np.random.Generator, width: float,
+                     axis_bias: int | None = None) -> Field:
+    """Unit-L2 band-k wave packet: P_k times the spectrum of a Gaussian envelope
+    at the origin carrying two random in-band carriers.  Each carrier term's
+    spectrum is spectral.gaussian_spectrum, three length-n transforms.
 
     With axis_bias set, carrier directions are drawn in a cone around that
     coordinate axis (spread 0.35), giving packets whose group
@@ -78,8 +70,8 @@ def localized_packet(
         direction /= np.linalg.norm(direction)
         xi0 = radius * direction
         amp = rng.standard_normal() + 1j * rng.standard_normal()
-        data += amp * gaussian(grid, width, (0.0, 0.0, 0.0), xi0)
-    return normalized(bands.project_band(Field(grid, PHYSICAL, data), k))
+        data += amp * gaussian_spectrum(grid, width, (0.0, 0.0, 0.0), xi0)
+    return normalized(Field(grid, FREQUENCY, bands.band_multiplier(grid, k) * data))
 
 
 def directed_band_kernel(grid: Grid, k: int, axis: int) -> Field:
@@ -95,7 +87,7 @@ def directed_band_kernel(grid: Grid, k: int, axis: int) -> Field:
     cosq = np.where(r > 0, grid.freq_mesh[axis] / np.where(r > 0, r, 1.0), 0.0)
     cap = np.exp(-((1.0 - cosq) ** 2) / (2.0 * 0.35**2))
     data = (bands.band_multiplier(grid, k) * cap).astype(np.complex128)
-    return inverse_transform(normalized(Field(grid, FREQUENCY, data)))
+    return normalized(Field(grid, FREQUENCY, data))
 
 
 def dispersive_datum(grid: Grid, k: int) -> Field:
@@ -109,4 +101,4 @@ def dispersive_datum(grid: Grid, k: int) -> Field:
     """
     bands.require_modes(grid, k, k)
     data = bands.band_multiplier(grid, k) * free_phase(grid, DISPERSIVE_ADVANCE)
-    return inverse_transform(normalized(Field(grid, FREQUENCY, data)))
+    return normalized(Field(grid, FREQUENCY, data))

@@ -173,6 +173,12 @@ class Grid:
         return np.sqrt(self.xi_squared)
 
     @cached_property
+    def radius_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct |xi| and each mode's index into them: profile(radii)[position]."""
+        radii, position = np.unique(self.xi_norm.reshape(-1), return_inverse=True)
+        return radii, position.reshape(self.shape)
+
+    @cached_property
     def radius_squared(self) -> np.ndarray:
         """|x|^2 on the physical lattice."""
         c1, c2, c3 = self.coord_mesh
@@ -187,7 +193,7 @@ class Grid:
     def centering_phase(self) -> np.ndarray:
         """(-1)^(m1+m2+m3): the e^{-i x0.xi} phase for x0 = -L/2."""
         sign = np.where(self.modes % 2 == 0, 1.0, -1.0)
-        return sign[:, None, None] * sign[None, :, None] * sign[None, None, :]
+        return _separable(sign, sign, sign)
 
     @cached_property
     def derivative(self) -> AxisOperator:
@@ -379,25 +385,39 @@ def free_phase(grid: Grid, t: float) -> np.ndarray:
     grids rlab runs; every factor is exactly 1 at t = 0, so is the product.
     """
     p = _axis_phase(grid, t)
-    return p[:, None, None] * p[None, :, None] * p[None, None, :]
+    return _separable(p, p, p)
 
 
-def gaussian(grid: Grid, width: float, center, carrier) -> np.ndarray:
-    """exp(-|x - center|^2 / (2 width^2) + i carrier.x) on the physical lattice.
+def _separable(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> np.ndarray:
+    """The n^3 array p1(x1) p2(x2) p3(x3) of three per-axis factors."""
+    return p1[:, None, None] * p2[None, :, None] * p3[None, None, :]
 
-    Built like free_phase, as the product of the per-axis factors
-    exp(-(x_j - c_j)^2 / (2 width^2) + i carrier_j x_j): 3n complex
-    exponentials in place of n^3.  A width that is not positive and finite,
-    or a center that is not a 3-vector, is a ValueError.
-    """
+
+def _gaussian_factors(grid: Grid, width: float, center, carrier) -> list[np.ndarray]:
+    """gaussian's per-axis factors exp(-(x_j - c_j)^2 / (2 width^2) + i carrier_j x_j);
+    a width not positive and finite, or a center not a 3-vector, is a ValueError."""
     if not 0 < width < np.inf:
         raise ValueError(f"width must be positive and finite (got {width})")
     c = np.asarray(center, dtype=np.float64)
     if c.shape != (3,):
         raise ValueError("center must be a 3-vector")
     x = grid.axis_coords
-    p = [np.exp(-((x - c[j]) ** 2) / (2.0 * width**2) + 1j * carrier[j] * x) for j in range(3)]
-    return p[0][:, None, None] * p[1][None, :, None] * p[2][None, None, :]
+    return [np.exp(-((x - c[j]) ** 2) / (2.0 * width**2) + 1j * carrier[j] * x) for j in range(3)]
+
+
+def gaussian(grid: Grid, width: float, center, carrier) -> np.ndarray:
+    """exp(-|x - center|^2 / (2 width^2) + i carrier.x) on the physical lattice, built
+    like free_phase from its per-axis factors: 3n complex exponentials, not n^3."""
+    return _separable(*_gaussian_factors(grid, width, center, carrier))
+
+
+def gaussian_spectrum(grid: Grid, width: float, center, carrier) -> np.ndarray:
+    """forward_transform of gaussian(grid, width, center, carrier), no full-grid FFT:
+    the product of the length-n transforms of its per-axis factors, times dx each.
+    The centering sign (-1)^m along an axis is the cyclic shift by n/2 np.roll makes."""
+    q = [np.fft.fft(np.roll(p, grid.n // 2)) * grid.dx
+         for p in _gaussian_factors(grid, width, center, carrier)]
+    return _separable(*q)
 
 
 def free_step(grid: Grid, t: float) -> AxisOperator:

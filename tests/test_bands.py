@@ -10,11 +10,11 @@ from rlab.bands import (
     OUTER_EDGE,
     band_multiplier,
     band_table,
+    chi,
     line_batches,
     lowpass_multiplier,
     covering_band_range,
     phi,
-    project_band,
     require_modes,
 )
 from rlab.spectral import (
@@ -76,11 +76,12 @@ class TestProjectBand:
         r = np.sqrt(np.broadcast_to(g.xi_squared, g.shape))
         data[np.isclose(r, 1.0)] = 1.0 + 0.5j
         f = Field(g, FREQUENCY, data)
-        total = project_band(f, -1).data + project_band(f, 0).data
+        total = (apply_multiplier(f, band_multiplier(g, -1)).data
+                 + apply_multiplier(f, band_multiplier(g, 0)).data)
         assert np.max(np.abs(total - f.data)) < 1e-12
 
     def test_zero_field_projects_to_zero(self, grid16):
-        out = project_band(zero_field(grid16), 0)
+        out = apply_multiplier(zero_field(grid16), band_multiplier(grid16, 0))
         assert np.all(out.data == 0)
 
     def test_band_sum_recovers_band_limited_field(self, grid16):
@@ -92,7 +93,7 @@ class TestProjectBand:
         f = Field(g, FREQUENCY, data)
         total = np.zeros(g.shape, dtype=np.complex128)
         for k in covering_band_range(g):
-            total += project_band(f, k).data
+            total += apply_multiplier(f, band_multiplier(g, k)).data
         assert np.max(np.abs(total - f.data)) <= 1e-10 * np.max(np.abs(f.data))
 
     @settings(max_examples=30, deadline=None)
@@ -106,38 +107,28 @@ class TestProjectBand:
         f = Field(g, FREQUENCY, data)
         if rep == PHYSICAL:
             f = inverse_transform(f)
-        total = sum(project_band(f, k).data for k in covering_band_range(g))
+        total = sum(apply_multiplier(f, band_multiplier(g, k)).data for k in covering_band_range(g))
         assert np.max(np.abs(total - f.data)) <= 1e-12 * np.max(np.abs(f.data))
-
-    def test_inert_band_is_flagged(self, grid16):
-        f = random_field(grid16, 1)
-        far = covering_band_range(grid16).stop + 5
-        out = project_band(f, far)
-        assert out.note == "inert-band"
-        assert np.all(out.data == 0)
-
-    def test_active_band_not_flagged(self, grid16):
-        out = project_band(random_field(grid16, 2), 0)
-        assert out.note is None
 
     def test_exact_orthogonality_beyond_neighbors(self, grid16):
         f = as_frequency(random_field(grid16, 3))
         ks = list(band_indices(grid16))
         k0 = ks[len(ks) // 2]
-        fa = project_band(f, k0)
+        fa = apply_multiplier(f, band_multiplier(grid16, k0))
         for k in (k0 + 2, k0 + 3, k0 - 2):
-            fb = project_band(f, k)
+            fb = apply_multiplier(f, band_multiplier(grid16, k))
             assert inner_product(fa, fb) == 0.0
 
     def test_idempotence_up_to_neighbors(self, grid16):
         f = as_frequency(random_field(grid16, 4))
-        out = project_band(project_band(f, 0), 3)
+        band0 = apply_multiplier(f, band_multiplier(grid16, 0))
+        out = apply_multiplier(band0, band_multiplier(grid16, 3))
         assert np.all(out.data == 0)
 
     def test_bernstein_support_bound(self, grid16):
         f = random_field(grid16, 5)
         for k in (-3, 0, 2):
-            fk = project_band(f, k)
+            fk = apply_multiplier(f, band_multiplier(grid16, k))
             grad_sq = sum(
                 l2_norm(apply_multiplier(fk, grid16.freq_mesh[j])) ** 2
                 for j in range(3)
@@ -152,7 +143,7 @@ class TestProjectLeq:
         f = as_frequency(random_field(grid16, 6))
         diff = (apply_multiplier(f, lowpass_multiplier(grid16, 3)).data
                 - apply_multiplier(f, lowpass_multiplier(grid16, 2)).data)
-        band = project_band(f, 3).data
+        band = apply_multiplier(f, band_multiplier(grid16, 3)).data
         assert np.max(np.abs(diff - band)) < 1e-12 * np.max(np.abs(f.data))
 
     def test_top_of_range_is_identity_on_band_limited(self, grid16):
@@ -251,6 +242,15 @@ class TestActiveBands:
         require_modes(g, cover.start - 3, cover.stop + 3)  # one band of the range suffices
         with pytest.raises(ValueError, match=r"is in bands 1\.\.0$"):
             require_modes(g, 1, 0)
+
+    @pytest.mark.parametrize("n, length", [(8, 8.0), (16, 32.0), (32, 48.0)])
+    def test_multipliers_from_the_distinct_radii_are_the_full_grid_formula_bit_for_bit(
+            self, n, length):
+        g = make_grid(n, length)
+        for k in covering_band_range(g):
+            assert band_multiplier(g, k).tobytes() == phi(g.xi_norm * BASE ** (-k)).tobytes()
+            assert (lowpass_multiplier(g, k).tobytes()
+                    == chi(g.xi_norm * BASE ** (-(k + 1))).tobytes())
 
     def test_table_is_built_once_per_grid_and_read_only(self, grid16):
         table = band_table(grid16)

@@ -18,8 +18,8 @@ from rlab.duhamel import (
 from rlab.flows import EvolveConfig, _linear_operator, evolve_linear, profiles
 from rlab.norms import sobolev_norm, x_norm
 from rlab.potentials import PotentialSet, gaussian_potential
-from rlab.spectral import (PHYSICAL, Field, free_phase, free_propagate, free_step, l2_norm,
-                           make_grid)
+from rlab.spectral import (PHYSICAL, Field, as_physical, free_phase, free_propagate, free_step,
+                           l2_norm, make_grid)
 
 from conftest import assert_small_batched_products, zero_field, zero_potential_set
 
@@ -32,7 +32,7 @@ def grid():
 @pytest.fixture(scope="module")
 def datum(grid):
     rng = np.random.default_rng(42)
-    f = sampling.localized_packet(grid, -4, rng, width=4.0)
+    f = as_physical(sampling.localized_packet(grid, -4, rng, width=4.0))
     return Field(grid, PHYSICAL, 0.01 * f.data)
 
 

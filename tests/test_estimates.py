@@ -30,6 +30,7 @@ from rlab.spectral import (
     PHYSICAL,
     Field,
     as_frequency,
+    as_physical,
     free_phase,
     half_derivative_weight,
     inverse_transform,
@@ -97,7 +98,7 @@ class TestStrichartz:
         f = sampling.band_flat_field(grid, -2, 2, sampling.sample_rng(0, 0))
         times = np.linspace(1.0, 2.5, 9)
         r1 = strichartz_ratio(grid, pair, f, times)
-        scaled = Field(grid, PHYSICAL, 13.7 * f.data)
+        scaled = Field(grid, f.rep, 13.7 * f.data)
         r2 = strichartz_ratio(grid, pair, scaled, times)
         assert abs(r1 - r2) <= 1e-10 * r1
 
@@ -121,12 +122,13 @@ class TestSmoothing:
             assert rep.max_ratio > 0
 
     @pytest.mark.parametrize("variant,per_time", [
-        ("homogeneous", 0), ("dual", 3), ("inhomogeneous", 4)])
+        ("homogeneous", 0), ("dual", 1), ("inhomogeneous", 2)])
     def test_fft_passes_per_ladder_time(self, fft_count, grid, variant, per_time):
         # the free flow's profiles come from one Gram matrix and one batched
         # ifft over all times; a mixed L2 norm of a spectrum takes one pass
-        # along the axis, and the physical forcing of dual and inhomogeneous
-        # takes a full-grid fftn
+        # along the axis: the forcing's in dual and inhomogeneous, and the
+        # Duhamel integral's in inhomogeneous.  The forcing is a spectrum, so
+        # neither Duhamel integral transforms it
         assert fft_count.passes_per_step(
             lambda steps: check_smoothing(grid, variant, 0, 1, band=1,
                                           horizon=(1.0, 2.0), nt=4 + steps)
@@ -150,6 +152,15 @@ class TestSmoothing:
         check_smoothing(grid, "homogeneous", 2, 2, band=1, horizon=(1.0, 2.0), nt=8)
         assert fft_count.calls["free_phase"] == 0
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_homogeneous_sample_makes_no_full_grid_fft(self, fft_count, n):
+        # the packet's spectrum comes from three length-n transforms per carrier
+        # term, its profiles from one Gram matrix and one batched length-n ifft
+        g = make_grid(n, float(n))
+        check_smoothing(g, "homogeneous", 0, 2, band=0, horizon=(1.0, 2.0), nt=8)
+        assert fft_count.calls["fftn"] == fft_count.calls["ifftn"] == 0
+        assert fft_count.calls["fft"] == 2 * 6 and fft_count.calls["ifft"] == 2
+
     def test_unknown_variant_rejected(self, grid32):
         with pytest.raises(ValueError):
             check_smoothing(grid32, "sideways", 0, 1)
@@ -160,13 +171,13 @@ class TestSmoothing:
         # variant, computed directly
         g = grid32
         rng = sampling.sample_rng(9, 0)
-        f = sampling.localized_packet(g, 2, rng, width=3.0)
+        f = as_physical(sampling.localized_packet(g, 2, rng, width=3.0))
         times = np.linspace(1.0, 3.0, 9)
         w = np.gradient(times)  # trapezoid weights on a uniform ladder
         mult = np.sqrt(np.abs(np.broadcast_to(g.freq_mesh[0], g.shape)))
         fhat = as_frequency(f).data
         forcing = [
-            sampling.localized_packet(g, 2, rng, width=3.0).data * np.cos(1.3 * t)
+            as_physical(sampling.localized_packet(g, 2, rng, width=3.0)).data * np.cos(1.3 * t)
             for t in times
         ]
         lhs = 0.0 + 0.0j
@@ -266,7 +277,7 @@ class TestSmoothingStrichartz:
         mult = half_derivative_weight(g, 0)
 
         def ratio(scale):
-            forcing = [Field(g, PHYSICAL, scale * np.cos(1.1 * t) * base.data)
+            forcing = [Field(g, base.rep, scale * np.cos(1.1 * t) * base.data)
                        for t in times]
             tr_f = Trajectory(times=times, fields=forcing)
             tr_d = _duhamel_ladder(g, forcing, times, mult)
@@ -301,7 +312,7 @@ class TestDispersive:
         assert rep1.ratios == rep2.ratios
         f = sampling.dispersive_datum(g, 0)
         lam = 3.7
-        scaled = Field(g, PHYSICAL, lam * f.data)
+        scaled = Field(g, f.rep, lam * f.data)
         for t in (4.0, 8.0):
             p1 = t * float(lebesgue_norm(free_propagate(f, t), 6))
             p2 = t * float(lebesgue_norm(free_propagate(scaled, t), 6))
@@ -350,8 +361,8 @@ class TestBilinear:
         one = np.ones(grid.shape)
         B1 = bilinear_apply(f, g_, one, one)
         r1 = lebesgue_norm(B1, 1) / (lebesgue_norm(f, 2) * lebesgue_norm(g_, 2))
-        f2 = Field(grid, PHYSICAL, 2.0 * f.data)
-        g2 = Field(grid, PHYSICAL, 2.0 * g_.data)
+        f2 = Field(grid, f.rep, 2.0 * f.data)
+        g2 = Field(grid, g_.rep, 2.0 * g_.data)
         B2 = bilinear_apply(f2, g2, one, one)
         r2 = lebesgue_norm(B2, 1) / (lebesgue_norm(f2, 2) * lebesgue_norm(g2, 2))
         assert abs(r1 - r2) <= 1e-10 * r1
@@ -398,7 +409,7 @@ class TestDoi:
         g = make_grid(16, 32.0)
         rng = np.random.default_rng(5)
         u1 = Field(g, PHYSICAL,
-                   0.05 * sampling.localized_packet(g, -4, rng, width=4.0).data)
+                   0.05 * as_physical(sampling.localized_packet(g, -4, rng, width=4.0)).data)
         v = gaussian_potential(g, (0, 0, 0), 4.0, 0.15)
         ps = PotentialSet(v=v, a=(zero_field(g),) * 3, delta_target=1e9)
         rep = check_doi_local(u1, ps, 2.0, 0.01)
@@ -408,7 +419,7 @@ class TestDoi:
         g = make_grid(16, 32.0)
         rng = np.random.default_rng(5)
         u1 = Field(g, PHYSICAL,
-                   0.05 * sampling.localized_packet(g, -4, rng, width=4.0).data)
+                   0.05 * as_physical(sampling.localized_packet(g, -4, rng, width=4.0)).data)
         rep = check_doi_local(u1, zero_potential_set(g), 1.05, 0.005)
         assert abs(rep.max_ratio - 1.0) <= 0.05
 

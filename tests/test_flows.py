@@ -29,8 +29,8 @@ from rlab.flows import (
 )
 from rlab.norms import sobolev_norm, x_norm
 from rlab.potentials import PotentialSet, gaussian_potential
-from rlab.spectral import (PHYSICAL, Field, forward_transform, free_propagate, l2_norm, make_grid,
-                           read_snapshot)
+from rlab.spectral import (PHYSICAL, Field, as_physical, forward_transform, free_propagate,
+                           l2_norm, make_grid, read_snapshot)
 
 from conftest import assert_small_batched_products, zero_field, zero_potential_set
 
@@ -43,7 +43,7 @@ def grid():
 @pytest.fixture(scope="module")
 def datum(grid):
     rng = np.random.default_rng(42)
-    f = sampling.localized_packet(grid, -4, rng, width=4.0)
+    f = as_physical(sampling.localized_packet(grid, -4, rng, width=4.0))
     return Field(grid, PHYSICAL, 0.05 * f.data)
 
 
@@ -215,7 +215,7 @@ class TestPotentialOperator:
         v = gaussian_potential(g, (0, 0, 0), 4.0, 0.08)
         a = tuple(gaussian_potential(g, (1.0, 0, 0), 4.0, 0.06) for _ in range(3))
         ps = PotentialSet(v=v, a=a, delta_target=1000.0)
-        u0 = sampling.localized_packet(g, -4, np.random.default_rng(1), width=4.0).data
+        u0 = as_physical(sampling.localized_packet(g, -4, np.random.default_rng(1), width=4.0)).data
         substep = _linear_substep(_linear_operator(ps, skip_certification=True))
         _strang_loop(g, u0, 0.05, 1, substep, {1})
         assert len(matmul_shapes) == 3 + 12 + 3

@@ -200,7 +200,7 @@ class TestXNorm:
 
     def test_translation_product_rule_bound(self):
         g = make_grid(16, 32.0)
-        f = sampling.localized_packet(g, -3, np.random.default_rng(2), width=3.0)
+        f = as_physical(sampling.localized_packet(g, -3, np.random.default_rng(2), width=3.0))
         shift = 2  # grid points along axis 0
         y = shift * g.dx
         data = np.roll(f.data, shift, axis=0)
@@ -315,7 +315,7 @@ class TestYNorm:
 
     @pytest.mark.parametrize("lam", [1.0, 2.0, 10.0])
     def test_scaling_monotone_above_one(self, grid16, lam):
-        f = sampling.localized_packet(grid16, -3, np.random.default_rng(4), width=3.0)
+        f = as_physical(sampling.localized_packet(grid16, -3, np.random.default_rng(4), width=3.0))
         w = Field(grid16, PHYSICAL, np.abs(f.data) + 0j)
         assert y_norm(Field(grid16, PHYSICAL, lam * w.data)) <= lam * y_norm(w) + 1e-12
 

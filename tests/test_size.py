@@ -19,7 +19,7 @@ ALLOWED_UNREAD_NAMES = {
     "flows.hamiltonian_energy": "acceptance criterion 3",
 }
 ALLOWED_UNREAD_FIELDS = {
-    "spectral.Field.note": "the run telemetry of ROADMAP item 4 (wrap-around and inert-band notes)",
+    "spectral.Field.note": "the run telemetry of ROADMAP item 4 (gaussian_potential's wrap-around note)",
 }
 
 

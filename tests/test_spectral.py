@@ -14,6 +14,7 @@ from rlab.spectral import (
     AxisOperator,
     Field,
     apply_multiplier,
+    as_frequency,
     as_physical,
     bessel_weight,
     boundary_mass_fraction,
@@ -151,8 +152,6 @@ class TestFreePhase:
 
 
 GAUSSIAN_GRIDS = [(16, 48.0), (32, 64.0), (64, 201.06)]
-
-
 def _full_grid_gaussian(g, width, center, carrier):
     """exp(-|x - c|^2 / (2 w^2) + i carrier.x) evaluated on the full grid."""
     x1, x2, x3 = g.coord_mesh
@@ -163,17 +162,29 @@ def _full_grid_gaussian(g, width, center, carrier):
 
 class TestGaussian:
     @pytest.mark.parametrize("n,L", GAUSSIAN_GRIDS)
-    @pytest.mark.parametrize("center, carrier", [
-        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
-        ((1.0, 0.5, -2.0), (0.0, 0.0, 0.0)),
-        ((0.0, 0.0, 0.0), (0.6, -0.3, 1.1)),
-        ((1.0, 0.5, -2.0), (1.5, 0.2, -0.9)),
-    ], ids=["plain", "center", "carrier", "center-carrier"])
-    def test_matches_the_full_grid_formula(self, n, L, center, carrier):
+    @pytest.mark.parametrize("center, carrier, spectrum", [
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), False),
+        ((1.0, 0.5, -2.0), (0.0, 0.0, 0.0), False),
+        ((0.0, 0.0, 0.0), (0.6, -0.3, 1.1), False),
+        ((1.0, 0.5, -2.0), (1.5, 0.2, -0.9), False),
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), True),
+        ((1.0, 0.5, -2.0), (0.0, 0.0, 0.0), True),
+        ((0.0, 0.0, 0.0), (0.6, -0.3, 1.1), True),
+        ((1.0, 0.5, -2.0), (1.5, 0.2, -0.9), True),
+    ], ids=["plain", "center", "carrier", "center-carrier", "spectrum-plain",
+            "spectrum-center", "spectrum-carrier", "spectrum-center-carrier"])
+    def test_matches_the_full_grid_formula(self, n, L, center, carrier, spectrum):
+        # gaussian against the n^3 exponentials; gaussian_spectrum, three
+        # length-n transforms, against the full-grid fftn of gaussian
         g = make_grid(n, L)
         for width in (3.0, 4.0):
-            got = spectral.gaussian(g, width, center, carrier)
-            ref = _full_grid_gaussian(g, width, center, carrier)
+            if spectrum:
+                got = spectral.gaussian_spectrum(g, width, center, carrier)
+                physical = Field(g, PHYSICAL, spectral.gaussian(g, width, center, carrier))
+                ref = forward_transform(physical).data
+            else:
+                got = spectral.gaussian(g, width, center, carrier)
+                ref = _full_grid_gaussian(g, width, center, carrier)
             assert got.shape == g.shape and got.dtype == np.complex128
             assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
 
@@ -183,12 +194,14 @@ class TestGaussian:
         (2.0, (0.0, 0.0), "center must be a 3-vector"),
     ])
     def test_rejects_a_bad_width_or_center(self, grid16, width, center, message):
-        with pytest.raises(ValueError, match=message):
-            spectral.gaussian(grid16, width, center, (0.0, 0.0, 0.0))
+        for build in (spectral.gaussian, spectral.gaussian_spectrum):
+            with pytest.raises(ValueError, match=message):
+                build(grid16, width, center, (0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("axis_bias", [None, 1])
     def test_localized_packet_keeps_its_draws_and_values(self, axis_bias):
-        # the draws, in order, and the full-grid formula the builder replaced
+        # the draws, in order, and P_k times the full-grid transform of the
+        # full-grid formula the per-axis builders replaced
         g = make_grid(32, 48.0)
         rng, ref_rng = sampling.sample_rng(3, 1), sampling.sample_rng(3, 1)
         f = sampling.localized_packet(g, 1, rng, width=3.0, axis_bias=axis_bias)
@@ -200,7 +213,9 @@ class TestGaussian:
             xi0 = bands.BASE * direction / np.linalg.norm(direction)
             amp = ref_rng.standard_normal() + 1j * ref_rng.standard_normal()
             data += amp * _full_grid_gaussian(g, 3.0, (0.0, 0.0, 0.0), xi0)
-        ref = sampling.normalized(bands.project_band(Field(g, PHYSICAL, data), 1))
+        spectrum = forward_transform(Field(g, PHYSICAL, data)).data
+        ref = sampling.normalized(Field(g, FREQUENCY, bands.band_multiplier(g, 1) * spectrum))
+        assert f.rep == FREQUENCY
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert np.linalg.norm(f.data - ref.data) <= 1e-14 * np.linalg.norm(ref.data)
 
@@ -215,7 +230,7 @@ def _profile_data(g, kind, axis):
         f = sampling.localized_packet(g, 1, rng, width=3.0, axis_bias=axis)
     else:
         f = sampling.band_flat_field(g, -3, 3, rng)
-    return forward_transform(f).data
+    return as_frequency(f).data
 
 
 class TestFreePowerProfiles:
