@@ -38,6 +38,7 @@ from .norms import (
 from .potentials import PotentialSet
 from .spectral import (
     FREQUENCY,
+    PHYSICAL,
     Field,
     Grid,
     apply_multiplier,
@@ -211,16 +212,21 @@ def check_strichartz(grid: Grid, pair, samples: int, *, k_lo: int = -3,
 
 # ----------------------------------------------------------------- smoothing
 
-def _forcing_sample(grid: Grid, k: int, axis: int, rng,
-                    times: np.ndarray) -> Trajectory:
-    """Smooth-in-time localized forcing, as spectra: two packets with oscillating weights."""
+def _forcing_sample(grid: Grid, k: int, axis: int, rng, times: np.ndarray,
+                    *reps: str) -> list[Trajectory]:
+    """Smooth-in-time localized forcing w1 cos(om1 t) f1 + w2 sin(om2 t) f2 of two
+    packets, one Trajectory per rep in reps, each from the packets in that rep."""
     f1 = sampling.localized_packet(grid, k, rng, width=PACKET_WIDTH, axis_bias=axis)
     f2 = sampling.localized_packet(grid, k, rng, width=PACKET_WIDTH, axis_bias=axis)
     w1, w2 = 0.5 + rng.random(2)
     om1, om2 = 2.0 * rng.random(2)
-    return Trajectory(times=times, fields=[
-        Field(grid, FREQUENCY, w1 * np.cos(om1 * t) * f1.data + w2 * np.sin(om2 * t) * f2.data)
-        for t in times])
+    out = []
+    for rep in reps:
+        p1, p2 = (f.data if rep == FREQUENCY else as_physical(f).data for f in (f1, f2))
+        out.append(Trajectory(times=times, fields=[
+            Field(grid, rep, w1 * np.cos(om1 * t) * p1 + w2 * np.sin(om2 * t) * p2)
+            for t in times]))
+    return out
 
 
 def _duhamel_ladder(grid: Grid, forcing: list[Field], times: np.ndarray,
@@ -287,7 +293,8 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
 
     elif variant == "dual":
         def one(i):
-            tr_f = _forcing_sample(grid, band, axis, sampling.sample_rng(seed, i), times)
+            [tr_f] = _forcing_sample(grid, band, axis, sampling.sample_rng(seed, i), times,
+                                     FREQUENCY)
             # first, so that a one-time ladder, which has no interval, raises its ValueError
             den = mixed_spacetime_norm(tr_f, axis, 1)
             acc = _flow_integral(tr_f)
@@ -297,7 +304,8 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
 
     else:  # inhomogeneous
         def one(i):
-            tr_f = _forcing_sample(grid, band, axis, sampling.sample_rng(seed, i), times)
+            [tr_f] = _forcing_sample(grid, band, axis, sampling.sample_rng(seed, i), times,
+                                     FREQUENCY)
             tr_d = _duhamel_ladder(grid, tr_f.fields, times, mult)
             num = mixed_spacetime_norm(tr_d, axis, np.inf)
             den = mixed_spacetime_norm(tr_f, axis, 1)
@@ -349,10 +357,11 @@ def check_smoothing_strichartz(grid: Grid, pair, axis: int, samples: int, *,
     pp, qq = conjugate_exponent(pair.p), conjugate_exponent(pair.q)
 
     def one(i):
-        tr_f = _forcing_sample(grid, band, axis, sampling.sample_rng(seed, i), times)
+        tr_f, tr_x = _forcing_sample(grid, band, axis, sampling.sample_rng(seed, i), times,
+                                     FREQUENCY, PHYSICAL)
         tr_d = _duhamel_ladder(grid, tr_f.fields, times, mult)
         num = mixed_spacetime_norm(tr_d, axis, np.inf)
-        den = spacetime_norm(tr_f, pp, qq)
+        den = spacetime_norm(tr_x, pp, qq)
         return num / den
 
     ratios = _map_samples(one, samples, threads)

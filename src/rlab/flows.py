@@ -20,10 +20,11 @@ The non-Laplacian substep is advanced
 The loop stays in physical space.  A free flow of a physical array is the
 axis operator of p = e^{-i t xi_j^2} along the three axes (spectral.free_step),
 and consecutive half steps merge into one full step, so a linear Strang
-step costs 3 + 4 #a axis products (#a the nonzero magnetic components):
-15 for a full set.  Every step passes an L2-mass guard, read right after the
-substep since the free step is unitary: a jump above 5% in one step, or a
-non-finite mass, aborts with diagnostics.  Initial time is t = 1 throughout.
+step costs 3 + 4 #a axis products (#a the nonzero magnetic components): 15
+for a full set, all real at n <= 32 but the free step's along axes 0 and 1.
+Every step passes an L2-mass guard, read right after the substep since the
+free step is unitary: a jump above 5% in one step, or a non-finite mass,
+aborts with diagnostics.  Initial time is t = 1 throughout.
 
 One recorder, _run, runs every flow and records it at named steps of its dt
 ladder; evolve_linear, evolve_linear_to, the other evolve_* flows and the

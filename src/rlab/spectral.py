@@ -13,14 +13,15 @@ reduce to numpy's ifftn(fftn(.)) and are exact to roundoff.  Only this module
 calls numpy.fft, applies the centering sign or writes the Parseval weight
 Grid.parseval_weight = dxi^3/(2 pi)^3; every other module transforms through it.
 
-Transforms are stateless (numpy's pocketfft keeps no plans), so every
-operation here is safe to call concurrently on distinct fields.
+Transforms share no state (pocketfft keeps no plans; AxisOperator's scratch is
+per thread), so every operation is safe to call concurrently on distinct fields.
 """
 
 from __future__ import annotations
 
 import pathlib
 import struct
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,21 +69,32 @@ class AxisOperator:
     applied along axis j of an n^3 array in physical space.
 
     symbol holds s on the n frequencies of one axis, in FFT order.  For
-    n <= DENSE_AXIS_MAX_N the operator is its n x n matrix F^-1 diag(s) F,
-    circulant with first column ifft(s), applied as a batch of n x n by
-    n x n products (never one n x n^2 product, which BLAS would thread).
-    For larger n it is the one-axis FFT pair with the same symbol.  Both
-    agree to roundoff; the Nyquist mode carries its symbol value as given.
+    n <= DENSE_AXIS_MAX_N the operator is its n x n matrix M = F^-1 diag(s) F,
+    circulant with first column ifft(s), applied as a batch of small products,
+    real ones on the float view of u where M allows: along the last axis
+    against the real 2n x 2n form of M^T; along axes 0 and 1, if
+    s(-m) = conj s(m) at every m but the Nyquist mode -n/2 (d_j, the dealias
+    mask), M = R + i c s s^T with R real, s_k = (-1)^k, c = Im s(-n/2) / n, as
+    [R | s] against u with the slice i c s^T u appended (R alone if c = 0).
+    No product is matrix-vector or above m k p = 64^3, which OpenBLAS would
+    thread (README, axis operators); larger n take the one-axis FFT pair.
     """
 
     def __init__(self, symbol: np.ndarray):
         self.symbol = np.asarray(symbol, dtype=np.complex128)
         n = self.symbol.size
-        self.matrix = None
+        self.matrix = self._real = None
         if n <= DENSE_AXIS_MAX_N:
             k = np.arange(n)
-            self.matrix = np.fft.ifft(self.symbol)[(k[:, None] - k[None, :]) % n]
-            self._matrix_t = np.ascontiguousarray(self.matrix.T)
+            m = self.matrix = np.fft.ifft(self.symbol)[(k[:, None] - k[None, :]) % n]
+            # row 2l + a, column 2k + b: part a (Re, Im) of u_l into part b of out_k
+            self._last = np.kron(m.real.T, np.eye(2)) + np.kron(m.imag.T, [[0, 1], [-1, 0]])
+            off = k != n // 2
+            if np.array_equal(self.symbol[-k % n][off], self.symbol[off].conj()):
+                self._nyquist = 1j * self.symbol[n // 2].imag / n
+                nyquist = [(-1.0) ** k] if self._nyquist else []
+                self._real = np.column_stack([m.real, *nyquist])  # [R | s], or R if c = 0
+                self._spare = threading.local()  # a fresh buffer per call page-faults
 
     def along(self, u: np.ndarray, j: int) -> np.ndarray:
         """The operator along axis j of u, as a new C-ordered array."""
@@ -93,13 +105,31 @@ class AxisOperator:
             U = np.fft.fftn(u, axes=(j,))
             U *= self.symbol.reshape(shape)
             return np.fft.ifftn(U, axes=(j,))
-        if j == 2:
-            return np.matmul(u, self._matrix_t)
-        if j == 1:
-            return np.matmul(m, u)
+        u = np.ascontiguousarray(u, dtype=np.complex128)
         out = np.empty(u.shape, dtype=np.complex128)
-        np.matmul(m, u.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+        if j == 2:
+            np.matmul(u.view(np.float64), self._last, out=out.view(np.float64))
+            return out
+        # axis j of u is axis 1 of x, whose axis 0 is the batch
+        x, y = (u, out) if j == 1 else (u.transpose(1, 0, 2), out.transpose(1, 0, 2))
+        if self._real is None:
+            np.matmul(m, x, out=y)
+        else:
+            x = self._with_nyquist_slice(x, j) if self._nyquist else x
+            np.matmul(self._real, x.view(np.float64), out=y.view(np.float64))
         return out
+
+    def _with_nyquist_slice(self, x: np.ndarray, j: int) -> np.ndarray:
+        """x with i c s^T x appended along its axis 1, in this thread's buffer laid out like u."""
+        n = x.shape[1]
+        if not hasattr(self._spare, "buffer"):
+            self._spare.buffer = np.empty((n + 1, n, n), dtype=np.complex128)
+        v = self._spare.buffer
+        xv = v.reshape(n, n + 1, n) if j == 1 else v.transpose(1, 0, 2)
+        xv[:, :n] = x
+        sums = x.reshape(n, n // 2, 2, n).sum(axis=1)  # of the even and the odd slices
+        np.multiply(sums[:, 0] - sums[:, 1], self._nyquist, out=xv[:, n])
+        return xv
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         """Along all three axes: the multiplier s(xi1) s(xi2) s(xi3)."""

@@ -143,12 +143,13 @@ def fft_count(monkeypatch):
 
 @pytest.fixture
 def matmul_shapes(monkeypatch):
-    """The operand shapes of every np.matmul call for the duration of one test."""
+    """The operand shapes and the result kind ('f' real, 'c' complex) of every
+    np.matmul call for the duration of one test."""
     shapes = []
     matmul = np.matmul
 
     def recorded(a, b, *args, **kwargs):
-        shapes.append((np.shape(a), np.shape(b)))
+        shapes.append((np.shape(a), np.shape(b), np.result_type(a, b).kind))
         return matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", recorded)
@@ -156,11 +157,15 @@ def matmul_shapes(monkeypatch):
 
 
 def assert_small_batched_products(shapes, n):
-    """Each product is an n x n matrix against a stack of n x n slices, so
-    each BLAS call multiplies an m x k by a k x p matrix with m k p <= 32^3,
-    below OpenBLAS's threading threshold of 64^3."""
+    """Each call multiplies matrices, never a vector (OpenBLAS threads a
+    matrix-vector product at far smaller sizes than a matrix product), and
+    each BLAS product in it, an m x k by k x p matrix, has m k p < 64^3,
+    OpenBLAS's threading threshold: the real last-axis form is n x 2n by
+    2n x 2n, the Nyquist-slice form n x (n + 1) by (n + 1) x 2n."""
     assert shapes
-    for a, b in shapes:
-        assert sorted([a, b], key=len) == [(n, n), (n, n, n)], (a, b)
+    for a, b, _ in shapes:
+        assert len(a) >= 2 and len(b) >= 2, (a, b)
+        stack = a if len(a) == 3 else b
+        assert len(stack) == 3 and stack[0] == n, (a, b)  # a batch of n products
         (m, k), p = a[-2:], b[-1]
-        assert m * k * p <= 32**3, (a, b)
+        assert m * k * p < 64**3, (a, b)

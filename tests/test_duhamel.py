@@ -1,5 +1,6 @@
 import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -153,6 +154,10 @@ class TestBornLadder:
     def test_born_step_at_16_is_small_batched_products(self, matmul_shapes, datum, potentials):
         _born_ladder(datum, potentials, 6, 1.25, 0.25)
         assert len(matmul_shapes) == 3 + 39  # the set-up's L u_0, then one step
+        # E, once per order, is complex along axes 0 and 1 and real along the
+        # last; every derivative product is real
+        kinds = Counter(kind for _, _, kind in matmul_shapes)
+        assert kinds == {"c": 7 * 2, "f": 3 + 7 + 6 * 3}
         assert_small_batched_products(matmul_shapes, 16)
 
 

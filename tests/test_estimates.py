@@ -233,7 +233,7 @@ class TestSmoothing:
         mult = half_derivative_weight(g, axis)
         ref = []
         for i in range(3):
-            tr_f = _forcing_sample(g, band, axis, sampling.sample_rng(seed, i), times)
+            [tr_f] = _forcing_sample(g, band, axis, sampling.sample_rng(seed, i), times, FREQUENCY)
             flows = [free_phase(g, t) * as_frequency(F).data for t, F in zip(times, tr_f.fields)]
             integral = np.trapezoid(np.stack(flows), times, axis=0)
             # the ratio is a norm, blind to the order of the sum: pin the spectrum too
@@ -259,6 +259,14 @@ class TestSmoothingStrichartz:
         assert 0 < rep.max_ratio < np.inf
         # doubling the forcing is invisible to the ratio: homogeneity is
         # structural (both sides are 1-homogeneous in the forcing)
+
+    def test_one_fft_pass_per_ladder_time(self, fft_count, grid):
+        # the Duhamel integral's mixed L2 norm takes one pass along the axis; the
+        # forcing's L^q' norm reads physical packets formed once per sample
+        assert fft_count.passes_per_step(
+            lambda steps: check_smoothing_strichartz(grid, (2.0, 6.0), 0, 1, band=1,
+                                                     horizon=(1.0, 2.0), nt=4 + steps)
+        ) == 1
 
     def test_rejects_inadmissible_pair(self, grid):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import json
 import logging
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -219,6 +220,10 @@ class TestPotentialOperator:
         substep = _linear_substep(_linear_operator(ps, skip_certification=True))
         _strang_loop(g, u0, 0.05, 1, substep, {1})
         assert len(matmul_shapes) == 3 + 12 + 3
+        # each free half step is complex along axes 0 and 1 and real along the
+        # last; the 12 derivative products are all real
+        kinds = Counter(kind for _, _, kind in matmul_shapes)
+        assert kinds == {"c": 2 + 2, "f": 1 + 12 + 1}
         assert_small_batched_products(matmul_shapes, 32)
 
 

@@ -3,6 +3,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from rlab import bands, sampling, spectral
@@ -266,7 +267,7 @@ class TestFreePowerProfiles:
         g = make_grid(n, float(n))
         free_power_profiles(g, _profile_data(g, "band-flat", 1), 1, PROFILE_TIMES)
         assert matmul_shapes
-        for a, b in matmul_shapes:
+        for a, b, _ in matmul_shapes:
             assert a[0] * a[1] * b[1] <= GRAM_PRODUCT_MAX_MKN, (a, b)
 
     def test_tight_packet_profile_is_never_negative(self):
@@ -339,6 +340,42 @@ class TestAxisOperator:
             got = grid16.derivative.along(u, j)
             ref = _one_axis_fft(grid16.derivative.symbol, u, j)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("which", ["derivative", "free_step", "dealias"])
+    def test_real_forms_match_the_complex_matrix(self, n, which):
+        # the real last-axis form, the [R | s] form with its Nyquist slice and the
+        # complex batch all reproduce M along axis j; white noise fills every mode,
+        # the Nyquist planes included, and a real part is a strided real view, the
+        # kind of input evolve_hamiltonian's div A passes
+        op = _axis_operators(make_grid(n, 2.0 * n))[which]
+        assert (op._real is None) == (which == "free_step")
+        u = _white_noise(n, 3)
+        for v in (u, u.real):
+            for j in range(3):
+                ref = np.moveaxis(np.tensordot(op.matrix, v, (1, j)), 0, j)
+                got = op.along(v, j)
+                assert got.flags.c_contiguous
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), j
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([8, 16, 32]), t=st.floats(-20.0, 20.0))
+    def test_free_step_preserves_the_mass(self, n, t):
+        u = _white_noise(n, 4)
+        mass = np.sum(np.abs(u) ** 2)
+        assert abs(np.sum(np.abs(free_step(make_grid(n, 2.0 * n), t)(u)) ** 2) - mass) <= 1e-13 * mass
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_derivative_is_skew_adjoint(self, n):
+        # <d_j u, v> = -<u, d_j v>: the symbol i xi_j is imaginary on every mode,
+        # the Nyquist mode's -i pi/dx included, so a Nyquist term c s s^T that
+        # lost its i breaks it
+        d = make_grid(n, 2.0 * n).derivative
+        u, v = _white_noise(n, 5), _white_noise(n, 6)
+        for j in range(3):
+            du, dv = d.along(u, j), d.along(v, j)
+            scale = np.linalg.norm(du) * np.linalg.norm(v)
+            assert abs(np.vdot(v, du) + np.vdot(dv, u)) <= 1e-13 * scale, j
 
     def test_symbol_is_stored_as_complex(self):
         op = AxisOperator(np.ones(8))
