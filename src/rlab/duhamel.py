@@ -42,7 +42,7 @@ import numpy as np
 from .flows import _linear_flow, _linear_operator, _run, _step_count, evolve_linear_to, profiles
 from .norms import Trajectory, sobolev_norm, x_norm
 from .potentials import PotentialSet
-from .spectral import PHYSICAL, Field, as_physical, free_propagate, free_step
+from .spectral import PHYSICAL, Field, as_frequency, as_physical, free_propagate, free_step
 
 SWEEP_A, SWEEP_BETAS = (0.0, 1.0, 3.0), (1e-1, 1e-2, 1e-3)  # denominator_sweep's a and beta
 SWEEP_TAU_BETA, SWEEP_DTAU = 8.0, 5e-3  # its cutoff tau_max times beta, its node spacing
@@ -93,11 +93,13 @@ def _born_ladder(u1: Field, ps: PotentialSet, order_max: int, t_end: float,
 
 def born_terms(u1: Field, ps: PotentialSet, order_max: int, t: float,
                dt: float) -> list[DuhamelTerm]:
-    """All Duhamel terms of order 0..order_max at time t, with norms."""
+    """All Duhamel terms of order 0..order_max at time t, with norms; each term
+    is transformed to frequency once for both norms."""
     out = []
     for data in _born_ladder(u1, ps, order_max, t, dt):
         f = Field(u1.grid, PHYSICAL, data)
-        out.append(DuhamelTerm(field=f, h10=sobolev_norm(f, 10), x=x_norm(f)))
+        fhat = as_frequency(f)
+        out.append(DuhamelTerm(field=f, h10=sobolev_norm(fhat, 10), x=x_norm(fhat)))
     return out
 
 
@@ -209,8 +211,9 @@ class WaveOperatorResult:
 
     @property
     def kappa(self) -> float:
-        """(||g(T)||_{H10} + ||g(T)||_X) / (||g(1)||_{H10} + ||g(1)||_X)."""
-        g1, gT = self.profiles[0], self.profiles[-1]
+        """(||g(T)||_{H10} + ||g(T)||_X) / (||g(1)||_{H10} + ||g(1)||_X), each
+        profile transformed to frequency once for both norms."""
+        g1, gT = (as_frequency(g) for g in (self.profiles[0], self.profiles[-1]))
         return (sobolev_norm(gT, 10) + x_norm(gT)) / (sobolev_norm(g1, 10) + x_norm(g1))
 
     def rows(self) -> list[dict]:

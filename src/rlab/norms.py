@@ -11,7 +11,7 @@ comes from spectral.transverse_power_sum, a free flow's from
 spectral.free_power_profiles.  L-infinity over the continuum is reported as
 the grid max (a lower bound of the true sup).  Space-time norms use
 trapezoidal quadrature in t.  The xi-gradient inside the X norm is realized as
-multiplication by -i x in centered physical coordinates, which is exact
+multiplication by -i x on the coordinates x in [-L/2, L/2), which is exact
 until mass reaches the box boundary.  _wrap_note is the one detector of
 that: it names a field with more than 1e-6 of its L2 mass in the outer 10%
 shell.  X never builds a band's field g_k on the full grid: || |x| g_k ||^2

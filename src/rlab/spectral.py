@@ -6,12 +6,12 @@ space.  Transforms use the continuum normalization
     fhat(xi) = integral e^{-i x.xi} f(x) dx,
     f(x)     = (2 pi)^{-3} integral e^{+i x.xi} fhat(xi) dxi,
 
-realized as a scaled DFT with the phase referenced to centered physical
-coordinates.  Because x0 = -L/2 and xi_m = 2 pi m / L, the centering phase
-e^{-i x0 xi_m} is exactly (-1)^m per axis, so forward/inverse round trips
-reduce to numpy's ifftn(fftn(.)) and are exact to roundoff.  Only this module
-calls numpy.fft, applies the centering sign or writes the Parseval weight
-Grid.parseval_weight = dxi^3/(2 pi)^3; every other module transforms through it.
+realized as the plain scaled DFT fhat = dx^3 fftn(f): physical samples are
+stored in FFT order like spectra, the sample at index k of an axis sitting at
+x = dx m_k (Grid.modes), the points of [-L/2, L/2) rolled by n/2.  Only the
+snapshot file keeps the centred order, x1 slowest from -L/2.  Only this module
+calls numpy.fft or writes the Parseval weight Grid.parseval_weight =
+dxi^3/(2 pi)^3; every other module transforms through it.
 
 Transforms share no state (pocketfft keeps no plans; AxisOperator's scratch is
 per thread), so every operation is safe to call concurrently on distinct fields.
@@ -140,10 +140,11 @@ class AxisOperator:
 
 @dataclass(frozen=True)
 class Grid:
-    """Cubic periodic lattice with centered coordinates.
+    """Cubic periodic lattice on [-L/2, L/2)^3, samples and modes in FFT order.
 
     n points per axis (even power of two), physical side length ``length``;
-    dx = length/n, frequencies 2 pi m / length for m in [-n/2, n/2).
+    dx = length/n, positions dx m and frequencies 2 pi m / length for the
+    integers m in [-n/2, n/2).
     """
 
     n: int
@@ -173,8 +174,8 @@ class Grid:
 
     @cached_property
     def axis_coords(self) -> np.ndarray:
-        """Physical coordinates along one axis, x in [-L/2, L/2)."""
-        return -0.5 * self.length + self.dx * np.arange(self.n)
+        """Physical coordinates along one axis in FFT order, x = dx m in [-L/2, L/2)."""
+        return self.dx * self.modes
 
     @cached_property
     def axis_freqs(self) -> np.ndarray:
@@ -218,12 +219,6 @@ class Grid:
     def modes(self) -> np.ndarray:
         """Integer mode numbers m along one axis in FFT order (xi = 2 pi m / L)."""
         return np.rint(np.fft.fftfreq(self.n) * self.n).astype(np.int64)
-
-    @cached_property
-    def centering_phase(self) -> np.ndarray:
-        """(-1)^(m1+m2+m3): the e^{-i x0.xi} phase for x0 = -L/2."""
-        sign = np.where(self.modes % 2 == 0, 1.0, -1.0)
-        return _separable(sign, sign, sign)
 
     @cached_property
     def derivative(self) -> AxisOperator:
@@ -280,7 +275,6 @@ def forward_transform(f: Field) -> Field:
         raise ValueError("forward_transform expects a physical-representation field")
     g = f.grid
     data = np.fft.fftn(f.data)
-    data *= g.centering_phase
     data *= g.dx**3
     return Field(g, FREQUENCY, data)
 
@@ -290,7 +284,7 @@ def inverse_transform(f: Field) -> Field:
     if f.rep != FREQUENCY:
         raise ValueError("inverse_transform expects a frequency-representation field")
     g = f.grid
-    data = np.fft.ifftn(g.centering_phase * f.data)
+    data = np.fft.ifftn(f.data)
     data /= g.dx**3
     return Field(g, PHYSICAL, data)
 
@@ -304,9 +298,7 @@ def line_moments(grid: Grid, pieces) -> np.ndarray:
 
     One batched length-n ifft along the rows serves the batch.  By Parseval
     across the transverse axes, sum_{x'} |g|^2 is the sum over the lines of
-    |ifft_j|^2 / (n^2 dx^6): the transverse centering signs have modulus one,
-    and the sign (-1)^m along j shifts ifft_j cyclically by n/2, which np.roll
-    moves onto the weight x_j^2.
+    |ifft_j|^2 / (n^2 dx^6), against the weight x_j^2 in the same FFT order.
     """
     n = grid.n
     starts = np.cumsum([0] + [rows for _, _, rows in pieces])
@@ -316,7 +308,7 @@ def line_moments(grid: Grid, pieces) -> np.ndarray:
     np.fft.ifft(block, axis=1, out=block)
     power = block.real**2
     power += block.imag**2
-    weight = np.roll(grid.axis_coords**2, n // 2)
+    weight = grid.axis_coords**2
     return np.add.reduceat(power, starts[:-1], axis=0) @ weight / (n**2 * grid.dx**3)
 
 
@@ -337,14 +329,12 @@ def l2_norm(f: Field) -> float:
 def transverse_power_sum(f: Field, axis: int) -> np.ndarray:
     """sum over the transverse axes of |f|^2 dx^2, as a profile along axis (the one-axis
     l2_norm).  A spectrum takes one transform along axis: by Parseval across the
-    transverse axes the sum is sum_{xi'} |ifft_axis(fhat)|^2 / (n^2 dx^4), and the
-    centering sign (-1)^m along axis shifts it cyclically by n/2, which np.roll undoes."""
+    transverse axes the sum is sum_{xi'} |ifft_axis(fhat)|^2 / (n^2 dx^4)."""
     g = f.grid
     transverse = tuple(i for i in range(3) if i != axis)
     if f.rep == FREQUENCY:
         v = np.fft.ifft(f.data, axis=axis)
-        s = np.sum(np.abs(v) ** 2, axis=transverse) / (g.n**2 * g.dx**4)
-        return np.roll(s, g.n // 2)
+        return np.sum(np.abs(v) ** 2, axis=transverse) / (g.n**2 * g.dx**4)
     return np.sum(np.abs(f.data) ** 2, axis=transverse) * g.dx**2
 
 
@@ -378,7 +368,7 @@ def free_power_profiles(grid: Grid, fhat: np.ndarray, axis: int,
     p = np.exp(-1j * np.outer(times, grid.axis_freqs**2))  # p[t, k] = p_t(k)
     s = np.einsum("dk,tk,tdk->td", diagonals, p, p.conj()[:, lag])
     prof = np.fft.ifft(s, axis=1).real / n / (n**2 * grid.dx**4)
-    return np.maximum(np.roll(prof, n // 2, axis=1), 0.0)
+    return np.maximum(prof, 0.0)
 
 
 def half_derivative_weight(grid: Grid, axis: int) -> np.ndarray:
@@ -443,11 +433,9 @@ def gaussian(grid: Grid, width: float, center, carrier) -> np.ndarray:
 
 def gaussian_spectrum(grid: Grid, width: float, center, carrier) -> np.ndarray:
     """forward_transform of gaussian(grid, width, center, carrier), no full-grid FFT:
-    the product of the length-n transforms of its per-axis factors, times dx each.
-    The centering sign (-1)^m along an axis is the cyclic shift by n/2 np.roll makes."""
-    q = [np.fft.fft(np.roll(p, grid.n // 2)) * grid.dx
-         for p in _gaussian_factors(grid, width, center, carrier)]
-    return _separable(*q)
+    the product of the length-n transforms of its per-axis factors, times dx each."""
+    return _separable(*[np.fft.fft(p) * grid.dx
+                        for p in _gaussian_factors(grid, width, center, carrier)])
 
 
 def free_step(grid: Grid, t: float) -> AxisOperator:
@@ -484,13 +472,15 @@ _REP_FROM_CODE = {v: k for k, v in _REP_CODE.items()}
 
 
 def write_snapshot(path, f: Field) -> None:
-    """Binary snapshot: 32-byte header + n^3 little-endian complex64 pairs."""
+    """Binary snapshot: 32-byte header + n^3 little-endian complex64 pairs, C order
+    with x1 slowest; physical samples are written in centred order, x from -L/2."""
     header = _SNAPSHOT_HEADER.pack(
         _SNAPSHOT_MAGIC, _SNAPSHOT_VERSION, f.grid.n, f.grid.length, _REP_CODE[f.rep]
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(f.data.astype("<c8")).tobytes())
+        data = f.data.astype("<c8")
+        fh.write((np.fft.fftshift(data) if f.rep == PHYSICAL else data).tobytes())
 
 
 def read_snapshot(path) -> Field:
@@ -513,5 +503,7 @@ def read_snapshot(path) -> Field:
     payload = len(blob) - size
     if payload != n**3 * 8:
         raise ValueError(f"{path}: payload has {payload} bytes, need {n**3 * 8} for n={n}")
+    rep = _REP_FROM_CODE[rep_code]
     data = np.frombuffer(blob, dtype="<c8", offset=size).reshape(grid.shape)
-    return Field(grid, _REP_FROM_CODE[rep_code], data.astype(np.complex128))
+    data = np.fft.ifftshift(data) if rep == PHYSICAL else data
+    return Field(grid, rep, data.astype(np.complex128))

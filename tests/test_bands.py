@@ -212,7 +212,7 @@ class TestActiveBands:
         for k, support, values in table:
             mult = band_multiplier(g, k).reshape(-1)
             assert np.array_equal(support, np.flatnonzero(mult))
-            # the stored values are plain P_k: the centering sign stays in spectral
+            # the stored values are plain P_k, in the grid's mode order
             assert np.array_equal(values, mult[support])
         # every covering band that is skipped misses every grid mode
         for k in set(covering_band_range(g)) - set(expected):

@@ -74,6 +74,15 @@ class TestBornTerm:
         errs = rep.partial_sum_errors
         assert all(b < a for a, b in zip(errs[:4], errs[1:4]))
 
+    def test_norms_take_one_forward_transform_per_term(self, fft_count, datum, potentials):
+        # the ladder at 16^3 makes no FFT; each term's H10 and X norms share
+        # one fftn, and the X norm's line transforms are one-axis iffts
+        terms = born_terms(datum, potentials, 3, 1.5, 0.25)
+        assert fft_count.calls["fftn"] == 4 and fft_count.calls["ifftn"] == 0
+        for term in terms:
+            assert term.h10 == sobolev_norm(term.field, 10)
+            assert term.x == x_norm(term.field)
+
     def test_rejects_time_off_the_dt_ladder(self, datum, potentials):
         # (2 - 1) / 0.3 is not an integer step count
         with pytest.raises(ValueError, match="integer"):
@@ -214,6 +223,12 @@ class TestWaveOperator:
         rhs = float(sobolev_norm(prof1, 10)) + float(x_norm(prof1))
         lhs = float(sobolev_norm(res.field, 10)) + float(x_norm(res.field))
         assert res.kappa == lhs / rhs
+
+    def test_kappa_takes_one_forward_transform_per_profile(self, fft_count, datum, potentials):
+        res = wave_operator(datum, potentials, 4.0, 0.05, skip_certification=True)
+        before = fft_count.calls["fftn"]
+        res.kappa
+        assert fft_count.calls["fftn"] - before == 2
 
     @pytest.mark.parametrize("distances, converged", [
         ([1.0, 2.0, 1.5, 1.0], True),  # the first increment rises, the tail falls

@@ -190,7 +190,7 @@ class TestXNorm:
         fhat = np.exp(-((x1 - xi0[0]) ** 2 + (x2 - xi0[1]) ** 2 + (x3 - xi0[2]) ** 2) / (2 * s**2))
         fhat = np.broadcast_to(fhat, g.shape).astype(np.complex128)
         f = Field(g, FREQUENCY, fhat)
-        phys = np.fft.ifftn(g.centering_phase * fhat) / g.dx**3
+        phys = inverse_transform(f).data
         for axis in range(3):
             xj = g.coord_mesh[axis]
             dj = forward_transform(Field(g, PHYSICAL, -1j * xj * phys))

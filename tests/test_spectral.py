@@ -84,15 +84,23 @@ class TestTransforms:
         assert np.max(np.abs(rest)) < 1e-9 * g.length**3
 
     def test_gaussian_against_continuum_transform(self):
+        # the centred Gaussian is even; the off-centre one with a carrier pins
+        # the translation phase e^{-i c.(xi - kappa)} as well
         g = make_grid(32, 16.0)
-        f = field_from_function(g, lambda a, b, c: np.exp(-(a**2 + b**2 + c**2) / 2))
-        fhat = forward_transform(f)
-        x1, x2, x3 = g.freq_mesh
-        ref = (2 * np.pi) ** 1.5 * np.exp(-(x1**2 + x2**2 + x3**2) / 2)
-        ref = np.broadcast_to(ref, g.shape)
-        sel = np.broadcast_to(g.xi_squared <= 4.0, g.shape)
-        rel = np.abs(fhat.data[sel] - ref[sel]) / np.abs(ref[sel])
-        assert np.max(rel) < 1e-8
+        for width, c, kappa in [(1.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+                                (0.9, (0.5, -0.75, 0.25), (0.9, -0.6, 1.3))]:
+            def fn(*x):
+                r2 = sum((xj - cj) ** 2 for xj, cj in zip(x, c))
+                return np.exp(-r2 / (2 * width**2) + 1j * sum(k * xj for k, xj in zip(kappa, x)))
+            fhat = forward_transform(field_from_function(g, fn))
+            q1, q2, q3 = (xi - k for xi, k in zip(g.freq_mesh, kappa))
+            ref = ((2 * np.pi) ** 1.5 * width**3
+                   * np.exp(-1j * (c[0] * q1 + c[1] * q2 + c[2] * q3))
+                   * np.exp(-width**2 * (q1**2 + q2**2 + q3**2) / 2))
+            ref = np.broadcast_to(ref, g.shape)
+            sel = np.broadcast_to(q1**2 + q2**2 + q3**2 <= 4.0, g.shape)
+            rel = np.abs(fhat.data[sel] - ref[sel]) / np.abs(ref[sel])
+            assert np.max(rel) < 1e-8
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_round_trip(self, n):
@@ -493,6 +501,19 @@ class TestSnapshots:
         blob = p.read_bytes()
         assert blob[:4] == b"RLAB"
         assert len(blob) == 32 + grid16.n**3 * 8
+        # a physical field is written in centred C order, x1 slowest from -L/2:
+        # the sample at x = (-L/2, -L/2 + dx, 0) is payload entry (0, 1, n/2)
+        g, n = grid16, grid16.n
+        x = (-g.length / 2, -g.length / 2 + g.dx, 0.0)
+        at = tuple(int(np.flatnonzero(np.isclose(g.axis_coords, xj))[0]) for xj in x)
+        data = np.zeros(g.shape, dtype=np.complex128)
+        data[at] = 2.0 - 3.0j
+        write_snapshot(p, Field(g, PHYSICAL, data))
+        payload = np.frombuffer(p.read_bytes(), dtype="<c8", offset=32).reshape(g.shape)
+        assert np.flatnonzero(payload).tolist() == [np.ravel_multi_index((0, 1, n // 2), g.shape)]
+        assert payload[0, 1, n // 2] == 2.0 - 3.0j
+        back = read_snapshot(p)
+        assert back.rep == PHYSICAL and np.array_equal(back.data, data)
 
     def test_rejects_bad_magic(self, tmp_path):
         p = tmp_path / "bad.rlab"
@@ -544,13 +565,11 @@ def _package_trees():
 
 
 def _convention_references(tree) -> list[str]:
-    """The numpy.fft uses (attribute or import) and centering_phase reads of a module."""
+    """The numpy.fft uses (attribute or import) of a module."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in ("fft", "centering_phase"):
+        if isinstance(node, ast.Attribute) and node.attr == "fft":
             found.append(node.attr)
-        elif isinstance(node, ast.Name) and node.id == "centering_phase":
-            found.append(node.id)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
             found += [name for name in names if "fft" in name]
@@ -566,7 +585,7 @@ def _parseval_weights(tree) -> list[str]:
 
 
 class TestKernelLayer:
-    def test_only_spectral_calls_numpy_fft_or_reads_the_centering_sign(self):
+    def test_only_spectral_calls_numpy_fft(self):
         users = {name for name, tree in _package_trees().items()
                  if _convention_references(tree)}
         assert users == {"spectral.py"}
