@@ -42,7 +42,7 @@ import numpy as np
 from .flows import _linear_flow, _linear_operator, _run, _step_count, evolve_linear_to, profiles
 from .norms import Trajectory, sobolev_norm, x_norm
 from .potentials import PotentialSet
-from .spectral import PHYSICAL, Field, as_frequency, as_physical, free_propagate, free_step
+from .spectral import FREQUENCY, PHYSICAL, Field, as_frequency, as_physical, free_step
 
 SWEEP_A, SWEEP_BETAS = (0.0, 1.0, 3.0), (1e-1, 1e-2, 1e-3)  # denominator_sweep's a and beta
 SWEEP_TAU_BETA, SWEEP_DTAU = 8.0, 5e-3  # its cutoff tau_max times beta, its node spacing
@@ -66,8 +66,13 @@ def duhamel_trapezoid(acc: np.ndarray, E: Callable, c: complex, f_prev: np.ndarr
     """One trapezoid step of acc(t) = integral e^{i(t-s) Lap} F(s) ds, factored so
     that the free step E = e^{i dt Lap} applies once: acc(t+dt) = E(acc(t) +
     c F(t)) + c F(t+dt), c = dt/2 times the integral's prefactor.  E is free_step
-    on physical arrays (the Born ladder), the product by free_phase on spectra."""
-    return E(acc + c * f_prev) + c * f_cur
+    on physical arrays (the Born ladder), the product by free_phase on spectra.
+    It allocates one temporary and writes no input: inputs may be read-only."""
+    w = c * f_prev
+    w += acc
+    out = E(w)
+    out += np.multiply(f_cur, c, out=w)
+    return out
 
 
 def _born_ladder(u1: Field, ps: PotentialSet, order_max: int, t_end: float,
@@ -211,9 +216,9 @@ class WaveOperatorResult:
 
     @property
     def kappa(self) -> float:
-        """(||g(T)||_{H10} + ||g(T)||_X) / (||g(1)||_{H10} + ||g(1)||_X), each
-        profile transformed to frequency once for both norms."""
-        g1, gT = (as_frequency(g) for g in (self.profiles[0], self.profiles[-1]))
+        """(||g(T)||_{H10} + ||g(T)||_X) / (||g(1)||_{H10} + ||g(1)||_X), on the
+        profiles' spectra."""
+        g1, gT = self.profiles[0], self.profiles[-1]
         return (sobolev_norm(gT, 10) + x_norm(gT)) / (sobolev_norm(g1, 10) + x_norm(g1))
 
     def rows(self) -> list[dict]:
@@ -241,10 +246,10 @@ def wave_operator(u1: Field, ps: PotentialSet, T: float, dt: float, *,
     steps = [_step_count(1.0, tau, dt, "dyadic time") for tau in taus]
     substep = _linear_flow(ps, skip_certification)
     if substep is None:
-        g = [free_propagate(u1, -1.0)] * len(taus)
+        g = list(profiles(Trajectory(times=[1.0], fields=[u1]))) * len(taus)
     else:
         g = list(profiles(Trajectory(times=taus, fields=_run(u1, 1.0, dt, steps, substep))))
-    distances = [sobolev_norm(Field(u1.grid, PHYSICAL, g2.data - g1.data), 10)
+    distances = [sobolev_norm(Field(u1.grid, FREQUENCY, g2.data - g1.data), 10)
                  for g1, g2 in zip(g, g[1:])]
     return WaveOperatorResult(profiles=g, taus=taus[:-1], distances=distances)
 

@@ -22,9 +22,11 @@ axis operator of p = e^{-i t xi_j^2} along the three axes (spectral.free_step),
 and consecutive half steps merge into one full step, so a linear Strang
 step costs 3 + 4 #a axis products (#a the nonzero magnetic components): 15
 for a full set, all real at n <= 32 but the free step's along axes 0 and 1.
-Every step passes an L2-mass guard, read right after the substep since the
-free step is unitary: a jump above 5% in one step, or a non-finite mass,
-aborts with diagnostics.  Initial time is t = 1 throughout.
+Around them the coefficients are complex and each substep scales and
+accumulates in place, its inputs unwritten.  Every step passes an L2-mass
+guard, read right after the substep since the free step is unitary: a jump
+above 5% in one step, or a non-finite mass, aborts with diagnostics.  Initial
+time is t = 1 throughout.
 
 One recorder, _run, runs every flow and records it at named steps of its dt
 ladder; evolve_linear, evolve_linear_to, the other evolve_* flows and the
@@ -35,10 +37,10 @@ with no Strang loop.
 A flow returns a Trajectory, its times and fields and nothing else.  What
 is measured on it is a plain function of it, computed by the caller that
 needs it.  profiles, the one free pull-back of a trajectory, yields the
-profile e^{-i t Laplacian} u(t) of one snapshot at a time; profile_norms
-gives its H^10 and X norms at every snapshot, bootstrap_monitor reads those
-rows against eps1 = A eps0, and hamiltonian_energy gives the energy of one
-snapshot.
+profile e^{-i t Laplacian} u(t) of one snapshot at a time, as the spectrum
+free_phase(-t) times that of u(t); profile_norms gives its H^10 and X norms
+at every snapshot, bootstrap_monitor reads those rows against eps1 = A eps0,
+and hamiltonian_energy gives the energy of one snapshot.
 """
 
 from __future__ import annotations
@@ -54,16 +56,8 @@ import numpy as np
 from .errors import BlowupError
 from .norms import Trajectory, sobolev_norm, x_norm
 from .potentials import PotentialSet, certify
-from .spectral import (
-    PHYSICAL,
-    Field,
-    Grid,
-    as_frequency,
-    as_physical,
-    free_propagate,
-    free_step,
-    write_snapshot,
-)
+from .spectral import (FREQUENCY, PHYSICAL, Field, Grid, as_frequency, as_physical, free_phase,
+                       free_propagate, free_step, write_snapshot)
 
 logger = logging.getLogger(__name__)
 
@@ -132,15 +126,16 @@ def _step_count(t_start: float, t_end: float, dt: float, what: str) -> int:
 class _PotentialOperator:
     """L u = c u + sum_j b_j d_j u, pseudo-spectral, on raw physical arrays.
 
-    The coefficients c = v_data and b_j = a_data[j] are stored as given,
-    real or complex; an identically zero one is skipped.  A call costs #b
-    axis products (#b the nonzero b_j): 3 for a full set.
+    The coefficients c = v_data and b_j = a_data[j] are stored as complex128, a
+    real one with imaginary part 0 (numpy's own cast, paid once, not per product);
+    an identically zero one is skipped.  A call costs #b axis products (#b the
+    nonzero b_j): 3 for a full set, with one derivative array alive at a time.
     """
 
     def __init__(self, grid: Grid, v_data: np.ndarray, a_data: list[np.ndarray]):
         self.grid = grid
-        self.v = v_data if np.any(v_data) else None
-        self.a = [(j, a_data[j]) for j in range(3) if np.any(a_data[j])]
+        self.v = np.asarray(v_data, np.complex128) if np.any(v_data) else None
+        self.a = [(j, np.asarray(aj, np.complex128)) for j, aj in enumerate(a_data) if np.any(aj)]
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         out = self.v * u if self.v is not None else np.zeros_like(u)
@@ -148,6 +143,7 @@ class _PotentialOperator:
             d = self.grid.derivative.along(u, j)
             d *= aj
             out += d
+            del d
         return out
 
 
@@ -162,12 +158,11 @@ def _strang_loop(grid: Grid, u0: np.ndarray, dt: float, n_steps: int, substep,
     records: dict[int, np.ndarray] = {}
     if 0 in record_steps:
         records[0] = u0.copy()
-    # sum |u|^2: the guard reads a ratio, so the dx^3 scale drops out
-    mass_prev = float(np.sum(np.abs(u0) ** 2))
+    mass_prev = _mass(u0)
     u = half(u0)
     for m in range(1, n_steps + 1):
         u = substep(u, dt)
-        mass = float(np.sum(np.abs(u) ** 2))
+        mass = _mass(u)
         # a NaN mass slips past the jump comparison, so test finiteness too
         jump = mass_prev > 0 and abs(mass / mass_prev - 1.0) > MASS_JUMP_GUARD
         if not np.isfinite(mass) or jump:
@@ -180,6 +175,13 @@ def _strang_loop(grid: Grid, u0: np.ndarray, dt: float, n_steps: int, substep,
         if m < n_steps:
             u = full(u)
     return records
+
+
+def _mass(u: np.ndarray) -> float:
+    """sum |u|^2, the guard's mass (it reads a ratio, so the dx^3 scale drops out):
+    the float view dotted with itself by einsum, not by np.vdot, which BLAS threads."""
+    v = u.view(np.float64).ravel()
+    return float(np.einsum("i,i->", v, v))
 
 
 def _run(u1: Field, t_start: float, dt: float, steps: list[int], substep) -> list[Field]:
@@ -217,8 +219,8 @@ def _linear_substep(op: _PotentialOperator):
         acc = u.copy()
         term = u
         for m in range(1, 5):
-            term = (-1j * dt / m) * op(term)
-            acc = acc + term
+            term = op(term)
+            acc += np.multiply(term, -1j * dt / m, out=term)
         return acc
 
     return substep
@@ -229,12 +231,20 @@ def _linear_flow(ps: PotentialSet, skip_certification: bool):
     return None if ps.is_zero else _linear_substep(_linear_operator(ps, skip_certification))
 
 
-def _rk2_substep(rhs):
-    # explicit midpoint RK2 on u' = rhs(u)
+def _rk2_substep(op: _PotentialOperator, nonlinearity):
+    # explicit midpoint RK2 on u' = -i (op(u) + nonlinearity(u)), in place
+    def rhs(u):
+        out = op(u)
+        if nonlinearity is not None:
+            out += nonlinearity(u)
+        return np.multiply(out, -1j, out=out)
+
     def substep(u, dt):
         k1 = rhs(u)
-        k2 = rhs(u + (0.5 * dt) * k1)
-        return u + dt * k2
+        k1 *= 0.5 * dt
+        k2 = rhs(np.add(k1, u, out=k1))
+        k2 *= dt
+        return np.add(k2, u, out=k2)
 
     return substep
 
@@ -260,29 +270,22 @@ def evolve_nonlinear(u1: Field, ps: PotentialSet, cfg: EvolveConfig, *,
     square dealiased (two-thirds rule) unless cfg.dealias == "off".
     """
     op = _linear_operator(ps, skip_certification)
-    dealias = u1.grid.dealias if cfg.dealias == "two-thirds" else None
-
-    def rhs(u):
-        u2 = u * u
-        if dealias is not None:
-            u2 = dealias(u2)
-        return -1j * (op(u) + u2)
-
-    return _evolve(u1, cfg, _rk2_substep(rhs))
+    dealias = u1.grid.dealias if cfg.dealias == "two-thirds" else (lambda w: w)
+    return _evolve(u1, cfg, _rk2_substep(op, lambda u: dealias(u * u)))
 
 
 def profiles(tr: Trajectory) -> Iterator[Field]:
-    """The profile f(t) = e^{-i t Laplacian} u(t) of each snapshot, pulled
-    back by the free flow one snapshot at a time."""
+    """The profile f(t) = e^{-i t Laplacian} u(t) of each snapshot, one at a
+    time, as a spectrum: free_phase(-t) times the snapshot's spectrum."""
     for t, u in zip(tr.times, tr.fields):
-        yield free_propagate(u, -t)
+        yield Field(u.grid, FREQUENCY, free_phase(u.grid, -t) * as_frequency(u).data)
 
 
 def profile_norms(tr: Trajectory) -> list[dict]:
-    """H^10 and X norms of the profile at every snapshot, one profile held at a
-    time and transformed to frequency once for both norms."""
+    """H^10 and X norms of the profile at every snapshot, one profile spectrum
+    held at a time."""
     return [{"t": float(t), "h10": sobolev_norm(fhat, 10), "x": x_norm(fhat)}
-            for t, fhat in zip(tr.times, map(as_frequency, profiles(tr)))]
+            for t, fhat in zip(tr.times, profiles(tr))]
 
 
 def bootstrap_monitor(rows: list[dict], bp: BootstrapParams) -> dict:
@@ -324,7 +327,7 @@ def evolve_hamiltonian(u1: Field, a: tuple[Field, Field, Field], v: Field,
     a_sq = sum(aj * aj for aj in a_data)
     # H_A - (-Laplacian) = (i div A + |A|^2 + V) + sum_j 2i A_j d_j
     op = _PotentialOperator(grid, 1j * div_a + a_sq + v_data, [2j * aj for aj in a_data])
-    return _evolve(u1, cfg, _rk2_substep(lambda u: -1j * op(u)))
+    return _evolve(u1, cfg, _rk2_substep(op, None))
 
 
 def hamiltonian_energy(f: Field, a: tuple[Field, Field, Field], v: Field) -> float:

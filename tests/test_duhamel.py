@@ -19,8 +19,8 @@ from rlab.duhamel import (
 from rlab.flows import EvolveConfig, _linear_operator, evolve_linear, profiles
 from rlab.norms import sobolev_norm, x_norm
 from rlab.potentials import PotentialSet, gaussian_potential
-from rlab.spectral import (PHYSICAL, Field, as_physical, free_phase, free_propagate, free_step,
-                           l2_norm, make_grid)
+from rlab.spectral import (FREQUENCY, PHYSICAL, Field, as_frequency, as_physical, free_phase,
+                           free_propagate, free_step, l2_norm, make_grid)
 
 from conftest import assert_small_batched_products, zero_field, zero_potential_set
 
@@ -105,6 +105,27 @@ class TestDuhamelTrapezoid:
         ref = E(acc) + c * (E(f_prev) + f_cur)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("form", ["spectral", "physical"])
+    def test_reads_read_only_inputs_and_writes_none(self, grid, form):
+        # the ladders hand it Field data (read-only) and, at set-up, one array as
+        # both acc and f_prev; the step is the literal formula, bit for bit
+        rng = np.random.default_rng(4)
+        arrays = [rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+                  for _ in range(3)]
+        for x in arrays:
+            x.flags.writeable = False
+        if form == "spectral":
+            E = functools.partial(np.multiply, free_phase(grid, 0.05))
+        else:
+            E = free_step(grid, 0.05)
+        c = -0.025j
+        kept = [x.copy() for x in arrays]
+        acc, f_prev, f_cur = arrays
+        for args in [(acc, f_prev, f_cur), (acc, acc, f_cur)]:
+            got = duhamel_trapezoid(args[0], E, c, *args[1:])
+            assert np.array_equal(got, E(args[0] + c * args[1]) + c * args[2])
+        assert all(np.array_equal(x, x0) for x, x0 in zip(arrays, kept))
+
 
 def _part(ps: PotentialSet, which: str) -> PotentialSet:
     """The full set, its electric part (V only) or its magnetic part (a only)."""
@@ -135,7 +156,35 @@ def _physical_ladder(u1: Field, ps: PotentialSet, order_max: int, n_steps: int,
     return terms
 
 
+def _literal_ladder(u1: Field, ps: PotentialSet, order_max: int, n_steps: int,
+                    dt: float) -> list[np.ndarray]:
+    """The ladder's recursion as the out-of-place formula E(acc + c f_prev) + c f_cur,
+    with no array shared between terms and carried L u_n."""
+    op = _linear_operator(ps, skip_certification=True)
+    E = free_step(u1.grid, dt)
+    h = -1j * dt / 2.0
+    terms = [as_physical(u1).data.copy()] + [np.zeros(u1.grid.shape, complex)
+                                             for _ in range(order_max)]
+    l_prev = [op(terms[0])] + [np.zeros(u1.grid.shape, complex) for _ in range(order_max - 1)]
+    for _ in range(n_steps):
+        terms[0] = E(terms[0])
+        for n in range(1, order_max + 1):
+            l_cur = op(terms[n - 1])
+            terms[n] = E(terms[n] + h * l_prev[n - 1]) + h * l_cur
+            l_prev[n - 1] = l_cur
+    return terms
+
+
 class TestBornLadder:
+    def test_is_the_literal_recursion_bit_for_bit(self, datum, potentials):
+        # three steps at order 3: the zero terms the ladder starts with are also its
+        # carried L u_1, L u_2, so a step that wrote into them would show here
+        terms = _born_ladder(datum, potentials, 3, 1.3, 0.1)
+        ref = _literal_ladder(datum, potentials, 3, 3, 0.1)
+        assert all(np.any(r) for r in ref)
+        for got, r in zip(terms, ref, strict=True):
+            assert np.array_equal(got, r)
+
     @pytest.mark.parametrize("which", ["full", "electric", "magnetic"])
     def test_matches_the_physical_space_recursion(self, datum, potentials, which):
         ps = _part(potentials, which)
@@ -195,8 +244,8 @@ class TestWaveOperator:
         assert all(d == 0.0 for d in res.distances)
         assert res.converged
         # g(T) is the constant profile e^{-i Lap} u1, not u1 itself
-        ref = free_propagate(datum, -1.0)
-        assert np.max(np.abs(res.field.data - ref.data)) < 1e-12
+        ref = as_frequency(free_propagate(datum, -1.0)).data
+        assert np.max(np.abs(res.field.data - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_is_the_free_pull_back_of_the_recorded_linear_flow(self, grid, datum, potentials):
         res = wave_operator(datum, potentials, 4.0, 0.05, skip_certification=True)
@@ -206,7 +255,7 @@ class TestWaveOperator:
         g = {t: f.data for t, f in zip(tr.times, profiles(tr))}
         assert res.taus == [1.0, 2.0]
         for tau, d in zip(res.taus, res.distances):
-            assert d == sobolev_norm(Field(grid, PHYSICAL, g[2 * tau] - g[tau]), 10)
+            assert d == sobolev_norm(Field(grid, FREQUENCY, g[2 * tau] - g[tau]), 10)
         assert np.array_equal(res.field.data, g[4.0])
 
     @pytest.mark.parametrize("zero", [True, False], ids=["zero", "nonzero"])
@@ -214,21 +263,26 @@ class TestWaveOperator:
         ps = zero_potential_set(grid) if zero else potentials
         res = wave_operator(datum, ps, 4.0, 0.05, skip_certification=True)
         assert len(res.profiles) == 3
-        assert np.array_equal(res.profiles[0].data, free_propagate(datum, -1.0).data)
+        g1 = res.profiles[0]
+        assert g1.rep == FREQUENCY
+        assert np.array_equal(g1.data, free_phase(grid, -1.0) * as_frequency(datum).data)
+        ref = as_frequency(free_propagate(datum, -1.0)).data
+        assert np.max(np.abs(g1.data - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert res.field is res.profiles[-1]
 
     def test_kappa_is_the_norm_quotient_of_criterion_6(self, grid, datum, potentials):
         res = wave_operator(datum, potentials, 4.0, 0.05, skip_certification=True)
-        prof1 = free_propagate(datum, -1.0)
+        prof1 = Field(grid, FREQUENCY, free_phase(grid, -1.0) * as_frequency(datum).data)
         rhs = float(sobolev_norm(prof1, 10)) + float(x_norm(prof1))
         lhs = float(sobolev_norm(res.field, 10)) + float(x_norm(res.field))
         assert res.kappa == lhs / rhs
 
-    def test_kappa_takes_one_forward_transform_per_profile(self, fft_count, datum, potentials):
+    def test_kappa_takes_no_forward_transform(self, fft_count, datum, potentials):
+        # the profiles are spectra, so both norms read them as they are
         res = wave_operator(datum, potentials, 4.0, 0.05, skip_certification=True)
         before = fft_count.calls["fftn"]
         res.kappa
-        assert fft_count.calls["fftn"] - before == 2
+        assert fft_count.calls["fftn"] - before == 0
 
     @pytest.mark.parametrize("distances, converged", [
         ([1.0, 2.0, 1.5, 1.0], True),  # the first increment rises, the tail falls

@@ -1,5 +1,6 @@
 import json
 import logging
+import tracemalloc
 import types
 from collections import Counter
 
@@ -14,7 +15,9 @@ from rlab.flows import (
     BootstrapParams,
     _linear_operator,
     _linear_substep,
+    _mass,
     _PotentialOperator,
+    _rk2_substep,
     _step_count,
     _strang_loop,
     EvolveConfig,
@@ -30,8 +33,9 @@ from rlab.flows import (
 )
 from rlab.norms import sobolev_norm, x_norm
 from rlab.potentials import PotentialSet, gaussian_potential
-from rlab.spectral import (PHYSICAL, Field, as_physical, forward_transform, free_propagate,
-                           l2_norm, make_grid, read_snapshot)
+from rlab.spectral import (FREQUENCY, PHYSICAL, Field, as_frequency, as_physical,
+                           forward_transform, free_phase, free_propagate, l2_norm, make_grid,
+                           read_snapshot)
 
 from conftest import assert_small_batched_products, zero_field, zero_potential_set
 
@@ -158,6 +162,14 @@ class TestBootstrapMonitor:
         assert mon["rows"] == self.rows((0.5, 0.5), (7.0, 3.0), (9.0, 9.0))
 
 
+def _full_set_32():
+    g = make_grid(32, 64.0)
+    v = gaussian_potential(g, (0, 0, 0), 4.0, 0.08)
+    a = tuple(gaussian_potential(g, (1.0, 0, 0), 4.0, 0.06) for _ in range(3))
+    u0 = as_physical(sampling.localized_packet(g, -4, np.random.default_rng(1), width=4.0)).data
+    return PotentialSet(v=v, a=a, delta_target=1000.0), u0
+
+
 class TestPotentialOperator:
     def test_complex_coefficients_on_a_grid_mode(self, grid):
         # on u = e^{ik.x} the operator is multiplication by c + i sum_j b_j k_j
@@ -172,9 +184,12 @@ class TestPotentialOperator:
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_linear_operator_stores_real_coefficients(self, potentials):
+        # stored as complex128 so that no product casts them, imaginary parts exactly 0
         op = _linear_operator(potentials, skip_certification=True)
-        assert op.v.dtype == np.float64
-        assert len(op.a) == 3 and all(aj.dtype == np.float64 for _, aj in op.a)
+        assert len(op.a) == 3
+        for c, ref in [(op.v, potentials.v), *((aj, potentials.a[j]) for j, aj in op.a)]:
+            assert c.dtype == np.complex128 and np.all(c.imag == 0)
+            assert np.array_equal(c.real, ref.data.real)
 
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("which", ["full", "electric", "magnetic"])
@@ -212,19 +227,73 @@ class TestPotentialOperator:
         assert fft_count.passes_per_step(run) == 0
 
     def test_strang_step_at_32_is_small_batched_products(self, matmul_shapes):
-        g = make_grid(32, 64.0)
-        v = gaussian_potential(g, (0, 0, 0), 4.0, 0.08)
-        a = tuple(gaussian_potential(g, (1.0, 0, 0), 4.0, 0.06) for _ in range(3))
-        ps = PotentialSet(v=v, a=a, delta_target=1000.0)
-        u0 = as_physical(sampling.localized_packet(g, -4, np.random.default_rng(1), width=4.0)).data
+        ps, u0 = _full_set_32()
         substep = _linear_substep(_linear_operator(ps, skip_certification=True))
-        _strang_loop(g, u0, 0.05, 1, substep, {1})
+        _strang_loop(ps.grid, u0, 0.05, 1, substep, {1})
         assert len(matmul_shapes) == 3 + 12 + 3
         # each free half step is complex along axes 0 and 1 and real along the
         # last; the 12 derivative products are all real
         kinds = Counter(kind for _, _, kind in matmul_shapes)
         assert kinds == {"c": 2 + 2, "f": 1 + 12 + 1}
         assert_small_batched_products(matmul_shapes, 32)
+
+
+class TestInPlaceKernels:
+    def test_read_only_inputs_are_read_and_left_unchanged(self, grid, potentials):
+        # Field data is read-only: the datum and the (complex) coefficients here
+        rng = np.random.default_rng(5)
+        u = 0.05 * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+        u.flags.writeable = False
+        coeffs = [potentials.v.data, *(ai.data for ai in potentials.a)]
+        kept = [x.copy() for x in (u, *coeffs)]
+        op = _PotentialOperator(grid, coeffs[0], coeffs[1:])
+        kernels = {"operator": lambda w, dt: op(w), "taylor": _linear_substep(op),
+                   "rk2": _rk2_substep(op, None),
+                   "rk2-square": _rk2_substep(op, lambda x: grid.dealias(x * x))}
+        for name, kernel in kernels.items():
+            assert np.array_equal(kernel(u, 0.05), kernel(u.copy(), 0.05)), name
+            assert all(np.array_equal(x, x0) for x, x0 in zip((u, *coeffs), kept)), name
+
+    def test_linear_substep_peak_memory_at_32(self):
+        # the temporaries of one 32^3 full-set substep, result included: at most
+        # 4.25 n^3 complex arrays under tracemalloc (5.2 with two derivative
+        # arrays of the operator alive at once)
+        ps, u0 = _full_set_32()
+        substep = _linear_substep(_linear_operator(ps, skip_certification=True))
+        substep(u0, 0.05)  # builds the derivative operator and its per-thread buffer
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = substep(u0, 0.05)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == u0.shape
+        assert peak <= 4.25 * u0.size * 16
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_guard_mass_is_the_sum_of_squares(self, n):
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal((n,) * 3) + 1j * rng.standard_normal((n,) * 3)
+        ref = np.sum(np.abs(u) ** 2)
+        assert abs(_mass(u) - ref) <= 1e-14 * ref
+        # and the mass the loop's diagnostics report: a doubled field trips the guard
+        g = make_grid(n, 32.0)
+        with pytest.raises(BlowupError) as err:
+            _strang_loop(g, u, 0.1, 3, lambda w, dt: 2.0 * w, set())
+        assert abs(err.value.mass_before**2 / g.dx**3 - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_trips_guard(self, grid, datum, bad):
+        def substep(w, dt):
+            w = w.copy()
+            w[3, 1, 4] = bad
+            return w
+
+        with pytest.raises(BlowupError) as err:
+            _strang_loop(grid, datum.data, 0.1, 5, substep, {5})
+        assert err.value.step == 1
 
 
 class TestEvolveLinear:
@@ -444,7 +513,11 @@ class TestProfile:
         got = list(gen)
         assert len(got) == len(tr.fields) == 3
         for t, u, f in zip(tr.times, tr.fields, got):
-            assert np.array_equal(f.data, free_propagate(u, -t).data)
+            # the spectrum free_phase(-t) uhat, within roundoff of the physical pull-back
+            assert f.rep == FREQUENCY
+            assert np.array_equal(f.data, free_phase(grid, -t) * as_frequency(u).data)
+            ref = as_frequency(free_propagate(u, -t)).data
+            assert np.max(np.abs(f.data - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_free_flow_profile_constant(self, grid, datum):
         cfg = EvolveConfig(t_end=3.0, dt=0.05, snapshot_stride=10)
@@ -458,7 +531,7 @@ class TestProfile:
         tr = evolve_linear(datum, zero_potential_set(grid), cfg)
         fft_count.calls.clear()
         rows = profile_norms(tr)
-        # one fftn per snapshot serves both norms; the 16^3 pull-back is axis products
+        # the pull-back's one fftn per snapshot serves both norms
         assert fft_count.calls["fftn"] == len(tr.fields) == 3
         assert fft_count.calls["ifftn"] == 0
         for t, f, row in zip(tr.times, profiles(tr), rows):
@@ -467,8 +540,8 @@ class TestProfile:
     def test_profile_at_start_is_pullback_of_datum(self, grid, datum):
         cfg = EvolveConfig(t_end=1.2, dt=0.05)
         prof = list(profiles(evolve_linear(datum, zero_potential_set(grid), cfg)))
-        ref = free_propagate(datum, -1.0)
-        assert np.max(np.abs(prof[0].data - ref.data)) < 1e-13
+        ref = as_frequency(free_propagate(datum, -1.0)).data
+        assert np.max(np.abs(prof[0].data - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestPersistence:

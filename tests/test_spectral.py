@@ -590,6 +590,14 @@ class TestKernelLayer:
                  if _convention_references(tree)}
         assert users == {"spectral.py"}
 
+    def test_no_blas_level_one_products(self):
+        # OpenBLAS threads vdot/dot/inner on n^3 arrays and leaves its threads
+        # spinning (README, axis operators); np.dot and the .dot method alike
+        calls = [f"{name}: {ast.unparse(node)}" for name, tree in _package_trees().items()
+                 for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", None) in ("vdot", "dot", "inner")]
+        assert calls == []
+
     def test_parseval_weight_is_written_once(self):
         weights = {name: _parseval_weights(tree) for name, tree in _package_trees().items()}
         assert {name: w for name, w in weights.items() if w} == {
