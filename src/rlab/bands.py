@@ -8,10 +8,11 @@ sum_j phi(1.1^{-j} r) = 1 then holds exactly for every r > 0, and
 bands two or more apart have exactly disjoint supports
 (1.04^2 < 1.1).  The multipliers are radial: each is evaluated on the
 grid's distinct radii and gathered onto its modes.  A projection is its
-multiplier array applied to a spectrum (spectral.apply_multiplier).  Sums and
-suprema over bands read band_table, which keeps each band's support and plain
-values P_k, built once per grid; line_batches lays each support out on the
-lines it touches along each axis, for spectral.line_moments.
+multiplier array applied to a spectrum (spectral.apply_multiplier).
+band_support is a band's support and its plain values P_k; sums and suprema
+over bands read band_table, which keeps them for every band, built once per
+grid; line_batches lays each support out on the lines it touches along each
+axis, for spectral.line_moments.
 """
 
 from __future__ import annotations
@@ -75,28 +76,30 @@ def covering_band_range(grid: Grid) -> range:
     return range(k_min, k_max + 1)
 
 
+@functools.lru_cache(maxsize=8)
+def band_support(grid: Grid, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of the modes where P_k is nonzero, ascending, and P_k there, from
+    Grid.radius_index and read-only: the one definition of a band's support."""
+    radii, position = grid.radius_index
+    profile = phi(radii * BASE ** (-k))
+    support = np.flatnonzero((profile > 0.0)[position])
+    values = profile[position.reshape(-1)[support]]
+    support.flags.writeable = values.flags.writeable = False
+    return support, values
+
+
 @functools.lru_cache(maxsize=4)
 def band_table(grid: Grid) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-    """(k, support, values) for each band of covering_band_range that touches
-    a grid mode, built once per grid: the flat indices where P_k is nonzero
-    and the values of P_k there, read-only."""
-    table = []
-    for k in covering_band_range(grid):
-        mult = band_multiplier(grid, k).reshape(-1)
-        if np.any(mult > 0.0):
-            support = np.flatnonzero(mult)
-            values = mult[support]
-            support.flags.writeable = values.flags.writeable = False
-            table.append((k, support, values))
-    return tuple(table)
+    """(k, support, values) of band_support for each band of covering_band_range
+    that touches a grid mode, built once per grid."""
+    return tuple((k, support, values) for k in covering_band_range(grid)
+                 for support, values in [band_support(grid, k)] if support.size)
 
 
 def require_modes(grid: Grid, k_lo: int, k_hi: int) -> None:
-    """A ValueError naming the bands and the grid when P_k vanishes on every grid
-    mode for each k of k_lo..k_hi (band_table's test): data sampled there would be
-    zero.  P_k is radial, so the distinct radii of the modes decide."""
-    radii, _ = grid.radius_index
-    if not any(np.any(phi(radii * BASE ** (-k)) > 0.0) for k in range(k_lo, k_hi + 1)):
+    """A ValueError naming the bands and the grid when band_support is empty for
+    each k of k_lo..k_hi (band_table's test): data sampled there would be zero."""
+    if not any(band_support(grid, k)[0].size for k in range(k_lo, k_hi + 1)):
         bands = f"band {k_lo}" if k_lo == k_hi else f"bands {k_lo}..{k_hi}"
         raise ValueError(f"no mode of the {grid.n}^3 grid with L = {grid.length:g} is in {bands}")
 

@@ -115,15 +115,10 @@ def _ratios(vals: list[float]) -> list[float]:
 
 def _fit_rate(norms: list[float]) -> float:
     """Geometric rate fitted on orders >= 1 (least squares on log norms)."""
-    ns, logs = [], []
-    for n, v in enumerate(norms):
-        if n >= 1 and v > 0:
-            ns.append(n)
-            logs.append(math.log(v))
-    if len(ns) < 2:
+    points = [(n, math.log(v)) for n, v in enumerate(norms) if n >= 1 and v > 0]
+    if len(points) < 2:
         return 0.0
-    slope = np.polyfit(ns, logs, 1)[0]
-    return float(np.exp(slope))
+    return float(np.exp(np.polyfit(*zip(*points), 1)[0]))
 
 
 @dataclass(frozen=True)
@@ -222,10 +217,7 @@ class WaveOperatorResult:
         return (sobolev_norm(gT, 10) + x_norm(gT)) / (sobolev_norm(g1, 10) + x_norm(g1))
 
     def rows(self) -> list[dict]:
-        return [
-            {"tau": tau, "cauchy_distance": d}
-            for tau, d in zip(self.taus, self.distances)
-        ]
+        return [{"tau": tau, "cauchy_distance": d} for tau, d in zip(self.taus, self.distances)]
 
 
 def wave_operator(u1: Field, ps: PotentialSet, T: float, dt: float, *,

@@ -205,11 +205,13 @@ def _evolve(u1: Field, cfg: EvolveConfig, substep) -> Trajectory:
 
 def _linear_operator(ps: PotentialSet, skip_certification: bool) -> _PotentialOperator:
     """L = a . grad + V of ps, built once ps passes its smallness certificate
-    (a zero set needs none; skip_certification=True skips the check)."""
+    (a zero set needs none; skip_certification=True skips the check).  A
+    coefficient whose imaginary part is exactly 0 is passed as is, not copied."""
     if not (skip_certification or ps.is_zero or certify(ps, ps.delta_target).passed):
         raise ValueError("potential set fails its smallness certificate at delta = "
                          f"{ps.delta_target}; pass skip_certification=True to override")
-    return _PotentialOperator(ps.grid, ps.v.data.real, [ai.data.real for ai in ps.a])
+    v, *a = (f.data.real if np.any(f.data.imag) else f.data for f in (ps.v, *ps.a))
+    return _PotentialOperator(ps.grid, v, a)
 
 
 def _linear_substep(op: _PotentialOperator):

@@ -92,15 +92,8 @@ class SmallnessCertificate:
         return all(v <= self.delta for triple in self.entries.values() for v in triple.values())
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "delta": self.delta,
-                "entries": self.entries,
-                "pass": self.passed,
-                "notes": list(self.notes),
-            },
-            sort_keys=True,
-        )
+        return json.dumps({"delta": self.delta, "entries": self.entries, "pass": self.passed,
+                           "notes": list(self.notes)}, sort_keys=True)
 
 
 def _x_weight(f: Field) -> Field:

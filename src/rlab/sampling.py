@@ -7,7 +7,7 @@ Two classes:
 * localized packets: a Gaussian envelope at the origin carrying two
   random in-band carriers, times the band multiplier P_k, for
   measurements that need spatial localization (dispersive decay,
-  smoothing transits, X norms).
+  smoothing transits, X norms), evaluated on P_k's support alone.
 
 Every sampler returns its unit-L2 spectrum, a FREQUENCY field, and makes no
 full-grid FFT; a reader of the physical samples takes spectral.as_physical.
@@ -49,29 +49,31 @@ def band_flat_field(grid: Grid, k_lo: int, k_hi: int, rng: np.random.Generator) 
 def localized_packet(grid: Grid, k: int, rng: np.random.Generator, width: float,
                      axis_bias: int | None = None) -> Field:
     """Unit-L2 band-k wave packet: P_k times the spectrum of a Gaussian envelope
-    at the origin carrying two random in-band carriers.  Each carrier term's
-    spectrum is spectral.gaussian_spectrum, three length-n transforms.
+    at the origin carrying two random in-band carriers.  Only the modes of
+    bands.band_support(grid, k) are evaluated: each carrier term is the product of
+    spectral.gaussian_spectrum's three per-axis factors gathered there, and P_k
+    times their sum is scattered into a zeroed spectrum; no n^3 product is formed.
 
-    With axis_bias set, carrier directions are drawn in a cone around that
-    coordinate axis (spread 0.35), giving packets whose group
-    velocity points down the axis; the smoothing-transit measurements need
-    this, since transverse packets never clear their slab within a finite
-    horizon.
+    With axis_bias set, carrier directions are drawn in a cone around that coordinate
+    axis (spread 0.35), giving packets whose group velocity points down the axis; the
+    smoothing-transit measurements need this, since transverse packets never clear
+    their slab within a finite horizon.
     """
     bands.require_modes(grid, k, k)
-    radius = bands.BASE**k
-    data = np.zeros(grid.shape, dtype=np.complex128)
+    support, values = bands.band_support(grid, k)
+    i1, i2, i3 = np.unravel_index(support, grid.shape)
+    packet = np.zeros(support.size, dtype=np.complex128)
     for _ in range(2):
         direction = rng.standard_normal(3)
         if axis_bias is not None:
-            axial = np.zeros(3)
-            axial[axis_bias] = 1.0
-            direction = axial + 0.35 * direction
+            direction = np.eye(3)[axis_bias] + 0.35 * direction
         direction /= np.linalg.norm(direction)
-        xi0 = radius * direction
         amp = rng.standard_normal() + 1j * rng.standard_normal()
-        data += amp * gaussian_spectrum(grid, width, (0.0, 0.0, 0.0), xi0)
-    return normalized(Field(grid, FREQUENCY, bands.band_multiplier(grid, k) * data))
+        g1, g2, g3 = gaussian_spectrum(grid, width, (0.0, 0.0, 0.0), bands.BASE**k * direction)
+        packet += amp * (g1[i1] * g2[i2] * g3[i3])
+    data = np.zeros(grid.shape, dtype=np.complex128)
+    np.put(data, support, values * packet)
+    return normalized(Field(grid, FREQUENCY, data))
 
 
 def directed_band_kernel(grid: Grid, k: int, axis: int) -> Field:

@@ -200,14 +200,18 @@ class Grid:
 
     @cached_property
     def xi_norm(self) -> np.ndarray:
-        """|xi| on the grid's modes, the radius the band profiles read."""
+        """|xi| on the grid's modes; radius_index holds its distinct values."""
         return np.sqrt(self.xi_squared)
 
     @cached_property
     def radius_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct |xi| and each mode's index into them: profile(radii)[position]."""
-        radii, position = np.unique(self.xi_norm.reshape(-1), return_inverse=True)
-        return radii, position.reshape(self.shape)
+        """The distinct |xi| and each mode's index into them: profile(radii)[position],
+        from the (n/2 + 1)^3 octant of |m1|, |m2|, |m3| summed in xi_squared's order."""
+        q = np.abs(self.axis_freqs[: self.n // 2 + 1]) ** 2
+        octant = np.sqrt(q[:, None, None] + q[None, :, None] + q[None, None, :])
+        radii, position = np.unique(octant, return_inverse=True)
+        m = np.abs(self.modes)
+        return radii, position.reshape(octant.shape)[np.ix_(m, m, m)]
 
     @cached_property
     def radius_squared(self) -> np.ndarray:
@@ -346,10 +350,10 @@ def free_power_profiles(grid: Grid, fhat: np.ndarray, axis: int,
     No field at any time is built.  The transverse phase factors have modulus
     one, so by Parseval across the transverse axes the profile needs only the
     n x n Gram matrix C[k, l] = sum_{xi'} fhat(k, xi') conj fhat(l, xi') along
-    axis, formed once from column chunks whose products stay at or below
-    GRAM_PRODUCT_MAX_MKN.  At each t the circular diagonal sums
-    S_t[d] = sum_k C[k, k - d] p_t(k) conj p_t(k - d), p_t = e^{-i t xi_j^2},
-    are n times the DFT of the transverse sum of |ifft_axis|^2; one batched
+    axis, formed once from chunks of the columns xi' not all zero (the others add
+    nothing), each product at or below GRAM_PRODUCT_MAX_MKN.  At each t the
+    circular diagonal sums S_t[d] = sum_k C[k, k - d] p_t(k) conj p_t(k - d),
+    p_t = e^{-i t xi_j^2}, are n times the DFT of the transverse sum of |ifft_axis|^2; one batched
     length-n ifft over all times inverts them.  The profile is a sum of
     squares, so roundoff below zero is cut to zero.
     """
@@ -357,6 +361,7 @@ def free_power_profiles(grid: Grid, fhat: np.ndarray, axis: int,
         raise ValueError(f"axis must be 0, 1 or 2 (got {axis})")
     n = grid.n
     a = np.moveaxis(fhat, axis, 0).reshape(n, -1)
+    a = a[:, np.any(a, axis=0)]
     step = max(1, GRAM_PRODUCT_MAX_MKN // (n * n))  # columns per product
     c = np.zeros((n, n), dtype=np.complex128)
     for start in range(0, a.shape[1], step):
@@ -431,11 +436,10 @@ def gaussian(grid: Grid, width: float, center, carrier) -> np.ndarray:
     return _separable(*_gaussian_factors(grid, width, center, carrier))
 
 
-def gaussian_spectrum(grid: Grid, width: float, center, carrier) -> np.ndarray:
-    """forward_transform of gaussian(grid, width, center, carrier), no full-grid FFT:
-    the product of the length-n transforms of its per-axis factors, times dx each."""
-    return _separable(*[np.fft.fft(p) * grid.dx
-                        for p in _gaussian_factors(grid, width, center, carrier)])
+def gaussian_spectrum(grid: Grid, width: float, center, carrier) -> list[np.ndarray]:
+    """forward_transform of gaussian(grid, width, center, carrier) as the per-axis factors
+    g1(xi1) g2(xi2) g3(xi3), the length-n transforms of its factors times dx each."""
+    return [np.fft.fft(p) * grid.dx for p in _gaussian_factors(grid, width, center, carrier)]
 
 
 def free_step(grid: Grid, t: float) -> AxisOperator:

@@ -203,6 +203,15 @@ class TestActiveBands:
         assert np.array_equal(g.xi_norm, np.sqrt(g.xi_squared))
         assert g.xi_norm is g.xi_norm  # cached on the grid
 
+    @pytest.mark.parametrize("n, length", [(16, 48.0), (32, 64.0), (64, 64.0), (64, 201.0)])
+    def test_radius_index_from_the_octant_is_the_full_grid_unique_bit_for_bit(self, n, length):
+        g = make_grid(n, length)
+        radii, position = np.unique(g.xi_norm.reshape(-1), return_inverse=True)
+        got_radii, got_position = g.radius_index
+        assert got_radii.tobytes() == radii.tobytes()
+        assert got_position.shape == g.shape
+        assert np.array_equal(got_position.reshape(-1), position)
+
     @pytest.mark.parametrize("n, length", [(8, 8.0), (16, 32.0), (32, 48.0)])
     def test_yields_exactly_the_covering_bands_with_support(self, n, length):
         g = make_grid(n, length)

@@ -437,6 +437,34 @@ class TestDoi:
 
 
 class TestReportType:
+    @pytest.mark.parametrize("count", [1, 2, 5, 8])
+    def test_median_is_np_median_bit_for_bit(self, count):
+        rng = np.random.default_rng(count)
+        for ratios in (rng.random(count) * 10.0 ** rng.integers(-3, 4, count),
+                       [1.0 / 3.0] * (count - 1) + [np.inf], [0.1, 0.7] * count):
+            rep = EstimateReport("x", list(ratios), "", make_grid(8, 1.0), None, 0, {})
+            assert np.float64(rep.median_ratio).tobytes() == np.median(ratios).tobytes()
+
+    def test_smo1_run_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.median imports numpy.ma, some 10 ms of every harness process
+        import pathlib
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "from rlab import cli\n"
+            "cfg = cli.ExperimentConfig({'run': {'scenario': 'harness:smo1', 'seed': '0'},\n"
+            "                            'grid': {'n': '16', 'L': '16.0'},\n"
+            "                            'scenario': {'samples': '2', 'band': '0'}})\n"
+            f"cli.run(cfg, {str(tmp_path / 'run')!r})\n"
+            "print('numpy.ma' in sys.modules)\n")
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={"PYTHONPATH": str(src)}, check=True)
+        assert out.stdout.split() == ["False"]
+        assert (tmp_path / "run" / "report.csv").exists()
+
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
             EstimateReport(

@@ -191,6 +191,23 @@ class TestPotentialOperator:
             assert c.dtype == np.complex128 and np.all(c.imag == 0)
             assert np.array_equal(c.real, ref.data.real)
 
+    def test_linear_operator_reads_real_potentials_in_place(self, potentials):
+        op = _linear_operator(potentials, skip_certification=True)
+        assert np.shares_memory(op.v, potentials.v.data)
+        for j, aj in op.a:
+            assert np.shares_memory(aj, potentials.a[j].data)
+
+    def test_linear_operator_copies_the_real_part_of_a_nearly_real_potential(self, potentials):
+        # imaginary parts up to PotentialSet's 1e-14 pass its check; the operator drops them
+        tilted = [Field(f.grid, PHYSICAL, f.data + 1e-14j * (f.data != 0))
+                  for f in (potentials.v, *potentials.a)]
+        ps = PotentialSet(v=tilted[0], a=tuple(tilted[1:]), delta_target=1000.0)
+        op = _linear_operator(ps, skip_certification=True)
+        for c, f in [(op.v, ps.v), *((aj, ps.a[j]) for j, aj in op.a)]:
+            assert np.any(f.data.imag) and not np.shares_memory(c, f.data)
+            assert c.dtype == np.complex128 and np.all(c.imag == 0)
+            assert np.array_equal(c.real, f.data.real)
+
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("which", ["full", "electric", "magnetic"])
     def test_matches_full_grid_derivatives(self, n, which):

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
-from rlab import sampling
-from rlab.spectral import FREQUENCY, l2_norm
+from rlab import sampling, spectral
+from rlab.bands import BASE, band_multiplier
+from rlab.spectral import FREQUENCY, Field, l2_norm, make_grid
 
 SAMPLERS = {
     "band_flat_field": lambda g: sampling.band_flat_field(g, -3, 3, sampling.sample_rng(1, 0)),
@@ -20,3 +22,32 @@ def test_every_sampler_returns_its_unit_spectrum(grid16, name):
     assert f.rep == FREQUENCY
     assert abs(l2_norm(f) - 1.0) <= 1e-14
 
+
+
+def _dense_packet(g, k, rng, width, axis_bias):
+    """localized_packet's draws, in order, into the full-grid construction
+    band_multiplier * sum amp * (the n^3 product of gaussian_spectrum's factors)."""
+    data = np.zeros(g.shape, dtype=np.complex128)
+    for _ in range(2):
+        direction = rng.standard_normal(3)
+        if axis_bias is not None:
+            direction = np.eye(3)[axis_bias] + 0.35 * direction
+        direction /= np.linalg.norm(direction)
+        amp = rng.standard_normal() + 1j * rng.standard_normal()
+        factors = spectral.gaussian_spectrum(g, width, (0.0, 0.0, 0.0), BASE**k * direction)
+        data += amp * spectral._separable(*factors)
+    return sampling.normalized(Field(g, FREQUENCY, band_multiplier(g, k) * data))
+
+
+@pytest.mark.parametrize("n, length, k", [(16, 48.0, 1), (32, 64.0, 0), (64, 64.0, 0)])
+@pytest.mark.parametrize("axis_bias", [None, 0, 2])
+def test_packet_on_the_band_support_is_the_full_grid_packet(n, length, k, axis_bias):
+    g = make_grid(n, length)
+    for seed in range(2):
+        rng, ref_rng = sampling.sample_rng(seed, 3), sampling.sample_rng(seed, 3)
+        got = sampling.localized_packet(g, k, rng, width=3.0, axis_bias=axis_bias).data
+        ref = _dense_packet(g, k, ref_rng, 3.0, axis_bias).data
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+        if n == 16:  # equal values; off the support the dense zeros 0 * x may carry a sign
+            assert np.array_equal(got, ref)

@@ -183,12 +183,12 @@ class TestGaussian:
     ], ids=["plain", "center", "carrier", "center-carrier", "spectrum-plain",
             "spectrum-center", "spectrum-carrier", "spectrum-center-carrier"])
     def test_matches_the_full_grid_formula(self, n, L, center, carrier, spectrum):
-        # gaussian against the n^3 exponentials; gaussian_spectrum, three
-        # length-n transforms, against the full-grid fftn of gaussian
+        # gaussian against the n^3 exponentials; the product of gaussian_spectrum's
+        # three length-n transforms against the full-grid fftn of gaussian
         g = make_grid(n, L)
         for width in (3.0, 4.0):
             if spectrum:
-                got = spectral.gaussian_spectrum(g, width, center, carrier)
+                got = spectral._separable(*spectral.gaussian_spectrum(g, width, center, carrier))
                 physical = Field(g, PHYSICAL, spectral.gaussian(g, width, center, carrier))
                 ref = forward_transform(physical).data
             else:
@@ -275,6 +275,36 @@ class TestFreePowerProfiles:
         g = make_grid(n, float(n))
         free_power_profiles(g, _profile_data(g, "band-flat", 1), 1, PROFILE_TIMES)
         assert matmul_shapes
+        for a, b, _ in matmul_shapes:
+            assert a[0] * a[1] * b[1] <= GRAM_PRODUCT_MAX_MKN, (a, b)
+
+    @pytest.mark.parametrize("n, length, k", [(16, 32.0, 1), (32, 32.0, 1), (64, 64.0, 0)])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_dropping_the_zero_columns_keeps_the_profiles(self, n, length, k, axis):
+        # a band-k packet is zero on most transverse columns; the reference
+        # transforms every column of the spectrum at every time
+        g = make_grid(n, length)
+        f = sampling.localized_packet(g, k, sampling.sample_rng(17, axis), 3.0, axis)
+        fhat = half_derivative_weight(g, axis) * f.data
+        columns = np.any(np.moveaxis(fhat, axis, 0).reshape(n, -1), axis=0)
+        assert 0 < np.count_nonzero(columns) < n * n
+        got = free_power_profiles(g, fhat, axis, PROFILE_TIMES)
+        ref = np.stack([transverse_power_sum(Field(g, FREQUENCY, free_phase(g, t) * fhat), axis)
+                        for t in PROFILE_TIMES])
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_gram_products_cover_only_the_nonzero_columns(self, matmul_shapes, axis):
+        # the harness-64 sample: band 0 at 64^3, L = 64, 8 columns per product
+        g = make_grid(64, 64.0)
+        f = sampling.localized_packet(g, 0, sampling.sample_rng(0, axis), 3.0, axis)
+        fhat = half_derivative_weight(g, axis) * f.data
+        nonzero = np.count_nonzero(np.any(np.moveaxis(fhat, axis, 0).reshape(64, -1), axis=0))
+        matmul_shapes.clear()
+        free_power_profiles(g, fhat, axis, PROFILE_TIMES)
+        step = GRAM_PRODUCT_MAX_MKN // 64**2
+        assert step == 8 and nonzero < 64 * 64 // 8
+        assert len(matmul_shapes) == -(-nonzero // step)
         for a, b, _ in matmul_shapes:
             assert a[0] * a[1] * b[1] <= GRAM_PRODUCT_MAX_MKN, (a, b)
 
