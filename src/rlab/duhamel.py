@@ -24,7 +24,8 @@ products a step at 6 orders with the full set.  The cost is
 O(order * steps), not O(steps^order).  The numerical series keeps the
 plain Duhamel integral: the measurable content of the
 frequency-differentiated expansion is the geometric decay of the terms in
-both the H^10 and X norms, reported by series_decay_report, plus the
+both the H^10 and X norms, which series_decay_report takes from one spectrum
+per term of _born_ladder, plus the
 quadrature check of the regularized denominator
 1/(|xi|^2 - |eta|^2 + i beta) by regularized_denominator_check, whose
 trapezoid rule on the exponential integrand is a geometric sum and is
@@ -48,19 +49,6 @@ SWEEP_A, SWEEP_BETAS = (0.0, 1.0, 3.0), (1e-1, 1e-2, 1e-3)  # denominator_sweep'
 SWEEP_TAU_BETA, SWEEP_DTAU = 8.0, 5e-3  # its cutoff tau_max times beta, its node spacing
 
 
-@dataclass(frozen=True)
-class DuhamelTerm:
-    """One term of the Born series at a fixed time, with its controlling norms.
-
-    The term at index n of born_terms' list carries n applications of the
-    full operator a . grad + V.
-    """
-
-    field: Field
-    h10: float
-    x: float
-
-
 def duhamel_trapezoid(acc: np.ndarray, E: Callable, c: complex, f_prev: np.ndarray,
                       f_cur: np.ndarray) -> np.ndarray:
     """One trapezoid step of acc(t) = integral e^{i(t-s) Lap} F(s) ds, factored so
@@ -77,10 +65,11 @@ def duhamel_trapezoid(acc: np.ndarray, E: Callable, c: complex, f_prev: np.ndarr
 
 def _born_ladder(u1: Field, ps: PotentialSet, order_max: int, t_end: float,
                  dt: float) -> list[np.ndarray]:
-    """Physical-space arrays of terms 0..order_max at time t_end."""
+    """Physical-space arrays of terms 0..order_max at time t_end; term n carries n
+    applications of L = a . grad + V."""
     grid = u1.grid
     n_steps = _step_count(1.0, t_end, dt, "t")
-    op = _linear_operator(ps, skip_certification=True)
+    op = _linear_operator(u1, ps, skip_certification=True)
     E = free_step(grid, dt)
     h = -1j * dt / 2.0
     terms = [as_physical(u1).data]
@@ -94,18 +83,6 @@ def _born_ladder(u1: Field, ps: PotentialSet, order_max: int, t_end: float,
             terms[n] = duhamel_trapezoid(terms[n], E, h, l_prev[n - 1], l_cur)
             l_prev[n - 1] = l_cur
     return terms
-
-
-def born_terms(u1: Field, ps: PotentialSet, order_max: int, t: float,
-               dt: float) -> list[DuhamelTerm]:
-    """All Duhamel terms of order 0..order_max at time t, with norms; each term
-    is transformed to frequency once for both norms."""
-    out = []
-    for data in _born_ladder(u1, ps, order_max, t, dt):
-        f = Field(u1.grid, PHYSICAL, data)
-        fhat = as_frequency(f)
-        out.append(DuhamelTerm(field=f, h10=sobolev_norm(fhat, 10), x=x_norm(fhat)))
-    return out
 
 
 def _ratios(vals: list[float]) -> list[float]:
@@ -161,21 +138,22 @@ def series_decay_report(u1: Field, ps: PotentialSet, order_max: int, t: float,
     """
     if order_max < 2:
         raise ValueError("need order_max >= 2 for a decay report")
-    terms = born_terms(u1, ps, order_max, t, dt)
+    terms = _born_ladder(u1, ps, order_max, t, dt)
+    h10_norms, x_norms = [], []
+    for data in terms:
+        fhat = as_frequency(Field(u1.grid, PHYSICAL, data))  # one spectrum for both norms
+        h10_norms.append(sobolev_norm(fhat, 10))
+        x_norms.append(x_norm(fhat))
     errors = None
     if compare_with_flow:
         target = evolve_linear_to(u1, ps, 1.0, t, dt, skip_certification=True).data
         errors = []
         partial = np.zeros(u1.grid.shape, dtype=np.complex128)
-        for tm in terms:
-            partial = partial + tm.field.data
+        for data in terms:
+            partial = partial + data
             diff = Field(u1.grid, PHYSICAL, partial - target)
             errors.append(sobolev_norm(diff, 10))
-    return BornSeriesReport(
-        h10_norms=[tm.h10 for tm in terms],
-        x_norms=[tm.x for tm in terms],
-        partial_sum_errors=errors,
-    )
+    return BornSeriesReport(h10_norms=h10_norms, x_norms=x_norms, partial_sum_errors=errors)
 
 
 @dataclass(frozen=True)
@@ -236,7 +214,7 @@ def wave_operator(u1: Field, ps: PotentialSet, T: float, dt: float, *,
         raise ValueError(f"T must be a power of two, at least 2 (got {T:g})")
     taus = [2.0**j for j in range(m + 1)]  # 1, 2, ..., T
     steps = [_step_count(1.0, tau, dt, "dyadic time") for tau in taus]
-    substep = _linear_flow(ps, skip_certification)
+    substep = _linear_flow(u1, ps, skip_certification)
     if substep is None:
         g = list(profiles(Trajectory(times=[1.0], fields=[u1]))) * len(taus)
     else:

@@ -28,9 +28,11 @@ guard, read right after the substep since the free step is unitary: a jump
 above 5% in one step, or a non-finite mass, aborts with diagnostics.  Initial
 time is t = 1 throughout.
 
-One recorder, _run, runs every flow and records it at named steps of its dt
-ladder; evolve_linear, evolve_linear_to, the other evolve_* flows and the
-wave operator all go through it.  The linear flow of a zero potential set is
+Every operator reads its potentials through _coefficients(u1, ps), which
+refuses a datum off the potential set's grid: L = a.grad + V of the linear
+and quadratic flows, the Born ladder and the wave operator, and H_A with
+A = ps.a and V = ps.v.  One recorder, _run, runs every flow and records it at
+named steps of its dt ladder.  The linear flow of a zero potential set is
 the exact free flow per record, one free_propagate by m dt at step m,
 with no Strang loop.
 
@@ -203,14 +205,22 @@ def _evolve(u1: Field, cfg: EvolveConfig, substep) -> Trajectory:
     return Trajectory(times=times, fields=_run(u1, 1.0, cfg.dt, steps, substep))
 
 
-def _linear_operator(ps: PotentialSet, skip_certification: bool) -> _PotentialOperator:
+def _coefficients(u1: Field, ps: PotentialSet) -> list[np.ndarray]:
+    """V, a1, a2, a3 of ps for a flow of u1 on ps's grid, the one place an operator
+    reads a potential set's data: a potential's own data when its imaginary part
+    is exactly 0, as gaussian_potential's is, a real-part copy otherwise."""
+    if u1.grid != ps.grid:
+        raise ValueError(f"the datum lives on {u1.grid}, its potentials on {ps.grid}")
+    return [f.data.real if np.any(f.data.imag) else f.data for f in (ps.v, *ps.a)]
+
+
+def _linear_operator(u1: Field, ps: PotentialSet, skip_certification: bool) -> _PotentialOperator:
     """L = a . grad + V of ps, built once ps passes its smallness certificate
-    (a zero set needs none; skip_certification=True skips the check).  A
-    coefficient whose imaginary part is exactly 0 is passed as is, not copied."""
+    (a zero set needs none; skip_certification=True skips the check)."""
+    v, *a = _coefficients(u1, ps)
     if not (skip_certification or ps.is_zero or certify(ps, ps.delta_target).passed):
         raise ValueError("potential set fails its smallness certificate at delta = "
                          f"{ps.delta_target}; pass skip_certification=True to override")
-    v, *a = (f.data.real if np.any(f.data.imag) else f.data for f in (ps.v, *ps.a))
     return _PotentialOperator(ps.grid, v, a)
 
 
@@ -228,9 +238,10 @@ def _linear_substep(op: _PotentialOperator):
     return substep
 
 
-def _linear_flow(ps: PotentialSet, skip_certification: bool):
-    """The substep of the linear flow of ps, None for a zero set (the free flow)."""
-    return None if ps.is_zero else _linear_substep(_linear_operator(ps, skip_certification))
+def _linear_flow(u1: Field, ps: PotentialSet, skip_certification: bool):
+    """The substep of the linear flow of ps from u1, None for a zero set (the free flow)."""
+    op = _linear_operator(u1, ps, skip_certification)
+    return None if ps.is_zero else _linear_substep(op)
 
 
 def _rk2_substep(op: _PotentialOperator, nonlinearity):
@@ -254,14 +265,14 @@ def _rk2_substep(op: _PotentialOperator, nonlinearity):
 def evolve_linear(u1: Field, ps: PotentialSet, cfg: EvolveConfig, *,
                   skip_certification: bool = False) -> Trajectory:
     """Solve i du/dt + Laplacian u = a . grad u + V u from u(1) = u1."""
-    return _evolve(u1, cfg, _linear_flow(ps, skip_certification))
+    return _evolve(u1, cfg, _linear_flow(u1, ps, skip_certification))
 
 
 def evolve_linear_to(u1: Field, ps: PotentialSet, t_start: float, t_end: float,
                      dt: float, *, skip_certification: bool = False) -> Field:
     """Terminal field only; accepts either time direction (dt signed)."""
     n_steps = _step_count(t_start, t_end, dt, "t_end")
-    return _run(u1, t_start, dt, [n_steps], _linear_flow(ps, skip_certification))[0]
+    return _run(u1, t_start, dt, [n_steps], _linear_flow(u1, ps, skip_certification))[0]
 
 
 def evolve_nonlinear(u1: Field, ps: PotentialSet, cfg: EvolveConfig, *,
@@ -271,7 +282,7 @@ def evolve_nonlinear(u1: Field, ps: PotentialSet, cfg: EvolveConfig, *,
     The quadratic substep is advanced by explicit midpoint RK2 with the
     square dealiased (two-thirds rule) unless cfg.dealias == "off".
     """
-    op = _linear_operator(ps, skip_certification)
+    op = _linear_operator(u1, ps, skip_certification)
     dealias = u1.grid.dealias if cfg.dealias == "two-thirds" else (lambda w: w)
     return _evolve(u1, cfg, _rk2_substep(op, lambda u: dealias(u * u)))
 
@@ -309,36 +320,28 @@ def bootstrap_monitor(rows: list[dict], bp: BootstrapParams) -> dict:
     }
 
 
-def evolve_hamiltonian(u1: Field, a: tuple[Field, Field, Field], v: Field,
-                       cfg: EvolveConfig) -> Trajectory:
-    """Solve i du/dt = H_A u with H_A = -(grad - i A)^2 + V, A and V real.
+def evolve_hamiltonian(u1: Field, ps: PotentialSet, cfg: EvolveConfig) -> Trajectory:
+    """Solve i du/dt = H_A u with H_A = -(grad - i A)^2 + V, A = ps.a and V = ps.v.
 
-    The flow conserves the L2 mass and the energy hamiltonian_energy(u, A, V)
+    The flow conserves the L2 mass and the energy hamiltonian_energy(u, ps)
     up to the O(dt^2) drift of its RK2 substep.
     """
     grid = u1.grid
-    a, v = [as_physical(ai) for ai in a], as_physical(v)
-    for f in (*a, v):
-        if f.grid != grid:
-            raise ValueError("potentials must live on the field's grid")
-        if np.max(np.abs(f.data.imag)) > 1e-14:
-            raise ValueError("Hamiltonian flow needs real A and V")
-    a_data = [ai.data.real for ai in a]
-    v_data = v.data.real
-    div_a = sum(grid.derivative.along(a_data[j], j).real for j in range(3))
-    a_sq = sum(aj * aj for aj in a_data)
+    v, *a = (c.real for c in _coefficients(u1, ps))
+    div_a = sum(grid.derivative.along(a[j], j).real for j in range(3))
+    a_sq = sum(aj * aj for aj in a)
     # H_A - (-Laplacian) = (i div A + |A|^2 + V) + sum_j 2i A_j d_j
-    op = _PotentialOperator(grid, 1j * div_a + a_sq + v_data, [2j * aj for aj in a_data])
+    op = _PotentialOperator(grid, 1j * div_a + a_sq + v, [2j * aj for aj in a])
     return _evolve(u1, cfg, _rk2_substep(op, None))
 
 
-def hamiltonian_energy(f: Field, a: tuple[Field, Field, Field], v: Field) -> float:
-    """H(u) = 1/2 integral |(grad - iA) u|^2 + V |u|^2 dx, A and V real."""
+def hamiltonian_energy(f: Field, ps: PotentialSet) -> float:
+    """H(u) = 1/2 integral |(grad - iA) u|^2 + V |u|^2 dx, A = ps.a and V = ps.v."""
     grid = f.grid
+    v, *a = (c.real for c in _coefficients(f, ps))
     u = as_physical(f).data
-    acc = sum(np.abs(grid.derivative.along(u, j) - 1j * as_physical(a[j]).data.real * u) ** 2
-              for j in range(3))
-    acc += as_physical(v).data.real * np.abs(u) ** 2
+    acc = sum(np.abs(grid.derivative.along(u, j) - 1j * a[j] * u) ** 2 for j in range(3))
+    acc += v * np.abs(u) ** 2
     return float(0.5 * np.sum(acc) * grid.dx**3)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rlab.bands import BASE
-from rlab.potentials import PotentialSet
+from rlab.potentials import PotentialSet, gaussian_potential
 from rlab.spectral import PHYSICAL, AxisOperator, Field, Grid, as_frequency, make_grid
 
 
@@ -55,6 +55,17 @@ def inner_product(f: Field, g: Field) -> complex:
 def zero_potential_set(grid: Grid) -> PotentialSet:
     z = zero_field(grid)
     return PotentialSet(v=z, a=(z, z, z), delta_target=1.0)
+
+
+def standard_potentials(grid: Grid, delta_target: float = 1000.0) -> PotentialSet:
+    """The desk-scale potential set used across the scattering criteria."""
+    v = gaussian_potential(grid, (0, 0, 0), 4.0, 0.15)
+    a = (
+        gaussian_potential(grid, (1.0, 0.5, 0.0), 4.0, 0.12),
+        gaussian_potential(grid, (0.0, 1.0, -0.5), 4.0, -0.10),
+        gaussian_potential(grid, (0.5, 0.0, -1.0), 4.0, 0.11),
+    )
+    return PotentialSet(v=v, a=a, delta_target=delta_target)
 
 
 def band_indices(grid: Grid) -> range:

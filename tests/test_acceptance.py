@@ -45,6 +45,8 @@ from rlab.spectral import (
     make_grid,
 )
 
+from conftest import standard_potentials
+
 
 @contextmanager
 def criterion(number, name):
@@ -54,17 +56,6 @@ def criterion(number, name):
         print(f"[ACCEPTANCE] criterion {number} ({name}): FAIL")
         raise
     print(f"[ACCEPTANCE] criterion {number} ({name}): PASS")
-
-
-def standard_potentials(grid, delta_target=1000.0):
-    """The desk-scale potential set used across the scattering criteria."""
-    v = gaussian_potential(grid, (0, 0, 0), 4.0, 0.15)
-    a = (
-        gaussian_potential(grid, (1.0, 0.5, 0.0), 4.0, 0.12),
-        gaussian_potential(grid, (0.0, 1.0, -0.5), 4.0, -0.10),
-        gaussian_potential(grid, (0.5, 0.0, -1.0), 4.0, 0.11),
-    )
-    return PotentialSet(v=v, a=a, delta_target=delta_target)
 
 
 def carrier_packet(grid, direction, sigma=4.0, carrier=0.6, advance=4.0,
@@ -158,13 +149,14 @@ def test_criterion_3_integrator_order():
         uh = Field(gh, PHYSICAL,
                    0.05 * as_physical(sampling.localized_packet(gh, -4, np.random.default_rng(42),
                                                                 width=4.0)).data)
+        ps = PotentialSet(v=vh, a=ah, delta_target=1.0)
 
         def drifts(dt):
             cfg = EvolveConfig(t_end=3.0, dt=dt,
                                snapshot_stride=max(1, int(round(0.25 / dt))))
-            tr = evolve_hamiltonian(uh, ah, vh, cfg)
+            tr = evolve_hamiltonian(uh, ps, cfg)
             m = np.asarray([l2_norm(f) for f in tr.fields])
-            h = np.asarray([hamiltonian_energy(f, ah, vh) for f in tr.fields])
+            h = np.asarray([hamiltonian_energy(f, ps) for f in tr.fields])
             return (float(np.max(np.abs(m / m[0] - 1.0))),
                     float(np.max(np.abs(h / h[0] - 1.0))))
 

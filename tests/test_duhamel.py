@@ -9,7 +9,6 @@ from rlab import sampling
 from rlab.duhamel import (
     WaveOperatorResult,
     _born_ladder,
-    born_terms,
     denominator_sweep,
     duhamel_trapezoid,
     regularized_denominator_check,
@@ -18,11 +17,12 @@ from rlab.duhamel import (
 )
 from rlab.flows import EvolveConfig, _linear_operator, evolve_linear, profiles
 from rlab.norms import sobolev_norm, x_norm
-from rlab.potentials import PotentialSet, gaussian_potential
+from rlab.potentials import PotentialSet
 from rlab.spectral import (FREQUENCY, PHYSICAL, Field, as_frequency, as_physical, free_phase,
                            free_propagate, free_step, l2_norm, make_grid)
 
-from conftest import assert_small_batched_products, zero_field, zero_potential_set
+from conftest import (assert_small_batched_products, standard_potentials, zero_field,
+                      zero_potential_set)
 
 
 @pytest.fixture(scope="module")
@@ -39,32 +39,26 @@ def datum(grid):
 
 @pytest.fixture(scope="module")
 def potentials(grid):
-    v = gaussian_potential(grid, (0, 0, 0), 4.0, 0.15)
-    a = (
-        gaussian_potential(grid, (1.0, 0.5, 0), 4.0, 0.12),
-        gaussian_potential(grid, (0, 1.0, -0.5), 4.0, -0.10),
-        gaussian_potential(grid, (0.5, 0, -1.0), 4.0, 0.11),
-    )
-    return PotentialSet(v=v, a=a, delta_target=1e9)
+    return standard_potentials(grid, delta_target=1e9)
 
 
 class TestBornTerm:
     def test_order_zero_is_free_flow(self, grid, datum, potentials):
-        term = born_terms(datum, potentials, 0, 2.0, 0.05)[0]
+        term = _born_ladder(datum, potentials, 0, 2.0, 0.05)[0]
         ref = free_propagate(datum, 1.0)
-        assert np.max(np.abs(term.field.data - ref.data)) < 1e-12
+        assert np.max(np.abs(term - ref.data)) < 1e-12
 
     def test_zero_potential_kills_higher_orders(self, grid, datum):
-        terms = born_terms(datum, zero_potential_set(grid), 3, 2.0, 0.05)
+        terms = _born_ladder(datum, zero_potential_set(grid), 3, 2.0, 0.05)
         for term in terms[1:]:
-            assert np.all(term.field.data == 0)
+            assert np.all(term == 0)
 
     def test_order_zero_profile_is_time_independent(self, grid, datum, potentials):
         # the free term's profile e^{-i t Lap} term_0(t) is constant in t
         profiles = []
         for t in (1.5, 2.0, 3.0):
-            term = born_terms(datum, potentials, 0, t, 0.05)[0]
-            profiles.append(free_propagate(term.field, -t).data)
+            term = _born_ladder(datum, potentials, 0, t, 0.05)[0]
+            profiles.append(free_propagate(Field(grid, PHYSICAL, term), -t).data)
         for p in profiles[1:]:
             assert np.max(np.abs(p - profiles[0])) < 1e-12
 
@@ -74,19 +68,20 @@ class TestBornTerm:
         errs = rep.partial_sum_errors
         assert all(b < a for a, b in zip(errs[:4], errs[1:4]))
 
-    def test_norms_take_one_forward_transform_per_term(self, fft_count, datum, potentials):
+    def test_report_norms_are_those_of_the_ladder_terms(self, fft_count, datum, potentials):
         # the ladder at 16^3 makes no FFT; each term's H10 and X norms share
         # one fftn, and the X norm's line transforms are one-axis iffts
-        terms = born_terms(datum, potentials, 3, 1.5, 0.25)
+        rep = series_decay_report(datum, potentials, 3, 1.5, 0.25)
         assert fft_count.calls["fftn"] == 4 and fft_count.calls["ifftn"] == 0
-        for term in terms:
-            assert term.h10 == sobolev_norm(term.field, 10)
-            assert term.x == x_norm(term.field)
+        ladder = _born_ladder(datum, potentials, 3, 1.5, 0.25)
+        terms = [Field(datum.grid, PHYSICAL, u) for u in ladder]
+        assert rep.h10_norms == [sobolev_norm(f, 10) for f in terms]
+        assert rep.x_norms == [x_norm(f) for f in terms]
 
     def test_rejects_time_off_the_dt_ladder(self, datum, potentials):
         # (2 - 1) / 0.3 is not an integer step count
         with pytest.raises(ValueError, match="integer"):
-            born_terms(datum, potentials, 1, 2.0, 0.3)
+            _born_ladder(datum, potentials, 1, 2.0, 0.3)
 
 
 class TestDuhamelTrapezoid:
@@ -140,7 +135,7 @@ def _physical_ladder(u1: Field, ps: PotentialSet, order_max: int, n_steps: int,
     """Oracle: the same trapezoid recursion run in physical space, with every
     term and every L u sent through the free step (150 one-dimensional FFT passes
     a step at 6 orders: 13 full-grid pairs and 12 applications of L)."""
-    op = _linear_operator(ps, skip_certification=True)
+    op = _linear_operator(u1, ps, skip_certification=True)
     E = free_phase(u1.grid, dt)
 
     def free_step(u):
@@ -160,7 +155,7 @@ def _literal_ladder(u1: Field, ps: PotentialSet, order_max: int, n_steps: int,
                     dt: float) -> list[np.ndarray]:
     """The ladder's recursion as the out-of-place formula E(acc + c f_prev) + c f_cur,
     with no array shared between terms and carried L u_n."""
-    op = _linear_operator(ps, skip_certification=True)
+    op = _linear_operator(u1, ps, skip_certification=True)
     E = free_step(u1.grid, dt)
     h = -1j * dt / 2.0
     terms = [as_physical(u1).data.copy()] + [np.zeros(u1.grid.shape, complex)
@@ -314,14 +309,7 @@ class TestWaveOperator:
         f = Field(g, PHYSICAL, env.astype(np.complex128))
         f = Field(g, PHYSICAL, f.data / l2_norm(f))
         u1 = Field(g, PHYSICAL, 0.01 * free_propagate(f, 6.0).data)
-        v = gaussian_potential(g, (0, 0, 0), 4.0, 0.15)
-        a = (
-            gaussian_potential(g, (1.0, 0.5, 0), 4.0, 0.12),
-            gaussian_potential(g, (0, 1.0, -0.5), 4.0, -0.10),
-            gaussian_potential(g, (0.5, 0, -1.0), 4.0, 0.11),
-        )
-        ps = PotentialSet(v=v, a=a, delta_target=1e9)
-        res = wave_operator(u1, ps, 8.0, 0.05, skip_certification=True)
+        res = wave_operator(u1, standard_potentials(g, 1e9), 8.0, 0.05, skip_certification=True)
         # the dyadic tail contracts (the first increment is pre-asymptotic)
         assert res.distances[2] < res.distances[1]
         assert len(res.taus) == 3

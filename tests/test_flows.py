@@ -31,13 +31,15 @@ from rlab.flows import (
     profiles,
     save_trajectory,
 )
+from rlab.duhamel import series_decay_report, wave_operator
 from rlab.norms import sobolev_norm, x_norm
 from rlab.potentials import PotentialSet, gaussian_potential
 from rlab.spectral import (FREQUENCY, PHYSICAL, Field, as_frequency, as_physical,
                            forward_transform, free_phase, free_propagate, l2_norm, make_grid,
                            read_snapshot)
 
-from conftest import assert_small_batched_products, zero_field, zero_potential_set
+from conftest import (assert_small_batched_products, standard_potentials, zero_field,
+                      zero_potential_set)
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +168,7 @@ def _full_set_32():
     g = make_grid(32, 64.0)
     v = gaussian_potential(g, (0, 0, 0), 4.0, 0.08)
     a = tuple(gaussian_potential(g, (1.0, 0, 0), 4.0, 0.06) for _ in range(3))
-    u0 = as_physical(sampling.localized_packet(g, -4, np.random.default_rng(1), width=4.0)).data
+    u0 = as_physical(sampling.localized_packet(g, -4, np.random.default_rng(1), width=4.0))
     return PotentialSet(v=v, a=a, delta_target=1000.0), u0
 
 
@@ -183,26 +185,27 @@ class TestPotentialOperator:
         expected = (c + 1j * (b1 * k[0] + b2 * k[1] + b3 * k[2])) * u
         assert np.max(np.abs(out - expected)) <= 1e-12
 
-    def test_linear_operator_stores_real_coefficients(self, potentials):
+    def test_linear_operator_stores_real_coefficients(self, datum, potentials):
         # stored as complex128 so that no product casts them, imaginary parts exactly 0
-        op = _linear_operator(potentials, skip_certification=True)
+        op = _linear_operator(datum, potentials, skip_certification=True)
         assert len(op.a) == 3
         for c, ref in [(op.v, potentials.v), *((aj, potentials.a[j]) for j, aj in op.a)]:
             assert c.dtype == np.complex128 and np.all(c.imag == 0)
             assert np.array_equal(c.real, ref.data.real)
 
-    def test_linear_operator_reads_real_potentials_in_place(self, potentials):
-        op = _linear_operator(potentials, skip_certification=True)
+    def test_linear_operator_reads_real_potentials_in_place(self, datum, potentials):
+        op = _linear_operator(datum, potentials, skip_certification=True)
         assert np.shares_memory(op.v, potentials.v.data)
         for j, aj in op.a:
             assert np.shares_memory(aj, potentials.a[j].data)
 
-    def test_linear_operator_copies_the_real_part_of_a_nearly_real_potential(self, potentials):
+    def test_linear_operator_copies_the_real_part_of_a_nearly_real_potential(self, datum,
+                                                                             potentials):
         # imaginary parts up to PotentialSet's 1e-14 pass its check; the operator drops them
         tilted = [Field(f.grid, PHYSICAL, f.data + 1e-14j * (f.data != 0))
                   for f in (potentials.v, *potentials.a)]
         ps = PotentialSet(v=tilted[0], a=tuple(tilted[1:]), delta_target=1000.0)
-        op = _linear_operator(ps, skip_certification=True)
+        op = _linear_operator(datum, ps, skip_certification=True)
         for c, f in [(op.v, ps.v), *((aj, ps.a[j]) for j, aj in op.a)]:
             assert np.any(f.data.imag) and not np.shares_memory(c, f.data)
             assert c.dtype == np.complex128 and np.all(c.imag == 0)
@@ -235,7 +238,7 @@ class TestPotentialOperator:
         # nonzero a_j; no full-grid FFT is left in the loop
         a = potentials.a if which == "full" else (zero_field(grid),) * 3
         ps = PotentialSet(v=potentials.v, a=a, delta_target=potentials.delta_target)
-        substep = _linear_substep(_linear_operator(ps, skip_certification=True))
+        substep = _linear_substep(_linear_operator(datum, ps, skip_certification=True))
 
         def run(steps):
             _strang_loop(grid, datum.data, 0.05, steps, substep, set())
@@ -245,8 +248,8 @@ class TestPotentialOperator:
 
     def test_strang_step_at_32_is_small_batched_products(self, matmul_shapes):
         ps, u0 = _full_set_32()
-        substep = _linear_substep(_linear_operator(ps, skip_certification=True))
-        _strang_loop(ps.grid, u0, 0.05, 1, substep, {1})
+        substep = _linear_substep(_linear_operator(u0, ps, skip_certification=True))
+        _strang_loop(ps.grid, u0.data, 0.05, 1, substep, {1})
         assert len(matmul_shapes) == 3 + 12 + 3
         # each free half step is complex along axes 0 and 1 and real along the
         # last; the 12 derivative products are all real
@@ -275,8 +278,9 @@ class TestInPlaceKernels:
         # the temporaries of one 32^3 full-set substep, result included: at most
         # 4.25 n^3 complex arrays under tracemalloc (5.2 with two derivative
         # arrays of the operator alive at once)
-        ps, u0 = _full_set_32()
-        substep = _linear_substep(_linear_operator(ps, skip_certification=True))
+        ps, u1 = _full_set_32()
+        substep = _linear_substep(_linear_operator(u1, ps, skip_certification=True))
+        u0 = u1.data
         substep(u0, 0.05)  # builds the derivative operator and its per-thread buffer
         tracemalloc.start()
         try:
@@ -486,39 +490,59 @@ class TestEvolveNonlinear:
 class TestEvolveHamiltonian:
     def test_free_limit(self, grid, datum):
         cfg = EvolveConfig(t_end=2.0, dt=0.05, snapshot_stride=10)
-        tr = evolve_hamiltonian(datum, (zero_field(grid),) * 3, zero_field(grid), cfg)
+        tr = evolve_hamiltonian(datum, zero_potential_set(grid), cfg)
         ref = free_propagate(datum, 1.0)
         assert np.max(np.abs(tr.fields[-1].data - ref.data)) < 1e-10
 
     def test_mass_conservation_over_thousand_steps(self, grid, datum, potentials):
         cfg = EvolveConfig(t_end=3.0, dt=0.002, snapshot_stride=100)
-        tr = evolve_hamiltonian(datum, potentials.a, potentials.v, cfg)
+        tr = evolve_hamiltonian(datum, potentials, cfg)
         m = np.asarray([l2_norm(f) for f in tr.fields])
         assert np.max(np.abs(m / m[0] - 1.0)) <= 1e-6
 
     def test_energy_drift_small(self, grid, datum, potentials):
         cfg = EvolveConfig(t_end=3.0, dt=0.002, snapshot_stride=100)
-        tr = evolve_hamiltonian(datum, potentials.a, potentials.v, cfg)
-        h = np.asarray([hamiltonian_energy(f, potentials.a, potentials.v) for f in tr.fields])
+        tr = evolve_hamiltonian(datum, potentials, cfg)
+        h = np.asarray([hamiltonian_energy(f, potentials) for f in tr.fields])
         assert np.max(np.abs(h / h[0] - 1.0)) <= 1e-5
 
-    def test_potentials_read_in_either_representation(self, grid, datum, potentials):
-        a, v = potentials.a, potentials.v
-        a_hat, v_hat = tuple(forward_transform(ai) for ai in a), forward_transform(v)
-        energy = hamiltonian_energy(datum, a, v)
-        assert hamiltonian_energy(datum, a_hat, v_hat) == pytest.approx(energy, rel=1e-12)
+    def test_datum_read_in_either_representation(self, grid, datum, potentials):
+        # a PotentialSet holds physical fields only; the datum may be a spectrum
         u_hat = forward_transform(datum)
-        assert hamiltonian_energy(u_hat, a, v) == pytest.approx(energy, rel=1e-12)
+        energy = hamiltonian_energy(datum, potentials)
+        assert hamiltonian_energy(u_hat, potentials) == pytest.approx(energy, rel=1e-12)
         cfg = EvolveConfig(t_end=1.2, dt=0.05)
-        ref = evolve_hamiltonian(datum, a, v, cfg).fields[-1].data
-        out = evolve_hamiltonian(datum, a_hat, v_hat, cfg).fields[-1].data
+        ref = evolve_hamiltonian(datum, potentials, cfg).fields[-1].data
+        out = evolve_hamiltonian(u_hat, potentials, cfg).fields[-1].data
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_rejects_complex_potentials(self, grid, datum):
-        bad = Field(grid, PHYSICAL, 1j * np.ones(grid.shape))
-        cfg = EvolveConfig(t_end=1.1, dt=0.05)
-        with pytest.raises(ValueError):
-            evolve_hamiltonian(datum, (bad,) * 3, zero_field(grid), cfg)
+
+_CHECK_CFG = EvolveConfig(t_end=1.1, dt=0.05)
+_GRID_CHECKED = {
+    "evolve_linear": lambda u, ps: evolve_linear(u, ps, _CHECK_CFG, skip_certification=True),
+    "evolve_linear_to": lambda u, ps: evolve_linear_to(u, ps, 1.0, 1.1, 0.05,
+                                                       skip_certification=True),
+    "evolve_nonlinear": lambda u, ps: evolve_nonlinear(u, ps, _CHECK_CFG,
+                                                       skip_certification=True),
+    "evolve_hamiltonian": lambda u, ps: evolve_hamiltonian(u, ps, _CHECK_CFG),
+    "hamiltonian_energy": hamiltonian_energy,
+    "series_decay_report": lambda u, ps: series_decay_report(u, ps, 2, 1.1, 0.05),
+    "wave_operator": lambda u, ps: wave_operator(u, ps, 2.0, 0.05, skip_certification=True),
+}
+
+
+@pytest.mark.parametrize("flow,zero", [*((name, False) for name in _GRID_CHECKED),
+                                       ("evolve_linear", True), ("wave_operator", True)])
+def test_a_datum_off_its_potentials_grid_is_refused(flow, zero):
+    # same shape, other box: without the check the flows run on mismatched samples;
+    # a zero set takes the free-flow branch of evolve_linear and wave_operator
+    g = make_grid(16, 48.0)
+    u1 = Field(g, PHYSICAL, 0.05 * as_physical(
+        sampling.localized_packet(g, -4, np.random.default_rng(42), width=4.0)).data)
+    on = make_grid(16, 24.0)
+    ps = zero_potential_set(on) if zero else standard_potentials(on)
+    with pytest.raises(ValueError, match=r"length=48\.0.*length=24\.0"):
+        _GRID_CHECKED[flow](u1, ps)
 
 
 class TestProfile:
