@@ -119,8 +119,9 @@ class ExperimentConfig:
         if missing:
             raise ConfigError("config is missing required keys: " + ", ".join(missing))
         _lookup(self.scenario)
-        if self.getfloat("potential", "delta", 1.0) <= 0:
-            raise ConfigError("potential.delta must be positive")
+        for sec in ("potential", "scenario"):
+            if self.getfloat(sec, "delta", 1.0) <= 0:
+                raise ConfigError(f"{sec}.delta must be positive")
         if self.getfloat("bootstrap", "eps0", 1.0) <= 0:
             raise ConfigError("bootstrap.eps0 must be positive")
         if self.getfloat("scenario", "datum_amplitude", 1.0) == 0:
@@ -352,9 +353,7 @@ def _run_born(cfg, grid, manifest, out):
     ps = build_potentials(cfg, grid)
     delta = cfg.getfloat("scenario", "delta", None)
     if delta is not None:
-        rescaled = rescale_to_delta(ps, delta)
-        ps = rescaled.potentials
-        manifest.values["rescale_lambda"] = rescaled.lam
+        ps, manifest.values["rescale_lambda"] = rescale_to_delta(ps, delta)
     u1 = build_datum(cfg, grid, cfg.seed)
     rep = series_decay_report(
         u1, ps,

@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flows import _linear_flow, _linear_operator, _run, _step_count, evolve_linear_to, profiles
+from .flows import _linear_flow, _linear_operator, _run, _step_count, profiles
 from .norms import Trajectory, sobolev_norm, x_norm
 from .potentials import PotentialSet
 from .spectral import FREQUENCY, PHYSICAL, Field, as_frequency, as_physical, free_step
@@ -68,7 +68,7 @@ def _born_ladder(u1: Field, ps: PotentialSet, order_max: int, t_end: float,
     """Physical-space arrays of terms 0..order_max at time t_end; term n carries n
     applications of L = a . grad + V."""
     grid = u1.grid
-    n_steps = _step_count(1.0, t_end, dt, "t")
+    n_steps = _step_count(t_end, dt, "t")
     op = _linear_operator(u1, ps, skip_certification=True)
     E = free_step(grid, dt)
     h = -1j * dt / 2.0
@@ -108,10 +108,6 @@ class BornSeriesReport:
     partial_sum_errors: list[float] | None = None
 
     @property
-    def orders(self) -> list[int]:
-        return list(range(len(self.h10_norms)))
-
-    @property
     def ratios_h10(self) -> list[float]:
         return _ratios(self.h10_norms)
 
@@ -126,7 +122,7 @@ class BornSeriesReport:
     def rows(self) -> list[dict]:
         ratios = [float("nan"), *self.ratios_h10]  # order 0 has no ratio
         return [{"n": n, "h10_norm": h, "x_norm": x, "ratio": r}
-                for n, h, x, r in zip(self.orders, self.h10_norms, self.x_norms, ratios)]
+                for n, (h, x, r) in enumerate(zip(self.h10_norms, self.x_norms, ratios))]
 
 
 def series_decay_report(u1: Field, ps: PotentialSet, order_max: int, t: float,
@@ -146,7 +142,7 @@ def series_decay_report(u1: Field, ps: PotentialSet, order_max: int, t: float,
         x_norms.append(x_norm(fhat))
     errors = None
     if compare_with_flow:
-        target = evolve_linear_to(u1, ps, 1.0, t, dt, skip_certification=True).data
+        target = _run(u1, dt, [_step_count(t, dt, "t")], _linear_flow(u1, ps, True))[0].data
         errors = []
         partial = np.zeros(u1.grid.shape, dtype=np.complex128)
         for data in terms:
@@ -164,10 +160,6 @@ class WaveOperatorResult:
     profiles: list[Field]
     taus: list[float]
     distances: list[float]
-
-    @property
-    def field(self) -> Field:
-        return self.profiles[-1]
 
     @property
     def converged(self) -> bool:
@@ -213,33 +205,21 @@ def wave_operator(u1: Field, ps: PotentialSet, T: float, dt: float, *,
     if m < 1 or abs(T - 2.0**m) > 1e-9:
         raise ValueError(f"T must be a power of two, at least 2 (got {T:g})")
     taus = [2.0**j for j in range(m + 1)]  # 1, 2, ..., T
-    steps = [_step_count(1.0, tau, dt, "dyadic time") for tau in taus]
+    steps = [_step_count(tau, dt, "dyadic time") for tau in taus]
     substep = _linear_flow(u1, ps, skip_certification)
     if substep is None:
         g = list(profiles(Trajectory(times=[1.0], fields=[u1]))) * len(taus)
     else:
-        g = list(profiles(Trajectory(times=taus, fields=_run(u1, 1.0, dt, steps, substep))))
+        g = list(profiles(Trajectory(times=taus, fields=_run(u1, dt, steps, substep))))
     distances = [sobolev_norm(Field(u1.grid, FREQUENCY, g2.data - g1.data), 10)
                  for g1, g2 in zip(g, g[1:])]
     return WaveOperatorResult(profiles=g, taus=taus[:-1], distances=distances)
 
 
-@dataclass(frozen=True)
-class DenominatorCheck:
-    """Quadrature of the oscillatory identity for 1/(a + i beta)."""
-
-    value: complex
-    reference: complex
-
-    @property
-    def residual(self) -> float:
-        return abs(self.value - self.reference)
-
-
 def regularized_denominator_check(a: float, beta: float, tau_max: float,
-                                  dtau: float) -> DenominatorCheck:
-    """Check 1/(a + i beta) = -i integral_0^inf e^{i tau (a + i beta)} dtau
-    by trapezoid quadrature on [0, tau_max].
+                                  dtau: float) -> complex:
+    """The trapezoid quadrature on [0, tau_max] of the identity
+    1/(a + i beta) = -i integral_0^inf e^{i tau (a + i beta)} dtau.
 
     The rule uses the n + 1 = ceil(tau_max / dtau) + 1 equispaced nodes
     tau_k = k h, h = tau_max / n.  Its node values e^{k z}, z = i h (a + i beta),
@@ -254,8 +234,7 @@ def regularized_denominator_check(a: float, beta: float, tau_max: float,
     h = tau_max / n
     z = 1j * h * (a + 1j * beta)
     total = np.expm1((n + 1) * z) / np.expm1(z) - (2.0 + np.expm1(n * z)) / 2.0
-    value = -1j * complex(h * total)
-    return DenominatorCheck(value=value, reference=1.0 / (a + 1j * beta))
+    return -1j * complex(h * total)
 
 
 def denominator_sweep() -> list[dict]:
@@ -266,8 +245,8 @@ def denominator_sweep() -> list[dict]:
     for a in SWEEP_A:
         for beta in SWEEP_BETAS:
             tau_max = SWEEP_TAU_BETA / beta
-            chk = regularized_denominator_check(a, beta, tau_max, SWEEP_DTAU)
+            value = regularized_denominator_check(a, beta, tau_max, SWEEP_DTAU)
             rows.append({"a": a, "beta": beta, "tau_max": tau_max, "dtau": SWEEP_DTAU,
-                         "value_re": chk.value.real, "value_im": chk.value.imag,
-                         "residual": chk.residual})
+                         "value_re": value.real, "value_im": value.imag,
+                         "residual": abs(value - 1.0 / (a + 1j * beta))})
     return rows

@@ -79,15 +79,13 @@ def admissible(p: float, q: float) -> bool:
 def conjugate_exponent(p: float) -> float:
     if p == np.inf:
         return 1.0
-    if p == 1.0:
-        return np.inf
     return p / (p - 1.0)
 
 
 @dataclass
 class EstimateReport:
-    """Ratios of one inequality over randomized samples; the sample count,
-    maximum and median are properties of them."""
+    """Ratios of one inequality over randomized samples; the maximum and median
+    are properties of them."""
 
     estimate_id: str
     ratios: list[float]
@@ -103,10 +101,6 @@ class EstimateReport:
             raise ValueError(f"{self.estimate_id}: need max_ratio >= median_ratio >= 0")
 
     @property
-    def sample_count(self) -> int:
-        return len(self.ratios)
-
-    @property
     def max_ratio(self) -> float:
         return float(np.max(self.ratios))
 
@@ -119,7 +113,7 @@ class EstimateReport:
     def to_json(self) -> str:
         d = {
             "estimate_id": self.estimate_id,
-            "sample_count": self.sample_count,
+            "sample_count": len(self.ratios),
             "max_ratio": self.max_ratio,
             "median_ratio": self.median_ratio,
             "sample_class": self.sample_class,

@@ -78,16 +78,15 @@ class EvolveConfig:
     def __post_init__(self):
         if self.dealias not in ("two-thirds", "off"):
             raise ValueError(f"unknown dealias mode {self.dealias!r}")
-        if not (self.dt > 0 and self.t_end > 1.0):
-            raise ValueError(f"EvolveConfig runs forward from t = 1 (dt {self.dt:g}, t_end "
-                             f"{self.t_end:g}); a backward flow runs through evolve_linear_to")
+        if not self.t_end > 1.0:
+            raise ValueError(f"EvolveConfig runs forward from t = 1 (t_end {self.t_end:g})")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be at least 1")
-        _step_count(1.0, self.t_end, self.dt, "t_end")
+        _step_count(self.t_end, self.dt, "t_end")
 
     @property
     def n_steps(self) -> int:
-        return _step_count(1.0, self.t_end, self.dt, "t_end")
+        return _step_count(self.t_end, self.dt, "t_end")
 
 
 @dataclass(frozen=True)
@@ -108,19 +107,19 @@ class BootstrapParams:
         return self.amplification * self.eps0
 
 
-def _step_count(t_start: float, t_end: float, dt: float, what: str) -> int:
-    """Steps of dt from t_start to t_end: the one check that both finite times sit at or
-    after t = 1 on one ladder of finite nonzero dt, (t_end - t_start) / dt a positive
-    integer to within 1e-9 (0 for equal times).  ``what`` names t_end in the error."""
-    if not np.all(np.isfinite((t_start, t_end, dt))) or min(t_start, t_end) < 1.0:
+def _step_count(t_end: float, dt: float, what: str) -> int:
+    """Steps of dt from t = 1 to t_end: the one check that t_end is finite, at or after
+    t = 1, on the ladder of a finite positive dt, (t_end - 1) / dt an integer to within
+    1e-9 (0 for t_end = 1).  ``what`` names t_end in the error."""
+    if not (np.isfinite(t_end) and np.isfinite(dt) and t_end >= 1.0):
         raise ValueError("evolution times must be finite and stay at or above t = 1 "
-                         f"(t_start {t_start:g}, {what} {t_end:g}, dt {dt:g})")
-    if dt == 0:
-        raise ValueError("dt must be nonzero")
-    steps = (t_end - t_start) / dt
+                         f"({what} {t_end:g}, dt {dt:g})")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive (got {dt:g})")
+    steps = (t_end - 1.0) / dt
     n = int(round(steps))
-    if abs(steps - n) > 1e-9 or n < 0 or (n == 0 and t_end != t_start):
-        raise ValueError(f"{what} {t_end:g} is off the dt ladder: (t_end - t_start) / dt = "
+    if abs(steps - n) > 1e-9 or (n == 0 and t_end != 1.0):
+        raise ValueError(f"{what} {t_end:g} is off the dt ladder: (t_end - 1) / dt = "
                          f"{steps:.6g} must be a positive integer")
     return n
 
@@ -186,14 +185,14 @@ def _mass(u: np.ndarray) -> float:
     return float(np.einsum("i,i->", v, v))
 
 
-def _run(u1: Field, t_start: float, dt: float, steps: list[int], substep) -> list[Field]:
-    """The flow from u1 at t_start, recorded at the ascending steps of its dt
+def _run(u1: Field, dt: float, steps: list[int], substep) -> list[Field]:
+    """The flow from u1 at t = 1, recorded at the ascending steps of its dt
     ladder.  substep=None is the zero potential, whose flow is the exact free
     flow: step 0 is u1 itself and step m one free_propagate by m dt."""
     u = as_physical(u1)
     if substep is None:
         return [u if m == 0 else free_propagate(u, m * dt) for m in steps]
-    records = _strang_loop(u1.grid, u.data, dt, steps[-1], substep, set(steps), t_start=t_start)
+    records = _strang_loop(u1.grid, u.data, dt, steps[-1], substep, set(steps))
     return [Field(u1.grid, PHYSICAL, records[m]) for m in steps]
 
 
@@ -202,7 +201,7 @@ def _evolve(u1: Field, cfg: EvolveConfig, substep) -> Trajectory:
     steps and at the last step."""
     steps = sorted({*range(0, cfg.n_steps, cfg.snapshot_stride), cfg.n_steps})
     times = 1.0 + cfg.dt * np.asarray(steps, dtype=np.float64)
-    return Trajectory(times=times, fields=_run(u1, 1.0, cfg.dt, steps, substep))
+    return Trajectory(times=times, fields=_run(u1, cfg.dt, steps, substep))
 
 
 def _coefficients(u1: Field, ps: PotentialSet) -> list[np.ndarray]:
@@ -266,13 +265,6 @@ def evolve_linear(u1: Field, ps: PotentialSet, cfg: EvolveConfig, *,
                   skip_certification: bool = False) -> Trajectory:
     """Solve i du/dt + Laplacian u = a . grad u + V u from u(1) = u1."""
     return _evolve(u1, cfg, _linear_flow(u1, ps, skip_certification))
-
-
-def evolve_linear_to(u1: Field, ps: PotentialSet, t_start: float, t_end: float,
-                     dt: float, *, skip_certification: bool = False) -> Field:
-    """Terminal field only; accepts either time direction (dt signed)."""
-    n_steps = _step_count(t_start, t_end, dt, "t_end")
-    return _run(u1, t_start, dt, [n_steps], _linear_flow(u1, ps, skip_certification))[0]
 
 
 def evolve_nonlinear(u1: Field, ps: PotentialSet, cfg: EvolveConfig, *,

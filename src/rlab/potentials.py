@@ -72,10 +72,8 @@ class PotentialSet:
 
 def gaussian_potential(grid: Grid, center, width: float, amplitude: float) -> Field:
     """amplitude * exp(-|x - center|^2 / (2 width^2)) (spectral.gaussian, which
-    checks the width and the center), with a wrap-around note when the bump
-    carries boundary mass."""
-    f = Field(grid, PHYSICAL, amplitude * gaussian(grid, width, center, (0.0, 0.0, 0.0)))
-    return Field(grid, PHYSICAL, f.data, note=_wrap_note(f) or None)
+    checks the width and the center)."""
+    return Field(grid, PHYSICAL, amplitude * gaussian(grid, width, center, (0.0, 0.0, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -124,7 +122,9 @@ def _nyquist_tail_note(fhat: Field, weight: np.ndarray, name: str) -> str | None
 
 
 def certify(ps: PotentialSet, delta: float) -> SmallnessCertificate:
-    """Measure every smallness condition and compare against delta."""
+    """Measure every smallness condition and compare against delta; the notes name
+    each of V, a1, a2, a3 with boundary mass (_wrap_note), then each entry whose
+    (1-Delta)^5 weight leans on Nyquist."""
     named = [("V", ps.v), ("a1", ps.a[0]), ("a2", ps.a[1]), ("a3", ps.a[2])]
     squares = [
         (f"a{i + 1}^2", Field(ps.grid, PHYSICAL, ai.data * ai.data))
@@ -132,7 +132,7 @@ def certify(ps: PotentialSet, delta: float) -> SmallnessCertificate:
     ]
     weight = bessel_weight(ps.grid, 10)
     entries = {}
-    notes = []
+    notes = [f"{name}: {note}" for name, w in named if (note := _wrap_note(w))]
     for name, w in named + squares:
         fhat = as_frequency(w)
         entries[name] = _triple(w, fhat, weight)
@@ -140,12 +140,6 @@ def certify(ps: PotentialSet, delta: float) -> SmallnessCertificate:
         if note:
             notes.append(note)
     return SmallnessCertificate(delta=float(delta), entries=entries, notes=tuple(notes))
-
-
-@dataclass(frozen=True)
-class RescaleResult:
-    potentials: PotentialSet
-    lam: float
 
 
 def _entry_root(f1: float, f4: float, r: float, delta: float) -> float:
@@ -158,8 +152,9 @@ def _entry_root(f1: float, f4: float, r: float, delta: float) -> float:
     return 2.0 * delta / denom if denom > 0 else math.nan
 
 
-def rescale_to_delta(ps: PotentialSet, delta: float) -> RescaleResult:
-    """Largest lambda in (0, 1] making certify pass, in closed form.
+def rescale_to_delta(ps: PotentialSet, delta: float) -> tuple[PotentialSet, float]:
+    """(lambda ps, lambda) for the largest lambda in (0, 1] making certify pass, in
+    closed form.
 
     Every certificate entry of lambda * w has the form
     alpha lambda + beta sqrt(lambda): the L1 and Linf parts of the Y norm
@@ -180,7 +175,7 @@ def rescale_to_delta(ps: PotentialSet, delta: float) -> RescaleResult:
         raise ValueError("cannot rescale an identically zero potential set")
     at_one = certify(ps, delta)
     if at_one.passed:
-        return RescaleResult(ps, 1.0)
+        return ps, 1.0
     at_quarter = certify(ps.scaled(0.25), delta)
     root = 1.0
     for name, triple in at_one.entries.items():
@@ -198,6 +193,6 @@ def rescale_to_delta(ps: PotentialSet, delta: float) -> RescaleResult:
         lam = root * (1.0 - 2.0**-margin)
         scaled = ps.scaled(lam)
         if certify(scaled, delta).passed:
-            return RescaleResult(scaled, lam)
+            return scaled, lam
     raise ValueError(f"certify fails even 2^-33 below the closed-form lambda = {root!r} "
                      f"at delta = {delta}")

@@ -259,7 +259,6 @@ class Field:
     grid: Grid
     rep: str
     data: np.ndarray
-    note: str | None = None
 
     def __post_init__(self):
         if self.rep not in (PHYSICAL, FREQUENCY):

@@ -116,6 +116,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("extra, message", [
         ("[potential]\ndelta = 0\n", "potential.delta must be positive"),
+        ("[scenario]\ndelta = -5.0\n", "scenario.delta must be positive"),
         ("[bootstrap]\neps0 = -1\n", "bootstrap.eps0 must be positive"),
     ])
     def test_nonpositive_dial_rejected(self, tmp_path, extra, message):
@@ -226,16 +227,14 @@ class TestConfig:
         ("simulate-nonlinear.ini", "L = 48.0", "L = inf",
          "box length must be positive and finite (got L=inf)"),
         ("simulate-nonlinear.ini", "t_end = 5.0", "t_end = inf",
-         "evolution times must be finite and stay at or above t = 1 "
-         "(t_start 1, t_end inf, dt 0.01)"),
+         "evolution times must be finite and stay at or above t = 1 (t_end inf, dt 0.01)"),
         ("born-series.ini", "t = 14.0", "t = inf",
-         "evolution times must be finite and stay at or above t = 1 (t_start 1, t inf, dt 0.01)"),
+         "evolution times must be finite and stay at or above t = 1 (t inf, dt 0.01)"),
         ("wave-operator.ini", "T = 16.0", "T = inf", "T must be a power of two, at least 2 (got inf)"),
         ("simulate-nonlinear.ini", "dt = 0.01", "dt = 1e10",
-         "t_end 5 is off the dt ladder: (t_end - t_start) / dt = 4e-10 must be a positive integer"),
+         "t_end 5 is off the dt ladder: (t_end - 1) / dt = 4e-10 must be a positive integer"),
         ("wave-operator.ini", "dt = 0.05", "dt = 1e10",
-         "dyadic time 2 is off the dt ladder: (t_end - t_start) / dt = 1e-10 must be a positive "
-         "integer"),
+         "dyadic time 2 is off the dt ladder: (t_end - 1) / dt = 1e-10 must be a positive integer"),
     ], ids=["nan-dt", "nan-amplitude", "inf-L", "inf-t_end", "inf-born-t", "inf-wave-T",
             "coarse-evolve-dt", "coarse-wave-dt"])
     def test_non_finite_or_stepless_value_is_one_error_line(self, tmp_path, capsys, config,
@@ -256,6 +255,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("section, key, value", [
         ("potential", "delta", "0"),
+        ("scenario", "delta", "-5.0"),
         ("bootstrap", "eps0", "-1"),
         ("scenario", "datum_amplitude", "0"),
         ("scenario", "datum_width", "0"),
@@ -283,9 +283,9 @@ class TestConfig:
         ((CONFIGS / "simulate-nonlinear.ini").read_text().replace(
             "dealias = two-thirds", "dealias = bogus"), "unknown dealias mode 'bogus'"),
         ((CONFIGS / "born-series.ini").read_text().replace("dt = 0.01", "dt = 0"),
-         "dt must be nonzero"),
+         "dt must be positive (got 0)"),
         ((CONFIGS / "wave-operator.ini").read_text().replace("dt = 0.05", "dt = 0"),
-         "dt must be nonzero"),
+         "dt must be positive (got 0)"),
     ], ids=["axis", "pair", "dealias", "born-zero-dt", "wave-zero-dt"])
     def test_runner_error_leaves_no_run_directory(self, tmp_path, capsys, text, message):
         p = tmp_path / "bad.ini"
@@ -415,6 +415,15 @@ class TestRun:
         manifest = run(cfg, tmp_path / "out")
         assert manifest.passed
 
+    def test_certificate_records_the_wrap_around_notes(self, tmp_path):
+        # a1 at (-20, -10, 0) and a2 at (0, -20, 10) sit 4 from the box edge at -L/2
+        cfg = ExperimentConfig.from_file(CONFIGS / "certify.ini")
+        cfg.override("potential", "center_offset", -20.0)
+        run(cfg, tmp_path / "out")
+        notes = json.loads((tmp_path / "out" / "certificate.json").read_text())["notes"]
+        wrapped = {n.split(": ")[0] for n in notes if "wrap-around warning" in n}
+        assert {"a1", "a2"} <= wrapped and "V" not in wrapped
+
     def test_usage_error_on_empty_config(self, tmp_path, capsys):
         p = tmp_path / "empty.ini"
         p.write_text("[run]\nscenario = certify\n")
@@ -439,7 +448,7 @@ class TestRun:
         cfg.override("scenario", "delta", 60.0)
         lam = run(cfg, tmp_path / "dial").values["rescale_lambda"]
         ps = build_potentials(cfg, build_grid(cfg))
-        assert lam == rescale_to_delta(ps, 60.0).lam
+        assert lam == rescale_to_delta(ps, 60.0)[1]
         assert 0.0 < lam < 1.0
 
     def test_build_datum_keeps_its_draws_and_values(self, monkeypatch):

@@ -24,7 +24,6 @@ from rlab.flows import (
     bootstrap_monitor,
     evolve_hamiltonian,
     evolve_linear,
-    evolve_linear_to,
     evolve_nonlinear,
     hamiltonian_energy,
     profile_norms,
@@ -75,11 +74,14 @@ class TestEvolveConfig:
             EvolveConfig(t_end=2.0, dt=-0.1)
 
     def test_refuses_backward_runs_up_front(self):
-        # a run always starts at t = 1, so a backward or zero dt is refused at
-        # construction, before any step, and the message names the backward flow
-        for t_end, dt in ((1.0, -0.1), (2.0, 0.0), (1.0, 0.1)):
-            with pytest.raises(ValueError, match="evolve_linear_to"):
+        # a run always starts at t = 1 and runs forward, so a t_end at or before 1
+        # or a dt at or below 0 is refused at construction, before any step
+        for t_end, dt in ((1.0, -0.1), (1.0, 0.1), (0.5, 0.1)):
+            with pytest.raises(ValueError, match=r"^EvolveConfig runs forward from t = 1"):
                 EvolveConfig(t_end=t_end, dt=dt)
+        for dt in (0.0, -0.1):
+            with pytest.raises(ValueError, match="^dt must be positive"):
+                EvolveConfig(t_end=2.0, dt=dt)
         with pytest.raises(TypeError):
             EvolveConfig(t_end=1.0, dt=-0.1, t_start=2.0)
 
@@ -90,37 +92,35 @@ class TestEvolveConfig:
 
 
 class TestStepCount:
-    def test_counts_steps_in_either_direction(self):
-        assert _step_count(1.0, 2.0, 0.1, "t_end") == 10
-        assert _step_count(2.0, 1.0, -0.1, "t_end") == 10
-        assert _step_count(1.0, 1.0, 0.1, "t_end") == 0
+    def test_counts_steps_from_one(self):
+        assert _step_count(2.0, 0.1, "t_end") == 10
+        assert _step_count(1.0, 0.1, "t_end") == 0
 
-    def test_rejects_times_before_one(self):
-        with pytest.raises(ValueError, match="t = 1"):
-            _step_count(1.0, 0.5, -0.1, "t_end")
+    @pytest.mark.parametrize("dt", [0.0, -0.0, -0.1])
+    def test_rejects_a_dt_at_or_below_zero(self, dt):
+        with pytest.raises(ValueError, match=rf"^dt must be positive \(got {dt:g}\)$"):
+            _step_count(2.0, dt, "t_end")
 
-    @pytest.mark.parametrize("t_end", [1.0, 2.0])
-    def test_rejects_zero_dt(self, t_end):
-        with pytest.raises(ValueError, match="^dt must be nonzero$"):
-            _step_count(1.0, t_end, 0.0, "t_end")
+    @pytest.mark.parametrize("t_end", [0.5, 1.0 - 1e-12, -np.inf])
+    def test_rejects_an_end_before_one(self, t_end):
+        with pytest.raises(ValueError, match="stay at or above t = 1"):
+            _step_count(t_end, 0.1, "t_end")
 
-    @pytest.mark.parametrize("t_end, dt", [(2.0, 0.3), (2.0, -0.1), (2.0, 1e10), (2.0, -1e10)])
-    def test_rejects_off_ladder_or_backward_counts(self, t_end, dt):
-        with pytest.raises(ValueError, match="t_end 2 is off the dt ladder"):
-            _step_count(1.0, t_end, dt, "t_end")
+    @pytest.mark.parametrize("t_end, dt", [(np.inf, 0.1), (np.nan, 0.1), (2.0, np.nan),
+                                           (2.0, np.inf)])
+    def test_rejects_non_finite_times_and_dt(self, t_end, dt):
+        with pytest.raises(ValueError, match=r"must be finite .* \(t_end .*, dt .*\)$"):
+            _step_count(t_end, dt, "t_end")
 
-    @pytest.mark.parametrize("t_start, t_end, dt", [
-        (1.0, np.inf, 0.1), (np.inf, 2.0, -0.1), (1.0, np.nan, 0.1), (1.0, 2.0, np.nan),
-        (1.0, 2.0, np.inf),
-    ])
-    def test_rejects_non_finite_times_and_dt(self, t_start, t_end, dt):
-        with pytest.raises(ValueError, match="must be finite"):
-            _step_count(t_start, t_end, dt, "t_end")
+    @pytest.mark.parametrize("t_end, dt", [(2.0, 0.3), (2.0, 1e10), (1.0 + 1e-12, 0.1)])
+    def test_rejects_off_ladder_counts(self, t_end, dt):
+        with pytest.raises(ValueError, match=r"t_end .* is off the dt ladder: \(t_end - 1\) / dt"):
+            _step_count(t_end, dt, "t_end")
 
     @settings(max_examples=200, deadline=None)
-    @given(t0=st.floats(1.0, 16.0), dt=st.floats(0.01, 10.0), n=st.integers(0, 1000))
-    def test_a_whole_number_of_steps_is_counted_exactly(self, t0, dt, n):
-        assert _step_count(t0, t0 + n * dt, dt, "t_end") == n
+    @given(dt=st.floats(0.01, 10.0), n=st.integers(0, 1000))
+    def test_a_whole_number_of_steps_is_counted_exactly(self, dt, n):
+        assert _step_count(1.0 + n * dt, dt, "t_end") == n
 
 
 class TestBootstrapParams:
@@ -346,10 +346,6 @@ class TestEvolveLinear:
         assert tr.fields[0] is datum
         for m, f in zip(recorded[1:], tr.fields[1:]):
             assert np.array_equal(f.data, free_propagate(datum, m * dt).data)
-        forward = evolve_linear_to(datum, ps, 1.0, cfg.t_end, dt)
-        assert np.array_equal(forward.data, free_propagate(datum, steps * dt).data)
-        backward = evolve_linear_to(datum, ps, cfg.t_end, 1.0, -dt)
-        assert np.array_equal(backward.data, free_propagate(datum, steps * -dt).data)
 
     @settings(max_examples=30, deadline=None)
     @given(amplitude=st.floats(0.05, 5.0), dt=st.sampled_from([0.01, 0.05, 0.1]),
@@ -402,18 +398,6 @@ class TestEvolveLinear:
         with pytest.raises(ValueError):
             evolve_linear(datum, ps, cfg)
         evolve_linear(datum, ps, cfg, skip_certification=True)
-
-    def test_time_reversal(self, grid, datum, potentials):
-        fwd = evolve_linear_to(datum, potentials, 1.0, 1.2, 0.002,
-                               skip_certification=True)
-        back = evolve_linear_to(fwd, potentials, 1.2, 1.0, -0.002,
-                                skip_certification=True)
-        assert np.max(np.abs(back.data - datum.data)) < 1e-8
-
-    def test_linear_to_rejects_non_integer_step_count(self, datum, potentials):
-        # (1.25 - 1) / 0.1 = 2.5 steps
-        with pytest.raises(ValueError, match="integer"):
-            evolve_linear_to(datum, potentials, 1.0, 1.25, 0.1, skip_certification=True)
 
     def test_blowup_guard_trips(self, grid, datum):
         violent = PotentialSet(
@@ -520,8 +504,6 @@ class TestEvolveHamiltonian:
 _CHECK_CFG = EvolveConfig(t_end=1.1, dt=0.05)
 _GRID_CHECKED = {
     "evolve_linear": lambda u, ps: evolve_linear(u, ps, _CHECK_CFG, skip_certification=True),
-    "evolve_linear_to": lambda u, ps: evolve_linear_to(u, ps, 1.0, 1.1, 0.05,
-                                                       skip_certification=True),
     "evolve_nonlinear": lambda u, ps: evolve_nonlinear(u, ps, _CHECK_CFG,
                                                        skip_certification=True),
     "evolve_hamiltonian": lambda u, ps: evolve_hamiltonian(u, ps, _CHECK_CFG),

@@ -65,10 +65,6 @@ class TestGaussianPotential:
         with pytest.raises(ValueError, match="width must be positive and finite"):
             gaussian_potential(grid, (0, 0, 0), width, 1.0)
 
-    def test_boundary_bump_carries_note(self, grid):
-        f = gaussian_potential(grid, (-23.0, 0, 0), 3.0, 1.0)
-        assert f.note and "wrap-around" in f.note
-
 
 class TestPotentialSet:
     def test_rejects_complex_potentials(self, grid):
@@ -130,6 +126,14 @@ class TestCertify:
         cert = certify(ps, 1.0)
         assert any("resolution warning" in n for n in cert.notes)
 
+    def test_boundary_bump_puts_a_wrap_note_naming_it(self, grid):
+        # a1 sits 1 from the box edge at -L/2; V at the centre carries no boundary mass
+        ps = PotentialSet(v=gaussian_potential(grid, (0, 0, 0), 3.0, 0.2),
+                          a=(gaussian_potential(grid, (-23.0, 0, 0), 3.0, 1.0),
+                             *(zero_field(grid),) * 2), delta_target=1.0)
+        wraps = [n for n in certify(ps, 1.0).notes if "wrap-around warning" in n]
+        assert len(wraps) == 1 and wraps[0].startswith("a1: wrap-around warning: ")
+
     def test_zero_spectrum_has_no_tail_note(self, grid):
         zero = zero_field(grid, FREQUENCY)
         assert potentials._nyquist_tail_note(zero, bessel_weight(grid, 10), "V") is None
@@ -154,31 +158,30 @@ class TestCertify:
 
 class TestRescale:
     def test_already_passing_returns_one(self, grid, sample_set):
-        res = rescale_to_delta(sample_set, 1e6)
-        assert res.lam == 1.0
+        ps, lam = rescale_to_delta(sample_set, 1e6)
+        assert ps is sample_set and lam == 1.0
 
     def test_doubling_amplitudes_halves_lambda(self, grid, sample_set):
         delta = 120.0
-        res1 = rescale_to_delta(sample_set, delta)
-        doubled = sample_set.scaled(2.0)
-        res2 = rescale_to_delta(doubled, delta)
-        assert 0.45 <= res2.lam / res1.lam <= 0.55
+        _, lam1 = rescale_to_delta(sample_set, delta)
+        _, lam2 = rescale_to_delta(sample_set.scaled(2.0), delta)
+        assert 0.45 <= lam2 / lam1 <= 0.55
 
     def test_zero_set_rejected(self, grid):
         with pytest.raises(ValueError):
             rescale_to_delta(zero_potential_set(grid), 1.0)
 
     def test_idempotent(self, grid, sample_set):
-        res = rescale_to_delta(sample_set, 120.0)
-        again = rescale_to_delta(res.potentials, 120.0)
-        assert again.lam == 1.0
-        assert certify(again.potentials, 120.0).passed
+        scaled, _ = rescale_to_delta(sample_set, 120.0)
+        again, lam = rescale_to_delta(scaled, 120.0)
+        assert lam == 1.0
+        assert certify(again, 120.0).passed
 
 
 class TestClosedFormRescale:
     @staticmethod
     def assert_largest_certified(ps, delta):
-        lam = rescale_to_delta(ps, delta).lam
+        _, lam = rescale_to_delta(ps, delta)
         assert certify(ps.scaled(lam), delta).passed
         if lam < 1.0:
             assert not certify(ps.scaled(lam * (1 + 1e-9)), delta).passed
@@ -199,7 +202,7 @@ class TestClosedFormRescale:
         monkeypatch.setattr(potentials, "certify", counted)
         for delta in (40.0, 120.0, 400.0, 900.0):
             calls.clear()
-            assert rescale_to_delta(sample_set, delta).lam < 1.0
+            assert rescale_to_delta(sample_set, delta)[1] < 1.0
             assert len(calls) <= 3
 
     def test_without_magnetic_components(self, grid, sample_set):

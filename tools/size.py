@@ -1,6 +1,5 @@
-"""Size of the package: its line count, its count of settable values, the
-top-level names nothing in it reads and the dataclass fields nothing in it
-reads.
+"""Size of the package: its line count, its count of settable values, and the
+top-level names, dataclass fields and class members nothing in it reads.
 
 Usage::
 
@@ -17,8 +16,10 @@ aside): only tests or outside callers can reach it.  An unread field is a
 dataclass field that no module of the package loads as an attribute outside
 its own class's ``__post_init__``: it is stored but never used.  Names are
 matched as strings, not resolved to types, so a field counts as read when
-any object's attribute of the same name is loaded.  scan() reads the
-source with ``ast`` and returns the counts and the unread names and fields;
+any object's attribute of the same name is loaded.  An unread member is a
+method or property of a class, other than a dunder, whose name no module of
+the package loads (its own definition aside).  scan() reads the source with
+``ast`` and returns the counts and the unread names, fields and members;
 the script prints them, so a change can quote them before and after, and
 the test suite compares the unread lists with the names it allows.
 """
@@ -54,16 +55,10 @@ def settable_values(tree: ast.AST) -> tuple[int, int]:
     return defaults, fields
 
 
-def unread_names(trees: dict[str, ast.AST]) -> list[str]:
-    """``module.name`` of each top-level definition no module reads."""
-    defined, read = [], set()
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((module, node.name))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+def _read(trees: dict[str, ast.AST]) -> set[str]:
+    """Every name any module loads, imports or reads as an attribute."""
+    read = set()
+    for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -71,7 +66,34 @@ def unread_names(trees: dict[str, ast.AST]) -> list[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_names(trees: dict[str, ast.AST]) -> list[str]:
+    """``module.name`` of each top-level definition no module reads."""
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+    read = _read(trees)
     return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
+def unread_members(trees: dict[str, ast.AST]) -> list[str]:
+    """``module.Class.member`` of each non-dunder method or property no module reads."""
+    defined = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}", stmt.name) for stmt in node.body
+                            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (stmt.name.startswith("__") and stmt.name.endswith("__"))]
+    read = _read(trees)
+    return [f"{cls}.{name}" for cls, name in defined if name not in read]
 
 
 def _loaded(tree: ast.AST) -> Counter:
@@ -101,6 +123,7 @@ class Scan(NamedTuple):
     fields: int  # dataclass fields
     unread_names: list[str]
     unread_fields: list[str]
+    unread_members: list[str]
 
 
 def scan(src_dir: pathlib.Path) -> Scan:
@@ -117,7 +140,8 @@ def scan(src_dir: pathlib.Path) -> Scan:
         d, f = settable_values(trees[path.stem])
         defaults += d
         fields += f
-    return Scan(len(files), lines, defaults, fields, unread_names(trees), unread_fields(trees))
+    return Scan(len(files), lines, defaults, fields, unread_names(trees), unread_fields(trees),
+                unread_members(trees))
 
 
 def main(argv) -> int:
@@ -131,7 +155,8 @@ def main(argv) -> int:
     print(f"settable values: {size.defaults} defaulted parameters + {size.fields} dataclass"
           f" fields = {size.defaults + size.fields}")
     for kind, names in (("top-level names", size.unread_names),
-                        ("dataclass fields", size.unread_fields)):
+                        ("dataclass fields", size.unread_fields),
+                        ("members", size.unread_members)):
         print(f"unread {kind}: {len(names)}")
         for name in names:
             print(f"  {name}")
