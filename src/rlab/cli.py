@@ -3,9 +3,9 @@ persistence and report emission.
 
 Configs are flat INI-style text (``key = value`` under ``[section]``
 headers), chosen over nested formats for diff-ability.  The table
-ACCEPTED_KEYS is the grammar, each key with its type: any other section or
-key is a ConfigError naming it, as is a value its type cannot read or a
-value out of its range, on a load and on an override alike.  Values are
+ACCEPTED_KEYS is the grammar, each key with its type and rule: any other
+section or key is a ConfigError naming it, as is a value its type cannot
+read or its rule refuses, on a load and on an override alike.  Values are
 plain tokens; floats use '.' decimals.  CSV outputs print floats with 17
 significant digits and are byte-identical for identical configs and seeds,
 serial or parallel.  Manifests are strict JSON (RFC 8259): a non-finite
@@ -25,7 +25,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import pathlib
 import sys
 from dataclasses import dataclass
@@ -53,17 +52,24 @@ from .potentials import PotentialSet, certify, gaussian_potential, rescale_to_de
 from .spectral import Field, Grid, free_propagate, gaussian, l2_norm, make_grid, read_snapshot
 from .sampling import normalized, sample_rng
 
+# the float tests a key's rule can name; a value failing one is "<key> must be <rule>"
+RULES = {"positive": lambda x: x > 0, "nonzero": lambda x: x != 0, "finite": math.isfinite,
+         "positive and finite": lambda x: 0 < x < math.inf}
+
+# each key's type, or (type, rule) with rule its least integer or a RULES name
 ACCEPTED_KEYS = {
-    "run": {"scenario": str, "seed": int, "out": str, "threads": int},
+    "run": {"scenario": str, "seed": (int, 0), "out": str, "threads": (int, 1)},
     "grid": {"n": int, "L": float},
     "evolve": {"t_end": float, "dt": float, "snapshot_stride": int, "dealias": str},
-    "potential": {"width": float, "delta": float, "amplitude_v": float, "amplitude_a1": float,
-                  "amplitude_a2": float, "amplitude_a3": float, "center_offset": float},
-    "bootstrap": {"eps0": float, "amplification": float},
-    "scenario": {"datum_width": float, "datum_amplitude": float, "datum_carrier": float,
-                 "datum_advance": float, "delta": float, "orders": int, "t": float,
-                 "dt": float, "T": float, "samples": int, "axis": int, "band": int,
-                 "p": float, "q": float, "k_lo": int, "k_hi": int, "c": float},
+    "potential": {"width": (float, "positive and finite"), "delta": (float, "positive"),
+                  "amplitude_v": float, "amplitude_a1": float, "amplitude_a2": float,
+                  "amplitude_a3": float, "center_offset": float},
+    "bootstrap": {"eps0": (float, "positive"), "amplification": float},
+    "scenario": {"datum_width": (float, "positive"), "datum_amplitude": (float, "nonzero"),
+                 "datum_carrier": (float, "finite"), "datum_advance": float,
+                 "delta": (float, "positive"), "orders": (int, 2), "t": float, "dt": float,
+                 "T": float, "samples": (int, 1), "axis": int, "band": int, "p": float,
+                 "q": float, "k_lo": int, "k_hi": int, "c": float},
 }
 
 
@@ -83,8 +89,10 @@ def write_csv(path, header: list[str], rows: list[dict]) -> None:
     pathlib.Path(path).write_text(buf.getvalue())
 
 
-def _parse(name: str, value: str, kind):
-    """kind(value), or a ConfigError naming the key or variable and the value (NaN too)."""
+def _parse(name: str, value: str, spec):
+    """The value of key name read by its ACCEPTED_KEYS spec, or a ConfigError naming
+    the key: a value its type cannot read (NaN too) or that fails the key's rule."""
+    kind, rule = spec if isinstance(spec, tuple) else (spec, None)
     try:
         parsed = kind(value)
         if kind is float and math.isnan(parsed):
@@ -92,6 +100,10 @@ def _parse(name: str, value: str, kind):
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name} = {value!r} is not {noun}") from None
+    if isinstance(rule, int) and parsed < rule:
+        raise ConfigError(f"{name} = {parsed} must be at least {rule}")
+    if isinstance(rule, str) and not RULES[rule](parsed):
+        raise ConfigError(f"{name} must be {rule}")
     return parsed
 
 
@@ -119,24 +131,6 @@ class ExperimentConfig:
         if missing:
             raise ConfigError("config is missing required keys: " + ", ".join(missing))
         _lookup(self.scenario)
-        for sec in ("potential", "scenario"):
-            if self.getfloat(sec, "delta", 1.0) <= 0:
-                raise ConfigError(f"{sec}.delta must be positive")
-        if self.getfloat("bootstrap", "eps0", 1.0) <= 0:
-            raise ConfigError("bootstrap.eps0 must be positive")
-        if self.getfloat("scenario", "datum_amplitude", 1.0) == 0:
-            raise ConfigError("scenario.datum_amplitude must be nonzero")
-        if self.getfloat("scenario", "datum_width", 1.0) <= 0:
-            raise ConfigError("scenario.datum_width must be positive")
-        if not math.isfinite(self.getfloat("scenario", "datum_carrier", 0.0)):
-            raise ConfigError("scenario.datum_carrier must be finite")
-        if not 0 < self.getfloat("potential", "width", 1.0) < math.inf:
-            raise ConfigError("potential.width must be positive and finite")
-        for sec, key, least in (("run", "seed", 0), ("scenario", "samples", 1),
-                                ("scenario", "orders", 2)):
-            value = self.getint(sec, key)
-            if value is not None and value < least:
-                raise ConfigError(f"{sec}.{key} = {value} must be at least {least}")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -152,16 +146,10 @@ class ExperimentConfig:
         return cls(sections)
 
     def get(self, section, key, default=None):
+        """section.key read by its type in ACCEPTED_KEYS, or default where it is unset."""
         val = self.sections.get(section, {}).get(key)
-        return default if val is None else val
-
-    def getfloat(self, section, key, default=None):
-        val = self.get(section, key)
-        return default if val is None else float(val)
-
-    def getint(self, section, key, default=None):
-        val = self.get(section, key)
-        return default if val is None else int(val)
+        return default if val is None else _parse(f"{section}.{key}", val,
+                                                  ACCEPTED_KEYS[section][key])
 
     def override(self, section, key, value):
         # the changed sections pass every check of a load before they are kept
@@ -188,29 +176,23 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        return self.getint("run", "seed")
+        return self.get("run", "seed")
 
     @property
     def threads(self) -> int:
-        name, threads = "run.threads", self.getint("run", "threads")
-        if threads is None:
-            name = "RLAB_THREADS"
-            threads = _parse(name, os.environ.get(name) or "1", int)
-        if threads < 1:
-            raise ConfigError(f"{name} = {threads} must be at least 1")
-        return threads
+        return self.get("run", "threads", 1)
 
 
 def build_grid(cfg: ExperimentConfig) -> Grid:
-    return make_grid(cfg.getint("grid", "n"), cfg.getfloat("grid", "L"))
+    return make_grid(cfg.get("grid", "n"), cfg.get("grid", "L"))
 
 
 def build_potentials(cfg: ExperimentConfig, grid) -> PotentialSet:
-    width = cfg.getfloat("potential", "width", 4.0)
-    delta = cfg.getfloat("potential", "delta", 1.0)
-    amp_v = cfg.getfloat("potential", "amplitude_v", 0.0)
-    amps_a = [cfg.getfloat("potential", f"amplitude_a{i + 1}", 0.0) for i in range(3)]
-    off = cfg.getfloat("potential", "center_offset", 1.0)
+    width = cfg.get("potential", "width", 4.0)
+    delta = cfg.get("potential", "delta", 1.0)
+    amp_v = cfg.get("potential", "amplitude_v", 0.0)
+    amps_a = [cfg.get("potential", f"amplitude_a{i + 1}", 0.0) for i in range(3)]
+    off = cfg.get("potential", "center_offset", 1.0)
     centers = [(0.0, 0.0, 0.0), (off, 0.5 * off, 0.0), (0.0, off, -0.5 * off),
                (0.5 * off, 0.0, -off)]
     v = gaussian_potential(grid, centers[0], width, amp_v)
@@ -221,10 +203,10 @@ def build_potentials(cfg: ExperimentConfig, grid) -> PotentialSet:
 def build_datum(cfg: ExperimentConfig, grid, seed: int) -> Field:
     """Localized small datum: Gaussian envelope, fixed-modulus random carrier,
     optionally advanced along the free flow."""
-    sigma = cfg.getfloat("scenario", "datum_width", 4.0)
-    amp = cfg.getfloat("scenario", "datum_amplitude", 0.01)
-    carrier = cfg.getfloat("scenario", "datum_carrier", 0.6)
-    advance = cfg.getfloat("scenario", "datum_advance", 4.0)
+    sigma = cfg.get("scenario", "datum_width", 4.0)
+    amp = cfg.get("scenario", "datum_amplitude", 0.01)
+    carrier = cfg.get("scenario", "datum_carrier", 0.6)
+    advance = cfg.get("scenario", "datum_advance", 4.0)
     rng = sample_rng(seed, 0)
     direction = rng.standard_normal(3)
     direction /= np.linalg.norm(direction)
@@ -320,15 +302,15 @@ def _run_simulate(cfg, grid, manifest, out, nonlinear: bool):
     ps = build_potentials(cfg, grid)
     u1 = build_datum(cfg, grid, cfg.seed)
     evolve_cfg = EvolveConfig(
-        t_end=cfg.getfloat("evolve", "t_end", 3.0),
-        dt=cfg.getfloat("evolve", "dt", 0.01),
-        snapshot_stride=cfg.getint("evolve", "snapshot_stride", 50),
+        t_end=cfg.get("evolve", "t_end", 3.0),
+        dt=cfg.get("evolve", "dt", 0.01),
+        snapshot_stride=cfg.get("evolve", "snapshot_stride", 50),
         dealias=cfg.get("evolve", "dealias", "two-thirds"),
     )
     evolve = evolve_linear
     if nonlinear:  # a bad bootstrap key fails before any step is taken
-        bp = BootstrapParams(eps0=cfg.getfloat("bootstrap", "eps0", 0.05),
-                             amplification=cfg.getfloat("bootstrap", "amplification", 4.0))
+        bp = BootstrapParams(eps0=cfg.get("bootstrap", "eps0", 0.05),
+                             amplification=cfg.get("bootstrap", "amplification", 4.0))
         evolve = evolve_nonlinear
     try:
         tr = evolve(u1, ps, evolve_cfg, skip_certification=True)
@@ -351,15 +333,15 @@ def _run_simulate(cfg, grid, manifest, out, nonlinear: bool):
 
 def _run_born(cfg, grid, manifest, out):
     ps = build_potentials(cfg, grid)
-    delta = cfg.getfloat("scenario", "delta", None)
+    delta = cfg.get("scenario", "delta")
     if delta is not None:
         ps, manifest.values["rescale_lambda"] = rescale_to_delta(ps, delta)
     u1 = build_datum(cfg, grid, cfg.seed)
     rep = series_decay_report(
         u1, ps,
-        cfg.getint("scenario", "orders", 6),
-        cfg.getfloat("scenario", "t", 14.0),
-        cfg.getfloat("scenario", "dt", 0.01),
+        cfg.get("scenario", "orders", 6),
+        cfg.get("scenario", "t", 14.0),
+        cfg.get("scenario", "dt", 0.01),
         compare_with_flow=True,
     )
     manifest.add_csv("series.csv", ["n", "h10_norm", "x_norm", "ratio"], rep.rows())
@@ -382,8 +364,8 @@ def _run_wave(cfg, grid, manifest, out):
     u1 = build_datum(cfg, grid, cfg.seed)
     res = wave_operator(
         u1, ps,
-        cfg.getfloat("scenario", "T", 16.0),
-        cfg.getfloat("scenario", "dt", 0.05),
+        cfg.get("scenario", "T", 16.0),
+        cfg.get("scenario", "dt", 0.05),
         skip_certification=True,
     )
     manifest.add_csv("trace.csv", ["tau", "cauchy_distance"], res.rows())
@@ -394,19 +376,19 @@ def _run_wave(cfg, grid, manifest, out):
 
 
 def _pair(cfg) -> AdmissiblePair:
-    return AdmissiblePair(cfg.getfloat("scenario", "p", 2.0), cfg.getfloat("scenario", "q", 6.0))
+    return AdmissiblePair(cfg.get("scenario", "p", 2.0), cfg.get("scenario", "q", 6.0))
 
 
 def _sampled(cfg) -> dict:
     # the sample count, seed and thread keywords of every sampled check
-    return {"samples": cfg.getint("scenario", "samples", 8), "seed": cfg.seed,
+    return {"samples": cfg.get("scenario", "samples", 8), "seed": cfg.seed,
             "threads": cfg.threads}
 
 
 def _smoothing(variant: str):
     return lambda cfg, grid: check_smoothing(
-        grid, variant, cfg.getint("scenario", "axis", 0),
-        band=cfg.getint("scenario", "band", 0), **_sampled(cfg))
+        grid, variant, cfg.get("scenario", "axis", 0),
+        band=cfg.get("scenario", "band", 0), **_sampled(cfg))
 
 
 def _harness(check):
@@ -476,8 +458,8 @@ SCENARIOS: dict[str, Scenario] = {
     "harness:str1": Scenario(
         "Free-flow Strichartz bound over admissible pairs (2/p + 3/q = 3/2).",
         _harness(lambda cfg, grid: check_strichartz(
-            grid, _pair(cfg), k_lo=cfg.getint("scenario", "k_lo", -3),
-            k_hi=cfg.getint("scenario", "k_hi", 3), **_sampled(cfg))),
+            grid, _pair(cfg), k_lo=cfg.get("scenario", "k_lo", -3),
+            k_hi=cfg.get("scenario", "k_hi", 3), **_sampled(cfg))),
     ),
     "harness:smo1": Scenario(
         "Homogeneous Kenig-Ponce-Vega local smoothing: half-derivative gain "
@@ -496,13 +478,13 @@ SCENARIOS: dict[str, Scenario] = {
     "harness:ik-smostri": Scenario(
         "Ionescu-Kenig smoothing-Strichartz bound for the retarded integral.",
         _harness(lambda cfg, grid: check_smoothing_strichartz(
-            grid, _pair(cfg), cfg.getint("scenario", "axis", 0),
-            band=cfg.getint("scenario", "band", 0), **_sampled(cfg))),
+            grid, _pair(cfg), cfg.get("scenario", "axis", 0),
+            band=cfg.get("scenario", "band", 0), **_sampled(cfg))),
     ),
     "harness:dispersive": Scenario(
         "Band-limited L6 dispersive decay: flatness of t * ||e^{it Lap} f_k||_L6.",
         _harness(lambda cfg, grid: check_dispersive_decay(
-            grid, cfg.getint("scenario", "band", 0))),
+            grid, cfg.get("scenario", "band", 0))),
     ),
     "harness:bilin": Scenario(
         "Bilinear multiplier bound with the L1 kernel quadrature on the right side.",
@@ -517,14 +499,14 @@ SCENARIOS: dict[str, Scenario] = {
     "harness:summation": Scenario(
         "Band summation/interpolation bound with the H2 proxy for the bootstrap constant.",
         _harness(lambda cfg, grid: check_summation_interpolation(
-            grid, cfg.getint("scenario", "band", 0), 2.0, 6.0,
-            cfg.getfloat("scenario", "c", 0.25), **_sampled(cfg))),
+            grid, cfg.get("scenario", "band", 0), 2.0, 6.0,
+            cfg.get("scenario", "c", 0.25), **_sampled(cfg))),
     ),
     "harness:doi": Scenario(
         "Doi-type short-horizon well-posedness quotient for the quadratic flow.",
         _harness(lambda cfg, grid: check_doi_local(
             build_datum(cfg, grid, cfg.seed), build_potentials(cfg, grid),
-            cfg.getfloat("scenario", "T", 2.0), cfg.getfloat("scenario", "dt", 0.01))),
+            cfg.get("scenario", "T", 2.0), cfg.get("scenario", "dt", 0.01))),
     ),
 }
 
@@ -536,9 +518,8 @@ def _lookup(scenario: str) -> Scenario:
 
 
 def run(cfg: ExperimentConfig, out_dir) -> RunManifest:
-    # a bad grid or thread count fails here, before the run directory exists
+    # a bad grid fails here, before the run directory exists
     grid = build_grid(cfg)
-    cfg.threads
     out = pathlib.Path(out_dir)
     made = [d for d in (out, *out.parents) if not d.exists()]  # innermost first
     out.mkdir(parents=True, exist_ok=True)

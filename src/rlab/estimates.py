@@ -47,7 +47,6 @@ from .spectral import (
     free_phase,
     free_power_profiles,
     half_derivative_weight,
-    inverse_transform,
     l2_norm,
 )
 
@@ -411,7 +410,7 @@ def bilinear_apply(f: Field, g: Field, m1: np.ndarray, m2: np.ndarray) -> Field:
 def kernel_l1_norm(grid: Grid, m: np.ndarray) -> float:
     """L1 norm of the physical kernel of a multiplier array, by direct quadrature."""
     vals = np.broadcast_to(m, grid.shape).astype(np.complex128)
-    return lebesgue_norm(inverse_transform(Field(grid, FREQUENCY, vals)), 1)
+    return lebesgue_norm(as_physical(Field(grid, FREQUENCY, vals)), 1)
 
 
 def check_bilinear(grid: Grid, m1: np.ndarray, m2: np.ndarray, p: float, q: float,

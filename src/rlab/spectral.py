@@ -272,29 +272,27 @@ class Field:
         self.data.flags.writeable = False
 
 
-def forward_transform(f: Field) -> Field:
-    """Discrete fhat(xi) = integral e^{-i x.xi} f(x) dx; requires physical input."""
-    if f.rep != PHYSICAL:
-        raise ValueError("forward_transform expects a physical-representation field")
-    g = f.grid
-    data = np.fft.fftn(f.data)
-    data *= g.dx**3
-    return Field(g, FREQUENCY, data)
-
-
-def inverse_transform(f: Field) -> Field:
-    """Inverse with the (2 pi)^{-3} convention; requires frequency input."""
-    if f.rep != FREQUENCY:
-        raise ValueError("inverse_transform expects a frequency-representation field")
-    g = f.grid
+def as_physical(f: Field) -> Field:
+    """f on the physical lattice: a spectrum's inverse with the (2 pi)^{-3} convention."""
+    if f.rep == PHYSICAL:
+        return f
     data = np.fft.ifftn(f.data)
-    data /= g.dx**3
-    return Field(g, PHYSICAL, data)
+    data /= f.grid.dx**3
+    return Field(f.grid, PHYSICAL, data)
+
+
+def as_frequency(f: Field) -> Field:
+    """f as its spectrum, the discrete fhat(xi) = integral e^{-i x.xi} f(x) dx."""
+    if f.rep == FREQUENCY:
+        return f
+    data = np.fft.fftn(f.data)
+    data *= f.grid.dx**3
+    return Field(f.grid, FREQUENCY, data)
 
 
 def line_moments(grid: Grid, pieces) -> np.ndarray:
     """integral x_j^2 |g|^2 dx for each piece (coeffs, scatter, rows) of a
-    batch, g the inverse_transform of the spectrum that is coeffs on the
+    batch, g the physical field whose spectrum is coeffs on the
     piece's modes and 0 elsewhere, j the axis of the piece's lines: scatter
     places each coefficient in a rows x n block, one row per line along j and
     the column its index along j (bands.line_pieces).
@@ -313,14 +311,6 @@ def line_moments(grid: Grid, pieces) -> np.ndarray:
     power += block.imag**2
     weight = grid.axis_coords**2
     return np.add.reduceat(power, starts[:-1], axis=0) @ weight / (n**2 * grid.dx**3)
-
-
-def as_physical(f: Field) -> Field:
-    return f if f.rep == PHYSICAL else inverse_transform(f)
-
-
-def as_frequency(f: Field) -> Field:
-    return f if f.rep == FREQUENCY else forward_transform(f)
 
 
 def l2_norm(f: Field) -> float:
@@ -391,7 +381,7 @@ def apply_multiplier(f: Field, m: np.ndarray) -> Field:
     """Pointwise frequency multiplication fhat -> m fhat by an array m on the
     grid's modes (broadcastable to the grid); returns the caller's representation."""
     out = Field(f.grid, FREQUENCY, m * as_frequency(f).data)
-    return out if f.rep == FREQUENCY else inverse_transform(out)
+    return out if f.rep == FREQUENCY else as_physical(out)
 
 
 def _axis_phase(grid: Grid, t: float) -> np.ndarray:
@@ -436,7 +426,7 @@ def gaussian(grid: Grid, width: float, center, carrier) -> np.ndarray:
 
 
 def gaussian_spectrum(grid: Grid, width: float, center, carrier) -> list[np.ndarray]:
-    """forward_transform of gaussian(grid, width, center, carrier) as the per-axis factors
+    """as_frequency of gaussian(grid, width, center, carrier) as the per-axis factors
     g1(xi1) g2(xi2) g3(xi3), the length-n transforms of its factors times dx each."""
     return [np.fft.fft(p) * grid.dx for p in _gaussian_factors(grid, width, center, carrier)]
 
@@ -464,9 +454,10 @@ def shell_fraction(w: np.ndarray, edge: np.ndarray) -> float:
 
 
 def boundary_mass_fraction(f: Field) -> float:
-    """Fraction of L2 mass in the outer 10% shell of the box (sup-norm shell)."""
+    """Fraction of L2 mass in the outer 10% shell of the box (sup-norm shell), measured
+    from the periodic seam between the samples -L/2 and L/2 - dx, so on both sides alike."""
     g = f.grid
-    edge = np.abs(g.axis_coords) >= 0.9 * (g.length / 2.0)
+    edge = np.abs(g.axis_coords + g.dx / 2) >= 0.9 * (g.length / 2.0)
     return shell_fraction(np.abs(as_physical(f).data) ** 2, edge)
 
 

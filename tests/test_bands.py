@@ -24,7 +24,7 @@ from rlab.spectral import (
     Field,
     apply_multiplier,
     as_frequency,
-    inverse_transform,
+    as_physical,
     l2_norm,
     make_grid,
 )
@@ -106,7 +106,7 @@ class TestProjectBand:
         data[0, 0, 0] = 0.0  # no band reaches xi = 0
         f = Field(g, FREQUENCY, data)
         if rep == PHYSICAL:
-            f = inverse_transform(f)
+            f = as_physical(f)
         total = sum(apply_multiplier(f, band_multiplier(g, k)).data for k in covering_band_range(g))
         assert np.max(np.abs(total - f.data)) <= 1e-12 * np.max(np.abs(f.data))
 

@@ -168,6 +168,8 @@ class TestConfig:
         ("born-series.ini", "orders = 6", "orders = 1",
          "scenario.orders = 1 must be at least 2"),
         ("harness-strichartz.ini", "seed = 3", "seed = -1", "run.seed = -1 must be at least 0"),
+        ("harness-strichartz.ini", "seed = 3", "seed = 3\nthreads = 0",
+         "run.threads = 0 must be at least 1"),
     ])
     def test_count_below_its_least_value_names_its_key(self, tmp_path, capsys, config,
                                                        old, new, message):
@@ -251,7 +253,7 @@ class TestConfig:
     def test_infinite_exponent_stays_legal(self, tmp_path):
         p = tmp_path / "endpoint.ini"
         p.write_text(MINIMAL.format("harness:str1") + "[scenario]\np = inf\nq = 2\n")
-        assert ExperimentConfig.from_file(p).getfloat("scenario", "p") == np.inf
+        assert ExperimentConfig.from_file(p).get("scenario", "p") == np.inf
 
     @pytest.mark.parametrize("section, key, value", [
         ("potential", "delta", "0"),
@@ -263,10 +265,13 @@ class TestConfig:
         ("potential", "width", "inf"),
         ("scenario", "samples", "0"),
         ("scenario", "orders", "1"),
+        ("run", "threads", "0"),
     ])
     def test_override_rejected_exactly_when_a_load_is(self, tmp_path, section, key, value):
         p = tmp_path / "loaded.ini"
-        p.write_text(MINIMAL.format("born-series") + f"[{section}]\n{key} = {value}\n")
+        line, text = f"{key} = {value}\n", MINIMAL.format("born-series")
+        p.write_text(text.replace("[run]\n", "[run]\n" + line) if section == "run"
+                     else text + f"[{section}]\n" + line)
         with pytest.raises(ConfigError) as loaded:
             ExperimentConfig.from_file(p)
         cfg = ExperimentConfig.from_file(small_born_config(tmp_path))
@@ -335,7 +340,8 @@ class TestConfig:
     def test_round_trips_losslessly(self, tmp_path):
         p = small_born_config(tmp_path)
         cfg = ExperimentConfig.from_file(p)
-        assert cfg.get("scenario", "dt") == "0.02"
+        assert cfg.sections["scenario"]["dt"] == "0.02"
+        assert cfg.get("scenario", "dt") == 0.02
         assert "potential.amplitude_v = 0.15" in cfg.canonical()
 
 
@@ -794,35 +800,19 @@ class TestCompareArtifacts:
         assert row[0] == "artifact:report.json" and np.isnan(row[3])
 
 
-class TestThreadsEnv:
-    def test_rlab_threads_env_fallback(self, tmp_path, monkeypatch):
-        p = small_born_config(tmp_path)
-        cfg = ExperimentConfig.from_file(p)
-        monkeypatch.setenv("RLAB_THREADS", "3")
-        assert cfg.threads == 3
-        cfg.override("run", "threads", 2)  # explicit key wins over the env
+class TestThreads:
+    def test_threads_come_from_the_config_alone(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig.from_file(small_born_config(tmp_path))
+        monkeypatch.setenv("RLAB_THREADS", "3")  # the environment does not set it
+        assert cfg.threads == 1
+        cfg.override("run", "threads", 2)
         assert cfg.threads == 2
 
-    def test_rlab_threads_not_an_integer_names_the_variable(self, tmp_path, monkeypatch,
-                                                          capsys):
-        monkeypatch.setenv("RLAB_THREADS", "two")
-        out = tmp_path / "o"
-        rc = main(["run", "--config", str(CONFIGS / "harness-strichartz.ini"),
-                   "--out", str(out)])
-        assert rc == 2
-        assert capsys.readouterr().err == "error: RLAB_THREADS = 'two' is not an integer\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flag, env, message", [
-        (["--threads", "0"], None, "run.threads = 0 must be at least 1"),
-        (["--threads", "-4"], None, "run.threads = -4 must be at least 1"),
-        ([], "-2", "RLAB_THREADS = -2 must be at least 1"),
-        ([], "0", "RLAB_THREADS = 0 must be at least 1"),
-    ], ids=["flag-zero", "flag-negative", "env-negative", "env-zero"])
-    def test_thread_count_below_one_names_its_source(self, tmp_path, monkeypatch, capsys,
-                                                     flag, env, message):
-        if env is not None:
-            monkeypatch.setenv("RLAB_THREADS", env)
+    @pytest.mark.parametrize("flag, message", [
+        (["--threads", "0"], "run.threads = 0 must be at least 1"),
+        (["--threads", "-4"], "run.threads = -4 must be at least 1"),
+    ], ids=["flag-zero", "flag-negative"])
+    def test_thread_count_below_one_names_its_key(self, tmp_path, capsys, flag, message):
         out = tmp_path / "o"
         rc = main(["run", "--config", str(CONFIGS / "harness-strichartz.ini"),
                    "--out", str(out), *flag])

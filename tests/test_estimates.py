@@ -33,7 +33,6 @@ from rlab.spectral import (
     as_physical,
     free_phase,
     half_derivative_weight,
-    inverse_transform,
     l2_norm,
     make_grid,
 )
@@ -183,13 +182,13 @@ class TestSmoothing:
         lhs = 0.0 + 0.0j
         acc = np.zeros(g.shape, dtype=np.complex128)
         for t, wt, F in zip(times, w, forcing):
-            Tf = inverse_transform(
+            Tf = as_physical(
                 Field(g, FREQUENCY, mult * np.exp(-1j * t * g.xi_squared) * fhat)
             )
             lhs += wt * np.sum(Tf.data * np.conj(F)) * g.dx**3
             Fh = as_frequency(Field(g, PHYSICAL, F)).data
             acc += wt * mult * np.exp(+1j * t * g.xi_squared) * Fh
-        adj = inverse_transform(Field(g, FREQUENCY, acc))
+        adj = as_physical(Field(g, FREQUENCY, acc))
         rhs = np.sum(f.data * np.conj(adj.data)) * g.dx**3
         assert abs(lhs - np.conj(np.conj(rhs))) <= 1e-10 * abs(lhs)
 
@@ -205,7 +204,7 @@ class TestSmoothing:
             f = sampling.localized_packet(g, 2, rng, width=3.0, axis_bias=axis)
             fhat = as_frequency(f).data
             Tf = [
-                inverse_transform(Field(g, FREQUENCY,
+                as_physical(Field(g, FREQUENCY,
                                         mult * np.exp(-1j * t * g.xi_squared) * fhat))
                 for t in times
             ]

@@ -34,8 +34,7 @@ from rlab.duhamel import series_decay_report, wave_operator
 from rlab.norms import sobolev_norm, x_norm
 from rlab.potentials import PotentialSet, gaussian_potential
 from rlab.spectral import (FREQUENCY, PHYSICAL, Field, as_frequency, as_physical,
-                           forward_transform, free_phase, free_propagate, l2_norm, make_grid,
-                           read_snapshot)
+                           free_phase, free_propagate, l2_norm, make_grid, read_snapshot)
 
 from conftest import (assert_small_batched_products, standard_potentials, zero_field,
                       zero_potential_set)
@@ -492,7 +491,7 @@ class TestEvolveHamiltonian:
 
     def test_datum_read_in_either_representation(self, grid, datum, potentials):
         # a PotentialSet holds physical fields only; the datum may be a spectrum
-        u_hat = forward_transform(datum)
+        u_hat = as_frequency(datum)
         energy = hamiltonian_energy(datum, potentials)
         assert hamiltonian_energy(u_hat, potentials) == pytest.approx(energy, rel=1e-12)
         cfg = EvolveConfig(t_end=1.2, dt=0.05)

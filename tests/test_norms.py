@@ -26,9 +26,7 @@ from rlab.spectral import (
     as_frequency,
     as_physical,
     bessel_weight,
-    forward_transform,
     free_propagate,
-    inverse_transform,
     l2_norm,
     make_grid,
     transverse_power_sum,
@@ -47,7 +45,7 @@ class TestChecked:
     def test_every_norm_is_a_plain_float(self, grid16):
         f = random_field(grid16, 3)
         tr = Trajectory(times=np.array([1.0, 2.0]), fields=[f, f])
-        values = [lebesgue_norm(f, np.inf), lebesgue_norm(forward_transform(f), 2),
+        values = [lebesgue_norm(f, np.inf), lebesgue_norm(as_frequency(f), 2),
                   lebesgue_norm(f, 3), spacetime_norm(tr, np.inf, 2), spacetime_norm(tr, 2, 6),
                   mixed_spacetime_norm(tr, 0, np.inf), sobolev_norm(f, 10), x_norm(f),
                   y_norm(f)]
@@ -70,12 +68,12 @@ class TestLebesgue:
     def test_l2_matches_parseval(self, grid16):
         f = random_field(grid16, 0)
         phys = lebesgue_norm(f, 2)
-        freq = lebesgue_norm(forward_transform(f), 2)
+        freq = lebesgue_norm(as_frequency(f), 2)
         assert abs(phys - freq) <= 1e-12 * phys
 
     def test_l2_is_l2_norm_in_either_representation(self, grid16):
         f = random_field(grid16, 0)
-        for g in (f, forward_transform(f)):
+        for g in (f, as_frequency(f)):
             assert lebesgue_norm(g, 2) == l2_norm(g)
 
     def test_gaussian_l2_closed_form(self):
@@ -190,10 +188,10 @@ class TestXNorm:
         fhat = np.exp(-((x1 - xi0[0]) ** 2 + (x2 - xi0[1]) ** 2 + (x3 - xi0[2]) ** 2) / (2 * s**2))
         fhat = np.broadcast_to(fhat, g.shape).astype(np.complex128)
         f = Field(g, FREQUENCY, fhat)
-        phys = inverse_transform(f).data
+        phys = as_physical(f).data
         for axis in range(3):
             xj = g.coord_mesh[axis]
-            dj = forward_transform(Field(g, PHYSICAL, -1j * xj * phys))
+            dj = as_frequency(Field(g, PHYSICAL, -1j * xj * phys))
             ref = -(g.freq_mesh[axis] - xi0[axis]) / s**2 * fhat
             ref = np.broadcast_to(ref, g.shape)
             assert np.max(np.abs(dj.data - ref)) < 1e-8 * np.max(np.abs(ref))
@@ -234,7 +232,7 @@ def _dense_band_loop_norms(f):
         mult = bands.band_multiplier(g, k)
         if not np.any(mult > 0.0):
             continue
-        gk = inverse_transform(Field(g, FREQUENCY, mult * fhat))
+        gk = as_physical(Field(g, FREQUENCY, mult * fhat))
         x = max(x, float(np.sqrt(np.sum(g.radius_squared * np.abs(gk.data) ** 2) * g.dx**3)))
     return x
 
@@ -253,7 +251,7 @@ class TestBandTable:
         data = window * (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
         f = Field(g, PHYSICAL, data if kind == "windowed" else 0.0 * data)
         if rep == FREQUENCY:
-            f = forward_transform(f)
+            f = as_frequency(f)
         x = _dense_band_loop_norms(f)
         # X sums its squares along lines, in another order than the full-grid
         # loop: a few ulps of a sum of ~n^3 positive terms
@@ -275,7 +273,7 @@ class TestBandTable:
 
     def test_peak_memory_stays_below_the_full_grid_band_loop(self):
         g = make_grid(32, 48.0)
-        f = forward_transform(random_field(g, 12))
+        f = as_frequency(random_field(g, 12))
         x_norm(f)  # builds the grid's tables outside the measurement
         tracemalloc.start()
         try:
@@ -330,7 +328,7 @@ class TestSharedProperties:
         lambda f: lebesgue_norm(f, np.inf),
         lambda f: sobolev_norm(f, 10),
         lambda f: x_norm(f),
-        lambda f: x_norm(forward_transform(f)),  # X of a held spectrum
+        lambda f: x_norm(as_frequency(f)),  # X of a held spectrum
     ]
     TRIANGLE_NORMS = NORMS + [lambda f: y_norm(f)]
 

@@ -49,9 +49,12 @@ def test_scan_finds_an_unread_name_field_and_member(size, tmp_path):
         "    @property\n    def half(self):\n        return self.twice / 4\n\n\n"
         "def helper(x=1):\n    return x\n\n\n"
         "def main():\n    return Box(1).used\n")
-    (tmp_path / "b.py").write_text("from .a import main\n\nmain()\n")
+    (tmp_path / "b.py").write_text(
+        "import os\n\nfrom .a import main\n\nACCEPTED_KEYS = {\"run\": {\"seed\": int}}\n\n"
+        "main() if os.environ.get(\"HOME\") else print(ACCEPTED_KEYS)\n")
     found = size.scan(tmp_path)
-    assert (found.files, found.lines, found.defaults, found.fields) == (2, 29, 1, 2)
+    assert (found.files, found.lines, found.defaults, found.fields) == (2, 33, 1, 2)
+    assert (found.config_keys, found.environment_reads) == (1, 1)
     assert found.unread_names == ["a.helper"]
     assert found.unread_fields == ["a.Box.stored"]
     assert found.unread_members == ["a.Box.half"]

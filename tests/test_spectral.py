@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from rlab import bands, sampling, spectral
+from rlab.norms import BOUNDARY_MASS_TOL
+from rlab.potentials import gaussian_potential
 from rlab.spectral import (
     DENSE_AXIS_MAX_N,
     FREQUENCY,
@@ -19,13 +21,11 @@ from rlab.spectral import (
     as_physical,
     bessel_weight,
     boundary_mass_fraction,
-    forward_transform,
     free_phase,
     free_power_profiles,
     free_propagate,
     free_step,
     half_derivative_weight,
-    inverse_transform,
     l2_norm,
     line_moments,
     make_grid,
@@ -67,7 +67,7 @@ class TestMakeGrid:
 
 class TestTransforms:
     def test_zero_maps_to_zero(self, grid16):
-        fhat = forward_transform(zero_field(grid16))
+        fhat = as_frequency(zero_field(grid16))
         assert np.all(fhat.data == 0)
 
     def test_pure_mode_gives_volume_peak(self):
@@ -77,7 +77,7 @@ class TestTransforms:
         f = field_from_function(
             g, lambda x1, x2, x3: np.exp(1j * (xi0[0] * x1 + xi0[1] * x2 + xi0[2] * x3))
         )
-        fhat = forward_transform(f)
+        fhat = as_frequency(f)
         assert_allclose(fhat.data[idx], g.length**3, rtol=1e-12)
         rest = np.array(fhat.data)
         rest[idx] = 0
@@ -92,7 +92,7 @@ class TestTransforms:
             def fn(*x):
                 r2 = sum((xj - cj) ** 2 for xj, cj in zip(x, c))
                 return np.exp(-r2 / (2 * width**2) + 1j * sum(k * xj for k, xj in zip(kappa, x)))
-            fhat = forward_transform(field_from_function(g, fn))
+            fhat = as_frequency(field_from_function(g, fn))
             q1, q2, q3 = (xi - k for xi, k in zip(g.freq_mesh, kappa))
             ref = ((2 * np.pi) ** 1.5 * width**3
                    * np.exp(-1j * (c[0] * q1 + c[1] * q2 + c[2] * q3))
@@ -106,7 +106,7 @@ class TestTransforms:
     def test_round_trip(self, n):
         g = make_grid(n, 12.0)
         f = random_field(g, seed=n)
-        rt = inverse_transform(forward_transform(f))
+        rt = as_physical(as_frequency(f))
         scale = np.max(np.abs(f.data))
         assert np.max(np.abs(rt.data - f.data)) < 1e-13 * scale
 
@@ -118,7 +118,7 @@ class TestTransforms:
             data = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
             f = Field(g, PHYSICAL, data)
             phys = l2_norm(f)
-            freq = l2_norm(forward_transform(f))
+            freq = l2_norm(as_frequency(f))
             assert abs(phys - freq) <= 1e-12 * phys
 
 
@@ -190,7 +190,7 @@ class TestGaussian:
             if spectrum:
                 got = spectral._separable(*spectral.gaussian_spectrum(g, width, center, carrier))
                 physical = Field(g, PHYSICAL, spectral.gaussian(g, width, center, carrier))
-                ref = forward_transform(physical).data
+                ref = as_frequency(physical).data
             else:
                 got = spectral.gaussian(g, width, center, carrier)
                 ref = _full_grid_gaussian(g, width, center, carrier)
@@ -222,7 +222,7 @@ class TestGaussian:
             xi0 = bands.BASE * direction / np.linalg.norm(direction)
             amp = ref_rng.standard_normal() + 1j * ref_rng.standard_normal()
             data += amp * _full_grid_gaussian(g, 3.0, (0.0, 0.0, 0.0), xi0)
-        spectrum = forward_transform(Field(g, PHYSICAL, data)).data
+        spectrum = as_frequency(Field(g, PHYSICAL, data)).data
         ref = sampling.normalized(Field(g, FREQUENCY, bands.band_multiplier(g, 1) * spectrum))
         assert f.rep == FREQUENCY
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -313,7 +313,7 @@ class TestFreePowerProfiles:
         # sign; a negative profile would turn the mixed norm's square root NaN
         g = make_grid(32, 64.0)
         f = field_from_function(g, lambda x1, x2, x3: np.exp(-(x1**2 + x2**2 + x3**2) / 2))
-        prof = free_power_profiles(g, forward_transform(f).data, 0, np.array([0.0, 0.5]))
+        prof = free_power_profiles(g, as_frequency(f).data, 0, np.array([0.0, 0.5]))
         assert np.all(prof >= 0.0) and np.min(prof) == 0.0
 
     def test_rejects_a_bad_axis(self, grid16):
@@ -444,7 +444,7 @@ class TestFreePropagate:
         # reference: the full-grid route, fftn, the n^3 phase, ifftn
         g = make_grid(n, 32.0)
         f = random_field(g, 7)
-        f = f if rep == PHYSICAL else forward_transform(f)
+        f = f if rep == PHYSICAL else as_frequency(f)
         for t in (-3.0, 0.7, 16.0):
             got = free_propagate(f, t)
             ref = as_physical(apply_multiplier(f, free_phase(g, t)))
@@ -512,6 +512,18 @@ class TestShellFraction:
         # one edge index of four per axis: the shell holds 1 - (3/4)^3 of the cube
         edge = np.array([True, False, False, False])
         assert shell_fraction(np.ones((4, 4, 4)), edge) == 37 / 64
+
+    @pytest.mark.parametrize("n, length, c", [(16, 48.0, 20.0), (32, 64.0, 27.0)])
+    def test_a_bump_near_either_face_is_seen(self, n, length, c):
+        # the shell is measured from the seam at -L/2 = L/2: at 16^3, L 48 the
+        # largest sample x = 21 sits below 0.9 L/2 = 21.6 but beside the seam
+        g = make_grid(n, length)
+        for axis in range(3):
+            for sign in (1.0, -1.0):
+                center = [0.0, 0.0, 0.0]
+                center[axis] = sign * c
+                f = gaussian_potential(g, center, 4.0, 1.0)
+                assert boundary_mass_fraction(f) > BOUNDARY_MASS_TOL, (axis, sign)
 
 
 class TestSnapshots:
@@ -635,20 +647,20 @@ class TestKernelLayer:
 
     def test_parseval_weight_equates_mode_sums_with_integrals(self, grid16):
         f = random_field(grid16, 12)
-        total = np.sum(np.abs(forward_transform(f).data) ** 2) * grid16.parseval_weight
+        total = np.sum(np.abs(as_frequency(f).data) ** 2) * grid16.parseval_weight
         assert_allclose(total, np.sum(np.abs(f.data) ** 2) * grid16.dx**3, rtol=1e-13)
 
     def test_line_moments_match_the_dense_axis_moments(self):
         for n in (8, 16, 32):
             g = make_grid(n, 12.0)
             rng = np.random.default_rng(n)
-            coeffs = forward_transform(random_field(g, n)).data.reshape(-1)
+            coeffs = as_frequency(random_field(g, n)).data.reshape(-1)
             pieces, dense = [], []
             for share in (0.02, 0.3, 1.0):  # random supports, the last one full
                 support = np.flatnonzero(rng.random(g.n**3) < share)
                 spectrum = np.zeros(g.n**3, dtype=np.complex128)
                 spectrum[support] = coeffs[support]
-                g_abs2 = np.abs(inverse_transform(Field(g, FREQUENCY, spectrum.reshape(g.shape))).data) ** 2
+                g_abs2 = np.abs(as_physical(Field(g, FREQUENCY, spectrum.reshape(g.shape))).data) ** 2
                 for j, (scatter, rows) in enumerate(bands.line_pieces(g, support)):
                     pieces.append((coeffs[support], scatter, rows))
                     dense.append(np.sum(g.coord_mesh[j] ** 2 * g_abs2) * g.dx**3)

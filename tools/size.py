@@ -9,7 +9,10 @@ SRC_DIR (absolute, or relative to the checkout root) defaults to
 ``src/rlab``.  The line count is that of every ``*.py`` file in SRC_DIR
 (``cat src/rlab/*.py | wc -l``).  A settable value is a parameter with a
 default value (positional or keyword-only, in any function or method) or a
-field of a ``@dataclass``: each is a value a caller can set.  An unread
+field of a ``@dataclass``: each is a value a caller can set.  Beside them
+the scan counts the values a user can set: config keys (the entries of the
+sections of a module-level ``ACCEPTED_KEYS`` dict literal) and environment
+reads (each ``os.environ`` or ``os.getenv`` in the source).  An unread
 name is a module-level function, class or assignment whose name no module
 of the package loads, imports or reads as an attribute (its own definition
 aside): only tests or outside callers can reach it.  An unread field is a
@@ -53,6 +56,22 @@ def settable_values(tree: ast.AST) -> tuple[int, int]:
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
             fields += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
     return defaults, fields
+
+
+def config_keys(tree: ast.Module) -> int:
+    """The entries of the sections of a module-level ``ACCEPTED_KEYS`` dict literal."""
+    count = 0
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and any(getattr(t, "id", None) == "ACCEPTED_KEYS" for t in node.targets)):
+            count += sum(len(v.keys) for v in node.value.values if isinstance(v, ast.Dict))
+    return count
+
+
+def environment_reads(tree: ast.AST) -> int:
+    """Each ``os.environ`` or ``os.getenv`` a module reads."""
+    return sum(isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+               and getattr(node.value, "id", None) == "os" for node in ast.walk(tree))
 
 
 def _read(trees: dict[str, ast.AST]) -> set[str]:
@@ -121,6 +140,8 @@ class Scan(NamedTuple):
     lines: int
     defaults: int  # defaulted parameters
     fields: int  # dataclass fields
+    config_keys: int
+    environment_reads: int
     unread_names: list[str]
     unread_fields: list[str]
     unread_members: list[str]
@@ -140,8 +161,9 @@ def scan(src_dir: pathlib.Path) -> Scan:
         d, f = settable_values(trees[path.stem])
         defaults += d
         fields += f
-    return Scan(len(files), lines, defaults, fields, unread_names(trees), unread_fields(trees),
-                unread_members(trees))
+    return Scan(len(files), lines, defaults, fields, sum(map(config_keys, trees.values())),
+                sum(map(environment_reads, trees.values())), unread_names(trees),
+                unread_fields(trees), unread_members(trees))
 
 
 def main(argv) -> int:
@@ -153,7 +175,8 @@ def main(argv) -> int:
         return 2
     print(f"{arg}: {size.lines} lines in {size.files} files")
     print(f"settable values: {size.defaults} defaulted parameters + {size.fields} dataclass"
-          f" fields = {size.defaults + size.fields}")
+          f" fields = {size.defaults + size.fields}, besides {size.config_keys} config keys"
+          f" and {size.environment_reads} environment reads")
     for kind, names in (("top-level names", size.unread_names),
                         ("dataclass fields", size.unread_fields),
                         ("members", size.unread_members)):
