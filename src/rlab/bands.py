@@ -104,37 +104,29 @@ def require_modes(grid: Grid, k_lo: int, k_hi: int) -> None:
         raise ValueError(f"no mode of the {grid.n}^3 grid with L = {grid.length:g} is in {bands}")
 
 
-def line_pieces(grid: Grid, support: np.ndarray) -> tuple[tuple[np.ndarray, int], ...]:
-    """For each axis j, the lines along j that the flat mode indices support
-    touch, as (scatter, rows): row r of a rows x n block is the r-th touched
-    line, and scatter (int32) is the flat position in that block of each
-    support mode, in support's order, at the column of its index along j.
-    Each mode lies on exactly one line per axis."""
-    n = grid.n
-    index = np.unravel_index(support, grid.shape)
-    pieces = []
-    for j in range(3):
-        a, b = (index[i] for i in range(3) if i != j)
-        lines, row = np.unique(a * n + b, return_inverse=True)
-        pieces.append(((row * n + index[j]).astype(np.int32), lines.size))
-    return tuple(pieces)
-
-
 @functools.lru_cache(maxsize=4)
-def line_batches(grid: Grid) -> tuple[tuple[tuple[int, np.ndarray, int], ...], ...]:
-    """band_table's (band, axis) pieces as (position in band_table, scatter,
-    rows) from line_pieces, band by band, grouped in order into batches of at
-    most LINE_BATCH_MAX_ENTRIES block entries (rows x n summed over the
-    batch); a larger piece forms a batch alone.  Built once per grid,
-    read-only."""
-    batches, batch, entries = [], [], 0
-    for b, (_, support, _) in enumerate(band_table(grid)):
-        for scatter, rows in line_pieces(grid, support):
-            if batch and entries + rows * grid.n > LINE_BATCH_MAX_ENTRIES:
-                batches.append(tuple(batch))
-                batch, entries = [], 0
-            scatter.flags.writeable = False
-            batch.append((b, scatter, rows))
-            entries += rows * grid.n
-    batches.append(tuple(batch))
+def line_batches(grid: Grid) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """band_table's supports laid out on the lines they touch, for
+    spectral.line_moments.  The piece of a band along axis j is a block of one
+    row per line along j that its support touches, each mode (on exactly one
+    such line) at the column of its index along j.  The pieces, band by band
+    and within a band along axes 0, 1, 2, are grouped into batches of at most
+    LINE_BATCH_MAX_ENTRIES block entries (rows x n summed; a larger piece forms
+    a batch alone), each as (scatter, starts): scatter (int32) places the
+    pieces' supports, concatenated, in the batch's block, whose rows
+    starts[i]:starts[i + 1] are piece i's.  Built once per grid, read-only."""
+    n, batches, pieces, starts = grid.n, [], [], [0]
+    for _, support, _ in band_table(grid):
+        index = np.unravel_index(support, grid.shape)
+        for j in range(3):
+            a, b = (index[i] for i in range(3) if i != j)
+            lines, row = np.unique(a * n + b, return_inverse=True)
+            if pieces and (starts[-1] + lines.size) * n > LINE_BATCH_MAX_ENTRIES:
+                batches.append((np.concatenate(pieces), np.array(starts)))
+                pieces, starts = [], [0]
+            pieces.append(((row + starts[-1]) * n + index[j]).astype(np.int32))
+            starts.append(starts[-1] + lines.size)
+    batches.append((np.concatenate(pieces), np.array(starts)))
+    for scatter, starts in batches:
+        scatter.flags.writeable = starts.flags.writeable = False
     return tuple(batches)

@@ -306,6 +306,7 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
             den = mixed_spacetime_norm(tr_f, axis, 1)
             return num / den
 
+    bands.band_support(grid, band)  # here, or the pool's threads miss its unlocked cache together
     ratios = _map_samples(one, samples, threads)
     ids = {"homogeneous": "smo1", "dual": "smo2", "inhomogeneous": "smo3"}
     return EstimateReport(
@@ -359,6 +360,7 @@ def check_smoothing_strichartz(grid: Grid, pair, axis: int, samples: int, *,
         den = spacetime_norm(tr_x, pp, qq)
         return num / den
 
+    bands.band_support(grid, band)  # as in check_smoothing
     ratios = _map_samples(one, samples, threads)
     return EstimateReport(
         "ik-smostri", ratios, f"localized forcings band {band}", grid, horizon,
@@ -507,6 +509,7 @@ def check_summation_interpolation(grid: Grid, k: int, p: float, q: float,
         rhs = base ** (1.0 - c) * bands.BASE ** (-8.0 * c * k) * proxy**c
         return lhs / rhs if rhs > 0 else 0.0
 
+    bands.band_support(grid, k)  # as in check_smoothing
     ratios = _map_samples(one, samples, threads)
     return EstimateReport(
         "summation", ratios, f"localized packets band {k}", grid, SUMMATION_HORIZON, seed,

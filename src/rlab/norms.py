@@ -16,16 +16,17 @@ until mass reaches the box boundary.  _wrap_note is the one detector of
 that: it names a field with more than 1e-6 of its L2 mass in the outer 10%
 shell.  X never builds a band's field g_k on the full grid: || |x| g_k ||^2
 is the sum over the axes j of || x_j g_k ||^2, and by Parseval across the
-transverse axes each term needs only one-axis inverse transforms of the
-lines along j that band k's support touches (spectral.line_moments on the
-pieces of bands.line_batches; both it and bands.band_table are built once
-per grid and shared read-only).  Every norm is a plain float, checked once
+transverse axes each term needs only the lines along j that band k's
+support touches, a quadratic form per line for n <= 32 (spectral.line_moments
+on the batches of bands.line_batches; both it and bands.band_table are built
+once per grid and shared read-only).  Every norm is a plain float, checked once
 on its way out: NaN or a negative value raises a ValueError naming the norm.
 Everything here is pure.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -166,23 +167,21 @@ def x_norm(f: Field) -> float:
     the band-projected field g_k, so its Parseval L2 norm is || |x| g_k ||,
     whose square is the sum over the axes j of || x_j g_k ||^2; the sup runs
     over every band with support on the grid.  spectral.line_moments takes
-    each || x_j g_k ||^2 from one-axis inverse transforms of the lines along j
-    that the band's support touches (bands.line_batches), never from g_k on
-    the full grid.  Each band's coefficients P_k fhat are gathered once.
+    each || x_j g_k ||^2 from the lines along j that the band's support
+    touches (bands.line_batches), never from g_k on the full grid.  Each
+    band's coefficients P_k fhat are gathered once, held for its three
+    pieces, and a batch's coefficients are its pieces' concatenated.
     """
     g = f.grid
     fhat = as_frequency(f).data.reshape(-1)
-    table = bands.band_table(g)
-    moments = np.zeros(len(table))
-    held = coeffs = None
-    for batch in bands.line_batches(g):
-        pieces = []
-        for b, scatter, rows in batch:
-            if b != held:
-                _, support, values = table[b]
-                held, coeffs = b, values * fhat[support]
-            pieces.append((coeffs, scatter, rows))
-        np.add.at(moments, [b for b, _, _ in batch], line_moments(g, pieces))
+    pieces = (c for _, support, values in bands.band_table(g)
+              for c in itertools.repeat(values * fhat[support], 3))  # a band's, per axis
+    moments = []
+    for scatter, starts in bands.line_batches(g):
+        parts = list(itertools.islice(pieces, len(starts) - 1))
+        batch = parts[0] if len(parts) == 1 else np.concatenate(parts)  # no copy of a lone piece
+        moments.append(line_moments(g, batch, scatter, starts))
+    moments = np.concatenate(moments).reshape(-1, 3).sum(axis=1)  # the axes in order
     # np.max, unlike the builtin max, carries a NaN band through to the guard
     return _checked(np.sqrt(np.max(moments, initial=0.0)), "X")
 

@@ -54,13 +54,13 @@ DENSE_AXIS_MAX_N = 32
 GRAM_PRODUCT_MAX_MKN = 32768
 
 # Largest block, in entries (lines x n summed over a batch of line pieces), that
-# line_moments transforms in one batched ifft.  Measured for x_norm on a 2-vCPU
-# Xeon VM with numpy 2.4's pocketfft: at 16^3, budgets of 2^12, 2^13, 2^14 and
-# 2^15 entries take 1.7, 1.3, 1.1 and 1.0 ms per call, with tracemalloc peaks
-# of 0.21, 0.34, 0.60 and 1.15 MB; past 2^14 the per-batch overhead barely
-# falls while the block keeps growing.  At 32^3 the largest pieces (1024 lines,
-# 2^15 entries) form batches alone, and every budget up to 2^15 takes 9-10 ms
-# and peaks at 1.65 MB (the full-grid band loop: 33 ms and 2.76 MB).
+# line_moments fills at once, and the rows it multiplies at a time.  x_norm on a
+# 2-vCPU Xeon VM, OpenBLAS serial, fastest of 7: at 16^3 budgets of 2^12, 2^13,
+# 2^14 and 2^15 take 0.85, 0.61, 0.54 and 0.52 ms per call (the ifft path 1.47,
+# 1.47, 1.03, 0.98), tracemalloc peaks 0.16, 0.34, 0.63 and 1.26 MB.  At 32^3
+# the largest pieces (about 960 lines) form batches alone: 6.4, 5.5, 5.3 and
+# 5.1 ms (ifft path 7.0-7.8 ms), peaks 0.78, 0.91, 1.14 and 1.23 MB (1.12 MB on
+# the ifft path).  Past 2^14 the time barely falls while the block keeps growing.
 LINE_BATCH_MAX_ENTRIES = 2**14
 
 
@@ -235,6 +235,14 @@ class Grid:
         three axes it is the mask keep(m1) keep(m2) keep(m3)."""
         return AxisOperator((np.abs(self.modes) <= self.n // 3).astype(np.float64))
 
+    @cached_property
+    def line_form(self) -> np.ndarray:
+        """S = kron(Re Q, I2) + kron(Im Q, [[0, -1], [1, 0]]), Q = B^H diag(w) B, B ifft's
+        matrix, w = x^2 / (n^2 dx^3): f.(S f) = sum_m w_m |ifft(v)_m|^2, f v's float view."""
+        b = np.fft.ifft(np.eye(self.n), axis=0)
+        q = b.conj().T @ (self.axis_coords[:, None] ** 2 / (self.n**2 * self.dx**3) * b)
+        return np.kron(q.real, np.eye(2)) + np.kron(q.imag, [[0, -1], [1, 0]])
+
 
 def make_grid(n: int, length: float) -> Grid:
     """Build a Grid: n a power of two, at least 4; length positive and finite."""
@@ -290,27 +298,37 @@ def as_frequency(f: Field) -> Field:
     return Field(f.grid, FREQUENCY, data)
 
 
-def line_moments(grid: Grid, pieces) -> np.ndarray:
-    """integral x_j^2 |g|^2 dx for each piece (coeffs, scatter, rows) of a
-    batch, g the physical field whose spectrum is coeffs on the
-    piece's modes and 0 elsewhere, j the axis of the piece's lines: scatter
-    places each coefficient in a rows x n block, one row per line along j and
-    the column its index along j (bands.line_pieces).
+def line_moments(grid: Grid, coeffs: np.ndarray, scatter: np.ndarray,
+                 starts: np.ndarray) -> np.ndarray:
+    """integral x_j^2 |g|^2 dx for each piece of a batch of lines along j
+    (bands.line_batches), g the physical field whose spectrum is the piece's
+    part of coeffs on its modes and 0 elsewhere: scatter places coeffs in a
+    block of one row per line, piece i on rows starts[i]:starts[i + 1].
 
-    One batched length-n ifft along the rows serves the batch.  By Parseval
-    across the transverse axes, sum_{x'} |g|^2 is the sum over the lines of
-    |ifft_j|^2 / (n^2 dx^6), against the weight x_j^2 in the same FFT order.
+    By Parseval across the transverse axes, sum_{x'} |g|^2 is the sum over the
+    lines of |ifft_j|^2 / (n^2 dx^6), against x_j^2 in the same FFT order: up
+    to DENSE_AXIS_MAX_N the form f.(S f) of Grid.line_form on each line's float
+    view f, in batched products of 2^15 / n^2 lines (m k p = 2^17, serial in
+    OpenBLAS) over LINE_BATCH_MAX_ENTRIES entries at a time; else one ifft.
     """
     n = grid.n
-    starts = np.cumsum([0] + [rows for _, _, rows in pieces])
-    block = np.zeros((starts[-1], n), dtype=np.complex128)
-    for (coeffs, scatter, rows), start in zip(pieces, starts):
-        block[start:start + rows].reshape(-1)[scatter] = coeffs
-    np.fft.ifft(block, axis=1, out=block)
-    power = block.real**2
-    power += block.imag**2
-    weight = grid.axis_coords**2
-    return np.add.reduceat(power, starts[:-1], axis=0) @ weight / (n**2 * grid.dx**3)
+    dense = n <= DENSE_AXIS_MAX_N
+    per = 2**15 // n**2 if dense else 1  # lines per product, the block padded to a multiple
+    block = np.zeros((-(-starts[-1] // per) * per, n), dtype=np.complex128)
+    block.reshape(-1)[scatter] = coeffs
+    if not dense:
+        np.fft.ifft(block, axis=1, out=block)
+        power = block.real**2
+        power += block.imag**2
+        weight = grid.axis_coords**2
+        return np.add.reduceat(power, starts[:-1], axis=0) @ weight / (n**2 * grid.dx**3)
+    f = block.view(np.float64)
+    power = np.empty(len(f))  # 0 on the padding rows
+    for lo in range(0, len(f), LINE_BATCH_MAX_ENTRIES // n):  # in steps of a multiple of per
+        part = f[lo:lo + LINE_BATCH_MAX_ENTRIES // n]
+        product = np.matmul(part.reshape(-1, per, 2 * n), grid.line_form)
+        np.einsum("ri,ri->r", part, product.reshape(part.shape), out=power[lo:lo + len(part)])
+    return np.add.reduceat(power, starts[:-1])
 
 
 def l2_norm(f: Field) -> float:
@@ -455,9 +473,11 @@ def shell_fraction(w: np.ndarray, edge: np.ndarray) -> float:
 
 def boundary_mass_fraction(f: Field) -> float:
     """Fraction of L2 mass in the outer 10% shell of the box (sup-norm shell), measured
-    from the periodic seam between the samples -L/2 and L/2 - dx, so on both sides alike."""
+    from the periodic seam between the samples -L/2 and L/2 - dx, so on both sides alike;
+    the planes beside the seam always count (at n = 8 none other is that far out)."""
     g = f.grid
     edge = np.abs(g.axis_coords + g.dx / 2) >= 0.9 * (g.length / 2.0)
+    edge[g.n // 2 - 1:g.n // 2 + 1] = True
     return shell_fraction(np.abs(as_physical(f).data) ** 2, edge)
 
 

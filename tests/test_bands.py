@@ -276,20 +276,28 @@ class TestActiveBands:
         table = band_table(g)
         batches = line_batches(g)
         assert line_batches(make_grid(n, length)) is batches
-        pieces = [p for batch in batches for p in batch]
-        # band by band, three axes each, in table order
-        assert [b for b, _, _ in pieces] == [b for b in range(len(table)) for _ in range(3)]
-        for batch in batches:
-            entries = sum(rows * n for _, _, rows in batch)
-            assert len(batch) == 1 or entries <= LINE_BATCH_MAX_ENTRIES
-        for p, (b, scatter, rows) in enumerate(pieces):
-            j = p % 3
-            support = table[b][1]
-            index = np.unravel_index(support, g.shape)
+        # band by band, three axes each, in table order: piece p is band p // 3 along p % 3
+        pieces = []
+        for scatter, starts in batches:
             assert scatter.dtype == np.int32 and not scatter.flags.writeable
+            assert not starts.flags.writeable and starts[0] == 0
+            assert len(starts) == 2 or starts[-1] * n <= LINE_BATCH_MAX_ENTRIES
+            offset = 0
+            for lo, hi in zip(starts[:-1], starts[1:]):
+                support = table[len(pieces) // 3][1]
+                pieces.append((scatter[offset:offset + support.size], lo, hi))
+                offset += support.size
+            assert offset == scatter.size
+        assert len(pieces) == 3 * len(table)
+        for p, (scatter, lo, hi) in enumerate(pieces):
+            j = p % 3
+            index = np.unravel_index(table[p // 3][1], g.shape)
             # the column is the mode's index along j, each mode has its own
-            # slot, and the rows are exactly the lines the support touches
+            # slot inside the piece's rows, and the rows are exactly the lines
+            # the support touches, in order
             assert np.array_equal(scatter % n, index[j])
-            assert np.unique(scatter).size == support.size
+            assert np.unique(scatter).size == scatter.size
             a, c = (index[i] for i in range(3) if i != j)
-            assert rows == np.unique(a * n + c).size == np.unique(scatter // n).size
+            lines = np.unique(a * n + c, return_inverse=True)[1]
+            assert np.array_equal(scatter // n, lo + lines)
+            assert hi - lo == lines.max() + 1

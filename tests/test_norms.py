@@ -19,6 +19,7 @@ from rlab.norms import (
     y_norm,
 )
 from rlab.spectral import (
+    DENSE_AXIS_MAX_N,
     FREQUENCY,
     PHYSICAL,
     Field,
@@ -244,6 +245,7 @@ class TestBandTable:
            rep=st.sampled_from([PHYSICAL, FREQUENCY]), seed=st.integers(0, 2**32 - 1))
     @example(n=16, length=16.0, width=1.0, kind="windowed", rep=PHYSICAL, seed=1)  # boundary shell
     @example(n=8, length=8.0, width=0.1, kind="zero", rep=PHYSICAL, seed=0)
+    @example(n=8, length=4.0, width=1.0, kind="windowed", rep=PHYSICAL, seed=0)  # seam planes
     def test_matches_the_dense_band_loop(self, n, length, width, kind, rep, seed):
         g = make_grid(n, length)
         rng = np.random.default_rng(seed)
@@ -261,15 +263,33 @@ class TestBandTable:
         if width == 1.0 and kind == "windowed":
             assert "wrap-around" in _wrap_note(f)
 
-    def test_repeat_call_costs_one_fft_and_one_ifft_per_batch(self, fft_count):
-        g = make_grid(16, 24.0)
+    @pytest.mark.parametrize("n, length", [(16, 24.0), (64, 64.0)])
+    def test_repeat_call_costs_one_fftn_and_an_ifft_per_batch_past_32(self, fft_count, n, length):
+        g = make_grid(n, length)
         f = random_field(g, 11)
         first = x_norm(f)
-        n_batches = len(bands.line_batches(g))
+        # up to DENSE_AXIS_MAX_N the lines take a quadratic form, no transform
+        expected = {"fftn": 1}
+        if n > DENSE_AXIS_MAX_N:
+            expected["ifft"] = len(bands.line_batches(g))
         fft_count.watch(bands, "band_multiplier")
         fft_count.calls.clear()
         assert x_norm(f) == first
-        assert fft_count.calls == {"fftn": 1, "ifft": n_batches}
+        assert fft_count.calls == expected
+
+    @pytest.mark.parametrize("n, length", [(16, 24.0), (32, 48.0)])
+    def test_blas_products_stay_serial(self, matmul_shapes, n, length):
+        g = make_grid(n, length)
+        f = as_frequency(random_field(g, 13))
+        x_norm(f)
+        # every product is a batch of matrix products, none matrix-vector (OpenBLAS
+        # threads those far sooner), each m x k by k x p with m k p < 64^3, below
+        # OpenBLAS's threading threshold
+        assert matmul_shapes
+        for a, b, _ in matmul_shapes:
+            assert len(a) == 3 and len(b) == 2, (a, b)
+            (m, k), p = a[-2:], b[-1]
+            assert min(m, k, p) > 1 and m * k * p < 64**3, (a, b)
 
     def test_peak_memory_stays_below_the_full_grid_band_loop(self):
         g = make_grid(32, 48.0)

@@ -651,19 +651,28 @@ class TestKernelLayer:
         assert_allclose(total, np.sum(np.abs(f.data) ** 2) * grid16.dx**3, rtol=1e-13)
 
     def test_line_moments_match_the_dense_axis_moments(self):
-        for n in (8, 16, 32):
+        for n in (8, 16, 32, 64):  # the quadratic form up to 32, the ifft at 64
             g = make_grid(n, 12.0)
             rng = np.random.default_rng(n)
             coeffs = as_frequency(random_field(g, n)).data.reshape(-1)
-            pieces, dense = [], []
+            parts, scatter, starts, dense = [], [], [0], []
             for share in (0.02, 0.3, 1.0):  # random supports, the last one full
                 support = np.flatnonzero(rng.random(g.n**3) < share)
                 spectrum = np.zeros(g.n**3, dtype=np.complex128)
                 spectrum[support] = coeffs[support]
-                g_abs2 = np.abs(as_physical(Field(g, FREQUENCY, spectrum.reshape(g.shape))).data) ** 2
-                for j, (scatter, rows) in enumerate(bands.line_pieces(g, support)):
-                    pieces.append((coeffs[support], scatter, rows))
+                physical = as_physical(Field(g, FREQUENCY, spectrum.reshape(g.shape)))
+                g_abs2 = np.abs(physical.data) ** 2
+                index = np.unravel_index(support, g.shape)
+                for j in range(3):
+                    # a row per line along j that the support touches, the mode at its index on j
+                    a, c = (index[i] for i in range(3) if i != j)
+                    lines, row = np.unique(a * n + c, return_inverse=True)
+                    parts.append(coeffs[support])
+                    scatter.append((starts[-1] + row) * n + index[j])
+                    starts.append(starts[-1] + lines.size)
                     dense.append(np.sum(g.coord_mesh[j] ** 2 * g_abs2) * g.dx**3)
             # one batch of all nine pieces: the sums agree to a few ulps of the
             # n^3 positive terms they add up in another order
-            assert_allclose(line_moments(g, pieces), dense, rtol=1e-13, atol=0)
+            scatter = np.concatenate(scatter).astype(np.int32)
+            moments = line_moments(g, np.concatenate(parts), scatter, np.array(starts))
+            assert_allclose(moments, dense, rtol=1e-13, atol=0)
