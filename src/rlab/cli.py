@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .duhamel import denominator_sweep, series_decay_report, wave_operator
+from .duhamel import series_decay_report, wave_operator
 from .errors import BlowupError, ConfigError
 from .estimates import (
     AdmissiblePair,
@@ -345,9 +345,6 @@ def _run_born(cfg, grid, manifest, out):
         compare_with_flow=True,
     )
     manifest.add_csv("series.csv", ["n", "h10_norm", "x_norm", "ratio"], rep.rows())
-    manifest.add_csv("denominator_sweep.csv",
-                     ["a", "beta", "tau_max", "dtau", "value_re", "value_im", "residual"],
-                     denominator_sweep())
     # ratios among the potential-dressed terms (order >= 1); the 0 -> 1
     # ratio mixes in the datum's overlap geometry and is reported but not
     # part of the band assertion
@@ -436,9 +433,7 @@ SCENARIOS: dict[str, Scenario] = {
     "born-series": Scenario(
         "Iterated Duhamel formula expansion (Born series) of the linear flow: "
         "per-order H10 and X norms, consecutive ratios and the fitted "
-        "geometric rate; also the regularized-denominator quadrature sweep "
-        "for 1/(a + i beta).  Exercises the series contraction (C^n delta^n) "
-        "and the resonance regularization identity.",
+        "geometric rate.  Exercises the series contraction (C^n delta^n).",
         _run_born,
     ),
     "wave-operator": Scenario(

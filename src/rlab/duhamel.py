@@ -25,11 +25,7 @@ O(order * steps), not O(steps^order).  The numerical series keeps the
 plain Duhamel integral: the measurable content of the
 frequency-differentiated expansion is the geometric decay of the terms in
 both the H^10 and X norms, which series_decay_report takes from one spectrum
-per term of _born_ladder, plus the
-quadrature check of the regularized denominator
-1/(|xi|^2 - |eta|^2 + i beta) by regularized_denominator_check, whose
-trapezoid rule on the exponential integrand is a geometric sum and is
-evaluated in closed form.
+per term of _born_ladder.
 """
 
 from __future__ import annotations
@@ -44,9 +40,6 @@ from .flows import _linear_flow, _linear_operator, _run, _step_count, profiles
 from .norms import Trajectory, sobolev_norm, x_norm
 from .potentials import PotentialSet
 from .spectral import FREQUENCY, PHYSICAL, Field, as_frequency, as_physical, free_step
-
-SWEEP_A, SWEEP_BETAS = (0.0, 1.0, 3.0), (1e-1, 1e-2, 1e-3)  # denominator_sweep's a and beta
-SWEEP_TAU_BETA, SWEEP_DTAU = 8.0, 5e-3  # its cutoff tau_max times beta, its node spacing
 
 
 def duhamel_trapezoid(acc: np.ndarray, E: Callable, c: complex, f_prev: np.ndarray,
@@ -214,39 +207,3 @@ def wave_operator(u1: Field, ps: PotentialSet, T: float, dt: float, *,
     distances = [sobolev_norm(Field(u1.grid, FREQUENCY, g2.data - g1.data), 10)
                  for g1, g2 in zip(g, g[1:])]
     return WaveOperatorResult(profiles=g, taus=taus[:-1], distances=distances)
-
-
-def regularized_denominator_check(a: float, beta: float, tau_max: float,
-                                  dtau: float) -> complex:
-    """The trapezoid quadrature on [0, tau_max] of the identity
-    1/(a + i beta) = -i integral_0^inf e^{i tau (a + i beta)} dtau.
-
-    The rule uses the n + 1 = ceil(tau_max / dtau) + 1 equispaced nodes
-    tau_k = k h, h = tau_max / n.  Its node values e^{k z}, z = i h (a + i beta),
-    form a geometric sequence, so the rule is summed exactly:
-    h [expm1((n + 1) z) / expm1(z) - (2 + expm1(n z)) / 2].
-    """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    if not (tau_max > 0 and 0 < dtau < tau_max):
-        raise ValueError("need 0 < dtau < tau_max")
-    n = int(math.ceil(tau_max / dtau))
-    h = tau_max / n
-    z = 1j * h * (a + 1j * beta)
-    total = np.expm1((n + 1) * z) / np.expm1(z) - (2.0 + np.expm1(n * z)) / 2.0
-    return -1j * complex(h * total)
-
-
-def denominator_sweep() -> list[dict]:
-    """Residual table over the a values SWEEP_A and the beta ladder SWEEP_BETAS,
-    with tau_max = SWEEP_TAU_BETA / beta (the integrand is e^-8 at the cutoff)
-    and the node spacing SWEEP_DTAU."""
-    rows = []
-    for a in SWEEP_A:
-        for beta in SWEEP_BETAS:
-            tau_max = SWEEP_TAU_BETA / beta
-            value = regularized_denominator_check(a, beta, tau_max, SWEEP_DTAU)
-            rows.append({"a": a, "beta": beta, "tau_max": tau_max, "dtau": SWEEP_DTAU,
-                         "value_re": value.real, "value_im": value.imag,
-                         "residual": abs(value - 1.0 / (a + 1j * beta))})
-    return rows

@@ -44,6 +44,7 @@ from .spectral import (
     apply_multiplier,
     as_frequency,
     as_physical,
+    coefficient_norm,
     free_phase,
     free_power_profiles,
     half_derivative_weight,
@@ -167,13 +168,15 @@ def _free_ladder(grid: Grid, fhat: np.ndarray, times: np.ndarray) -> Trajectory:
     return Trajectory(times=times, fields=fields)
 
 
-def _free_smoothing_norm(grid: Grid, fhat: np.ndarray, times: np.ndarray, axis: int,
-                         multiplier: np.ndarray | None) -> float:
-    """||m(D) e^{it Lap} f||_{Linf_xj L2_{t,trans}} on the ladder, from the
-    Gram-matrix profiles of spectral.free_power_profiles: no field at any time."""
+def _free_smoothing_norm(grid: Grid, support: np.ndarray, coeffs: np.ndarray,
+                         times: np.ndarray, axis: int, multiplier: np.ndarray | None) -> float:
+    """||m(D_j) e^{it Lap} f||_{Linf_xj L2_{t,trans}} on the ladder for the spectrum
+    coeffs on support, from the Gram-matrix profiles of spectral.free_power_profiles:
+    no field at any time.  m depends on xi_j alone (half_derivative_weight), so it is
+    gathered at each support mode's index along axis."""
     if multiplier is not None:
-        fhat = multiplier * fhat
-    per_t = free_power_profiles(grid, fhat, axis, times)
+        coeffs = multiplier.reshape(-1)[np.unravel_index(support, grid.shape)[axis]] * coeffs
+    per_t = free_power_profiles(grid, support, coeffs, axis, times)
     return mixed_profile_norm(grid, per_t, times, axis, np.inf)
 
 
@@ -281,10 +284,10 @@ def check_smoothing(grid: Grid, variant: str, axis: int, samples: int, *,
         mult = half_derivative_weight(grid, axis)
     if variant == "homogeneous":
         def one(i):
-            f = sampling.localized_packet(grid, band, sampling.sample_rng(seed, i),
-                                          width=PACKET_WIDTH, axis_bias=axis)
-            return (_free_smoothing_norm(grid, as_frequency(f).data, times, axis, mult)
-                    / l2_norm(f))
+            support, coeffs = sampling.packet_on_support(grid, band, sampling.sample_rng(seed, i),
+                                                         PACKET_WIDTH, axis)
+            return (_free_smoothing_norm(grid, support, coeffs, times, axis, mult)
+                    / coefficient_norm(grid, coeffs))
 
     elif variant == "dual":
         def one(i):
@@ -332,10 +335,10 @@ def smoothing_band_signature(grid: Grid, axis: int, ks) -> list[dict]:
     rows = []
     for k in ks:
         f = sampling.directed_band_kernel(grid, k, axis)
-        fhat = as_frequency(f).data
-        l2 = l2_norm(f)
-        w = _free_smoothing_norm(grid, fhat, times, axis, mult) / l2
-        wo = _free_smoothing_norm(grid, fhat, times, axis, None) / l2
+        support = np.flatnonzero(f.data)
+        coeffs, l2 = f.data.reshape(-1)[support], l2_norm(f)
+        w = _free_smoothing_norm(grid, support, coeffs, times, axis, mult) / l2
+        wo = _free_smoothing_norm(grid, support, coeffs, times, axis, None) / l2
         rows.append({"k": k, "with": w, "without": wo, "gap": w / wo})
     return rows
 

@@ -11,6 +11,8 @@ Two classes:
 
 Every sampler returns its unit-L2 spectrum, a FREQUENCY field, and makes no
 full-grid FFT; a reader of the physical samples takes spectral.as_physical.
+packet_on_support returns a localized packet as its values on P_k's support,
+for readers that need no n^3 array (the smo1 harness).
 
 Sample streams are derived as default_rng([seed, index]) so that serial
 and parallel sample loops see identical data.
@@ -21,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import bands
-from .spectral import FREQUENCY, Field, Grid, free_phase, gaussian_spectrum, l2_norm
+from .spectral import (FREQUENCY, Field, Grid, coefficient_norm, free_phase, gaussian_spectrum,
+                       l2_norm)
 
 DISPERSIVE_ADVANCE = 8.0  # time units the dispersive datum starts into its spreading
 
@@ -46,13 +49,14 @@ def band_flat_field(grid: Grid, k_lo: int, k_hi: int, rng: np.random.Generator) 
     return normalized(Field(grid, FREQUENCY, mask * z))
 
 
-def localized_packet(grid: Grid, k: int, rng: np.random.Generator, width: float,
-                     axis_bias: int | None = None) -> Field:
-    """Unit-L2 band-k wave packet: P_k times the spectrum of a Gaussian envelope
-    at the origin carrying two random in-band carriers.  Only the modes of
-    bands.band_support(grid, k) are evaluated: each carrier term is the product of
-    spectral.gaussian_spectrum's three per-axis factors gathered there, and P_k
-    times their sum is scattered into a zeroed spectrum; no n^3 product is formed.
+def packet_on_support(grid: Grid, k: int, rng: np.random.Generator, width: float,
+                      axis_bias: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The unit-L2 band-k wave packet on P_k's support, as (support, coeffs): P_k
+    times the spectrum of a Gaussian envelope at the origin carrying two random
+    in-band carriers, at the modes support = bands.band_support(grid, k).  Each
+    carrier term is the product of spectral.gaussian_spectrum's three per-axis
+    factors gathered there, and coeffs are divided by their own L2 norm
+    sqrt(sum |c|^2 parseval_weight): no n^3 array is built.
 
     With axis_bias set, carrier directions are drawn in a cone around that coordinate
     axis (spread 0.35), giving packets whose group velocity points down the axis; the
@@ -71,9 +75,17 @@ def localized_packet(grid: Grid, k: int, rng: np.random.Generator, width: float,
         amp = rng.standard_normal() + 1j * rng.standard_normal()
         g1, g2, g3 = gaussian_spectrum(grid, width, (0.0, 0.0, 0.0), bands.BASE**k * direction)
         packet += amp * (g1[i1] * g2[i2] * g3[i3])
+    coeffs = values * packet
+    return support, coeffs / coefficient_norm(grid, coeffs)
+
+
+def localized_packet(grid: Grid, k: int, rng: np.random.Generator, width: float,
+                     axis_bias: int | None = None) -> Field:
+    """packet_on_support's unit-L2 packet scattered into a zeroed spectrum."""
+    support, coeffs = packet_on_support(grid, k, rng, width, axis_bias)
     data = np.zeros(grid.shape, dtype=np.complex128)
-    np.put(data, support, values * packet)
-    return normalized(Field(grid, FREQUENCY, data))
+    np.put(data, support, coeffs)
+    return Field(grid, FREQUENCY, data)
 
 
 def directed_band_kernel(grid: Grid, k: int, axis: int) -> Field:

@@ -333,8 +333,15 @@ def line_moments(grid: Grid, coeffs: np.ndarray, scatter: np.ndarray,
 
 def l2_norm(f: Field) -> float:
     """Continuum-normalized L2 norm, computed in the field's own representation."""
-    w = f.grid.dx**3 if f.rep == PHYSICAL else f.grid.parseval_weight
-    return float(np.sqrt(np.sum(np.abs(f.data) ** 2) * w))
+    if f.rep == FREQUENCY:
+        return coefficient_norm(f.grid, f.data)
+    return float(np.sqrt(np.sum(np.abs(f.data) ** 2) * f.grid.dx**3))
+
+
+def coefficient_norm(grid: Grid, coeffs: np.ndarray) -> float:
+    """The L2 norm of a spectrum from its values at some modes, zero at the others:
+    sqrt(sum |c|^2 parseval_weight), summed in the order coeffs hold them."""
+    return float(np.sqrt(np.sum(np.abs(coeffs) ** 2) * grid.parseval_weight))
 
 
 def transverse_power_sum(f: Field, axis: int) -> np.ndarray:
@@ -349,16 +356,18 @@ def transverse_power_sum(f: Field, axis: int) -> np.ndarray:
     return np.sum(np.abs(f.data) ** 2, axis=transverse) * g.dx**2
 
 
-def free_power_profiles(grid: Grid, fhat: np.ndarray, axis: int,
+def free_power_profiles(grid: Grid, support: np.ndarray, coeffs: np.ndarray, axis: int,
                         times: np.ndarray) -> np.ndarray:
     """The profiles transverse_power_sum(Field(grid, FREQUENCY, free_phase(grid, t)
-    * fhat), axis) at every t of times, as an (nt, n) array.
+    * fhat), axis) at every t of times, as an (nt, n) array, for the spectrum fhat
+    that is coeffs at the flat indices support (distinct) and zero elsewhere.
 
-    No field at any time is built.  The transverse phase factors have modulus
-    one, so by Parseval across the transverse axes the profile needs only the
-    n x n Gram matrix C[k, l] = sum_{xi'} fhat(k, xi') conj fhat(l, xi') along
-    axis, formed once from chunks of the columns xi' not all zero (the others add
-    nothing), each product at or below GRAM_PRODUCT_MAX_MKN.  At each t the
+    No field at any time, and no n^3 array, is built.  The transverse phase
+    factors have modulus one, so by Parseval across the transverse axes the
+    profile needs only the n x n Gram matrix C[k, l] = sum_{xi'} fhat(k, xi')
+    conj fhat(l, xi') along axis, formed once from chunks of the transverse
+    columns xi' that support touches (the others add nothing), in ascending
+    order, each product at or below GRAM_PRODUCT_MAX_MKN.  At each t the
     circular diagonal sums S_t[d] = sum_k C[k, k - d] p_t(k) conj p_t(k - d),
     p_t = e^{-i t xi_j^2}, are n times the DFT of the transverse sum of |ifft_axis|^2; one batched
     length-n ifft over all times inverts them.  The profile is a sum of
@@ -367,8 +376,11 @@ def free_power_profiles(grid: Grid, fhat: np.ndarray, axis: int,
     if axis not in (0, 1, 2):
         raise ValueError(f"axis must be 0, 1 or 2 (got {axis})")
     n = grid.n
-    a = np.moveaxis(fhat, axis, 0).reshape(n, -1)
-    a = a[:, np.any(a, axis=0)]
+    index = np.unravel_index(support, grid.shape)
+    t1, t2 = (index[i] for i in range(3) if i != axis)
+    lines, column = np.unique(t1 * n + t2, return_inverse=True)
+    a = np.zeros((n, lines.size), dtype=np.complex128)
+    a[index[axis], column] = coeffs
     step = max(1, GRAM_PRODUCT_MAX_MKN // (n * n))  # columns per product
     c = np.zeros((n, n), dtype=np.complex128)
     for start in range(0, a.shape[1], step):

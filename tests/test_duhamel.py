@@ -9,9 +9,7 @@ from rlab import sampling
 from rlab.duhamel import (
     WaveOperatorResult,
     _born_ladder,
-    denominator_sweep,
     duhamel_trapezoid,
-    regularized_denominator_check,
     series_decay_report,
     wave_operator,
 )
@@ -313,6 +311,47 @@ class TestWaveOperator:
         # the dyadic tail contracts (the first increment is pre-asymptotic)
         assert res.distances[2] < res.distances[1]
         assert len(res.taus) == 3
+
+
+SWEEP_A, SWEEP_BETAS = (0.0, 1.0, 3.0), (1e-1, 1e-2, 1e-3)  # denominator_sweep's a and beta
+SWEEP_TAU_BETA, SWEEP_DTAU = 8.0, 5e-3  # its cutoff tau_max times beta, its node spacing
+
+
+def regularized_denominator_check(a: float, beta: float, tau_max: float,
+                                  dtau: float) -> complex:
+    """The trapezoid quadrature on [0, tau_max] of the identity
+    1/(a + i beta) = -i integral_0^inf e^{i tau (a + i beta)} dtau, the
+    regularized denominator 1/(|xi|^2 - |eta|^2 + i beta) of the Born series.
+
+    The rule uses the n + 1 = ceil(tau_max / dtau) + 1 equispaced nodes
+    tau_k = k h, h = tau_max / n.  Its node values e^{k z}, z = i h (a + i beta),
+    form a geometric sequence, so the rule is summed exactly:
+    h [expm1((n + 1) z) / expm1(z) - (2 + expm1(n z)) / 2].
+    """
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    if not (tau_max > 0 and 0 < dtau < tau_max):
+        raise ValueError("need 0 < dtau < tau_max")
+    n = int(math.ceil(tau_max / dtau))
+    h = tau_max / n
+    z = 1j * h * (a + 1j * beta)
+    total = np.expm1((n + 1) * z) / np.expm1(z) - (2.0 + np.expm1(n * z)) / 2.0
+    return -1j * complex(h * total)
+
+
+def denominator_sweep() -> list[dict]:
+    """Residual table over the a values SWEEP_A and the beta ladder SWEEP_BETAS,
+    with tau_max = SWEEP_TAU_BETA / beta (the integrand is e^-8 at the cutoff)
+    and the node spacing SWEEP_DTAU."""
+    rows = []
+    for a in SWEEP_A:
+        for beta in SWEEP_BETAS:
+            tau_max = SWEEP_TAU_BETA / beta
+            value = regularized_denominator_check(a, beta, tau_max, SWEEP_DTAU)
+            rows.append({"a": a, "beta": beta, "tau_max": tau_max, "dtau": SWEEP_DTAU,
+                         "value_re": value.real, "value_im": value.imag,
+                         "residual": abs(value - 1.0 / (a + 1j * beta))})
+    return rows
 
 
 class TestRegularizedDenominator:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -159,6 +161,20 @@ class TestSmoothing:
         check_smoothing(g, "homogeneous", 0, 2, band=0, horizon=(1.0, 2.0), nt=8)
         assert fft_count.calls["fftn"] == fft_count.calls["ifftn"] == 0
         assert fft_count.calls["fft"] == 2 * 6 and fft_count.calls["ifft"] == 2
+
+    def test_homogeneous_sample_builds_no_full_grid_array(self):
+        # the harness-64 sample: a band-0 packet at 64^3 (2 732 of 262 144 modes) runs
+        # on its band's support from the draw to the Gram profile; built on the full
+        # grid, the same sample peaked above 10 MiB
+        g = make_grid(64, 64.0)
+        bands.band_support(g, 0)  # built once per grid, before the samples
+        tracemalloc.start()
+        try:
+            check_smoothing(g, "homogeneous", 0, 1, band=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64**3 * 16  # one 64^3 complex array, 4 MiB
 
     def test_unknown_variant_rejected(self, grid32):
         with pytest.raises(ValueError):

@@ -242,6 +242,23 @@ def _profile_data(g, kind, axis):
     return as_frequency(f).data
 
 
+def _support_form(fhat):
+    """fhat as free_power_profiles takes it: its nonzero flat indices and its values there."""
+    support = np.flatnonzero(fhat)
+    return support, fhat.reshape(-1)[support]
+
+
+def _harness_sample(g, k, axis):
+    """A harness smo1 sample: an axis-directed band-k packet on its support, times the
+    half-derivative weight gathered at each mode's index along axis, and its spectrum."""
+    support, coeffs = sampling.packet_on_support(g, k, sampling.sample_rng(17, axis), 3.0, axis)
+    along = np.unravel_index(support, g.shape)[axis]
+    coeffs = half_derivative_weight(g, axis).reshape(-1)[along] * coeffs
+    fhat = np.zeros(g.shape, dtype=np.complex128)
+    np.put(fhat, support, coeffs)
+    return support, coeffs, fhat
+
+
 class TestFreePowerProfiles:
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -252,7 +269,7 @@ class TestFreePowerProfiles:
         fhat = _profile_data(g, kind, axis)
         if half:
             fhat = half_derivative_weight(g, axis) * fhat
-        got = free_power_profiles(g, fhat, axis, PROFILE_TIMES)
+        got = free_power_profiles(g, *_support_form(fhat), axis, PROFILE_TIMES)
         ref = np.stack([transverse_power_sum(Field(g, FREQUENCY, free_phase(g, t) * fhat), axis)
                         for t in PROFILE_TIMES])
         assert got.shape == (PROFILE_TIMES.size, n)
@@ -267,13 +284,15 @@ class TestFreePowerProfiles:
         mass = l2_norm(Field(g, FREQUENCY, fhat)) ** 2
         times = np.linspace(0.0, 16.0, 9)
         for axis in range(3):
-            totals = np.sum(free_power_profiles(g, fhat, axis, times), axis=1) * g.dx
+            totals = np.sum(free_power_profiles(g, *_support_form(fhat), axis, times),
+                            axis=1) * g.dx
             assert np.max(np.abs(totals / mass - 1.0)) <= 1e-14
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_gram_products_stay_serial_sized(self, matmul_shapes, n):
         g = make_grid(n, float(n))
-        free_power_profiles(g, _profile_data(g, "band-flat", 1), 1, PROFILE_TIMES)
+        free_power_profiles(g, *_support_form(_profile_data(g, "band-flat", 1)), 1,
+                            PROFILE_TIMES)
         assert matmul_shapes
         for a, b, _ in matmul_shapes:
             assert a[0] * a[1] * b[1] <= GRAM_PRODUCT_MAX_MKN, (a, b)
@@ -284,11 +303,10 @@ class TestFreePowerProfiles:
         # a band-k packet is zero on most transverse columns; the reference
         # transforms every column of the spectrum at every time
         g = make_grid(n, length)
-        f = sampling.localized_packet(g, k, sampling.sample_rng(17, axis), 3.0, axis)
-        fhat = half_derivative_weight(g, axis) * f.data
+        support, coeffs, fhat = _harness_sample(g, k, axis)
         columns = np.any(np.moveaxis(fhat, axis, 0).reshape(n, -1), axis=0)
         assert 0 < np.count_nonzero(columns) < n * n
-        got = free_power_profiles(g, fhat, axis, PROFILE_TIMES)
+        got = free_power_profiles(g, support, coeffs, axis, PROFILE_TIMES)
         ref = np.stack([transverse_power_sum(Field(g, FREQUENCY, free_phase(g, t) * fhat), axis)
                         for t in PROFILE_TIMES])
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
@@ -297,14 +315,15 @@ class TestFreePowerProfiles:
     def test_gram_products_cover_only_the_nonzero_columns(self, matmul_shapes, axis):
         # the harness-64 sample: band 0 at 64^3, L = 64, 8 columns per product
         g = make_grid(64, 64.0)
-        f = sampling.localized_packet(g, 0, sampling.sample_rng(0, axis), 3.0, axis)
-        fhat = half_derivative_weight(g, axis) * f.data
-        nonzero = np.count_nonzero(np.any(np.moveaxis(fhat, axis, 0).reshape(64, -1), axis=0))
+        support, coeffs, _ = _harness_sample(g, 0, axis)
+        touched = np.zeros(g.shape, dtype=bool)
+        np.put(touched, support, True)
+        lines = np.count_nonzero(np.any(touched, axis=axis))  # the lines along axis it touches
         matmul_shapes.clear()
-        free_power_profiles(g, fhat, axis, PROFILE_TIMES)
+        free_power_profiles(g, support, coeffs, axis, PROFILE_TIMES)
         step = GRAM_PRODUCT_MAX_MKN // 64**2
-        assert step == 8 and nonzero < 64 * 64 // 8
-        assert len(matmul_shapes) == -(-nonzero // step)
+        assert step == 8 and lines < 64 * 64 // 8
+        assert len(matmul_shapes) == -(-lines // step)
         for a, b, _ in matmul_shapes:
             assert a[0] * a[1] * b[1] <= GRAM_PRODUCT_MAX_MKN, (a, b)
 
@@ -313,12 +332,13 @@ class TestFreePowerProfiles:
         # sign; a negative profile would turn the mixed norm's square root NaN
         g = make_grid(32, 64.0)
         f = field_from_function(g, lambda x1, x2, x3: np.exp(-(x1**2 + x2**2 + x3**2) / 2))
-        prof = free_power_profiles(g, as_frequency(f).data, 0, np.array([0.0, 0.5]))
+        prof = free_power_profiles(g, *_support_form(as_frequency(f).data), 0,
+                                   np.array([0.0, 0.5]))
         assert np.all(prof >= 0.0) and np.min(prof) == 0.0
 
     def test_rejects_a_bad_axis(self, grid16):
         with pytest.raises(ValueError, match="axis must be 0, 1 or 2"):
-            free_power_profiles(grid16, np.zeros(grid16.shape, complex), 3, PROFILE_TIMES)
+            free_power_profiles(grid16, np.array([0]), np.zeros(1, complex), 3, PROFILE_TIMES)
 
 
 def _white_noise(n, seed=0):
