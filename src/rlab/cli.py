@@ -8,9 +8,10 @@ section or key is a ConfigError naming it, as is a value its type cannot
 read or its rule refuses, on a load and on an override alike.  Values are
 plain tokens; floats use '.' decimals.  CSV outputs print floats with 17
 significant digits and are byte-identical for identical configs and seeds,
-serial or parallel.  Manifests are strict JSON (RFC 8259): a non-finite
-value is written as the string "Infinity", "-Infinity" or "NaN", which
-compare reads back as a float.  Each scenario is one entry of the registry
+serial or parallel.  RunManifest writes a run's CSV and JSON files, making
+its directory on the first write; the JSON is strict (RFC 8259): a
+non-finite value is the string "Infinity", "-Infinity" or "NaN", which compare
+reads back as a float.  Each scenario is one entry of the registry
 SCENARIOS, which config validation, ``describe`` and ``run`` all read.
 """
 
@@ -80,12 +81,12 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def write_csv(path, header: list[str], rows: list[dict]) -> None:
-    """One line per row (a dict of numbers keyed by header), in header order."""
+def write_csv(path, columns: dict) -> None:
+    """A header line of the columns' keys, then one line per row of the equal-length columns."""
     buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(fmt(row[key]) for key in header) + "\n")
+    buf.write(",".join(columns) + "\n")
+    for row in zip(*columns.values(), strict=True):
+        buf.write(",".join(fmt(x) for x in row) + "\n")
     pathlib.Path(path).write_text(buf.getvalue())
 
 
@@ -217,7 +218,7 @@ def build_datum(cfg: ExperimentConfig, grid, seed: int) -> Field:
     return Field(grid, "physical", amp * f.data)
 
 
-# JSON has no non-finite numbers, so a manifest holds these strings instead
+# JSON has no non-finite numbers, so a run's JSON files hold these strings instead
 NON_FINITE = ("Infinity", "-Infinity", "NaN")
 
 
@@ -232,7 +233,13 @@ def _spell_non_finite(value):
     return value
 
 
+def _strict_json(doc, indent: int | None) -> str:
+    return json.dumps(_spell_non_finite(doc), sort_keys=True, indent=indent, allow_nan=False)
+
+
 class RunManifest:
+    """The one writer of a run's files: CSV and JSON artifacts, each digested, and manifest.json."""
+
     def __init__(self, cfg: ExperimentConfig, out_dir: pathlib.Path):
         self.cfg = cfg
         self.out_dir = out_dir
@@ -246,11 +253,20 @@ class RunManifest:
         digest = hashlib.sha256(p.read_bytes()).hexdigest()
         self.artifacts[str(p.relative_to(self.out_dir))] = digest
 
-    def add_csv(self, name: str, header: list[str], rows: list[dict]) -> None:
-        """Write rows, dicts keyed by header, to out_dir/name as an artifact."""
-        path = self.out_dir / name
-        write_csv(path, header, rows)
-        self.add_artifact(path)
+    def _path(self, name: str) -> pathlib.Path:
+        """out_dir/name; the run's first write makes out_dir, with its parents."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir / name
+
+    def add_csv(self, name: str, columns: dict) -> None:
+        """Write columns, a header -> numbers dict, to out_dir/name as an artifact."""
+        write_csv(self._path(name), columns)
+        self.add_artifact(self.out_dir / name)
+
+    def add_json(self, name: str, doc: dict) -> None:
+        """Write doc as one line of strict JSON to out_dir/name as an artifact."""
+        self._path(name).write_text(_strict_json(doc, None))
+        self.add_artifact(self.out_dir / name)
 
     def record(self, name: str, ok: bool) -> None:
         self.assertions[name] = bool(ok)
@@ -272,33 +288,23 @@ class RunManifest:
             "assertions": self.assertions,
             "values": self.values,
         }
-        path = self.out_dir / "manifest.json"
-        path.write_text(json.dumps(_spell_non_finite(doc), sort_keys=True, indent=1,
-                                   allow_nan=False))
+        path = self._path("manifest.json")
+        path.write_text(_strict_json(doc, 1))
         return path
 
 
-def _run_certify(cfg, grid, manifest, out):
+def _run_certify(cfg, grid, manifest):
     ps = build_potentials(cfg, grid)
     cert = certify(ps, ps.delta_target)
-    path = out / "certificate.json"
-    path.write_text(cert.to_json())
-    manifest.add_artifact(path)
+    manifest.add_json("certificate.json", {"delta": cert.delta, "entries": cert.entries,
+                                           "pass": cert.passed, "notes": list(cert.notes)})
     manifest.record("certificate_pass", cert.passed)
     manifest.values["max_entry"] = max(
         v for triple in cert.entries.values() for v in triple.values()
     )
 
 
-def _norm_rows(tr, prof):
-    """norms.csv rows: each snapshot's L2 norm beside its profile_norms row prof; the
-    free flow has modulus one on every mode, so h10 repeats the profile's H10 norm."""
-    return [{"t": t, "l2": l2_norm(u), "h10": p["h10"],
-             "profile_h10": p["h10"], "profile_x": p["x"]}
-            for t, u, p in zip(tr.times, tr.fields, prof)]
-
-
-def _run_simulate(cfg, grid, manifest, out, nonlinear: bool):
+def _run_simulate(cfg, grid, manifest, nonlinear: bool):
     ps = build_potentials(cfg, grid)
     u1 = build_datum(cfg, grid, cfg.seed)
     evolve_cfg = EvolveConfig(
@@ -324,14 +330,17 @@ def _run_simulate(cfg, grid, manifest, out, nonlinear: bool):
         manifest.record("bootstrap_contained", not mon["exited"])
         manifest.values["bootstrap"] = mon
     manifest.record("guard_clean", True)
-    manifest.add_csv("norms.csv", ["t", "l2", "h10", "profile_h10", "profile_x"],
-                     _norm_rows(tr, prof))
-    snap_dir = out / "snapshots"
+    # each snapshot's L2 norm beside its profile norms; the free flow has modulus one
+    # on every mode, so h10 repeats the profile's H10 norm
+    h10 = [p["h10"] for p in prof]
+    manifest.add_csv("norms.csv", {"t": tr.times, "l2": [l2_norm(u) for u in tr.fields], "h10": h10,
+                                   "profile_h10": h10, "profile_x": [p["x"] for p in prof]})
+    snap_dir = manifest.out_dir / "snapshots"
     for p in save_trajectory(tr, snap_dir, evolve_cfg.snapshot_stride, cfg.config_hash()):
         manifest.add_artifact(p)
 
 
-def _run_born(cfg, grid, manifest, out):
+def _run_born(cfg, grid, manifest):
     ps = build_potentials(cfg, grid)
     delta = cfg.get("scenario", "delta")
     if delta is not None:
@@ -344,7 +353,9 @@ def _run_born(cfg, grid, manifest, out):
         cfg.get("scenario", "dt", 0.01),
         compare_with_flow=True,
     )
-    manifest.add_csv("series.csv", ["n", "h10_norm", "x_norm", "ratio"], rep.rows())
+    manifest.add_csv("series.csv", {  # order 0 has no ratio
+        "n": range(len(rep.h10_norms)), "h10_norm": rep.h10_norms, "x_norm": rep.x_norms,
+        "ratio": [math.nan, *rep.ratios_h10]})
     # ratios among the potential-dressed terms (order >= 1); the 0 -> 1
     # ratio mixes in the datum's overlap geometry and is reported but not
     # part of the band assertion
@@ -356,7 +367,7 @@ def _run_born(cfg, grid, manifest, out):
     manifest.values["partial_sum_errors"] = rep.partial_sum_errors
 
 
-def _run_wave(cfg, grid, manifest, out):
+def _run_wave(cfg, grid, manifest):
     ps = build_potentials(cfg, grid)
     u1 = build_datum(cfg, grid, cfg.seed)
     res = wave_operator(
@@ -365,7 +376,7 @@ def _run_wave(cfg, grid, manifest, out):
         cfg.get("scenario", "dt", 0.05),
         skip_certification=True,
     )
-    manifest.add_csv("trace.csv", ["tau", "cauchy_distance"], res.rows())
+    manifest.add_csv("trace.csv", {"tau": res.taus, "cauchy_distance": res.distances})
     manifest.record("monotone_trace", res.converged)
     manifest.record("positive_exponent", res.exponent > 0)
     manifest.values["exponent"] = res.exponent
@@ -392,12 +403,14 @@ def _harness(check):
     """Runner of a harness:<id> scenario: emits the EstimateReport that
     check(cfg, grid) returns as report.json and report.csv."""
 
-    def runner(cfg, grid, manifest, out):
+    def runner(cfg, grid, manifest):
         rep = check(cfg, grid)
-        path = out / "report.json"
-        path.write_text(rep.to_json())
-        manifest.add_artifact(path)
-        manifest.add_csv("report.csv", ["sample", "ratio"], rep.csv_rows())
+        manifest.add_json("report.json", {
+            "estimate_id": rep.estimate_id, "sample_count": len(rep.ratios), "seed": rep.seed,
+            "max_ratio": rep.max_ratio, "median_ratio": rep.median_ratio, "extras": rep.extras,
+            "sample_class": rep.sample_class, "grid": {"n": rep.grid.n, "L": rep.grid.length},
+            "horizon": list(rep.horizon) if rep.horizon else None})
+        manifest.add_csv("report.csv", {"sample": range(len(rep.ratios)), "ratio": rep.ratios})
         manifest.record("ratios_finite", bool(np.isfinite(rep.max_ratio)))
         manifest.values["max_ratio"] = rep.max_ratio
         manifest.values["median_ratio"] = rep.median_ratio
@@ -408,10 +421,10 @@ def _harness(check):
 @dataclass(frozen=True)
 class Scenario:
     """Registry entry: the text ``describe`` prints and the runner
-    runner(cfg, grid, manifest, out) that fills the manifest."""
+    runner(cfg, grid, manifest) that fills the manifest and writes through it."""
 
     description: str
-    runner: Callable[[ExperimentConfig, Grid, RunManifest, pathlib.Path], None]
+    runner: Callable[[ExperimentConfig, Grid, RunManifest], None]
 
 
 SCENARIOS: dict[str, Scenario] = {
@@ -513,22 +526,10 @@ def _lookup(scenario: str) -> Scenario:
 
 
 def run(cfg: ExperimentConfig, out_dir) -> RunManifest:
-    # a bad grid fails here, before the run directory exists
+    # a runner rejects a config value before its first write makes the run directory
     grid = build_grid(cfg)
-    out = pathlib.Path(out_dir)
-    made = [d for d in (out, *out.parents) if not d.exists()]  # innermost first
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(cfg, out)
-    try:
-        _lookup(cfg.scenario).runner(cfg, grid, manifest, out)
-    except Exception:
-        # a runner that fails on a config value leaves none of the empty
-        # directories this run made
-        for d in made:
-            if any(d.iterdir()):
-                break
-            d.rmdir()
-        raise
+    manifest = RunManifest(cfg, pathlib.Path(out_dir))
+    _lookup(cfg.scenario).runner(cfg, grid, manifest)
     manifest.write()
     return manifest
 

@@ -112,11 +112,6 @@ class BornSeriesReport:
     def rate(self) -> float:
         return _fit_rate(self.h10_norms)
 
-    def rows(self) -> list[dict]:
-        ratios = [float("nan"), *self.ratios_h10]  # order 0 has no ratio
-        return [{"n": n, "h10_norm": h, "x_norm": x, "ratio": r}
-                for n, (h, x, r) in enumerate(zip(self.h10_norms, self.x_norms, ratios))]
-
 
 def series_decay_report(u1: Field, ps: PotentialSet, order_max: int, t: float,
                         dt: float, *, compare_with_flow: bool = False) -> BornSeriesReport:
@@ -178,9 +173,6 @@ class WaveOperatorResult:
         profiles' spectra."""
         g1, gT = self.profiles[0], self.profiles[-1]
         return (sobolev_norm(gT, 10) + x_norm(gT)) / (sobolev_norm(g1, 10) + x_norm(g1))
-
-    def rows(self) -> list[dict]:
-        return [{"tau": tau, "cauchy_distance": d} for tau, d in zip(self.taus, self.distances)]
 
 
 def wave_operator(u1: Field, ps: PotentialSet, T: float, dt: float, *,

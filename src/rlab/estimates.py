@@ -16,7 +16,6 @@ agree bit for bit.
 from __future__ import annotations
 
 import functools
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -109,25 +108,6 @@ class EstimateReport:
         """np.median(ratios) from a sort: np.median imports numpy.ma, ~10 ms a process."""
         r, h = sorted(self.ratios), len(self.ratios) // 2
         return float(r[h] if len(r) % 2 else (r[h - 1] + r[h]) / 2)
-
-    def to_json(self) -> str:
-        d = {
-            "estimate_id": self.estimate_id,
-            "sample_count": len(self.ratios),
-            "max_ratio": self.max_ratio,
-            "median_ratio": self.median_ratio,
-            "sample_class": self.sample_class,
-            "grid": {"n": self.grid.n, "L": self.grid.length},
-            "horizon": list(self.horizon) if self.horizon else None,
-            "seed": self.seed,
-            "extras": self.extras,
-        }
-        return json.dumps(d, sort_keys=True)
-
-    def csv_rows(self) -> list[dict]:
-        return [
-            {"sample": i, "ratio": r} for i, r in enumerate(self.ratios)
-        ]
 
 
 def _map_samples(fn, count: int, threads: int = 1) -> list:

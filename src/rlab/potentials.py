@@ -11,7 +11,6 @@ and passes iff every measured value is at most the smallness dial delta.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -88,10 +87,6 @@ class SmallnessCertificate:
     @property
     def passed(self) -> bool:
         return all(v <= self.delta for triple in self.entries.values() for v in triple.values())
-
-    def to_json(self) -> str:
-        return json.dumps({"delta": self.delta, "entries": self.entries, "pass": self.passed,
-                           "notes": list(self.notes)}, sort_keys=True)
 
 
 def _x_weight(f: Field) -> Field:

@@ -389,7 +389,7 @@ def free_power_profiles(grid: Grid, support: np.ndarray, coeffs: np.ndarray, axi
     k = np.arange(n)
     lag = (k[None, :] - k[:, None]) % n  # lag[d, k] = k - d
     diagonals = c[k[None, :], lag]  # diagonals[d, k] = C[k, k - d]
-    p = np.exp(-1j * np.outer(times, grid.axis_freqs**2))  # p[t, k] = p_t(k)
+    p = np.array([_axis_phase(grid, t) for t in times])  # p[t, k] = p_t(k)
     s = np.einsum("dk,tk,tdk->td", diagonals, p, p.conj()[:, lag])
     prof = np.fft.ifft(s, axis=1).real / n / (n**2 * grid.dx**4)
     return np.maximum(prof, 0.0)

@@ -71,6 +71,10 @@ datum_advance = 0.0
     return p
 
 
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 class TestConfig:
     def test_missing_keys_listed(self, tmp_path):
         p = tmp_path / "empty.ini"
@@ -382,6 +386,16 @@ class TestIdentitySweep:
         covered = {sections["run"]["scenario"] for sections in sweep.configs().values()}
         assert set(SCENARIOS) - covered == set()
 
+    def test_every_config_loads(self, sweep):
+        # the sweep writes each value with str(); a grammar change that refuses one
+        # fails here, not minutes into a sweep
+        for name, sections in sweep.configs().items():
+            try:
+                ExperimentConfig({s: {k: str(v) for k, v in kv.items()}
+                                  for s, kv in sections.items()})
+            except ConfigError as exc:
+                pytest.fail(f"{name}: {exc}")
+
     def test_compare_fails_on_an_assertion_row_or_a_one_sided_run(self, tmp_path, capsys, sweep):
         old, new = tmp_path / "old", tmp_path / "new"
         for side, runs in ((old, {"x": True, "y": True}), (new, {"x": False})):
@@ -543,12 +557,8 @@ class TestWaveRun:
     def test_zero_potential_manifest_is_strict_json(self, tmp_path):
         # the vanishing trace has exponent inf, which RFC 8259 JSON cannot hold
         manifest = run(ExperimentConfig.from_file(self.free_config(tmp_path)), tmp_path / "o")
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
         path = tmp_path / "o" / "manifest.json"
-        doc = json.loads(path.read_text(), parse_constant=reject)
+        doc = json.loads(path.read_text(), parse_constant=reject_constant)
         assert doc["values"]["exponent"] == "Infinity"
         assert manifest.values["exponent"] == float("inf")
         # compare reads the string back as inf: against itself, no row
@@ -567,7 +577,7 @@ class TestHarnessReport:
         manifest = RunManifest(cfg, tmp_path)
         runner = _harness(lambda cfg, grid: EstimateReport(
             "fake", ratios, "fixed ratios", grid, None, cfg.seed, {}))
-        runner(cfg, build_grid(cfg), manifest, tmp_path)
+        runner(cfg, build_grid(cfg), manifest)
         return manifest
 
     def test_inf_ratio_is_recorded_not_finite(self, tmp_path):
@@ -577,6 +587,9 @@ class TestHarnessReport:
         assert doc["values"]["max_ratio"] == "Infinity"  # strict JSON has no inf
         assert doc["values"]["median_ratio"] == "Infinity"
         assert (tmp_path / "report.csv").read_text() == "sample,ratio\n0,1\n1,inf\n"
+        # the report is strict JSON like the manifest
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject_constant)
+        assert report["max_ratio"] == "Infinity"
 
     def test_nan_ratio_raises_naming_the_estimate(self, tmp_path):
         with pytest.raises(ValueError, match="^fake: "):
@@ -825,6 +838,16 @@ class TestCliEntry:
     def test_describe_verb(self, capsys):
         assert main(["describe", "born-series"]) == 0
         assert "Duhamel" in capsys.readouterr().out
+
+    def test_out_naming_a_file_is_one_error_line(self, tmp_path, capsys):
+        p = tmp_path / "certify.ini"
+        p.write_text(MINIMAL.format("certify"))
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+        assert out.read_text() == "kept"
 
     def test_run_verb_writes_manifest(self, tmp_path):
         p = small_born_config(tmp_path)

@@ -1,3 +1,4 @@
+import csv
 import functools
 import math
 from collections import Counter
@@ -5,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rlab import sampling
+from rlab import cli, sampling
 from rlab.duhamel import (
     WaveOperatorResult,
     _born_ladder,
@@ -223,12 +224,20 @@ class TestSeriesDecay:
         rep2 = series_decay_report(datum, potentials.scaled(0.5), 3, 2.0, 0.02)
         assert 0.5 - 0.15 <= rep2.rate / rep1.rate <= 0.5 + 0.15
 
-    def test_csv_rows_shape(self, grid, datum, potentials):
-        rep = series_decay_report(datum, potentials, 2, 1.5, 0.05)
-        rows = rep.rows()
-        assert [r["n"] for r in rows] == [0, 1, 2]
-        assert math.isnan(rows[0]["ratio"])
-        assert rows[1]["ratio"] == rep.ratios_h10[0]
+    def test_csv_rows_shape(self, tmp_path):
+        cfg = cli.ExperimentConfig({
+            "run": {"scenario": "born-series", "seed": "3"}, "grid": {"n": "16", "L": "32.0"},
+            "potential": {"amplitude_v": "0.15", "amplitude_a1": "0.12"},
+            "scenario": {"orders": "2", "t": "1.5", "dt": "0.05"}})
+        cli.run(cfg, tmp_path)
+        with open(tmp_path / "series.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        grid = cli.build_grid(cfg)
+        rep = series_decay_report(cli.build_datum(cfg, grid, cfg.seed),
+                                  cli.build_potentials(cfg, grid), 2, 1.5, 0.05)
+        assert [r["n"] for r in rows] == ["0", "1", "2"]
+        assert math.isnan(float(rows[0]["ratio"]))
+        assert float(rows[1]["ratio"]) == rep.ratios_h10[0]
 
 
 class TestWaveOperator:

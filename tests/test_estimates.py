@@ -487,10 +487,15 @@ class TestReportType:
                 grid=make_grid(8, 1.0), horizon=None, seed=0, extras={},
             )
 
-    def test_json_carries_seed_and_class(self, grid):
+    def test_json_carries_seed_and_class(self, tmp_path):
         import json
 
-        rep = check_strichartz(grid, (np.inf, 2.0), 2, k_lo=-2, k_hi=2, nt=5, seed=44)
-        doc = json.loads(rep.to_json())
+        from rlab import cli
+
+        cli.run(cli.ExperimentConfig({
+            "run": {"scenario": "harness:str1", "seed": "44"}, "grid": {"n": "16", "L": "16.0"},
+            "scenario": {"p": "inf", "q": "2", "k_lo": "-2", "k_hi": "2", "samples": "2"}}),
+            tmp_path)
+        doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["seed"] == 44 and "band-flat" in doc["sample_class"]
         assert doc["grid"] == {"n": 16, "L": 16.0}

@@ -145,10 +145,14 @@ class TestCertify:
         # V, a1, a2, a3 and the three magnetic squares
         assert fft_count.calls == {"fftn": 7, "ifftn": 7}
 
-    def test_serializes_every_norm(self, grid, sample_set):
+    def test_serializes_every_norm(self, tmp_path):
         import json
 
-        doc = json.loads(certify(sample_set, 1000.0).to_json())
+        from rlab import cli
+
+        cli.run(cli.ExperimentConfig({"run": {"scenario": "certify", "seed": "0"},
+                                      "grid": {"n": "16", "L": "48.0"}}), tmp_path)
+        doc = json.loads((tmp_path / "certificate.json").read_text())
         assert set(doc["entries"]) == {
             "V", "a1", "a2", "a3", "a1^2", "a2^2", "a3^2",
         }
